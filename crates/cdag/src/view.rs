@@ -736,16 +736,16 @@ impl IndexView {
     }
 
     /// Whether `(u, v)` is an edge of `G_r` in either direction.
+    /// Allocation-free: walks the predecessors with a comparing closure.
     pub fn is_edge(&self, u: u32, v: u32) -> bool {
-        let mut preds = Vec::new();
-        if !self.preds_into(v, &mut preds) {
-            return false;
-        }
-        if preds.contains(&u) {
-            return true;
-        }
-        preds.clear();
-        self.preds_into(u, &mut preds) && preds.contains(&v)
+        let has_pred = |id: u32, p: u32| {
+            self.vref(id).is_some_and(|vr| {
+                let mut found = false;
+                self.preds_of(vr, &mut |q| found |= q == p);
+                found
+            })
+        };
+        has_pred(v, u) || has_pred(u, v)
     }
 
     /// Whether `id` is an input (encoding level 0 of either side).

@@ -13,7 +13,7 @@
 //! verifier can still reach — but per-code detail is capped so adversarial
 //! input cannot balloon the verdict itself.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use serde::{Deserialize, Serialize};
 
@@ -277,7 +277,6 @@ fn verify_routing(cert: &Certificate, p: &RoutingPayload, ctx: &mut Ctx) {
     let mut counter = HitCounter::with_groups(kview.copy_roots());
     let outputs = kview.outputs_count();
     let mut pair_seen = vec![false; expected_paths as usize];
-    let mut preds = Vec::new();
     for (i, path) in p.paths.iter().enumerate() {
         if path.is_empty() {
             ctx.reject(codes::V_ROUTE_NON_EDGE, format!("path {i} is empty"));
@@ -293,18 +292,9 @@ fn verify_routing(cert: &Certificate, p: &RoutingPayload, ctx: &mut Ctx) {
         let mut ok = true;
         for (j, w) in path.windows(2).enumerate() {
             let &[u, v] = w else { continue };
-            // Forward orientation: each hop's later vertex lists the earlier
-            // one among its predecessors; accept either direction so path
-            // storage order is not part of the format contract.
-            preds.clear();
-            kview.preds_into(v, &mut preds);
-            let mut edge = preds.contains(&u);
-            if !edge {
-                preds.clear();
-                kview.preds_into(u, &mut preds);
-                edge = preds.contains(&v);
-            }
-            if !edge {
+            // Either direction is an edge, so path storage order is not
+            // part of the format contract.
+            if !kview.is_edge(u, v) {
                 ctx.reject(
                     codes::V_ROUTE_NON_EDGE,
                     format!("path {i} hop {j}: ({u}, {v}) is not an edge of G_{}", p.k),
@@ -396,6 +386,16 @@ fn verify_routing(cert: &Certificate, p: &RoutingPayload, ctx: &mut Ctx) {
 
 /// Re-checks the Fact-1 transport: the prefix set must be exactly
 /// `[b^{r-k}]`, and every lifted hop of every path must be an edge of `G_r`.
+///
+/// Cost: `O(b^{r-k} · (distinct vertices + distinct hops of the G_k
+/// paths))`. Whether a lifted hop is an edge depends only on
+/// `(prefix, hu, hv)`, so the hops of the structurally valid paths are
+/// collected once, repeats removed, in the order a path-by-path walk first
+/// meets them; each copy lifts every distinct vertex once and checks every
+/// distinct hop. The checked `(prefix, lifted hop)` facts are exactly the
+/// path walk's with repeats removed, and the first failing distinct hop of
+/// a copy is the first failing hop that walk meets, so each copy reports
+/// the same hop with the same code and message.
 fn verify_transport(p: &RoutingPayload, kview: &IndexView, rview: &IndexView, ctx: &mut Ctx) {
     let Some(copies) = checked_pow(kview.b() as u64, p.r - p.k) else {
         ctx.reject(codes::V_PARAMS, "b^{r-k} overflows the id space");
@@ -437,47 +437,55 @@ fn verify_transport(p: &RoutingPayload, kview: &IndexView, rview: &IndexView, ct
         );
         return;
     }
+
+    // Distinct hops in first-occurrence order, each with the lift-table
+    // slots of its endpoints; `vertices[slot]` is the local vertex.
     let n_local = kview.n_vertices();
-    let mut preds = Vec::new();
+    let mut slot_of: BTreeMap<u32, usize> = BTreeMap::new();
+    let mut vertices: Vec<u32> = Vec::new();
+    let mut hop_seen: BTreeSet<(u32, u32)> = BTreeSet::new();
+    let mut hops: Vec<(u32, u32, usize, usize)> = Vec::new();
+    for path in &p.paths {
+        if path.is_empty() || path.iter().any(|&v| v >= n_local) {
+            continue; // already rejected structurally
+        }
+        for w in path.windows(2) {
+            let &[hu, hv] = w else { continue };
+            if !hop_seen.insert((hu, hv)) {
+                continue;
+            }
+            let mut slot = |v: u32| {
+                *slot_of.entry(v).or_insert_with(|| {
+                    let slot = vertices.len();
+                    vertices.push(v);
+                    slot
+                })
+            };
+            hops.push((hu, hv, slot(hu), slot(hv)));
+        }
+    }
+
+    let mut lifted: Vec<Option<u32>> = Vec::with_capacity(vertices.len());
     for &prefix in &prefixes_ok {
-        let mut bad = false;
-        for path in &p.paths {
-            if path.is_empty() || path.iter().any(|&v| v >= n_local) {
-                continue; // already rejected structurally
-            }
-            for w in path.windows(2) {
-                let &[hu, hv] = w else { continue };
-                let (Some(lu), Some(lv)) =
-                    (rview.lift(kview, prefix, hu), rview.lift(kview, prefix, hv))
-                else {
-                    ctx.reject(
-                        codes::V_ROUTE_TRANSPORT,
-                        format!("prefix {prefix}: hop ({hu}, {hv}) does not lift into G_r"),
-                    );
-                    bad = true;
-                    break;
-                };
-                preds.clear();
-                rview.preds_into(lv, &mut preds);
-                let mut edge = preds.contains(&lu);
-                if !edge {
-                    preds.clear();
-                    rview.preds_into(lu, &mut preds);
-                    edge = preds.contains(&lv);
-                }
-                if !edge {
-                    ctx.reject(
-                        codes::V_ROUTE_TRANSPORT,
-                        format!(
-                            "prefix {prefix}: lifted hop ({lu}, {lv}) is not an edge of G_{}",
-                            p.r
-                        ),
-                    );
-                    bad = true;
-                    break;
-                }
-            }
-            if bad {
+        lifted.clear();
+        lifted.extend(vertices.iter().map(|&v| rview.lift(kview, prefix, v)));
+        let lift = |slot: usize| lifted.get(slot).copied().flatten();
+        for &(hu, hv, su, sv) in &hops {
+            let (Some(lu), Some(lv)) = (lift(su), lift(sv)) else {
+                ctx.reject(
+                    codes::V_ROUTE_TRANSPORT,
+                    format!("prefix {prefix}: hop ({hu}, {hv}) does not lift into G_r"),
+                );
+                break;
+            };
+            if !rview.is_edge(lu, lv) {
+                ctx.reject(
+                    codes::V_ROUTE_TRANSPORT,
+                    format!(
+                        "prefix {prefix}: lifted hop ({lu}, {lv}) is not an edge of G_{}",
+                        p.r
+                    ),
+                );
                 break; // one broken copy is enough evidence for this prefix
             }
         }

@@ -3,14 +3,25 @@
 //! verifier change that shifts a code, drops a rejection, or starts
 //! accepting a corrupted certificate fails here before it ships.
 //!
-//! Regenerate (after an *intentional* format or verifier change) with:
-//! `cargo test -p mmio-cert --test corpus -- --ignored regenerate_corpus`
+//! `tests/corpus/verdicts.json` pins more: the full `Verdict::to_json()`
+//! bytes (every detail string, in order) of every corpus file and of every
+//! mutant of the strassen and winograd routing certificates at
+//! (k = 2, r = 3), plus two probes — two broken hops deep in the path list
+//! (which one each copy reports is part of the bytes) and one path stored
+//! in reverse (hops are edges in either direction). A verifier rewrite
+//! that must not change behaviour shows here that it did not.
+//!
+//! Regenerate (after an *intentional* format or verifier change) with
+//! `cargo test -p mmio-cert --test corpus -- --ignored regenerate_corpus`,
+//! then `cargo test -p mmio-cert --test corpus -- --ignored regenerate_verdicts`.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
+use mmio_cert::format::{Certificate, Payload};
 use mmio_cert::mutate::mutants_for;
 use mmio_cert::{fixtures, verify_json};
+use mmio_core::transport::{emit_certificate, RoutingClass};
 use serde::{Deserialize, Serialize};
 
 #[derive(Serialize, Deserialize)]
@@ -18,6 +29,12 @@ struct Entry {
     file: String,
     accepted: bool,
     codes: Vec<String>,
+}
+
+#[derive(Serialize, Deserialize)]
+struct VerdictPin {
+    input: String,
+    verdict: String,
 }
 
 fn corpus_dir() -> PathBuf {
@@ -143,4 +160,91 @@ fn regenerate_corpus() {
     );
     let manifest_json = serde_json::to_string(&manifest).unwrap();
     fs::write(dir.join("manifest.json"), manifest_json).unwrap();
+}
+
+fn with_paths(cert: &Certificate, edit: impl FnOnce(&mut Vec<Vec<u32>>)) -> String {
+    let mut cert = cert.clone();
+    if let Payload::Routing(p) = &mut cert.payload {
+        edit(&mut p.paths);
+    }
+    cert.to_json()
+}
+
+/// Every input, named, in a fixed order: the corpus certificates (sorted
+/// by file name; the two pin files are not certificates), then the clean
+/// routing certificates, their mutants and the probes.
+fn verdict_inputs() -> Vec<(String, String)> {
+    let dir = corpus_dir();
+    let mut files: Vec<String> = fs::read_dir(&dir)
+        .expect("corpus directory")
+        .map(|e| {
+            e.expect("corpus entry")
+                .file_name()
+                .into_string()
+                .expect("utf-8 name")
+        })
+        .filter(|f| f.ends_with(".json") && f != "manifest.json" && f != "verdicts.json")
+        .collect();
+    files.sort();
+    let mut out: Vec<(String, String)> = files
+        .into_iter()
+        .map(|f| {
+            let json = fs::read_to_string(dir.join(&f)).unwrap_or_else(|e| panic!("{f}: {e}"));
+            (format!("corpus/{f}"), json)
+        })
+        .collect();
+    let pool = mmio_parallel::Pool::new(1);
+    for base in [
+        mmio_algos::strassen::strassen(),
+        mmio_algos::strassen::winograd(),
+    ] {
+        let class = RoutingClass::build(&base, 2, &pool).expect("k = 2 routing class");
+        let cert = emit_certificate(&class, 3);
+        let tag = format!("{}/k2r3", base.name());
+        out.push((format!("{tag}/clean"), cert.to_json()));
+        for m in mutants_for(&cert) {
+            out.push((format!("{tag}/{}", m.name), m.cert.to_json()));
+        }
+        let probe = with_paths(&cert, |paths| {
+            paths[400][3] = paths[400][2];
+            paths[7][5] = paths[7][4];
+        });
+        out.push((format!("{tag}/probe-two-bad-hops"), probe));
+        let probe = with_paths(&cert, |paths| paths[100].reverse());
+        out.push((format!("{tag}/probe-reversed-path"), probe));
+    }
+    out
+}
+
+#[test]
+fn verdicts_match_golden_bytes() {
+    let golden_json = fs::read_to_string(corpus_dir().join("verdicts.json"))
+        .expect("verdict pin missing — run the ignored `regenerate_verdicts` test");
+    let golden: Vec<VerdictPin> =
+        serde_json::from_str(&golden_json).expect("verdicts.json decodes");
+    let inputs = verdict_inputs();
+    let names: Vec<&str> = inputs.iter().map(|(n, _)| n.as_str()).collect();
+    let pinned: Vec<&str> = golden.iter().map(|e| e.input.as_str()).collect();
+    assert_eq!(names, pinned, "input set drifted from the pin");
+    for ((name, json), entry) in inputs.iter().zip(&golden) {
+        assert_eq!(
+            verify_json(json).to_json(),
+            entry.verdict,
+            "{name}: verdict bytes drifted"
+        );
+    }
+}
+
+#[test]
+#[ignore = "writes tests/corpus/verdicts.json; run only after an intentional verdict change"]
+fn regenerate_verdicts() {
+    let entries: Vec<VerdictPin> = verdict_inputs()
+        .into_iter()
+        .map(|(input, json)| VerdictPin {
+            verdict: verify_json(&json).to_json(),
+            input,
+        })
+        .collect();
+    let json = serde_json::to_string(&entries).expect("verdicts serialize");
+    fs::write(corpus_dir().join("verdicts.json"), json).expect("write verdicts.json");
 }
