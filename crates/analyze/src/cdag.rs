@@ -15,8 +15,7 @@ use crate::diag::{Report, Severity, Span};
 use crate::facts::GraphFacts;
 use mmio_cdag::base::Side;
 use mmio_cdag::build::build_cdag;
-use mmio_cdag::fact1::Subcomputation;
-use mmio_cdag::{index, BaseGraph, Cdag};
+use mmio_cdag::{index, BaseGraph, Cdag, CdagView};
 
 /// Witness data produced by [`lint_facts`] alongside the diagnostics.
 #[derive(Clone, Debug, Default)]
@@ -241,14 +240,23 @@ pub fn audit_fact1(g: &Cdag, k: u32, claimed_copies: u64, report: &mut Report) {
         return;
     }
 
-    // Structural verification: enumerate each copy via the Fact 1
-    // isomorphism and check pairwise disjointness and exact coverage of the
-    // middle levels.
+    // Structural verification: enumerate each copy via the Fact 1 lift
+    // and check pairwise disjointness and exact coverage of the middle
+    // levels.
     let gk = build_cdag(g.base(), k);
     let mut owner: Vec<Option<u64>> = vec![None; g.n_vertices()];
     let mut total = 0u64;
-    for sub in Subcomputation::all(g, k) {
-        for v in sub.vertices(&gk) {
+    for prefix in 0..expected {
+        for lv in gk.vertices() {
+            let Some(v) = g.lift_from(&gk, prefix, lv) else {
+                report.push(
+                    codes::CDAG_FACT1,
+                    Severity::Error,
+                    Span::Global,
+                    format!("{lv:?} of G_{k} does not lift into subcomputation {prefix}"),
+                );
+                return;
+            };
             total += 1;
             if let Some(prev) = owner[v.idx()] {
                 report.push(
@@ -256,14 +264,13 @@ pub fn audit_fact1(g: &Cdag, k: u32, claimed_copies: u64, report: &mut Report) {
                     Severity::Error,
                     Span::Vertex(v.0),
                     format!(
-                        "vertex belongs to subcomputations {prev} and {} — copies \
-                         are not vertex-disjoint",
-                        sub.prefix
+                        "vertex belongs to subcomputations {prev} and {prefix} — copies \
+                         are not vertex-disjoint"
                     ),
                 );
                 return;
             }
-            owner[v.idx()] = Some(sub.prefix);
+            owner[v.idx()] = Some(prefix);
         }
     }
     let want_total = expected * gk.n_vertices() as u64;
@@ -287,7 +294,7 @@ pub fn analyze_base_at(base: &BaseGraph, r: u32) -> Report {
     let facts = GraphFacts::from_cdag(&g);
     lint_facts(&facts, &mut report);
     for k in 0..=r {
-        audit_fact1(&g, k, Subcomputation::count(&g, k), &mut report);
+        audit_fact1(&g, k, index::pow(base.b(), r - k), &mut report);
     }
     report
 }

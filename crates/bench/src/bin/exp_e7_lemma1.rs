@@ -10,7 +10,6 @@ use mmio_algos::classical::classical;
 use mmio_algos::strassen::{strassen, winograd};
 use mmio_bench::{write_record, Row};
 use mmio_cdag::build::build_cdag;
-use mmio_cdag::fact1::Subcomputation;
 use mmio_cdag::MetaVertices;
 use mmio_core::lemma1::{select_input_disjoint, verify_disjoint};
 
@@ -31,7 +30,7 @@ fn main() {
         let g = build_cdag(&base, r);
         let meta = MetaVertices::compute(&g);
         for &k in &ks {
-            let total = Subcomputation::count(&g, k);
+            let total = mmio_cdag::index::pow(base.b(), r - k);
             let chosen = select_input_disjoint(&g, &meta, k);
             assert!(verify_disjoint(&g, &meta, k, &chosen));
             let fraction = chosen.len() as f64 / total as f64;

@@ -28,8 +28,7 @@
 use mmio_algos::registry::all_base_graphs;
 use mmio_algos::strassen::{strassen, winograd};
 use mmio_cdag::build::build_cdag;
-use mmio_cdag::fact1::Subcomputation;
-use mmio_cdag::{BaseGraph, Cdag, MetaVertices};
+use mmio_cdag::{BaseGraph, Cdag, CdagView, MetaVertices};
 use mmio_core::deps::{unpack_entry, DepSide};
 use mmio_core::routing::VertexHitCounter;
 use mmio_core::theorem2::InOutRouting;
@@ -85,7 +84,7 @@ fn ms(t: Instant) -> f64 {
 /// router, materialize each path as its own `Vec`, transport it vertex by
 /// vertex, and re-walk the transported edges against `G_r`.
 fn baseline_sweep(g: &Cdag, base: &BaseGraph, k: u32) -> TransportReport {
-    let copies = Subcomputation::count(g, k);
+    let copies = mmio_cdag::index::pow(base.b(), g.r() - k);
     let (mut max_v, mut max_m, mut violations) = (0u64, 0u64, 0u64);
     let (mut paths_per_copy, mut bound) = (0u64, 0u64);
     let mut uniform = true;
@@ -94,7 +93,6 @@ fn baseline_sweep(g: &Cdag, base: &BaseGraph, k: u32) -> TransportReport {
         let gk = build_cdag(base, k);
         let routing = InOutRouting::new(&gk).expect("Hall matching exists");
         let meta = MetaVertices::compute(&gk);
-        let sub = Subcomputation::new(g, k, prefix);
         let mut counter = VertexHitCounter::new(&gk, Some(&meta));
         let (n0, ak) = (base.n0(), mmio_cdag::index::pow(base.a(), k));
         for side in [DepSide::A, DepSide::B] {
@@ -106,7 +104,7 @@ fn baseline_sweep(g: &Cdag, base: &BaseGraph, k: u32) -> TransportReport {
                     counter.add_path(&path);
                     let global: Vec<_> = path
                         .iter()
-                        .map(|&v| sub.local_to_global(gk.vref(v)))
+                        .map(|&v| g.lift_from(&gk, prefix, v).expect("lift in range"))
                         .collect();
                     for w in global.windows(2) {
                         if !(g.preds(w[1]).contains(&w[0]) || g.succs(w[1]).contains(&w[0])) {

@@ -1,14 +1,17 @@
-//! Construction of the recursive CDAG `G_r` from a base graph.
+//! Materialization of the recursive CDAG `G_r` from its closed form.
 
-use crate::base::{BaseGraph, Side};
-use crate::graph::{Cdag, Layer, VertexId};
+use crate::base::BaseGraph;
+use crate::graph::{Cdag, Layer, VertexId, VertexRef};
 use crate::index;
-use mmio_matrix::Rational;
+use crate::view::IndexView;
 
 /// Builds the CDAG `G_r` of `base` applied recursively `r` times
 /// (multiplying `n₀^r × n₀^r` matrices).
 ///
-/// Edge rules (coefficients are the base-graph coefficients):
+/// The graph is the one [`IndexView`] defines; this walks every segment in
+/// dense order, collects the view's predecessor lists into CSR, and
+/// derives the successor CSR by a counting-sort inversion. Edge rules
+/// (coefficients are the base-graph coefficients):
 ///
 /// - encoding rank `t-1 → t`: vertex `(m; x_t, xs)` feeds `(m·b+τ; xs)`
 ///   whenever `enc[τ][x_t] ≠ 0`;
@@ -20,146 +23,55 @@ use mmio_matrix::Rational;
 /// # Panics
 /// Panics if the graph would exceed `u32` vertex ids.
 pub fn build_cdag(base: &BaseGraph, r: u32) -> Cdag {
-    let a = base.a();
-    let b = base.b();
-
-    // Segment layout: EncA 0..=r, EncB 0..=r, Dec 0..=r.
-    let mut seg_offsets = Vec::with_capacity(3 * (r as usize + 1) + 1);
-    let mut total: u64 = 0;
-    seg_offsets.push(0);
-    for _side in 0..2 {
-        for t in 0..=r {
-            total += index::pow(b, t) * index::pow(a, r - t);
-            seg_offsets.push(total);
-        }
-    }
-    for k in 0..=r {
-        total += index::pow(b, r - k) * index::pow(a, k);
-        seg_offsets.push(total);
-    }
-    assert!(
-        total <= u32::MAX as u64,
-        "CDAG too large for u32 vertex ids ({total} vertices)"
-    );
-    let n = total as usize;
-
-    // Per-vertex predecessor lists; successor CSR is derived afterwards.
-    let mut pred_off = vec![0u32; n + 1];
-    let mut preds: Vec<(VertexId, Rational)> = Vec::new();
-
-    // A throwaway Cdag shell for id computation would be circular, so the
-    // builder carries its own closure over the layout.
-    let seg_index = |layer: Layer, level: u32| -> usize {
-        let l = match layer {
-            Layer::EncA => 0,
-            Layer::EncB => 1,
-            Layer::Dec => 2,
-        };
-        l * (r as usize + 1) + level as usize
+    let view = match IndexView::of_base(base, r) {
+        Ok(view) => view,
+        Err(e) => panic!("CDAG too large for u32 vertex ids: {e}"),
     };
-    let id = |layer: Layer, level: u32, mul: u64, entry: u64| -> VertexId {
-        let suffix_len = match layer {
-            Layer::EncA | Layer::EncB => r - level,
-            Layer::Dec => level,
-        };
-        let local = mul * index::pow(a, suffix_len) + entry;
-        VertexId((seg_offsets[seg_index(layer, level)] + local) as u32)
-    };
+    let n = view.n_vertices() as usize;
 
-    // Walk vertices in dense order, pushing each one's predecessor list.
-    let mut push_vertex = |ps: &mut Vec<(VertexId, Rational)>, v: usize| {
-        pred_off[v + 1] = pred_off[v] + ps.len() as u32;
-        preds.append(ps);
-    };
-
-    let mut scratch: Vec<(VertexId, Rational)> = Vec::new();
-    for (layer, side) in [(Layer::EncA, Side::A), (Layer::EncB, Side::B)] {
-        let enc = base.enc(side);
-        for t in 0..=r {
-            let muls = index::pow(b, t);
-            let suffix = index::pow(a, r - t);
-            for m in 0..muls {
-                for e in 0..suffix {
-                    let v = id(layer, t, m, e);
-                    if t > 0 {
-                        // Parent at rank t-1: prefix m minus its last digit
-                        // τ; parent entry gains x_t as most significant digit.
-                        let tau = (m % b as u64) as usize;
-                        let m_parent = m / b as u64;
-                        for x in 0..a {
-                            let c = enc[(tau, x)];
-                            if !c.is_zero() {
-                                let e_parent = (x as u64) * suffix + e;
-                                scratch.push((id(layer, t - 1, m_parent, e_parent), c));
-                            }
-                        }
-                    }
-                    push_vertex(&mut scratch, v.idx());
+    // Predecessor CSR, vertex by vertex in dense order.
+    let mut pred_off = Vec::with_capacity(n + 1);
+    let mut pred_tgt: Vec<VertexId> = Vec::new();
+    pred_off.push(0u32);
+    for layer in [Layer::EncA, Layer::EncB, Layer::Dec] {
+        for level in 0..=r {
+            let width = view.entry_width(layer, level);
+            let seg = view.segment(layer, level);
+            for mul in 0..(seg.end - seg.start) / width {
+                for entry in 0..width {
+                    let v = VertexRef {
+                        layer,
+                        level,
+                        mul,
+                        entry,
+                    };
+                    view.preds_of(v, &mut |p| pred_tgt.push(VertexId(p)));
+                    pred_off.push(pred_tgt.len() as u32);
                 }
             }
         }
     }
-    let dec = base.dec();
-    for k in 0..=r {
-        let muls = index::pow(b, r - k);
-        let suffix = index::pow(a, k);
-        for m in 0..muls {
-            for e in 0..suffix {
-                let v = id(Layer::Dec, k, m, e);
-                if k == 0 {
-                    // Product vertex: reads the two rank-r combinations m.
-                    scratch.push((id(Layer::EncA, r, m, 0), Rational::ONE));
-                    scratch.push((id(Layer::EncB, r, m, 0), Rational::ONE));
-                } else {
-                    // Entry suffix: most significant digit is υ.
-                    let upsilon = (e / index::pow(a, k - 1)) as usize;
-                    let e_rest = e % index::pow(a, k - 1);
-                    for tau in 0..b {
-                        let c = dec[(upsilon, tau)];
-                        if !c.is_zero() {
-                            let m_parent = m * b as u64 + tau as u64;
-                            scratch.push((id(Layer::Dec, k - 1, m_parent, e_rest), c));
-                        }
-                    }
-                }
-                push_vertex(&mut scratch, v.idx());
-            }
-        }
-    }
 
-    // Split predecessor pairs and derive the successor CSR by counting sort.
-    let mut pred_tgt = Vec::with_capacity(preds.len());
-    let mut pred_coeff = Vec::with_capacity(preds.len());
-    let mut succ_count = vec![0u32; n];
-    for &(p, c) in &preds {
-        pred_tgt.push(p);
-        pred_coeff.push(c);
-        succ_count[p.idx()] += 1;
-    }
+    // Successor CSR by counting sort: count into the shifted offsets,
+    // prefix-sum, then scatter in dense order, so every successor list is
+    // ascending.
     let mut succ_off = vec![0u32; n + 1];
-    for i in 0..n {
-        succ_off[i + 1] = succ_off[i] + succ_count[i];
+    for p in &pred_tgt {
+        succ_off[p.idx() + 1] += 1;
     }
-    let mut succ_tgt = vec![VertexId(0); preds.len()];
+    for i in 0..n {
+        succ_off[i + 1] += succ_off[i];
+    }
+    let mut succ_tgt = vec![VertexId(0); pred_tgt.len()];
     let mut cursor = succ_off.clone();
     for v in 0..n {
-        for ei in pred_off[v]..pred_off[v + 1] {
-            let p = pred_tgt[ei as usize];
+        for p in &pred_tgt[pred_off[v] as usize..pred_off[v + 1] as usize] {
             succ_tgt[cursor[p.idx()] as usize] = VertexId(v as u32);
             cursor[p.idx()] += 1;
         }
     }
 
-    Cdag::from_parts(
-        base.clone(),
-        r,
-        seg_offsets,
-        pred_off,
-        pred_tgt,
-        pred_coeff,
-        succ_off,
-        succ_tgt,
-    )
+    Cdag::from_parts(base.clone(), view, pred_off, pred_tgt, succ_off, succ_tgt)
 }
 
 /// Convenience: builds `G_r` and sanity-checks segment sizes against the
@@ -183,7 +95,7 @@ pub fn build_checked(base: &BaseGraph, r: u32) -> Cdag {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmio_matrix::Matrix;
+    use mmio_matrix::{Matrix, Rational};
 
     fn r_(n: i64) -> Rational {
         Rational::integer(n)

@@ -2,6 +2,7 @@
 
 use crate::base::{BaseGraph, Side};
 use crate::index;
+use crate::view::{CdagView, IndexView};
 use mmio_matrix::Rational;
 use std::fmt;
 
@@ -71,71 +72,40 @@ pub struct VertexRef {
 /// The computation DAG `G_r` of a Strassen-like algorithm applied to
 /// `n₀^r × n₀^r` matrices, with explicit bidirectional adjacency.
 ///
+/// The graph itself is defined once, in closed form, by [`IndexView`];
+/// this type adds the materialized predecessor and successor CSR that
+/// [`crate::build::build_cdag`] collects from it, and delegates layout,
+/// addressing, coefficients and copy structure to the view.
+///
 /// Vertices are laid out segment-by-segment: `EncA` levels `0..=r`, then
 /// `EncB` levels `0..=r`, then `Dec` levels `0..=r`. Within a segment the
 /// index is `mul · a^{suffix_len} + entry`, so identifiers in increasing
 /// order form a topological order of the DAG.
 pub struct Cdag {
     base: BaseGraph,
-    r: u32,
-    /// `3(r+1)+1` segment boundaries into the dense vertex space.
-    seg_offsets: Vec<u64>,
-    /// Per-segment size `a^{entry_len}` of the packed entry suffix,
-    /// precomputed so [`Cdag::id`] and [`Cdag::vref`] — the innermost loop
-    /// of every routing construction and verification — are pure index
-    /// arithmetic with no `pow` evaluation.
-    seg_suffix: Vec<u64>,
+    view: IndexView,
     pred_off: Vec<u32>,
     pred_tgt: Vec<VertexId>,
-    pred_coeff: Vec<Rational>,
     succ_off: Vec<u32>,
     succ_tgt: Vec<VertexId>,
-    /// Per-row triviality of the base matrices (one nonzero, equal to 1 —
-    /// the copy condition), hoisted once so [`Cdag::copy_parent`] and the
-    /// meta-vertex pass are pure table lookups.
-    triv_a: Vec<bool>,
-    triv_b: Vec<bool>,
-    triv_d: Vec<bool>,
 }
 
 impl Cdag {
-    #[allow(clippy::too_many_arguments)] // internal constructor fed by the builder
     pub(crate) fn from_parts(
         base: BaseGraph,
-        r: u32,
-        seg_offsets: Vec<u64>,
+        view: IndexView,
         pred_off: Vec<u32>,
         pred_tgt: Vec<VertexId>,
-        pred_coeff: Vec<Rational>,
         succ_off: Vec<u32>,
         succ_tgt: Vec<VertexId>,
     ) -> Cdag {
-        let rp1 = r as usize + 1;
-        let a = base.a();
-        let seg_suffix = (0..3 * rp1)
-            .map(|s| {
-                let level = (s % rp1) as u32;
-                let entry_len = if s / rp1 < 2 { r - level } else { level };
-                index::pow(a, entry_len)
-            })
-            .collect();
-        let b = base.b();
-        let triv_a = (0..b).map(|m| base.row_is_trivial(Side::A, m)).collect();
-        let triv_b = (0..b).map(|m| base.row_is_trivial(Side::B, m)).collect();
-        let triv_d = (0..a).map(|y| base.dec_row_is_trivial(y)).collect();
         Cdag {
             base,
-            r,
-            seg_offsets,
-            seg_suffix,
+            view,
             pred_off,
             pred_tgt,
-            pred_coeff,
             succ_off,
             succ_tgt,
-            triv_a,
-            triv_b,
-            triv_d,
         }
     }
 
@@ -144,20 +114,24 @@ impl Cdag {
         &self.base
     }
 
+    /// The closed-form definition this graph was materialized from.
+    pub(crate) fn view(&self) -> &IndexView {
+        &self.view
+    }
+
     /// The number of recursion levels `r` (input side is `n₀^r`).
     pub fn r(&self) -> u32 {
-        self.r
+        self.view.r()
     }
 
     /// The matrix side `n = n₀^r`.
     pub fn n(&self) -> u64 {
-        index::pow(self.base.n0(), self.r)
+        index::pow(self.base.n0(), self.r())
     }
 
     /// Total number of vertices.
     pub fn n_vertices(&self) -> usize {
-        // audit: safe — seg_offsets is built with 3(r+1)+1 entries, never empty
-        *self.seg_offsets.last().unwrap() as usize
+        self.view.n_vertices() as usize
     }
 
     /// Total number of directed edges.
@@ -165,95 +139,39 @@ impl Cdag {
         self.pred_tgt.len()
     }
 
-    fn seg_index(&self, layer: Layer, level: u32) -> usize {
-        let l = match layer {
-            Layer::EncA => 0,
-            Layer::EncB => 1,
-            Layer::Dec => 2,
-        };
-        l * (self.r as usize + 1) + level as usize
-    }
-
     /// Number of vertices in segment `(layer, level)`:
     /// `b^t·a^{r-t}` for encoding rank `t`, `b^{r-k}·a^k` for decoding rank `k`.
     pub fn segment_len(&self, layer: Layer, level: u32) -> u64 {
-        let s = self.seg_index(layer, level);
-        // audit: safe — s = seg_index(..) < 3(r+1); the table has 3(r+1)+1 offsets
-        self.seg_offsets[s + 1] - self.seg_offsets[s]
+        let seg = self.view.segment(layer, level);
+        seg.end - seg.start
     }
 
-    /// Dense id of the first vertex of segment `(layer, level)`.
-    pub fn segment_start(&self, layer: Layer, level: u32) -> u64 {
-        self.seg_offsets[self.seg_index(layer, level)] // audit: safe — seg_index < table len
-    }
-
-    /// `a^{entry_len}` — the precomputed entry-suffix width of segment
-    /// `(layer, level)`, so hot loops never re-evaluate `pow`.
+    /// `a^{entry_len}` — the entry-suffix width of segment `(layer, level)`.
     pub fn entry_width(&self, layer: Layer, level: u32) -> u64 {
-        self.seg_suffix[self.seg_index(layer, level)] // audit: safe — seg_index < table len
-    }
-
-    /// Length of the packed `entry` suffix for vertices in `(layer, level)`.
-    pub fn entry_len(&self, layer: Layer, level: u32) -> u32 {
-        match layer {
-            Layer::EncA | Layer::EncB => self.r - level,
-            Layer::Dec => level,
-        }
-    }
-
-    /// Length of the packed `mul` prefix for vertices in `(layer, level)`.
-    pub fn mul_len(&self, layer: Layer, level: u32) -> u32 {
-        match layer {
-            Layer::EncA | Layer::EncB => level,
-            Layer::Dec => self.r - level,
-        }
+        self.view.entry_width(layer, level)
     }
 
     /// Dense id of a structured reference.
     ///
     /// # Panics
-    /// Debug-panics if the reference is out of range.
+    /// Panics if the reference is out of range.
     pub fn id(&self, vref: VertexRef) -> VertexId {
-        let s = self.seg_index(vref.layer, vref.level);
-        let suffix = self.seg_suffix[s];
-        debug_assert!(vref.entry < suffix, "entry out of range");
-        let local = vref.mul * suffix + vref.entry;
-        debug_assert!(local < self.seg_offsets[s + 1] - self.seg_offsets[s]);
-        VertexId((self.seg_offsets[s] + local) as u32)
+        // audit: safe — documented contract panic; callers address vertices of this graph
+        VertexId(self.view.id(vref).expect("vertex address out of range"))
     }
 
     /// Structured reference of a dense id.
+    ///
+    /// # Panics
+    /// Panics if `v` is not a vertex of this graph.
     pub fn vref(&self, v: VertexId) -> VertexRef {
-        let pos = v.0 as u64;
-        // Segments are few (3(r+1)); binary search the boundary.
-        let s = match self.seg_offsets.binary_search(&pos) {
-            Ok(i) => i,
-            Err(i) => i - 1,
-        };
-        let rp1 = self.r as usize + 1;
-        let (layer, level) = match s / rp1 {
-            0 => (Layer::EncA, (s % rp1) as u32),
-            1 => (Layer::EncB, (s % rp1) as u32),
-            _ => (Layer::Dec, (s % rp1) as u32),
-        };
-        let local = pos - self.seg_offsets[s]; // audit: safe — binary_search result is in range
-        let suffix = self.seg_suffix[s]; // audit: safe — s < 3(r+1)+1 as above
-        VertexRef {
-            layer,
-            level,
-            mul: local / suffix,
-            entry: local % suffix,
-        }
+        self.view.vref(v.0).expect("vertex id out of range")
     }
 
     /// The paper's global rank of a vertex: encoding rank `t` maps to rank
     /// `t`; decoding rank `k` maps to rank `r+1+k`. Ranks run `0..=2r+1`.
     pub fn rank(&self, v: VertexId) -> u32 {
-        let vr = self.vref(v);
-        match vr.layer {
-            Layer::EncA | Layer::EncB => vr.level,
-            Layer::Dec => self.r + 1 + vr.level,
-        }
+        self.view.rank_of(v).expect("vertex id out of range")
     }
 
     /// Direct predecessors of `v` (the values `v`'s computation reads).
@@ -263,11 +181,10 @@ impl Cdag {
         &self.pred_tgt[self.pred_off[i] as usize..self.pred_off[i + 1] as usize]
     }
 
-    /// Edge coefficients aligned with [`Cdag::preds`]. Product vertices have
-    /// coefficient 1 on both operands.
+    /// Edge coefficients aligned with [`Cdag::preds`]: the generating base
+    /// row's nonzeros. Product vertices have coefficient 1 on both operands.
     pub fn pred_coeffs(&self, v: VertexId) -> &[Rational] {
-        let i = v.idx();
-        &self.pred_coeff[self.pred_off[i] as usize..self.pred_off[i + 1] as usize]
+        self.view.pred_coeffs(self.vref(v))
     }
 
     /// Direct successors of `v` (the computations reading `v`).
@@ -278,8 +195,7 @@ impl Cdag {
 
     /// All vertices of segment `(layer, level)` in dense order.
     pub fn segment(&self, layer: Layer, level: u32) -> impl Iterator<Item = VertexId> + '_ {
-        let s = self.seg_index(layer, level);
-        (self.seg_offsets[s]..self.seg_offsets[s + 1]).map(|i| VertexId(i as u32))
+        self.view.segment(layer, level).map(|i| VertexId(i as u32))
     }
 
     /// The `2a^r` input vertices (entries of `A` then entries of `B`).
@@ -290,7 +206,7 @@ impl Cdag {
 
     /// The `a^r` output vertices (entries of `C`), decoding rank `r`.
     pub fn outputs(&self) -> impl Iterator<Item = VertexId> + '_ {
-        self.segment(Layer::Dec, self.r)
+        self.segment(Layer::Dec, self.r())
     }
 
     /// The `b^r` multiplication (product) vertices, decoding rank 0.
@@ -310,33 +226,13 @@ impl Cdag {
 
     /// Whether `v` is an output of the whole CDAG.
     pub fn is_output(&self, v: VertexId) -> bool {
-        let vr = self.vref(v);
-        vr.layer == Layer::Dec && vr.level == self.r
+        self.view.is_output(v.0)
     }
 
     /// If `v` is a copy (its generating base row is trivial: one nonzero
     /// coefficient, equal to 1), its single predecessor; `None` otherwise.
     pub fn copy_parent(&self, v: VertexId) -> Option<VertexId> {
-        let vr = self.vref(v);
-        let is_copy = match vr.layer {
-            Layer::EncA | Layer::EncB if vr.level > 0 => {
-                let tau = (vr.mul % self.base.b() as u64) as usize;
-                match vr.layer {
-                    Layer::EncA => self.triv_a[tau],
-                    _ => self.triv_b[tau],
-                }
-            }
-            Layer::Dec if vr.level > 0 => {
-                let upsilon = (vr.entry / self.entry_width(Layer::Dec, vr.level - 1)) as usize;
-                self.triv_d[upsilon]
-            }
-            _ => false,
-        };
-        if !is_copy {
-            return None;
-        }
-        debug_assert_eq!(self.preds(v).len(), 1);
-        self.preds(v).first().copied()
+        self.view.copy_parent_of(v.0).map(VertexId)
     }
 
     /// The input vertex holding `A[(row, col)]`.
@@ -350,7 +246,8 @@ impl Cdag {
     }
 
     fn input_entry(&self, layer: Layer, row: usize, col: usize) -> VertexId {
-        let digits = mmio_matrix::block::entry_to_digits(row, col, self.base.n0(), self.r as usize);
+        let digits =
+            mmio_matrix::block::entry_to_digits(row, col, self.base.n0(), self.r() as usize);
         self.id(VertexRef {
             layer,
             level: 0,
@@ -361,10 +258,11 @@ impl Cdag {
 
     /// The output vertex holding `C[(row, col)]`.
     pub fn output(&self, row: usize, col: usize) -> VertexId {
-        let digits = mmio_matrix::block::entry_to_digits(row, col, self.base.n0(), self.r as usize);
+        let digits =
+            mmio_matrix::block::entry_to_digits(row, col, self.base.n0(), self.r() as usize);
         self.id(VertexRef {
             layer: Layer::Dec,
-            level: self.r,
+            level: self.r(),
             mul: 0,
             entry: index::pack(&digits, self.base.a()),
         })
@@ -377,7 +275,7 @@ impl fmt::Debug for Cdag {
             f,
             "Cdag({}, r={}, |V|={}, |E|={})",
             self.base.name(),
-            self.r,
+            self.r(),
             self.n_vertices(),
             self.n_edges()
         )

@@ -38,72 +38,11 @@ pub fn unpack_into(value: u64, radix: usize, digits: &mut [usize]) {
     );
 }
 
-/// A radix with its powers precomputed up to the largest exponent whose
-/// value fits in `u64`. Turns the `radix^exp` in hot-path address
-/// arithmetic ([`crate::Cdag::id`] / [`crate::Cdag::vref`], chain lifting)
-/// into a table load.
-#[derive(Clone, Debug)]
-pub struct Radix {
-    radix: usize,
-    pows: Vec<u64>,
-}
-
-impl Radix {
-    /// Precomputes the power table for `radix ≥ 2`.
-    pub fn new(radix: usize) -> Radix {
-        assert!(radix >= 2, "radix must be at least 2");
-        let mut pows = vec![1u64];
-        while let Some(next) = pows.last().unwrap().checked_mul(radix as u64) {
-            pows.push(next);
-        }
-        Radix { radix, pows }
-    }
-
-    /// The radix itself.
-    pub fn radix(&self) -> usize {
-        self.radix
-    }
-
-    /// `radix^exp`, panicking (like [`pow`]) when the value overflows `u64`.
-    #[inline]
-    pub fn pow(&self, exp: u32) -> u64 {
-        self.pows
-            .get(exp as usize)
-            .copied()
-            .expect("index space overflow: graph too large")
-    }
-}
-
 /// `radix^exp` as `u64`, panicking on overflow (graph sizes must fit).
 pub fn pow(radix: usize, exp: u32) -> u64 {
     (radix as u64)
         .checked_pow(exp)
-        // audit: safe — documented overflow panic; graph constructors validate sizes first
         .expect("index space overflow: graph too large")
-}
-
-/// Appends one digit at the least-significant (deepest recursion) end.
-pub fn push_digit(packed: u64, digit: usize, radix: usize) -> u64 {
-    packed * radix as u64 + digit as u64
-}
-
-/// Splits off the most-significant digit of a `len`-digit value.
-pub fn split_msd(packed: u64, radix: usize, len: usize) -> (usize, u64) {
-    debug_assert!(len >= 1);
-    let lower = pow(radix, (len - 1) as u32);
-    ((packed / lower) as usize, packed % lower)
-}
-
-/// Splits a `len`-digit value into its `plen`-digit prefix and the rest.
-pub fn split_prefix(packed: u64, radix: usize, len: usize, plen: usize) -> (u64, u64) {
-    debug_assert!(plen <= len);
-    let lower = pow(radix, (len - plen) as u32);
-    (packed / lower, packed % lower)
-}
-
-/// Concatenates `prefix` (any length) with a `slen`-digit suffix.
-pub fn concat(prefix: u64, suffix: u64, radix: usize, slen: usize) -> u64 {
-    prefix * pow(radix, slen as u32) + suffix
 }
 
 #[cfg(test)]
@@ -128,47 +67,9 @@ mod tests {
     }
 
     #[test]
-    fn split_and_concat() {
-        let v = pack(&[3, 1, 4, 1], 7);
-        let (msd, rest) = split_msd(v, 7, 4);
-        assert_eq!(msd, 3);
-        assert_eq!(unpack(rest, 7, 3), vec![1, 4, 1]);
-
-        let (pre, suf) = split_prefix(v, 7, 4, 2);
-        assert_eq!(unpack(pre, 7, 2), vec![3, 1]);
-        assert_eq!(unpack(suf, 7, 2), vec![4, 1]);
-        assert_eq!(concat(pre, suf, 7, 2), v);
-    }
-
-    #[test]
-    fn push_digit_appends_lsd() {
-        let v = pack(&[2, 5], 7);
-        assert_eq!(push_digit(v, 6, 7), pack(&[2, 5, 6], 7));
-    }
-
-    #[test]
     fn pow_works() {
         assert_eq!(pow(7, 0), 1);
         assert_eq!(pow(4, 5), 1024);
-    }
-
-    #[test]
-    fn radix_table_matches_checked_pow() {
-        for radix in [2usize, 4, 7, 49] {
-            let table = Radix::new(radix);
-            assert_eq!(table.radix(), radix);
-            let mut exp = 0u32;
-            while (radix as u64).checked_pow(exp).is_some() {
-                assert_eq!(table.pow(exp), pow(radix, exp), "radix={radix} exp={exp}");
-                exp += 1;
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "index space overflow")]
-    fn radix_table_overflow_panics() {
-        let _ = Radix::new(7).pow(64);
     }
 
     #[test]

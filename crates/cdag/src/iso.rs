@@ -2,7 +2,7 @@
 //! map.
 //!
 //! Fact 1 claims each subcomputation `G_k^i` of `G_r` *is* a copy of `G_k`;
-//! [`crate::fact1`] provides the map, and this module provides the
+//! [`crate::CdagView::lift_from`] provides the map, and this module provides the
 //! verification that the map really is an isomorphism (bijective on the
 //! claimed vertex sets, edge-preserving in both directions, and
 //! coefficient-preserving). Tests use it to validate the index arithmetic
@@ -66,7 +66,7 @@ pub fn verify_embedding(src: &Cdag, dst: &Cdag, map: &[VertexId]) -> Result<(), 
 mod tests {
     use super::*;
     use crate::build::build_cdag;
-    use crate::fact1::Subcomputation;
+    use crate::view::CdagView;
     use mmio_matrix::{Matrix, Rational};
 
     fn classical2() -> crate::BaseGraph {
@@ -88,17 +88,21 @@ mod tests {
         crate::BaseGraph::new("classical2", n0, enc_a, enc_b, dec)
     }
 
+    /// Every Fact-1 lift is an induced, edge- and coefficient-preserving
+    /// embedding of `G_k` into `G_r`, at every depth `k ≤ r`.
     #[test]
     fn fact1_maps_are_embeddings() {
         let base = classical2();
         let g = build_cdag(&base, 3);
-        let gk = build_cdag(&base, 1);
-        for sub in Subcomputation::all(&g, 1) {
-            let map: Vec<VertexId> = gk
-                .vertices()
-                .map(|lv| sub.local_to_global(gk.vref(lv)))
-                .collect();
-            verify_embedding(&gk, &g, &map).expect("Fact 1 isomorphism");
+        for k in 0..=3 {
+            let gk = build_cdag(&base, k);
+            for prefix in 0..crate::index::pow(base.b(), 3 - k) {
+                let map: Vec<VertexId> = gk
+                    .vertices()
+                    .map(|lv| g.lift_from(&gk, prefix, lv).expect("lift in range"))
+                    .collect();
+                verify_embedding(&gk, &g, &map).expect("Fact 1 isomorphism");
+            }
         }
     }
 

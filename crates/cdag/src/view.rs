@@ -1,25 +1,23 @@
-//! [`CdagView`]: lazy, closed-form access to `G_r` — the engines' way past
-//! the `b^r` materialization wall.
+//! [`CdagView`] and [`IndexView`]: the one closed-form definition of `G_r`.
 //!
-//! `build_cdag` materializes every vertex and edge of `G_r`, which caps all
-//! engines at r ≈ 4. But Fact 1 plus the copy isomorphism make the whole
-//! graph computable from pure mixed-radix index arithmetic over the base
-//! matrices: the segment layout (EncA levels `0..=r`, EncB `0..=r`, Dec
-//! `0..=r`), the dense-id ↔ structured-address bijection, predecessors and
+//! Fact 1 plus the copy isomorphism make the whole graph computable from
+//! pure mixed-radix index arithmetic over the base matrices: the segment
+//! layout (EncA levels `0..=r`, EncB `0..=r`, Dec `0..=r`), the dense-id ↔
+//! structured-address bijection, predecessors with their coefficients,
 //! successors, the copy grouping, and the Fact-1 lift of a `G_k` vertex into
 //! any of the `b^{r-k}` copies inside `G_r`.
 //!
 //! This module defines:
 //!
 //! - [`CdagView`], the trait the routing, analysis, and pebble engines are
-//!   generic over;
-//! - [`IndexView`], the implicit implementation: `O(a·b)` memory regardless
-//!   of `r`, every query answered by closed-form arithmetic (originally the
-//!   certificate verifier's model in `mmio-cert`, promoted here so engines
-//!   and verifier share one audited implementation — `mmio-cert::view`
-//!   re-exports it, keeping the verifier's trust base unchanged);
-//! - [`ExplicitView`], a zero-cost wrapper over a materialized [`Cdag`]
-//!   (the `Cdag` itself also implements [`CdagView`] directly).
+//!   generic over, with the Fact-1 lift as [`CdagView::lift_from`];
+//! - [`IndexView`], the closed form: `O(a·b)` memory regardless of `r`,
+//!   every query answered by arithmetic. It is the *only* place `G_r` is
+//!   defined — [`crate::build::build_cdag`] materializes a [`Cdag`] by
+//!   collecting the view's predecessor lists into CSR, and the `Cdag` reads
+//!   its layout, addressing and coefficients back from the view. The
+//!   certificate verifier consumes the same implementation through a
+//!   re-export in `mmio-cert::view`, so its trust base is `mmio-cdag`.
 //!
 //! Everything in [`IndexView`] is checked: malformed shapes and id-space
 //! overflows surface as `Err`/`None`, never as panics, because certificate
@@ -30,6 +28,7 @@ use crate::graph::{Cdag, Layer, VertexId, VertexRef};
 use crate::hits::UnionFind;
 use mmio_matrix::{Matrix, Rational};
 use std::fmt;
+use std::ops::Range;
 
 /// Why a view could not be constructed — split so the verifier can map
 /// shape defects and parameter/size defects to distinct reject codes.
@@ -50,37 +49,49 @@ impl fmt::Display for ViewError {
     }
 }
 
-/// `base^exp` without panicking on overflow.
+/// `base^exp` without panicking on overflow, in `O(log exp)` steps (an
+/// untrusted `r` may be huge when `base` is 1).
 pub fn checked_pow(base: u64, exp: u32) -> Option<u64> {
-    let mut acc: u64 = 1;
-    for _ in 0..exp {
-        acc = acc.checked_mul(base)?;
-    }
-    Some(acc)
+    base.checked_pow(exp)
+}
+
+/// The segments of `G_r` for a base with parameters `(a, b)`, in EncA,
+/// EncB, Dec order with levels ascending: each segment's entry-suffix width
+/// `a^{entry_len}` and its vertex count (`b^t·a^{r-t}` at encoding rank
+/// `t`, `b^{r-k}·a^k` at decoding rank `k`). `None` on `u64` overflow.
+/// The one place segment sizes are computed.
+fn segments(a: u64, b: u64, r: u32) -> impl Iterator<Item = Option<(u64, u64)>> {
+    // audit: safe — r < 2^32, so 3(r+1) cannot overflow u64
+    let (levels, count) = (r as u64 + 1, 3 * (r as u64 + 1));
+    (0..count).map(move |s| {
+        // audit: safe — levels ≥ 1; the level s mod levels is at most r
+        let (side, level) = (s / levels, (s % levels) as u32);
+        let rest = r - level; // audit: safe — level ≤ r
+        let (mul_len, entry_len) = if side < 2 {
+            (level, rest)
+        } else {
+            (rest, level)
+        };
+        let width = checked_pow(a, entry_len)?;
+        Some((width, checked_pow(b, mul_len)?.checked_mul(width)?))
+    })
 }
 
 /// Closed-form vertex count of `G_r` for a base with parameters `(a, b)`:
 /// `Σ_t 2·b^t·a^{r-t} + Σ_k b^{r-k}·a^k`. `None` on `u64` overflow — the
 /// caller should treat that as "too big for any budget".
 pub fn count_vertices(a: u64, b: u64, r: u32) -> Option<u64> {
-    let mut total: u64 = 0;
-    for t in 0..=r {
-        let enc = checked_pow(b, t)?.checked_mul(checked_pow(a, r - t)?)?;
-        total = total.checked_add(enc.checked_mul(2)?)?;
-        let dec = checked_pow(b, r - t)?.checked_mul(checked_pow(a, t)?)?;
-        total = total.checked_add(dec)?;
-    }
-    Some(total)
+    segments(a, b, r).try_fold(0u64, |total, seg| total.checked_add(seg?.1))
 }
 
 /// Uniform lazy access to the structure of `G_r`.
 ///
-/// Implemented by the materialized [`Cdag`] (and [`ExplicitView`]) and by
-/// the closed-form [`IndexView`]. The contract is exact structural
-/// equivalence: for the same base and `r`, every method must return
-/// identical results across implementations (property-tested in
-/// `mmio-integration`), including the *order* of appended predecessors and
-/// successors — engines rely on it for deterministic output.
+/// Implemented by the materialized [`Cdag`] and by the closed-form
+/// [`IndexView`]. The contract is exact structural equivalence: for the
+/// same base and `r`, every method must return identical results across
+/// implementations (property-tested in `mmio-integration`), including the
+/// *order* of appended predecessors and successors — engines rely on it for
+/// deterministic output.
 ///
 /// Methods taking a [`VertexId`] assume `v.idx() < n_vertices()` unless
 /// documented otherwise; `preds_into`/`succs_into` report out-of-range ids
@@ -131,10 +142,14 @@ pub trait CdagView {
         uf.roots()
     }
 
-    /// The Fact-1 lift: maps vertex `v` of the standalone `G_k` (viewed by
-    /// `local`) into the copy of `G_k` inside this `G_r` selected by
-    /// multiplication `prefix ∈ [b^{r-k}]`. `None` when the views are
-    /// incompatible or anything is out of range.
+    /// **Fact 1**: for `0 ≤ k ≤ r`, the middle `2(k+1)` levels of `G_r`
+    /// (encoding ranks `r-k..=r` of both sides and decoding ranks `0..=k`)
+    /// are `b^{r-k}` vertex-disjoint copies of `G_k`, the copy `G_k^i` being
+    /// the vertices whose multiplication prefix starts with `i`. This lift
+    /// maps vertex `v` of the standalone `G_k` (viewed by `local`) into the
+    /// copy selected by `prefix ∈ [b^{r-k}]`; it is how routings built once
+    /// on `G_k` are transported into every subcomputation of `G_r`. `None`
+    /// when the views are incompatible or anything is out of range.
     fn lift_from<V: CdagView + ?Sized>(
         &self,
         local: &V,
@@ -190,23 +205,10 @@ impl CdagView for Cdag {
         Cdag::n_vertices(self)
     }
     fn try_id(&self, v: VertexRef) -> Option<VertexId> {
-        if v.level > Cdag::r(self) {
-            return None;
-        }
-        let width = Cdag::entry_width(self, v.layer, v.level);
-        if v.entry >= width {
-            return None;
-        }
-        let local = v.mul.checked_mul(width)?.checked_add(v.entry)?;
-        if local >= self.segment_len(v.layer, v.level) {
-            return None;
-        }
-        Some(VertexId(
-            (self.segment_start(v.layer, v.level) + local) as u32,
-        ))
+        self.view().id(v).map(VertexId)
     }
     fn try_vref(&self, v: VertexId) -> Option<VertexRef> {
-        (v.idx() < Cdag::n_vertices(self)).then(|| self.vref(v))
+        self.view().vref(v.0)
     }
     fn entry_width(&self, layer: Layer, level: u32) -> u64 {
         Cdag::entry_width(self, layer, level)
@@ -232,102 +234,49 @@ impl CdagView for Cdag {
         Cdag::is_output(self, v)
     }
     fn rank_of(&self, v: VertexId) -> Option<u32> {
-        (v.idx() < Cdag::n_vertices(self)).then(|| self.rank(v))
+        self.view().rank_of(v)
     }
     fn max_indegree(&self) -> usize {
-        self.vertices()
-            .map(|v| self.preds(v).len())
-            .max()
-            .unwrap_or(0)
+        self.view().max_indegree()
     }
     fn copy_parent(&self, v: VertexId) -> Option<VertexId> {
         Cdag::copy_parent(self, v)
     }
 }
 
-/// A zero-cost [`CdagView`] borrowing a materialized [`Cdag`]. The `Cdag`
-/// itself implements the trait; this wrapper exists for call sites that
-/// want to name the explicit implementation symmetrically with
-/// [`IndexView`].
-#[derive(Clone, Copy)]
-pub struct ExplicitView<'a>(pub &'a Cdag);
-
-impl CdagView for ExplicitView<'_> {
-    fn r(&self) -> u32 {
-        Cdag::r(self.0)
-    }
-    fn a(&self) -> usize {
-        self.0.base().a()
-    }
-    fn b(&self) -> usize {
-        self.0.base().b()
-    }
-    fn n_vertices(&self) -> usize {
-        Cdag::n_vertices(self.0)
-    }
-    fn try_id(&self, v: VertexRef) -> Option<VertexId> {
-        CdagView::try_id(self.0, v)
-    }
-    fn try_vref(&self, v: VertexId) -> Option<VertexRef> {
-        CdagView::try_vref(self.0, v)
-    }
-    fn entry_width(&self, layer: Layer, level: u32) -> u64 {
-        Cdag::entry_width(self.0, layer, level)
-    }
-    fn preds_into(&self, v: VertexId, out: &mut Vec<VertexId>) -> bool {
-        CdagView::preds_into(self.0, v, out)
-    }
-    fn succs_into(&self, v: VertexId, out: &mut Vec<VertexId>) -> bool {
-        CdagView::succs_into(self.0, v, out)
-    }
-    fn is_input(&self, v: VertexId) -> bool {
-        Cdag::is_input(self.0, v)
-    }
-    fn is_output(&self, v: VertexId) -> bool {
-        Cdag::is_output(self.0, v)
-    }
-    fn rank_of(&self, v: VertexId) -> Option<u32> {
-        CdagView::rank_of(self.0, v)
-    }
-    fn max_indegree(&self) -> usize {
-        CdagView::max_indegree(self.0)
-    }
-    fn copy_parent(&self, v: VertexId) -> Option<VertexId> {
-        Cdag::copy_parent(self.0, v)
-    }
-}
-
-/// Sparsity pattern of one coefficient matrix: per-row nonzero columns
-/// (for predecessor queries), per-column nonzero rows (for successor
-/// queries), and per-row triviality (exactly one nonzero, equal to 1 —
-/// the condition for copy-group membership).
+/// One coefficient matrix, row-sparse: per-row nonzero columns and their
+/// coefficients (for predecessor queries), per-column nonzero rows (for
+/// successor queries), and per-row triviality (exactly one nonzero, equal
+/// to 1 — the condition for copy-group membership).
 #[derive(Clone)]
 struct RowTable {
     cols: Vec<Vec<usize>>,
+    coeffs: Vec<Vec<Rational>>,
     rows_of_col: Vec<Vec<usize>>,
     trivial: Vec<bool>,
 }
 
 impl RowTable {
     fn new(m: &Matrix<Rational>) -> RowTable {
-        let mut cols = Vec::with_capacity(m.rows());
-        let mut trivial = Vec::with_capacity(m.rows());
-        let mut rows_of_col: Vec<Vec<usize>> = vec![Vec::new(); m.cols()];
+        let mut table = RowTable {
+            cols: Vec::with_capacity(m.rows()),
+            coeffs: Vec::with_capacity(m.rows()),
+            rows_of_col: vec![Vec::new(); m.cols()],
+            trivial: Vec::with_capacity(m.rows()),
+        };
         for row in 0..m.rows() {
             // audit: safe — row and c range over m's own dimensions
             let nz: Vec<usize> = (0..m.cols()).filter(|&c| !m[(row, c)].is_zero()).collect();
             for &c in &nz {
-                rows_of_col[c].push(row); // audit: safe — c < m.cols(), the table size
+                table.rows_of_col[c].push(row); // audit: safe — c < m.cols(), the table size
             }
-            // audit: safe — nz[0] exists when nz.len() == 1; && short-circuits
-            trivial.push(nz.len() == 1 && m[(row, nz[0])].is_one());
-            cols.push(nz);
+            // audit: safe — row and c range over m's own dimensions
+            let coeffs: Vec<Rational> = nz.iter().map(|&c| m[(row, c)]).collect();
+            table.trivial.push(coeffs.len() == 1 && coeffs[0].is_one()); // audit: safe — len checked first
+            table.coeffs.push(coeffs);
+            table.cols.push(nz);
         }
-        RowTable {
-            cols,
-            rows_of_col,
-            trivial,
-        }
+        table
     }
 
     /// Number of columns touched by at least one row.
@@ -339,6 +288,9 @@ impl RowTable {
         self.cols.iter().map(Vec::len).max().unwrap_or(0)
     }
 }
+
+/// The coefficients a product vertex applies to its two operands.
+static PRODUCT_COEFFS: [Rational; 2] = [Rational::ONE, Rational::ONE];
 
 /// The closed-form view of `G_r` for one base algorithm: `O(a·b)` memory
 /// regardless of `r`. See the module docs for what it derives and why.
@@ -353,6 +305,11 @@ pub struct IndexView {
     b: usize,
     /// `3(r+1)+1` cumulative segment offsets, in EncA/EncB/Dec order.
     seg_offsets: Vec<u64>,
+    /// Per-segment entry-suffix width `a^{entry_len}`, precomputed so
+    /// [`IndexView::id`] and [`IndexView::vref`] — the innermost loop of
+    /// every routing construction and verification — never evaluate a
+    /// power.
+    seg_width: Vec<u64>,
     enc_a: RowTable,
     enc_b: RowTable,
     dec: RowTable,
@@ -401,27 +358,40 @@ impl IndexView {
                 "recursion depth r must be at least 1".into(),
             ));
         }
-        let (au, bu) = (a as u64, b as u64);
-        let mut seg_offsets = Vec::with_capacity(3 * (r as usize + 1) + 1);
+        IndexView::with_tables(
+            r,
+            a,
+            RowTable::new(enc_a),
+            RowTable::new(enc_b),
+            RowTable::new(dec),
+        )
+    }
+
+    /// Lays out `G_r` over already-shaped row tables; any `r ≥ 0`.
+    fn with_tables(
+        r: u32,
+        a: usize,
+        enc_a: RowTable,
+        enc_b: RowTable,
+        dec: RowTable,
+    ) -> Result<IndexView, ViewError> {
+        let b = enc_a.cols.len();
+        let mut seg_offsets = vec![0u64];
+        let mut seg_width = Vec::new();
         let mut total: u64 = 0;
-        seg_offsets.push(0);
-        let push_seg = |total: &mut u64, size: Option<u64>| -> Result<u64, ViewError> {
-            let size =
-                size.ok_or_else(|| ViewError::Params("segment size overflows u64".into()))?;
-            *total = total
+        for seg in segments(a as u64, b as u64, r) {
+            let (width, size) =
+                seg.ok_or_else(|| ViewError::Params("segment size overflows u64".into()))?;
+            total = total
                 .checked_add(size)
                 .ok_or_else(|| ViewError::Params("vertex count overflows u64".into()))?;
-            Ok(*total)
-        };
-        for _side in 0..2 {
-            for t in 0..=r {
-                let size = checked_pow(bu, t).and_then(|p| p.checked_mul(checked_pow(au, r - t)?));
-                seg_offsets.push(push_seg(&mut total, size)?);
+            // Past u32 ids the view is rejected below, but the scan goes on
+            // (a later segment may overflow u64 instead); an untrusted
+            // huge r must not grow the tables with it.
+            if total <= u32::MAX as u64 {
+                seg_offsets.push(total);
+                seg_width.push(width);
             }
-        }
-        for k in 0..=r {
-            let size = checked_pow(bu, r - k).and_then(|p| p.checked_mul(checked_pow(au, k)?));
-            seg_offsets.push(push_seg(&mut total, size)?);
         }
         if total > u32::MAX as u64 {
             return Err(ViewError::Params(format!(
@@ -433,17 +403,31 @@ impl IndexView {
             a,
             b,
             seg_offsets,
-            enc_a: RowTable::new(enc_a),
-            enc_b: RowTable::new(enc_b),
-            dec: RowTable::new(dec),
+            seg_width,
+            enc_a,
+            enc_b,
+            dec,
         })
+    }
+
+    /// The view of `G_r` for a trusted [`BaseGraph`] at any depth,
+    /// including the degenerate `G_0` that [`IndexView::new`] rejects.
+    pub(crate) fn of_base(base: &BaseGraph, r: u32) -> Result<IndexView, ViewError> {
+        IndexView::with_tables(
+            r,
+            base.a(),
+            RowTable::new(base.enc(Side::A)),
+            RowTable::new(base.enc(Side::B)),
+            RowTable::new(base.dec()),
+        )
     }
 
     /// Builds the view of `G_r` for a trusted [`BaseGraph`].
     ///
     /// # Panics
-    /// Panics if the graph does not fit dense `u32` ids (`BaseGraph` shapes
-    /// are valid by construction, so only `Params` errors remain).
+    /// Panics if `r == 0` or the graph does not fit dense `u32` ids
+    /// (`BaseGraph` shapes are valid by construction, so only `Params`
+    /// errors remain).
     pub fn from_base(base: &BaseGraph, r: u32) -> IndexView {
         match IndexView::new(
             base.n0(),
@@ -465,30 +449,15 @@ impl IndexView {
             "subview depth {k} not in 1..={}",
             self.r
         );
-        let (au, bu) = (self.a as u64, self.b as u64);
-        let mut seg_offsets = Vec::with_capacity(3 * (k as usize + 1) + 1);
-        let mut total: u64 = 0;
-        seg_offsets.push(0);
-        for _side in 0..2 {
-            for t in 0..=k {
-                // Cannot overflow: every G_k segment divides a G_r segment.
-                total += checked_pow(bu, t).unwrap() * checked_pow(au, k - t).unwrap();
-                seg_offsets.push(total);
-            }
-        }
-        for j in 0..=k {
-            total += checked_pow(bu, k - j).unwrap() * checked_pow(au, j).unwrap();
-            seg_offsets.push(total);
-        }
-        IndexView {
-            r: k,
-            a: self.a,
-            b: self.b,
-            seg_offsets,
-            enc_a: self.enc_a.clone(),
-            enc_b: self.enc_b.clone(),
-            dec: self.dec.clone(),
-        }
+        IndexView::with_tables(
+            k,
+            self.a,
+            self.enc_a.clone(),
+            self.enc_b.clone(),
+            self.dec.clone(),
+        )
+        // Cannot fail: every G_k segment is no larger than a G_r segment.
+        .expect("G_k fits wherever G_r does")
     }
 
     /// The recursion depth `r` of the viewed graph.
@@ -521,14 +490,17 @@ impl IndexView {
         l * (self.r as usize + 1) + level as usize
     }
 
-    /// `a^{entry_len}` — the entry-suffix width of segment `(layer, level)`.
+    /// The dense ids of segment `(layer, level)`, `level ≤ r`.
+    pub(crate) fn segment(&self, layer: Layer, level: u32) -> Range<u64> {
+        let si = self.seg_index(layer, level);
+        // audit: safe — si + 1 ≤ 3(r+1) for level ≤ r, within the 3(r+1)+1 offsets
+        self.seg_offsets[si]..self.seg_offsets[si + 1]
+    }
+
+    /// `a^{entry_len}` — the entry-suffix width of segment `(layer, level)`,
+    /// `level ≤ r`.
     pub fn entry_width(&self, layer: Layer, level: u32) -> u64 {
-        let suffix_len = match layer {
-            Layer::EncA | Layer::EncB => self.r - level,
-            Layer::Dec => level,
-        };
-        // audit: safe — cannot overflow: bounded by a segment size already checked in new()
-        checked_pow(self.a as u64, suffix_len).unwrap()
+        self.seg_width[self.seg_index(layer, level)] // audit: safe — seg_index < 3(r+1) for level ≤ r
     }
 
     /// The dense id of a structured address, or `None` if out of range.
@@ -537,40 +509,34 @@ impl IndexView {
             return None;
         }
         let si = self.seg_index(v.layer, v.level);
-        let width = self.entry_width(v.layer, v.level);
-        // audit: safe — si = seg_index(..) < 3(r+1); the table has 3(r+1)+1 offsets
-        let seg_size = self.seg_offsets[si + 1] - self.seg_offsets[si];
+        let width = self.seg_width[si]; // audit: safe — si < 3(r+1) for level ≤ r
         if v.entry >= width {
             return None;
         }
         let local = v.mul.checked_mul(width)?.checked_add(v.entry)?;
-        if local >= seg_size {
-            return None;
-        }
-        Some((self.seg_offsets[si] + local) as u32) // audit: safe — si bounded as above
+        // audit: safe — si + 1 ≤ 3(r+1), within the 3(r+1)+1 offsets
+        let (start, end) = (self.seg_offsets[si], self.seg_offsets[si + 1]);
+        // audit: safe — offsets ascend and end at most u32::MAX, so neither overflows
+        (local < end - start).then(|| (start + local) as u32)
     }
 
     /// The structured address of a dense id, or `None` if out of range.
     pub fn vref(&self, id: u32) -> Option<VertexRef> {
         let id = id as u64;
-        // audit: safe — offsets never empty
-        if id >= *self.seg_offsets.last().unwrap() {
-            return None;
-        }
-        // 3(r+1) segments: a linear scan is fine at certificate scales.
-        // audit: safe — seg_offsets[0] = 0 ≤ id, so some position matches
-        let si = self.seg_offsets.iter().rposition(|&off| off <= id).unwrap();
+        // Segments are few (3(r+1)); scan their starts from the top.
+        let si = self.seg_offsets.iter().rposition(|&off| off <= id)?;
+        // Past the last segment (id ≥ n_vertices) there is no width.
+        let width = *self.seg_width.get(si)?;
         let levels = self.r as usize + 1;
-        let (layer, level) = match si / levels {
-            0 => (Layer::EncA, si % levels),
-            1 => (Layer::EncB, si % levels),
-            _ => (Layer::Dec, si % levels),
+        let layer = match si / levels {
+            0 => Layer::EncA,
+            1 => Layer::EncB,
+            _ => Layer::Dec,
         };
-        let width = self.entry_width(layer, level as u32);
-        let local = id - self.seg_offsets[si]; // audit: safe — si is from rposition over this table
+        let local = id - self.seg_offsets[si]; // audit: safe — si < 3(r+1), checked by the width lookup
         Some(VertexRef {
             layer,
-            level: level as u32,
+            level: (si % levels) as u32,
             mul: local / width,
             entry: local % width,
         })
@@ -585,8 +551,27 @@ impl IndexView {
         }
     }
 
+    /// The base row generating a combination vertex (encoding level `> 0`:
+    /// the encoding row `τ` of its last multiplication digit; decoding
+    /// level `> 0`: the decoding row `υ` of its leading entry digit), or
+    /// `None` for inputs and product vertices.
+    fn row_of(&self, v: VertexRef) -> Option<(&RowTable, usize)> {
+        match v.layer {
+            _ if v.level == 0 => None,
+            Layer::EncA | Layer::EncB => {
+                let row = v.mul % self.b as u64; // audit: safe — b ≥ 1 by construction
+                Some((self.enc_rows(v.layer), row as usize))
+            }
+            Layer::Dec => {
+                // audit: safe — level > 0 past the first arm; widths are at least 1
+                let row = v.entry / self.entry_width(Layer::Dec, v.level - 1);
+                Some((&self.dec, row as usize))
+            }
+        }
+    }
+
     /// Predecessors of a structured address, pushed in dense-id order.
-    fn preds_of(&self, v: VertexRef, push: &mut dyn FnMut(u32)) {
+    pub(crate) fn preds_of(&self, v: VertexRef, push: &mut impl FnMut(u32)) {
         match v.layer {
             Layer::EncA | Layer::EncB => {
                 if v.level == 0 {
@@ -651,10 +636,21 @@ impl IndexView {
         }
     }
 
+    /// The edge coefficients of `v`, aligned with its predecessors: the
+    /// generating base row's nonzeros, 1 on both operands of a product
+    /// vertex, and nothing for an input.
+    pub(crate) fn pred_coeffs(&self, v: VertexRef) -> &[Rational] {
+        match self.row_of(v) {
+            Some((rows, row)) => &rows.coeffs[row],
+            None if v.layer == Layer::Dec => &PRODUCT_COEFFS,
+            None => &[],
+        }
+    }
+
     /// Successors of a structured address, pushed in dense-id order —
     /// the inverse of [`IndexView::preds_of`] through the column→row
-    /// transposes. Matches the builder's successor CSR exactly: within one
-    /// target segment, ascending `τ`/`υ` means ascending dense id.
+    /// transposes. Within one target segment, ascending `τ`/`υ` means
+    /// ascending dense id.
     fn succs_of(&self, v: VertexRef, push: &mut dyn FnMut(u32)) {
         match v.layer {
             Layer::EncA | Layer::EncB => {
@@ -750,19 +746,12 @@ impl IndexView {
 
     /// Whether `id` is an input (encoding level 0 of either side).
     pub fn is_input(&self, id: u32) -> bool {
-        let id = id as u64;
-        let enc_b0 = self.seg_index(Layer::EncB, 0);
-        let a_side = self.seg_offsets[1]; // audit: safe — the table always has ≥ 2 entries
-                                          // audit: safe — enc_b0 + 1 ≤ 3(r+1), within the 3(r+1)+1 offsets
-        let (lo, hi) = (self.seg_offsets[enc_b0], self.seg_offsets[enc_b0 + 1]);
-        id < a_side || (lo..hi).contains(&id)
+        self.input_ord(id).is_some()
     }
 
     /// Whether `id` is an output (decoding level `r`).
     pub fn is_output(&self, id: u32) -> bool {
-        let last = self.seg_offsets.len() - 2;
-        // audit: safe — last + 1 is the final index of the offsets table
-        (self.seg_offsets[last]..self.seg_offsets[last + 1]).contains(&(id as u64))
+        self.segment(Layer::Dec, self.r).contains(&(id as u64))
     }
 
     /// Number of inputs, `2a^r`.
@@ -774,23 +763,22 @@ impl IndexView {
     /// or `None` if `id` is not an input.
     pub fn input_ord(&self, id: u32) -> Option<u64> {
         let idu = id as u64;
-        let a_r = self.seg_offsets[1]; // audit: safe — the table always has ≥ 2 entries
-        if idu < a_r {
+        let a_side = self.segment(Layer::EncA, 0);
+        if a_side.contains(&idu) {
             return Some(idu);
         }
-        let enc_b0 = self.seg_index(Layer::EncB, 0);
-        // audit: safe — enc_b0 + 1 ≤ 3(r+1), within the 3(r+1)+1 offsets
-        let (lo, hi) = (self.seg_offsets[enc_b0], self.seg_offsets[enc_b0 + 1]);
-        (lo..hi).contains(&idu).then(|| a_r + (idu - lo))
+        let b_side = self.segment(Layer::EncB, 0);
+        b_side
+            .contains(&idu)
+            .then(|| a_side.end + (idu - b_side.start))
     }
 
     /// Dense ordinal of an output among the `a^r` outputs, or `None` if
     /// `id` is not an output.
     pub fn output_ord(&self, id: u32) -> Option<u64> {
-        let last = self.seg_offsets.len() - 2;
-        // audit: safe — last + 1 is the final index of the offsets table
-        let (lo, hi) = (self.seg_offsets[last], self.seg_offsets[last + 1]);
-        (lo..hi).contains(&(id as u64)).then(|| id as u64 - lo)
+        let outputs = self.segment(Layer::Dec, self.r);
+        let idu = id as u64;
+        outputs.contains(&idu).then(|| idu - outputs.start)
     }
 
     /// Number of outputs, `a^r`.
@@ -823,20 +811,9 @@ impl IndexView {
     /// predecessor; `None` otherwise (including out of range).
     pub fn copy_parent_of(&self, id: u32) -> Option<u32> {
         let v = self.vref(id)?;
-        let trivial = match v.layer {
-            Layer::EncA | Layer::EncB => {
-                // audit: safe — mul % b < b, the per-row triviality table size
-                v.level > 0 && self.enc_rows(v.layer).trivial[(v.mul % self.b as u64) as usize]
-            }
-            Layer::Dec => {
-                v.level > 0 && {
-                    let width = self.entry_width(Layer::Dec, v.level - 1);
-                    // audit: safe — entry / width < a, the dec row count
-                    self.dec.trivial[(v.entry / width) as usize]
-                }
-            }
-        };
-        if !trivial {
+        let (rows, row) = self.row_of(v)?;
+        // audit: safe — row_of returns a row index below the table's row count
+        if !rows.trivial[row] {
             return None;
         }
         let mut parent = None;
@@ -862,10 +839,11 @@ impl IndexView {
         uf.roots()
     }
 
-    /// The Fact-1 lift: maps vertex `v_local` of the standalone `G_k`
-    /// (viewed by `local`) into the copy of `G_k` inside this `G_r`
-    /// selected by multiplication `prefix ∈ [b^{r-k}]`. Returns `None` when
-    /// the views are incompatible or anything is out of range.
+    /// The Fact-1 lift ([`CdagView::lift_from`]) over raw ids: maps vertex
+    /// `v_local` of the standalone `G_k` (viewed by `local`) into the copy
+    /// of `G_k` inside this `G_r` selected by multiplication
+    /// `prefix ∈ [b^{r-k}]`. Returns `None` when the views are incompatible
+    /// or anything is out of range.
     pub fn lift(&self, local: &IndexView, prefix: u64, v_local: u32) -> Option<u32> {
         self.lift_from(local, prefix, VertexId(v_local))
             .map(|v| v.0)
@@ -1081,6 +1059,19 @@ mod tests {
     }
 
     #[test]
+    fn oversized_r_is_a_typed_error() {
+        let g = tiny_base("classical2");
+        let (ea, eb, d) = (g.enc(Side::A), g.enc(Side::B), g.dec());
+        let err = IndexView::new(g.n0(), ea, eb, d, 40).err().unwrap();
+        assert_eq!(err.to_string(), "segment size overflows u64");
+        let err = IndexView::new(g.n0(), ea, eb, d, 12).err().unwrap();
+        assert_eq!(
+            err.to_string(),
+            "G_r has 412266528768 vertices, exceeding u32 ids"
+        );
+    }
+
+    #[test]
     fn out_of_range_ids_are_none_not_panics() {
         let g = tiny_base("classical2");
         let view = view_of(&g, 2);
@@ -1094,21 +1085,36 @@ mod tests {
         assert!(view.copy_parent_of(n).is_none());
     }
 
+    /// The Fact-1 image of a `G_k` address in copy `prefix`, spelled out
+    /// digit by digit: the prefix's `r-k` digits are prepended to the
+    /// local multiplication digits, encoding levels shift up by `r-k`.
+    fn lifted_by_digits(b: usize, r: u32, k: u32, prefix: u64, vr: VertexRef) -> VertexRef {
+        let (level, mul_len) = match vr.layer {
+            Layer::EncA | Layer::EncB => (r - k + vr.level, vr.level),
+            Layer::Dec => (vr.level, k - vr.level),
+        };
+        let mut digits = crate::index::unpack(prefix, b, (r - k) as usize);
+        digits.extend(crate::index::unpack(vr.mul, b, mul_len as usize));
+        VertexRef {
+            layer: vr.layer,
+            level,
+            mul: crate::index::pack(&digits, b),
+            entry: vr.entry,
+        }
+    }
+
     #[test]
     fn lift_lands_in_subcomputation_copies() {
-        // Cross-check the closed-form lift against crate::fact1.
         let g = tiny_base("classical2");
         let (r, k) = (3u32, 1u32);
         let rv = view_of(&g, r);
         let kv = view_of(&g, k);
         let gr = build_cdag(&g, r);
         let gk = build_cdag(&g, k);
-        let subs = crate::fact1::Subcomputation::count(&gr, k);
-        assert_eq!(subs, checked_pow(g.b() as u64, r - k).unwrap());
+        let subs = checked_pow(g.b() as u64, r - k).unwrap();
         for prefix in [0, 1, subs - 1] {
-            let sub = crate::fact1::Subcomputation::new(&gr, k, prefix);
             for v in gk.vertices() {
-                let want = sub.local_to_global(gk.vref(v));
+                let want = gr.id(lifted_by_digits(g.b(), r, k, prefix, gk.vref(v)));
                 let got = rv.lift(&kv, prefix, v.0);
                 assert_eq!(got, Some(want.0), "lift of {} at prefix {prefix}", v.0);
                 // The generic lift over the explicit pair agrees.

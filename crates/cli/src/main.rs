@@ -48,7 +48,7 @@ use mmio_cdag::serialize;
 use mmio_cdag::{BaseGraph, IndexView};
 use mmio_core::theorem1::LowerBound;
 use mmio_core::theorem2::InOutRouting;
-use mmio_core::transport::{verify_transported, verify_transported_view, RoutingClass};
+use mmio_core::transport::{verify_transported, RoutingClass};
 use mmio_parallel::Pool;
 use mmio_pebble::orders::recursive_order;
 use mmio_pebble::policy::Belady;
@@ -444,7 +444,7 @@ fn run() -> Result<ExitCode, CliError> {
                     .expect("Hall matching exists (verified above)");
                 let tr = if use_implicit(view, &base, r) {
                     let gr = IndexView::from_base(&base, r);
-                    verify_transported_view(&gr, &class, &pool)
+                    verify_transported(&gr, &class, &pool)
                 } else {
                     let gr = build_cdag(&base, r);
                     verify_transported(&gr, &class, &pool)

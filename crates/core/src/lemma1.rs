@@ -84,7 +84,6 @@ mod tests {
     use mmio_algos::classical::classical;
     use mmio_algos::strassen::{strassen, winograd};
     use mmio_cdag::build::build_cdag;
-    use mmio_cdag::fact1::Subcomputation;
 
     #[test]
     fn strassen_selection_meets_lemma1_bound() {
@@ -122,7 +121,7 @@ mod tests {
         let chosen = select_input_disjoint(&g, &meta, 1);
         assert!(verify_disjoint(&g, &meta, 1, &chosen));
         assert!(
-            (chosen.len() as u64) < Subcomputation::count(&g, 1),
+            (chosen.len() as u64) < index::pow(g.base().b(), g.r() - 1),
             "classical cannot have all subcomputations disjoint"
         );
     }

@@ -7,19 +7,21 @@
 //! *one object per `(base graph, k)` class*, not one per copy: this module
 //! constructs it once — Hall matchings, chain lifting, path enumeration —
 //! stores the paths flat in a [`PathArena`], and transports them into every
-//! copy through the [`Subcomputation`] index isomorphism.
+//! copy through the Fact-1 lift [`CdagView::lift_from`] — pure index
+//! arithmetic, so `G_r` may be a materialized [`Cdag`] or a closed-form
+//! [`mmio_cdag::IndexView`] alike.
 //!
 //! ## Soundness of transported verification
 //!
 //! Per copy, the engine does two things:
 //!
 //! 1. **Global edge re-walk** — every transported path is re-walked hop by
-//!    hop against `G_r`'s real adjacency (`preds`/`succs`). This is the
-//!    part that could conceivably break if the isomorphism were wrong, so
-//!    it is *never skipped*, only parallelized.
+//!    hop against `G_r`'s real adjacency (`preds_into`/`succs_into`). This
+//!    is the part that could conceivably break if the isomorphism were
+//!    wrong, so it is *never skipped*, only parallelized.
 //! 2. **Hit counting in local coordinates** — the copies are vertex-disjoint
-//!    (Fact 1; `copies_are_vertex_disjoint_and_cover_middle` in
-//!    `mmio_cdag::fact1`), so a global vertex's hit count equals its local
+//!    (Fact 1; `fact1::tests::copies_are_vertex_disjoint_and_cover_middle`
+//!    in `mmio_cdag`), so a global vertex's hit count equals its local
 //!    preimage's count in its own copy, and the global maximum over the
 //!    middle levels is the maximum over copies. Counting against the
 //!    standalone `G_k` (same dense index space for every copy) is exactly
@@ -34,7 +36,6 @@
 use crate::routing::{PathArena, RoutingStats, VertexHitCounter};
 use crate::theorem2::InOutRouting;
 use mmio_cdag::build::build_cdag;
-use mmio_cdag::fact1::Subcomputation;
 use mmio_cdag::{BaseGraph, Cdag, CdagView, MetaVertices, VertexId};
 use mmio_parallel::events::{self, SyncEvent};
 use mmio_parallel::Pool;
@@ -107,20 +108,6 @@ impl RoutingClass {
     /// The class's paths (local vertex ids of [`RoutingClass::gk`]).
     pub fn paths(&self) -> &PathArena {
         &self.paths
-    }
-
-    /// Fills `table` with the Fact-1 translation of every `G_k` vertex into
-    /// the copy `sub` of `G_r`: `table[local.idx()]` is the global image.
-    /// This is the *entire* per-copy construction cost of a transported
-    /// routing — `O(|V(G_k)|)` index arithmetic, independent of the number
-    /// of paths.
-    pub fn translate_into(&self, sub: &Subcomputation<'_>, table: &mut Vec<VertexId>) {
-        table.clear();
-        table.extend(
-            self.gk
-                .vertices()
-                .map(|lv| sub.local_to_global(self.gk.vref(lv))),
-        );
     }
 }
 
@@ -235,134 +222,66 @@ struct CopyStats {
     edge_violations: u64,
 }
 
-/// Transports `class` into every copy of `G_k` inside `g` and re-verifies
-/// each copy: global edge re-walk of every transported path, plus per-copy
-/// hit counting (see the module docs for why local counting is the global
-/// count). Copies are sharded over `pool` and merged in prefix order, so
-/// the report is identical at any thread count.
+/// Transports `class` into every copy of `G_k` inside `gr` and re-verifies
+/// each copy: the Fact-1 translation table from [`CdagView::lift_from`],
+/// a global edge re-walk of every transported path against `gr`'s
+/// adjacency, and per-copy hit counting (see the module docs for why local
+/// counting is the global count). With an [`mmio_cdag::IndexView`], peak
+/// memory is `O(|V(G_k)| + paths)` regardless of `r`, which is what lets
+/// the transport argument be checked at `r ≥ 8` where `G_r` itself does
+/// not fit. Copies are sharded over `pool` and merged in prefix order, so
+/// the report is identical at any thread count and for every view of the
+/// same `G_r`.
 ///
 /// # Panics
-/// Panics if `g` was not built from the same base graph as `class`, or if
-/// `class.k > g.r()`.
-pub fn verify_transported(g: &Cdag, class: &RoutingClass, pool: &Pool) -> TransportReport {
-    assert_eq!(
-        g.base().name(),
-        class.gk.base().name(),
-        "class and graph must share a base graph"
-    );
-    let copies = Subcomputation::count(g, class.k);
+/// Panics if `class.k > gr.r()`, or if `gr` is not over the class's base
+/// graph — checked structurally, since a view carries no base name: the
+/// first copy must reproduce `G_k`'s predecessor lists exactly.
+pub fn verify_transported<V: CdagView + Sync>(
+    gr: &V,
+    class: &RoutingClass,
+    pool: &Pool,
+) -> TransportReport {
+    assert!(class.k <= gr.r(), "transport requires k <= r");
+    let gk = &class.gk;
+    let lift0 = |v| gr.lift_from(gk, 0, v).expect("Fact-1 lift in range");
+    let same_base = (gr.a(), gr.b()) == (gk.base().a(), gk.base().b()) && {
+        let mut got = Vec::new();
+        gk.vertices().filter(|&v| !gk.is_input(v)).all(|v| {
+            got.clear();
+            gr.preds_into(lift0(v), &mut got);
+            got.iter()
+                .copied()
+                .eq(gk.preds(v).iter().map(|&p| lift0(p)))
+        })
+    };
+    assert!(same_base, "class and graph must share a base graph");
+    let copies = mmio_cdag::index::pow(gr.b(), gr.r() - class.k);
     let chunks = ((pool.threads() * 4).min(copies.max(1) as usize)).max(1);
     let per_chunk: Vec<Vec<CopyStats>> = pool.map(chunks, |c| {
         let start = copies * c as u64 / chunks as u64;
         let end = copies * (c as u64 + 1) / chunks as u64;
-        // One translation table and one counter, reused across the chunk's
-        // copies.
-        let mut table: Vec<VertexId> = Vec::with_capacity(class.gk.n_vertices());
-        let mut counter = VertexHitCounter::new(&class.gk, Some(&class.meta));
+        // One translation table, one counter and two adjacency buffers,
+        // reused across the chunk's copies.
+        let mut table: Vec<VertexId> = Vec::with_capacity(gk.n_vertices());
+        let mut counter = VertexHitCounter::new(gk, Some(&class.meta));
+        let (mut preds, mut succs) = (Vec::new(), Vec::new());
         let mut out = Vec::with_capacity((end - start) as usize);
         for prefix in start..end {
-            let sub = Subcomputation::new(g, class.k, prefix);
-            class.translate_into(&sub, &mut table);
+            // The entire per-copy construction cost of a transported
+            // routing: O(|V(G_k)|) index arithmetic, independent of the
+            // number of paths.
+            table.clear();
+            table.extend(
+                gk.vertices()
+                    .map(|lv| gr.lift_from(gk, prefix, lv).expect("Fact-1 lift in range")),
+            );
             counter.reset();
             let mut edge_violations = 0u64;
             for path in class.paths.iter() {
                 counter.add_path(path);
                 // Global re-walk: every transported hop must be a real edge
                 // of G_r, in either direction.
-                for w in path.windows(2) {
-                    let (gu, gv) = (table[w[0].idx()], table[w[1].idx()]);
-                    if !(g.preds(gv).contains(&gu) || g.succs(gv).contains(&gu)) {
-                        edge_violations += 1;
-                    }
-                }
-            }
-            let stats = counter.stats();
-            out.push(CopyStats {
-                max_vertex_hits: stats.max_vertex_hits,
-                max_meta_hits: stats.max_meta_hits,
-                edge_violations,
-            });
-        }
-        out
-    });
-
-    // Deterministic merge in prefix order (chunks are contiguous and
-    // ordered; within a chunk, copies were pushed in prefix order).
-    let mut merged = CopyStats {
-        max_vertex_hits: 0,
-        max_meta_hits: 0,
-        edge_violations: 0,
-    };
-    let mut uniform = true;
-    let mut first: Option<CopyStats> = None;
-    for cs in per_chunk.iter().flatten() {
-        merged.max_vertex_hits = merged.max_vertex_hits.max(cs.max_vertex_hits);
-        merged.max_meta_hits = merged.max_meta_hits.max(cs.max_meta_hits);
-        merged.edge_violations += cs.edge_violations;
-        match &first {
-            None => first = Some(*cs),
-            Some(f) => uniform &= f == cs,
-        }
-    }
-    TransportReport {
-        k: class.k,
-        copies,
-        paths_per_copy: class.paths.len() as u64,
-        bound: class.bound,
-        max_vertex_hits: merged.max_vertex_hits,
-        max_meta_hits: merged.max_meta_hits,
-        edge_violations: merged.edge_violations,
-        uniform,
-    }
-}
-
-/// [`verify_transported`] over any [`CdagView`] of `G_r`: the same
-/// transport — full global edge re-walk of every path in every copy, plus
-/// per-copy hit counting — against the view's closed-form adjacency instead
-/// of materialized `preds`/`succs` slices. With an
-/// [`mmio_cdag::IndexView`], peak memory is `O(|V(G_k)| + paths)`
-/// regardless of `r`, which is what lets the transport argument be checked
-/// at `r ≥ 8` where `G_r` itself does not fit. Same chunking and
-/// prefix-order merge, so the report is byte-identical to
-/// [`verify_transported`] at any thread count (pinned by
-/// `view_transport_matches_explicit` below).
-///
-/// # Panics
-/// Panics if `gr`'s `(a, b)` differ from the class's base graph, or if
-/// `class.k > gr.r()`.
-pub fn verify_transported_view<V: CdagView + Sync>(
-    gr: &V,
-    class: &RoutingClass,
-    pool: &Pool,
-) -> TransportReport {
-    assert_eq!(
-        (gr.a(), gr.b()),
-        (class.gk.base().a(), class.gk.base().b()),
-        "class and view must share a base graph"
-    );
-    assert!(class.k <= gr.r(), "transport requires k <= r");
-    let copies = mmio_cdag::index::pow(gr.b(), gr.r() - class.k);
-    let chunks = ((pool.threads() * 4).min(copies.max(1) as usize)).max(1);
-    let per_chunk: Vec<Vec<CopyStats>> = pool.map(chunks, |c| {
-        let start = copies * c as u64 / chunks as u64;
-        let end = copies * (c as u64 + 1) / chunks as u64;
-        let n_local = class.gk.n_vertices();
-        let mut table: Vec<VertexId> = Vec::with_capacity(n_local);
-        let mut counter = VertexHitCounter::new(&class.gk, Some(&class.meta));
-        let (mut preds, mut succs) = (Vec::new(), Vec::new());
-        let mut out = Vec::with_capacity((end - start) as usize);
-        for prefix in start..end {
-            // The Fact-1 translation table, from the view's closed-form
-            // lift instead of `Subcomputation` (which needs the full Cdag).
-            table.clear();
-            table.extend((0..n_local as u32).map(|lv| {
-                gr.lift_from(&class.gk, prefix, VertexId(lv))
-                    .expect("Fact-1 lift in range")
-            }));
-            counter.reset();
-            let mut edge_violations = 0u64;
-            for path in class.paths.iter() {
-                counter.add_path(path);
                 for w in path.windows(2) {
                     let (gu, gv) = (table[w[0].idx()], table[w[1].idx()]);
                     preds.clear();
@@ -384,6 +303,8 @@ pub fn verify_transported_view<V: CdagView + Sync>(
         out
     });
 
+    // Deterministic merge in prefix order (chunks are contiguous and
+    // ordered; within a chunk, copies were pushed in prefix order).
     let mut merged = CopyStats {
         max_vertex_hits: 0,
         max_meta_hits: 0,
@@ -572,11 +493,9 @@ mod tests {
             };
             let class = RoutingClass::build(&base, 1, &pool).unwrap();
             let explicit = verify_transported(&g, &class, &pool);
-            // Same report whether G_r is materialized, wrapped as a view,
-            // or purely closed-form.
-            let via_cdag = verify_transported_view(&g, &class, &pool);
-            let via_index = verify_transported_view(&view, &class, &pool);
-            assert_eq!(format!("{explicit:?}"), format!("{via_cdag:?}"));
+            // Same report whether G_r is materialized or purely
+            // closed-form.
+            let via_index = verify_transported(&view, &class, &pool);
             assert_eq!(format!("{explicit:?}"), format!("{via_index:?}"));
             assert!(explicit.verified());
         }

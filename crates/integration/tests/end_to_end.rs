@@ -26,28 +26,38 @@ fn every_base_graph_is_symbolically_correct() {
     }
 }
 
+/// The independent oracle for the one closed-form definition of `G_r`:
+/// the built graph is `IndexView`'s own predecessor lists, so comparing the
+/// two views cannot catch a wrong edge rule — evaluating `G_r` through
+/// `preds` + `pred_coeffs` and comparing with `A·B` can.
 #[test]
 fn cdag_semantics_match_executor_and_classical() {
     let mut rng = StdRng::seed_from_u64(42);
     for base in all_base_graphs() {
-        let r = if base.n0() >= 3 { 1 } else { 2 };
-        let g = build_checked(&base, r);
-        let n = g.n() as usize;
-        let ai = random_i64_matrix(n, n, &mut rng);
-        let bi = random_i64_matrix(n, n, &mut rng);
-        // Some synthetic variants have rational coefficients: evaluate over
-        // Rational to stay exact for every graph uniformly.
-        let a = ai.map(Rational::integer);
-        let b = bi.map(Rational::integer);
-        let want = multiply_naive(&ai, &bi).map(Rational::integer);
-        let via_graph = eval_outputs(&g, &a, &b);
-        assert!(
-            via_graph.exactly_equals(&want),
-            "{} graph eval",
-            base.name()
-        );
-        let via_exec = Executor::new(base.clone(), 1).multiply(&a, &b);
-        assert!(via_exec.exactly_equals(&want), "{} executor", base.name());
+        let depths: &[u32] = if base.n0() >= 3 { &[1] } else { &[2, 3] };
+        for &r in depths {
+            let g = build_checked(&base, r);
+            let n = g.n() as usize;
+            let ai = random_i64_matrix(n, n, &mut rng);
+            let bi = random_i64_matrix(n, n, &mut rng);
+            // Some synthetic variants have rational coefficients: evaluate
+            // over Rational to stay exact for every graph uniformly.
+            let a = ai.map(Rational::integer);
+            let b = bi.map(Rational::integer);
+            let want = multiply_naive(&ai, &bi).map(Rational::integer);
+            let via_graph = eval_outputs(&g, &a, &b);
+            assert!(
+                via_graph.exactly_equals(&want),
+                "{} graph eval at r={r}",
+                base.name()
+            );
+            let via_exec = Executor::new(base.clone(), 1).multiply(&a, &b);
+            assert!(
+                via_exec.exactly_equals(&want),
+                "{} executor at r={r}",
+                base.name()
+            );
+        }
     }
 }
 

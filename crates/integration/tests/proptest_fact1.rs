@@ -1,14 +1,15 @@
-//! Property tests for the Fact-1 isomorphism — the foundation the memoized
+//! Property tests for the Fact-1 lift — the foundation the memoized
 //! routing-transport engine stands on: a routing constructed once on a
 //! standalone `G_k` is only valid inside every copy of `G_k` in `G_r` if
-//! `local_to_global`/`global_to_local` are mutually inverse, land on the
-//! middle `2(k+1)` levels, keep copies disjoint, and preserve edges.
+//! `CdagView::lift_from` is inverted by `try_vref` (strip the prefix
+//! digits), lands on the middle `2(k+1)` levels, keeps copies disjoint, and
+//! preserves edges and coefficients (`iso::verify_embedding`).
 
 use mmio_algos::laderman::laderman;
 use mmio_algos::strassen::{strassen, winograd};
 use mmio_cdag::build::build_cdag;
-use mmio_cdag::fact1::Subcomputation;
-use mmio_cdag::Layer;
+use mmio_cdag::iso::verify_embedding;
+use mmio_cdag::{index, CdagView, Layer, VertexId, VertexRef};
 use proptest::prelude::*;
 
 proptest! {
@@ -30,50 +31,48 @@ proptest! {
         let k = k_raw % (r + 1);
         let g = build_cdag(&base, r);
         let gk = build_cdag(&base, k);
-        let count = Subcomputation::count(&g, k);
+        let count = index::pow(base.b(), r - k);
         let prefix = prefix_raw % count;
-        let sub = Subcomputation::new(&g, k, prefix);
+        let map: Vec<VertexId> = gk
+            .vertices()
+            .map(|lv| g.lift_from(&gk, prefix, lv).expect("every G_k vertex lifts"))
+            .collect();
+
+        // The copy is an induced, edge- and coefficient-preserving image of
+        // G_k (transported paths walk real edges).
+        prop_assert_eq!(verify_embedding(&gk, &g, &map), Ok(()));
 
         // Round-trip every local vertex: encoding layers of both sides
         // (including the meta-vertex copy-chain levels above rank r-k) and
         // the decoding layer.
         for lv in gk.vertices() {
             let lref = gk.vref(lv);
-            let global = sub.local_to_global(lref);
-            prop_assert_eq!(sub.global_to_local(global).map(|vr| gk.id(vr)), Some(lv));
-            // The image sits on the middle 2(k+1) levels of G_r.
-            let vr = g.vref(global);
+            let vr = g.try_vref(map[lv.idx()]).expect("image in range");
             prop_assert_eq!(vr.layer, lref.layer);
-            match vr.layer {
+            // The image sits on the middle 2(k+1) levels of G_r.
+            let mul_len = match vr.layer {
                 Layer::EncA | Layer::EncB => {
                     prop_assert_eq!(vr.level, r - k + lref.level);
+                    lref.level
                 }
-                Layer::Dec => prop_assert_eq!(vr.level, lref.level),
-            }
-            // Edges are preserved: every local predecessor maps to a global
-            // predecessor of the image (transported paths walk real edges).
-            for &lp in gk.preds(lv) {
-                let gp = sub.local_to_global(gk.vref(lp));
-                prop_assert!(
-                    g.preds(global).contains(&gp),
-                    "local edge lost in transport at case (algo={algo}, r={r}, k={k})"
-                );
-            }
+                Layer::Dec => {
+                    prop_assert_eq!(vr.level, lref.level);
+                    k - lref.level
+                }
+            };
+            // Stripping the prefix digits recovers the local address.
+            let width = index::pow(base.b(), mul_len);
+            prop_assert_eq!(vr.mul / width, prefix);
+            let local = VertexRef { level: lref.level, mul: vr.mul % width, ..vr };
+            prop_assert_eq!(gk.try_id(local), Some(lv));
         }
 
-        // Copies are disjoint: a different prefix rejects this copy's
-        // vertices.
+        // Copies are disjoint: another prefix lifts a sampled vertex
+        // outside this copy.
         if count > 1 {
-            let other = Subcomputation::new(&g, k, (prefix + 1) % count);
-            let lv = mmio_cdag::VertexId((vseed % gk.n_vertices()) as u32);
-            let global = sub.local_to_global(gk.vref(lv));
-            prop_assert!(other.global_to_local(global).is_none());
+            let lv = VertexId((vseed % gk.n_vertices()) as u32);
+            let other = g.lift_from(&gk, (prefix + 1) % count, lv).expect("in range");
+            prop_assert!(!map.contains(&other));
         }
-
-        // Inverse direction on a sampled global vertex of the copy.
-        let vs = sub.vertices(&gk);
-        let v = vs[vseed % vs.len()];
-        let back = sub.global_to_local(v).expect("copy member");
-        prop_assert_eq!(sub.local_to_global(back), v);
     }
 }

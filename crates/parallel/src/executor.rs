@@ -1,6 +1,6 @@
 //! A real multi-threaded distributed executor: one BFS step of a
 //! Strassen-like algorithm with one OS thread per simulated processor,
-//! every word crossing a crossbeam channel counted.
+//! every word crossing a channel counted.
 //!
 //! This is the workspace's end-to-end demonstration that the bandwidth
 //! accounting corresponds to an actual parallel execution: the master
@@ -14,8 +14,7 @@ use mmio_cdag::base::Side;
 use mmio_cdag::BaseGraph;
 use mmio_matrix::block::{join_blocks, split_blocks};
 use mmio_matrix::{Matrix, Scalar};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{mpsc, Mutex};
 
 /// Traffic counters of one parallel run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -75,37 +74,31 @@ pub fn multiply_parallel<T: Scalar>(
         acc
     };
 
-    let traffic = Arc::new(Mutex::new(Traffic::default()));
+    let traffic = Mutex::new(Traffic::default());
     let exec = Executor::new(base.clone(), cutoff.max(1));
     let mut products: Vec<Option<Matrix<T>>> = vec![None; base.b()];
 
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(base.b());
         for m in 0..base.b() {
             let sa = encode(base.enc(Side::A), &blocks_a, m);
             let sb = encode(base.enc(Side::B), &blocks_b, m);
-            let traffic = Arc::clone(&traffic);
-            let exec = exec.clone();
+            let (traffic, exec) = (&traffic, &exec);
             // Channel per worker; sending the operands counts words.
-            let (tx, rx) = crossbeam::channel::bounded::<(Matrix<T>, Matrix<T>)>(1);
-            {
-                let mut t = traffic.lock();
-                t.words_out += 2 * (s * s) as u64;
-            }
+            let (tx, rx) = mpsc::sync_channel::<(Matrix<T>, Matrix<T>)>(1);
+            traffic.lock().expect("traffic lock").words_out += 2 * (s * s) as u64;
             tx.send((sa, sb)).expect("worker channel open");
-            handles.push(scope.spawn(move |_| {
+            handles.push(scope.spawn(move || {
                 let (sa, sb) = rx.recv().expect("operands arrive");
                 let p = exec.multiply(&sa, &sb);
-                let mut t = traffic.lock();
-                t.words_in += (s * s) as u64;
+                traffic.lock().expect("traffic lock").words_in += (s * s) as u64;
                 p
             }));
         }
         for (m, h) in handles.into_iter().enumerate() {
             products[m] = Some(h.join().expect("worker thread"));
         }
-    })
-    .expect("thread scope");
+    });
 
     // Decode (master-side).
     let dec = base.dec();
@@ -128,8 +121,7 @@ pub fn multiply_parallel<T: Scalar>(
         out_blocks.push(acc);
     }
     let result = join_blocks(&out_blocks, n0);
-    let t = *traffic.lock();
-    (result, t)
+    (result, traffic.into_inner().expect("traffic lock"))
 }
 
 #[cfg(test)]

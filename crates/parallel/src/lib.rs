@@ -19,7 +19,7 @@
 //!   ([3]): BFS steps split the `b` subproblems over `P/b` processor
 //!   groups, DFS steps recurse with all processors; the simulator counts
 //!   the words each step redistributes and shows the bounds are attained.
-//! - [`executor`]: a real multi-threaded executor (crossbeam channels,
+//! - [`executor`]: a real multi-threaded executor (`std` channels,
 //!   one OS thread per simulated processor) that multiplies actual
 //!   matrices with one BFS level of a Strassen-like algorithm and counts
 //!   every word that crosses a channel.

@@ -193,10 +193,10 @@ impl Pool {
         let ranges = &ranges;
         let f = &f;
 
-        let mut tagged: Vec<(usize, T)> = crossbeam::scope(|s| {
+        let mut tagged: Vec<(usize, T)> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..workers)
                 .map(|w| {
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         let mut out: Vec<(usize, T)> = Vec::new();
                         // Drain the worker's own range, then steal.
                         drain(&ranges[w], w as u32, f, &mut out);
@@ -226,8 +226,7 @@ impl Pool {
                 events::emit(SyncEvent::WorkerJoin { worker: w as u32 });
             }
             all
-        })
-        .expect("pool scope failed");
+        });
 
         debug_assert_eq!(tagged.len(), n, "every index claimed exactly once");
         tagged.sort_unstable_by_key(|&(i, _)| i);

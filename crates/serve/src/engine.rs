@@ -151,15 +151,23 @@ impl Engine {
     }
 
     /// Handles one raw request line end-to-end: parse, admit, wait.
-    /// Always returns exactly one response — the NDJSON contract.
-    pub fn handle_line(&self, line: &str) -> Response {
+    /// Always returns exactly one response — the NDJSON contract — and
+    /// whether the line was a well-formed `shutdown` request, so the
+    /// connection loop never parses a line twice.
+    pub fn handle_line(&self, line: &str) -> (Response, bool) {
         match Request::from_line(line) {
-            Ok(req) => self.submit(req),
-            Err(e) => Response::fail(
-                0,
-                Status::BadRequest,
-                codes::SERVE_BAD_REQUEST,
-                e.to_string(),
+            Ok(req) => {
+                let shutdown = req.op == Op::Shutdown;
+                (self.submit(req), shutdown)
+            }
+            Err(e) => (
+                Response::fail(
+                    0,
+                    Status::BadRequest,
+                    codes::SERVE_BAD_REQUEST,
+                    e.to_string(),
+                ),
+                false,
             ),
         }
     }
@@ -596,7 +604,8 @@ mod tests {
     #[test]
     fn malformed_line_is_typed_bad_request() {
         let e = engine(None);
-        let resp = e.handle_line("{\"id\":,}");
+        let (resp, shutdown) = e.handle_line("{\"id\":,}");
+        assert!(!shutdown);
         assert_eq!(resp.status, Status::BadRequest);
         assert_eq!(resp.code, Some(codes::SERVE_BAD_REQUEST));
         assert!(e.shutdown(Duration::from_secs(5)));

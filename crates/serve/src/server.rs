@@ -13,7 +13,7 @@
 //! the crash/restart harness leans on that.
 
 use crate::engine::Engine;
-use crate::protocol::{Op, Request, Response};
+use crate::protocol::{Request, Response};
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -89,14 +89,7 @@ fn handle_connection(stream: UnixStream, engine: &Engine, stop: &AtomicBool, wak
         if line.trim().is_empty() {
             continue;
         }
-        let is_shutdown = matches!(
-            Request::from_line(&line),
-            Ok(Request {
-                op: Op::Shutdown,
-                ..
-            })
-        );
-        let resp = engine.handle_line(&line);
+        let (resp, is_shutdown) = engine.handle_line(&line);
         if writer
             .write_all(format!("{}\n", resp.to_line()).as_bytes())
             .is_err()
@@ -181,7 +174,7 @@ mod tests {
     use super::*;
     use crate::engine::EngineConfig;
     use crate::faults::NoFaults;
-    use crate::protocol::Status;
+    use crate::protocol::{Op, Status};
 
     fn spawn_server(tag: &str) -> (PathBuf, std::thread::JoinHandle<()>) {
         let sock =
