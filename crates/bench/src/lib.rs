@@ -1,8 +1,8 @@
 //! # mmio-bench
 //!
 //! The experiment harness: one binary per experiment in `EXPERIMENTS.md`
-//! (`cargo run --release -p mmio-bench --bin exp_<id>`), plus criterion
-//! benches (`cargo bench -p mmio-bench`).
+//! (`cargo run --release -p mmio-bench --bin exp_<id>`). Timing is not
+//! measured here; `mmio_benchmark/` is the workspace's one benchmark.
 //!
 //! Every binary prints its table to stdout and appends a machine-readable
 //! record to `results/<id>.json`.

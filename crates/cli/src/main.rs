@@ -25,7 +25,8 @@
 //! ```
 //!
 //! `<algo>` is a built-in name (`mmio list`) or a path to a JSON base-graph
-//! file (see `mmio export`).
+//! file (see `mmio export`). The flags `--json` and `--out DIR` may stand
+//! anywhere: operands are counted after they are removed.
 //!
 //! The global flag `--threads N` (or the `MMIO_THREADS` environment
 //! variable; default: all available cores) sets the worker count for the
@@ -153,37 +154,38 @@ impl From<String> for CliError {
     }
 }
 
-/// Strips a `--threads N` flag (anywhere in the argument list) and returns
-/// the explicit worker count, if any. `Pool::from_env` falls back to the
-/// `MMIO_THREADS` environment variable, then to `available_parallelism`.
-fn extract_threads(args: &mut Vec<String>) -> Result<Option<usize>, String> {
-    let Some(i) = args.iter().position(|a| a == "--threads") else {
+/// Strips a `FLAG VALUE` pair (anywhere in the argument list) and returns
+/// the value, so that positional operands keep their indices whatever the
+/// flag order.
+fn extract_value(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
         return Ok(None);
     };
-    let n: usize = args
-        .get(i + 1)
-        .ok_or("missing value for --threads")?
-        .parse()
-        .map_err(|_| "invalid --threads value")?;
-    args.drain(i..=i + 1);
-    Ok(Some(n))
+    if i + 1 == args.len() {
+        return Err(format!("missing value for {flag}"));
+    }
+    let value = args.remove(i + 1);
+    args.remove(i);
+    Ok(Some(value))
 }
 
-/// Strips a `--view MODE` flag (anywhere in the argument list); defaults
-/// to [`ViewMode::Auto`].
+/// Strips a `--threads N` flag and returns the explicit worker count, if
+/// any. `Pool::from_env` falls back to the `MMIO_THREADS` environment
+/// variable, then to `available_parallelism`.
+fn extract_threads(args: &mut Vec<String>) -> Result<Option<usize>, String> {
+    extract_value(args, "--threads")?
+        .map(|n| n.parse().map_err(|_| "invalid --threads value".to_string()))
+        .transpose()
+}
+
+/// Strips a `--view MODE` flag; defaults to [`ViewMode::Auto`].
 fn extract_view(args: &mut Vec<String>) -> Result<ViewMode, String> {
-    let Some(i) = args.iter().position(|a| a == "--view") else {
-        return Ok(ViewMode::Auto);
-    };
-    let mode = match args.get(i + 1).map(String::as_str) {
-        Some("explicit") => ViewMode::Explicit,
-        Some("implicit") => ViewMode::Implicit,
-        Some("auto") => ViewMode::Auto,
-        Some(other) => return Err(format!("invalid --view '{other}'")),
-        None => return Err("missing value for --view".into()),
-    };
-    args.drain(i..=i + 1);
-    Ok(mode)
+    match extract_value(args, "--view")?.as_deref() {
+        None | Some("auto") => Ok(ViewMode::Auto),
+        Some("explicit") => Ok(ViewMode::Explicit),
+        Some("implicit") => Ok(ViewMode::Implicit),
+        Some(other) => Err(format!("invalid --view '{other}'")),
+    }
 }
 
 fn resolve(name: &str) -> Result<BaseGraph, CliError> {
@@ -296,7 +298,7 @@ fn run_distsim<V: mmio_cdag::CdagView + Sync>(
 
 /// Expands `mmio cert verify` operands: directories become their sorted
 /// `*.json` entries, files pass through.
-fn expand_cert_paths(operands: &[&String]) -> Result<Vec<std::path::PathBuf>, CliError> {
+fn expand_cert_paths(operands: &[String]) -> Result<Vec<std::path::PathBuf>, CliError> {
     let mut files = Vec::new();
     for op in operands {
         let path = std::path::Path::new(op.as_str());
@@ -319,6 +321,9 @@ fn run() -> Result<ExitCode, CliError> {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let explicit_threads = extract_threads(&mut args)?;
     let view = extract_view(&mut args)?;
+    let out_dir = extract_value(&mut args, "--out")?;
+    let json = args.iter().any(|a| a == "--json");
+    args.retain(|a| a != "--json");
     let pool = Pool::from_env(explicit_threads);
     let Some(cmd) = args.first() else {
         return Err("no command".into());
@@ -480,8 +485,7 @@ fn run() -> Result<ExitCode, CliError> {
         }
         "analyze" => {
             let target = args.get(1).ok_or("missing algorithm (or 'all')")?;
-            let json = args.iter().any(|a| a == "--json");
-            let explicit_r: Option<u32> = match args.get(2).filter(|a| *a != "--json") {
+            let explicit_r: Option<u32> = match args.get(2) {
                 Some(a) => Some(a.parse().map_err(|_| "invalid r")?),
                 None => None,
             };
@@ -541,7 +545,6 @@ fn run() -> Result<ExitCode, CliError> {
             }
         }
         "check" => {
-            let json = args.iter().any(|a| a == "--json");
             // Deliberately ignores the pool: the suite fixes its own thread
             // counts, so `mmio check` output is byte-identical at any
             // `--threads` value (golden-tested).
@@ -598,7 +601,6 @@ fn run() -> Result<ExitCode, CliError> {
             }
         }
         "cert" => {
-            let json = args.iter().any(|a| a == "--json");
             let sub = args
                 .get(1)
                 .map(String::as_str)
@@ -606,16 +608,11 @@ fn run() -> Result<ExitCode, CliError> {
             match sub {
                 "emit" => {
                     let target = args.get(2).ok_or("missing algorithm (or 'all')")?;
-                    let r: u32 = match args.get(3).filter(|a| !a.starts_with("--")) {
+                    let r: u32 = match args.get(3) {
                         Some(a) => a.parse().map_err(|_| "invalid r")?,
                         None => 2,
                     };
-                    let out_dir = match args.iter().position(|a| a == "--out") {
-                        Some(i) => std::path::PathBuf::from(
-                            args.get(i + 1).ok_or("missing value for --out")?,
-                        ),
-                        None => std::path::PathBuf::from("certs"),
-                    };
+                    let out_dir = std::path::PathBuf::from(out_dir.as_deref().unwrap_or("certs"));
                     let bases = if target == "all" {
                         all_base_graphs()
                     } else {
@@ -652,9 +649,7 @@ fn run() -> Result<ExitCode, CliError> {
                     }
                 }
                 "verify" => {
-                    let operands: Vec<&String> =
-                        args[2..].iter().filter(|a| *a != "--json").collect();
-                    let files = expand_cert_paths(&operands)?;
+                    let files = expand_cert_paths(&args[2..])?;
                     if files.is_empty() {
                         return Err(CliError::BadInput(
                             "no certificate files to verify".to_string(),
@@ -763,7 +758,6 @@ fn run() -> Result<ExitCode, CliError> {
             server.run().map_err(|e| CliError::io(&socket, e))?;
         }
         "audit" => {
-            let json = args.iter().any(|a| a == "--json");
             let baseline = args
                 .iter()
                 .position(|a| a == "--baseline")
@@ -796,7 +790,6 @@ fn run() -> Result<ExitCode, CliError> {
             use mmio_parallel::distsim::{MachineModel, Topology};
             let base = resolve(args.get(1).ok_or("missing algorithm")?)?;
             let k: u32 = parse(args.get(2), "k")?;
-            let json = args.iter().any(|a| a == "--json");
             let flag_value = |name: &str| -> Option<&String> {
                 args.iter()
                     .position(|a| a == name)
@@ -948,14 +941,14 @@ mod tests {
         let missing = "/nonexistent-cert-dir".to_string();
         // A path that does not exist is not a dir, so it passes through as
         // a file operand (read fails later, also as an I/O error)…
-        let ok = expand_cert_paths(&[&missing]).unwrap();
+        let ok = expand_cert_paths(&[missing]).unwrap();
         assert_eq!(ok.len(), 1);
         // …whereas a dir that exists but cannot be enumerated would be the
         // read_dir error path; simulate with a file posing as a dir.
         let p = std::env::temp_dir().join(format!("mmio_cli_asdir_{}", std::process::id()));
         std::fs::write(&p, "x").unwrap();
         let as_file = p.display().to_string();
-        let through = expand_cert_paths(&[&as_file]).unwrap();
+        let through = expand_cert_paths(&[as_file]).unwrap();
         assert_eq!(through, vec![p.clone()]);
         let _ = std::fs::remove_file(&p);
     }

@@ -129,6 +129,47 @@ fn analyze_json_is_thread_count_invariant() {
 }
 
 #[test]
+fn analyze_reads_r_wherever_json_stands() {
+    let want = mmio(&["analyze", "strassen", "3", "--json"]);
+    assert!(want.status.success());
+    assert!(String::from_utf8_lossy(&want.stdout).contains("\"r\": 3"));
+    for args in [
+        ["analyze", "strassen", "--json", "3"],
+        ["--json", "analyze", "strassen", "3"],
+    ] {
+        let got = mmio(&args);
+        assert_eq!(got.status.code(), want.status.code(), "{args:?}");
+        assert_eq!(got.stdout, want.stdout, "{args:?}");
+    }
+}
+
+#[test]
+fn cert_emit_reads_r_wherever_flags_stand() {
+    let dir = std::env::temp_dir().join(format!("mmio_cli_emit_order_{}", std::process::id()));
+    let out = dir.to_str().unwrap();
+    let emit = |args: &[&str]| -> (Vec<u8>, Vec<String>) {
+        let _ = std::fs::remove_dir_all(&dir);
+        let o = mmio(args);
+        assert!(o.status.success(), "{args:?}");
+        let mut files: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        files.sort();
+        (o.stdout, files)
+    };
+    let want = emit(&["cert", "emit", "strassen", "3", "--out", out, "--json"]);
+    assert!(want.1.iter().all(|f| f.contains("_r3")), "{:?}", want.1);
+    for args in [
+        ["cert", "emit", "strassen", "--json", "3", "--out", out],
+        ["cert", "emit", "strassen", "--out", out, "3", "--json"],
+    ] {
+        assert_eq!(emit(&args), want, "{args:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn threads_env_var_matches_flag() {
     let flag = mmio(&["--threads", "3", "routing", "strassen", "1", "3"]);
     assert!(flag.status.success());

@@ -22,7 +22,7 @@ use serde::Serialize;
 ///
 /// The paper uses `multiplier = 72` and notes it "did not optimize for the
 /// constant factor"; smaller multipliers give certificates at smaller
-/// scales (the ablation bench sweeps this).
+/// scales (experiment E8c sweeps this).
 pub fn choose_k<V: CdagView>(g: &V, m: u64, multiplier: u64) -> (u32, bool) {
     let a = g.a();
     let mut k = 1u32;

@@ -192,7 +192,7 @@ pub fn certify_pooled_view<V: CdagView + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmio_algos::strassen::strassen;
+    use mmio_algos::strassen::{strassen, winograd};
     use mmio_cdag::build::build_cdag;
     use mmio_pebble::orders;
 
@@ -243,16 +243,22 @@ mod tests {
     #[test]
     fn view_certificate_matches_explicit() {
         use mmio_cdag::IndexView;
-        let base = strassen();
-        let g = build_cdag(&base, 3);
-        let order = orders::recursive_order(&g);
         let pool = mmio_parallel::Pool::serial();
-        for m in [2u64, 6] {
-            let explicit = certify_pooled(&g, m, &order, CertifyParams::SMALL, &pool);
+        for base in [strassen(), winograd()] {
+            let g = build_cdag(&base, 3);
+            let order = orders::recursive_order(&g);
             let view = IndexView::from_base(&base, 3);
-            let implicit =
-                certify_pooled_view(&base, &view, m, &order, CertifyParams::SMALL, &pool);
-            assert_eq!(format!("{explicit:?}"), format!("{implicit:?}"));
+            for m in [2u64, 6, 64] {
+                let explicit = certify_pooled(&g, m, &order, CertifyParams::SMALL, &pool);
+                let implicit =
+                    certify_pooled_view(&base, &view, m, &order, CertifyParams::SMALL, &pool);
+                assert_eq!(
+                    format!("{explicit:?}"),
+                    format!("{implicit:?}"),
+                    "{} M = {m}",
+                    base.name()
+                );
+            }
         }
     }
 

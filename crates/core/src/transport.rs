@@ -389,9 +389,128 @@ pub fn emit_certificate(class: &RoutingClass, r: u32) -> mmio_cert::Certificate 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deps::{unpack_entry, DepSide};
     use mmio_algos::laderman::laderman;
     use mmio_algos::strassen::{strassen, winograd};
     use mmio_algos::synthetic::with_dummy_product;
+    use mmio_cdag::{IndexView, Layer, VertexRef};
+
+    /// The engine's oracle, the verification path it replaced: for every
+    /// copy, rebuild `G_k`, re-derive the Hall matchings and chain router,
+    /// materialize each path as its own `Vec`, lift it vertex by vertex,
+    /// and re-walk the lifted hops against `g`.
+    fn baseline_sweep<V: CdagView>(g: &V, base: &BaseGraph, k: u32) -> TransportReport {
+        let copies = mmio_cdag::index::pow(base.b(), g.r() - k);
+        let (mut max_v, mut max_m, mut violations) = (0u64, 0u64, 0u64);
+        let (mut paths_per_copy, mut bound) = (0u64, 0u64);
+        let mut uniform = true;
+        let mut first = None;
+        let (mut preds, mut succs) = (Vec::new(), Vec::new());
+        for prefix in 0..copies {
+            let gk = build_cdag(base, k);
+            let routing = InOutRouting::new(&gk).expect("Hall matching exists");
+            let meta = MetaVertices::compute(&gk);
+            let mut counter = VertexHitCounter::new(&gk, Some(&meta));
+            let mut copy_violations = 0u64;
+            let (n0, ak) = (base.n0(), mmio_cdag::index::pow(base.a(), k));
+            for side in [DepSide::A, DepSide::B] {
+                for in_e in 0..ak {
+                    for out_e in 0..ak {
+                        let (ir, ic) = unpack_entry(in_e, n0, k);
+                        let (or_, oc) = unpack_entry(out_e, n0, k);
+                        let path = routing.path(side, ir, ic, or_, oc);
+                        counter.add_path(&path);
+                        let global: Vec<_> = path
+                            .iter()
+                            .map(|&v| g.lift_from(&gk, prefix, v).expect("lift in range"))
+                            .collect();
+                        for w in global.windows(2) {
+                            preds.clear();
+                            succs.clear();
+                            g.preds_into(w[1], &mut preds);
+                            g.succs_into(w[1], &mut succs);
+                            if !(preds.contains(&w[0]) || succs.contains(&w[0])) {
+                                copy_violations += 1;
+                            }
+                        }
+                    }
+                }
+            }
+            let stats = counter.stats();
+            max_v = max_v.max(stats.max_vertex_hits);
+            max_m = max_m.max(stats.max_meta_hits);
+            violations += copy_violations;
+            paths_per_copy = stats.paths;
+            bound = routing.theorem2_bound();
+            let copy = (stats.max_vertex_hits, stats.max_meta_hits, copy_violations);
+            match first {
+                None => first = Some(copy),
+                Some(f) => uniform &= f == copy,
+            }
+        }
+        TransportReport {
+            k,
+            copies,
+            paths_per_copy,
+            bound,
+            max_vertex_hits: max_v,
+            max_meta_hits: max_m,
+            edge_violations: violations,
+            uniform,
+        }
+    }
+
+    /// `g` with the predecessor lists of `hidden` emptied, so every hop
+    /// into a hidden vertex fails the edge re-walk.
+    struct HidePreds<V> {
+        g: V,
+        hidden: Vec<VertexId>,
+    }
+
+    impl<V: CdagView> CdagView for HidePreds<V> {
+        fn r(&self) -> u32 {
+            self.g.r()
+        }
+        fn a(&self) -> usize {
+            self.g.a()
+        }
+        fn b(&self) -> usize {
+            self.g.b()
+        }
+        fn n_vertices(&self) -> usize {
+            self.g.n_vertices()
+        }
+        fn try_id(&self, v: VertexRef) -> Option<VertexId> {
+            self.g.try_id(v)
+        }
+        fn try_vref(&self, v: VertexId) -> Option<VertexRef> {
+            self.g.try_vref(v)
+        }
+        fn entry_width(&self, layer: Layer, level: u32) -> u64 {
+            self.g.entry_width(layer, level)
+        }
+        fn preds_into(&self, v: VertexId, out: &mut Vec<VertexId>) -> bool {
+            self.hidden.contains(&v) || self.g.preds_into(v, out)
+        }
+        fn succs_into(&self, v: VertexId, out: &mut Vec<VertexId>) -> bool {
+            self.g.succs_into(v, out)
+        }
+        fn is_input(&self, v: VertexId) -> bool {
+            self.g.is_input(v)
+        }
+        fn is_output(&self, v: VertexId) -> bool {
+            self.g.is_output(v)
+        }
+        fn rank_of(&self, v: VertexId) -> Option<u32> {
+            self.g.rank_of(v)
+        }
+        fn max_indegree(&self) -> usize {
+            self.g.max_indegree()
+        }
+        fn copy_parent(&self, v: VertexId) -> Option<VertexId> {
+            self.g.copy_parent(v)
+        }
+    }
 
     #[test]
     fn class_matches_direct_routing() {
@@ -410,18 +529,41 @@ mod tests {
     #[test]
     fn transported_copies_verify_and_are_uniform() {
         let pool = Pool::serial();
-        let base = strassen();
         let memo = RoutingMemo::new();
+        for base in [strassen(), winograd()] {
+            let class = memo.class(&base, 1, &pool).unwrap();
+            let g = build_cdag(&base, 3);
+            let report = verify_transported(&g, &class, &pool);
+            assert_eq!(report.copies, 49); // b^{r-k} = 7²
+            assert_eq!(report.paths_per_copy, 2 * 16); // 2a^{2k}
+            assert!(report.verified(), "{report:?}");
+            assert!(report.uniform);
+            // The copy maxima coincide with the standalone class's.
+            assert_eq!(report.max_vertex_hits, class.stats.max_vertex_hits);
+            assert_eq!(report.max_meta_hits, class.stats.max_meta_hits);
+            let oracle = baseline_sweep(&g, &base, 1);
+            assert_eq!(
+                format!("{report:?}"),
+                format!("{oracle:?}"),
+                "{}",
+                base.name()
+            );
+        }
+        // A broken hop in every copy but the first: the engine must visit
+        // each copy, or its violation count or uniformity leaves the
+        // oracle's.
+        let base = strassen();
         let class = memo.class(&base, 1, &pool).unwrap();
-        let g = build_cdag(&base, 3);
-        let report = verify_transported(&g, &class, &pool);
-        assert_eq!(report.copies, 49); // b^{r-k} = 7²
-        assert_eq!(report.paths_per_copy, 2 * 16); // 2a^{2k}
-        assert!(report.verified(), "{report:?}");
-        assert!(report.uniform);
-        // The copy maxima coincide with the standalone class's.
-        assert_eq!(report.max_vertex_hits, class.stats.max_vertex_hits);
-        assert_eq!(report.max_meta_hits, class.stats.max_meta_hits);
+        let view = IndexView::from_base(&base, 3);
+        let target = class.paths().path(0)[1];
+        let hidden = (1..49)
+            .map(|p| view.lift_from(class.gk(), p, target).unwrap())
+            .collect();
+        let broken = HidePreds { g: view, hidden };
+        let report = verify_transported(&broken, &class, &pool);
+        let oracle = baseline_sweep(&broken, &base, 1);
+        assert_eq!(format!("{report:?}"), format!("{oracle:?}"));
+        assert!(oracle.edge_violations > 0 && !oracle.uniform, "{oracle:?}");
     }
 
     #[test]

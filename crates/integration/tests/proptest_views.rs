@@ -16,8 +16,10 @@
 //! trait methods under test.
 
 use mmio_algos::registry::all_base_graphs;
+use mmio_cdag::base::Side;
 use mmio_cdag::build::build_cdag;
-use mmio_cdag::{BaseGraph, CdagView, IndexView, VertexId, VertexRef};
+use mmio_cdag::view::count_vertices;
+use mmio_cdag::{BaseGraph, CdagView, IndexView, Layer, VertexId, VertexRef, ViewError};
 use proptest::prelude::*;
 
 /// Registry bases with a depth cap keeping `G_r` small enough to
@@ -154,5 +156,73 @@ fn full_sweep_small_depth() {
         }
         assert_eq!(roots(&g), roots(&iv), "{} copy roots", base.name());
         assert_eq!(indeg(&g), indeg(&iv), "{} max indegree", base.name());
+    }
+}
+
+/// The overflow frontier: for every registry base, the largest `r` whose
+/// vertex count fits `u32` ids builds a view whose segments' first and
+/// last ids round-trip through `try_vref`/`try_id`, and `r + 1` is a typed
+/// error rather than a wrapped id.
+#[test]
+fn overflow_frontier_round_trips_and_beyond_is_typed() {
+    fn try_id<V: CdagView>(g: &V, v: VertexRef) -> Option<VertexId> {
+        g.try_id(v)
+    }
+    fn try_vref<V: CdagView>(g: &V, v: VertexId) -> Option<VertexRef> {
+        g.try_vref(v)
+    }
+    for base in all_base_graphs() {
+        let fits = |r| {
+            count_vertices(base.a() as u64, base.b() as u64, r)
+                .is_some_and(|n| n <= u32::MAX as u64)
+        };
+        let r = (1..).take_while(|&r| fits(r)).last().expect("G_1 fits");
+        let view = IndexView::from_base(&base, r);
+        let segments: Vec<(Layer, u32)> = [Layer::EncA, Layer::EncB, Layer::Dec]
+            .into_iter()
+            .flat_map(|layer| (0..=r).map(move |level| (layer, level)))
+            .collect();
+        let starts: Vec<u64> = segments
+            .iter()
+            .map(|&(layer, level)| {
+                let first = VertexRef {
+                    layer,
+                    level,
+                    mul: 0,
+                    entry: 0,
+                };
+                try_id(&view, first).expect("segment start").0 as u64
+            })
+            .chain([n_of(&view) as u64])
+            .collect();
+        assert_eq!(starts[0], 0, "{} r={r}", base.name());
+        for (i, &(layer, level)) in segments.iter().enumerate() {
+            let (first, last) = (starts[i], starts[i + 1] - 1);
+            assert!(first <= last, "{} r={r}: empty segment {i}", base.name());
+            for id in [first, last] {
+                let v = VertexId(id as u32);
+                let vr = try_vref(&view, v).expect("id in range");
+                assert_eq!(
+                    (vr.layer, vr.level),
+                    (layer, level),
+                    "{} r={r} id {id}",
+                    base.name()
+                );
+                assert_eq!(try_id(&view, vr), Some(v), "{} r={r} id {id}", base.name());
+            }
+        }
+        let beyond = IndexView::new(
+            base.n0(),
+            base.enc(Side::A),
+            base.enc(Side::B),
+            base.dec(),
+            r + 1,
+        );
+        assert!(
+            matches!(beyond, Err(ViewError::Params(_))),
+            "{} r={}: expected a typed Params error",
+            base.name(),
+            r + 1
+        );
     }
 }

@@ -27,7 +27,7 @@
 //! - [`reference`], the original dense O(P·V) engine, kept as the
 //!   equivalence oracle: on every instance both can run, totals *and*
 //!   the traced event stream are identical (enforced by the
-//!   conservation suite, proptests, and `exp_perf_distsim`).
+//!   conservation suite and proptests).
 //!
 //! [`simulate_traced`] records the full machine-level event stream
 //! (cache evictions/insertions, sends, receives, executions) so

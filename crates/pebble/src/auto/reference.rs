@@ -11,8 +11,9 @@
 //!
 //! The fast engine must produce identical [`IoStats`], an identical recorded
 //! [`Schedule`], and an identical eviction sequence for every policy — see
-//! the equivalence proptests in `crates/pebble/tests/engine_equivalence.rs`
-//! and the `exp_perf_pebble` bench, which asserts the contract on every run.
+//! `crates/pebble/tests/engine_equivalence.rs`: a proptest over random
+//! bases and a fixed Strassen `G_3` case under every policy. Only tests use
+//! this engine.
 
 use super::CacheTooSmall;
 use crate::policy::ReplacementPolicy;

@@ -2,7 +2,7 @@
 //!
 //! The model lets the scheduler choose *which* cached value to evict when
 //! space is needed; the choice changes the I/O count but not validity. The
-//! policies here span the design space the ablation bench measures: LRU
+//! policies here span the design space experiment E11 compares: LRU
 //! (realistic), Belady's MIN (offline-optimal eviction for a fixed compute
 //! order), and random (baseline).
 

@@ -24,8 +24,7 @@ impl IoStats {
 /// Internal event counts of the fast scheduler engine — not part of the
 /// model's cost accounting, but the observables that explain *why* a run was
 /// fast or slow (heap traffic vs free evictions). Reported by
-/// [`crate::auto::AutoScheduler::run_prepared`] and persisted by the
-/// `exp_perf_pebble` bench.
+/// [`crate::auto::AutoScheduler::run_prepared`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct EngineCounters {
     /// Evictions decided by the replacement policy (heap pop or scan).

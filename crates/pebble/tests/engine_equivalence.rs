@@ -65,6 +65,42 @@ fn make_policy(g: &Cdag, which: usize, seed: u64) -> Box<dyn ReplacementPolicy> 
     }
 }
 
+/// Runs both engines on `(g, order, m)` under the policy `policy_kind`
+/// and checks stats, schedule and victims agree, then replays the fast
+/// engine's schedule through the strict simulator.
+fn check_equivalent(
+    g: &Cdag,
+    order: &[VertexId],
+    m: usize,
+    policy_kind: usize,
+    policy_seed: u64,
+) -> Result<(), TestCaseError> {
+    let mut scratch = SchedScratch::new();
+    scratch.prepare(g, order);
+    let fast = AutoScheduler::new(g, m).run_prepared(
+        order,
+        &mut scratch,
+        make_policy(g, policy_kind, policy_seed).as_mut(),
+        RunOptions {
+            record_schedule: true,
+            record_victims: true,
+        },
+    );
+    let (ref_stats, ref_sched, ref_victims) = ReferenceScheduler::new(g, m)
+        .run_traced(order, make_policy(g, policy_kind, policy_seed).as_mut());
+
+    prop_assert_eq!(fast.stats, ref_stats);
+    prop_assert_eq!(fast.schedule.as_ref().unwrap(), &ref_sched);
+    prop_assert_eq!(fast.victims.as_ref().unwrap(), &ref_victims);
+
+    // Every recorded fast-engine schedule replays through the strict
+    // simulator with exactly the stats the engine reported.
+    let replayed: IoStats = simulate(g, fast.schedule.as_ref().unwrap(), m)
+        .expect("fast-engine schedule must be valid");
+    prop_assert_eq!(replayed, fast.stats);
+    Ok(())
+}
+
 proptest! {
     #[test]
     fn fast_engine_is_observationally_identical_to_reference(
@@ -80,27 +116,22 @@ proptest! {
         let g = build_cdag(&base, r);
         let order = pick_order(&g, order_kind, order_seed);
         let need = g.vertices().map(|v| g.preds(v).len()).max().unwrap_or(0) + 1;
-        let m = need + m_extra;
+        check_equivalent(&g, &order, need + m_extra, policy_kind, policy_seed)?;
+    }
+}
 
-        let mut scratch = SchedScratch::new();
-        scratch.prepare(&g, &order);
-        let fast = AutoScheduler::new(&g, m).run_prepared(
-            &order,
-            &mut scratch,
-            make_policy(&g, policy_kind, policy_seed).as_mut(),
-            RunOptions { record_schedule: true, record_victims: true },
-        );
-        let (ref_stats, ref_sched, ref_victims) = ReferenceScheduler::new(&g, m)
-            .run_traced(&order, make_policy(&g, policy_kind, policy_seed).as_mut());
-
-        prop_assert_eq!(fast.stats, ref_stats);
-        prop_assert_eq!(fast.schedule.as_ref().unwrap(), &ref_sched);
-        prop_assert_eq!(fast.victims.as_ref().unwrap(), &ref_victims);
-
-        // Every recorded fast-engine schedule replays through the strict
-        // simulator with exactly the stats the engine reported.
-        let replayed: IoStats = simulate(&g, fast.schedule.as_ref().unwrap(), m)
-            .expect("fast-engine schedule must be valid");
-        prop_assert_eq!(replayed, fast.stats);
+/// The proptest draws small random bases; this pins a real one deeper:
+/// Strassen `G_3` in recursive order under every policy, from a cache
+/// barely above the in-degree to one that holds most of the graph.
+#[test]
+fn strassen_r3_recursive_order_matches_reference() {
+    let g = build_cdag(&mmio_algos::strassen::strassen(), 3);
+    let order = orders::recursive_order(&g);
+    for policy_kind in 0..3 {
+        for m in [8usize, 32, 512] {
+            if let Err(e) = check_equivalent(&g, &order, m, policy_kind, 7) {
+                panic!("policy {policy_kind}, M = {m}: {e}");
+            }
+        }
     }
 }

@@ -5,9 +5,9 @@
 //! `mmio certify` prints [`certify_text`]; a serve `certify` response *is*
 //! [`certify_text`]. `mmio analyze <algo> <r> --json` prints
 //! [`analyze_json`]; a serve `analyze` response *is* [`analyze_json`].
-//! The fault harness and `exp_perf_serve` then enforce the equality
-//! end-to-end (cold, warm, restarted, at 1/2/8 threads), which pins the
-//! cache layer too: a snapshot that survived a crash must still replay
+//! The fault harness and the engine's warm-hit tests then enforce the
+//! equality end-to-end (cold, warm, restarted, under seeded fault
+//! campaigns), which pins the cache layer too: a snapshot that survived a crash must still replay
 //! the exact batch bytes.
 //!
 //! The view policy (`--view explicit|implicit|auto`) lives here for the

@@ -25,8 +25,8 @@
 //! response is **byte-identical** to the corresponding batch CLI output
 //! (`mmio certify`, `mmio analyze <algo> <r> --json`, the `cert emit`
 //! routing certificate) — both sides render through [`crate::ops`], and
-//! the fault harness plus `exp_perf_serve` enforce the equality at every
-//! concurrency. Parsing never panics on malformed input: every defect is
+//! the fault harness enforces the equality under concurrent fault
+//! campaigns. Parsing never panics on malformed input: every defect is
 //! a [`ParseError`] that the server turns into a `bad_request` response.
 
 use serde::Value;
