@@ -79,7 +79,6 @@ pub fn planted_lost_update() -> SyncTrace {
                 hit: false,
             },
         ),
-        (1, SyncEvent::CursorUndo { range: 0 }),
         (1, SyncEvent::WorkerDone { worker: 0 }),
         (2, SyncEvent::WorkerDone { worker: 1 }),
         (0, SyncEvent::WorkerJoin { worker: 0 }),

@@ -9,16 +9,15 @@
 //!
 //! 1. **Recorded traces** ([`lower`], backed by `mmio-parallel`'s
 //!    feature-gated sync-event instrumentation): real executions of the
-//!    work-stealing pool and the routing memo, replayed through a
+//!    pool and the routing memo, replayed through a
 //!    vector-clock happens-before race detector ([`hb`]) and direct
 //!    claim/fill-uniqueness scans. Witnesses one legal execution each.
 //! 2. **Bounded model checking** ([`explore`], [`models`]): virtual
-//!    replicas of `Pool::map`, `Pool::map_chunks`, and the memo protocol
-//!    — built on the *production* decision functions (`split_ranges`,
-//!    `pick_victim`, `chunk_count`, `chunk_bounds`) — explored over every
-//!    reachable state at small bounds, proving byte-identical output to
-//!    serial on every schedule plus absence of deadlocks, lost updates,
-//!    and double fills.
+//!    replicas of `Pool::map` (own range first, then every other range in
+//!    turn, split by the *production* `split_ranges`) and of the memo
+//!    protocol, explored over every reachable state at small bounds,
+//!    proving byte-identical output to serial on every schedule plus
+//!    absence of deadlocks, lost updates, and double fills.
 //! 3. **Distributed-run audits** (in `mmio-analyze::distsim`, driven from
 //!    the suite here): event-level re-verification of traced `distsim`
 //!    runs across the whole registry.
@@ -40,5 +39,5 @@ pub mod suite;
 pub use explore::{explore, Exploration, Limits, Model};
 pub use hb::{detect_races, HbAnalysis, VectorClock};
 pub use lower::{lower, scan_trace, Loc, Op, OpKind};
-pub use models::{ChunksModel, MemoModel, PoolMapModel};
+pub use models::{MemoModel, PoolMapModel};
 pub use suite::{run_suite, CheckOutcome};

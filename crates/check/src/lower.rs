@@ -6,8 +6,8 @@
 //! abstract sequence of acquires, releases, atomic RMWs, and plain shared
 //! accesses. The mapping mirrors the real synchronization:
 //!
-//! - a cursor `fetch_add`/`fetch_sub` is an [`OpKind::Rmw`] on that range's
-//!   cursor object; a *hit* additionally writes the claimed result slot
+//! - a cursor `fetch_add` is an [`OpKind::Rmw`] on that range's cursor
+//!   object; a *hit* additionally writes the claimed result slot
 //!   ([`Loc::Item`]) — the worker computes `f(i)` into memory only it may
 //!   touch;
 //! - `WorkerDone`/`WorkerJoin` are the release/acquire halves of
@@ -92,22 +92,12 @@ pub fn lower(trace: &SyncTrace) -> Vec<Op> {
                     claimed.push(i);
                 }
             }
-            SyncEvent::CursorUndo { range } => {
-                push(&mut ops, OpKind::Rmw(CURSOR_BASE + u64::from(range)));
-            }
-            SyncEvent::StealSelect { .. } => {
-                // Relaxed loads of the cursors: no HB edge, no shared
-                // non-atomic access. Nothing to lower.
-            }
             SyncEvent::WorkerDone { worker } => {
                 push(&mut ops, OpKind::Release(JOIN_BASE + u64::from(worker)));
             }
             SyncEvent::WorkerJoin { worker } => {
                 push(&mut ops, OpKind::Acquire(JOIN_BASE + u64::from(worker)));
                 joiner = Some(t);
-            }
-            SyncEvent::ChunkMerge { chunk } => {
-                push(&mut ops, OpKind::Access(Loc::Item(chunk), AccessKind::Read));
             }
             SyncEvent::MemoLock => push(&mut ops, OpKind::Acquire(MEMO_MUTEX)),
             SyncEvent::MemoUnlock => push(&mut ops, OpKind::Release(MEMO_MUTEX)),
@@ -120,8 +110,7 @@ pub fn lower(trace: &SyncTrace) -> Vec<Op> {
         }
     }
     // The caller's merge: after the joins, every claimed slot is read by
-    // the joining thread. (map_chunks traces additionally carry explicit
-    // ChunkMerge reads; duplicates are harmless.)
+    // the joining thread.
     if let Some(t) = joiner {
         claimed.sort_unstable();
         claimed.dedup();
@@ -237,7 +226,6 @@ mod tests {
                     hit: false,
                 },
             ),
-            (1, SyncEvent::CursorUndo { range: 0 }),
             (1, SyncEvent::WorkerDone { worker: 0 }),
             (2, SyncEvent::WorkerDone { worker: 1 }),
             (0, SyncEvent::WorkerJoin { worker: 0 }),
@@ -320,9 +308,8 @@ mod tests {
 
     #[test]
     fn same_index_different_ranges_is_fine() {
-        // map_chunks reuses index 0 in each range's local coordinates?
-        // No — ranges partition one global index space, but the scan keys
-        // on (range, index) so equal indices in different ranges (as a
+        // Ranges partition one global index space, but the scan keys on
+        // (range, index) so equal indices in different ranges (as a
         // defensive matter) do not alias.
         let t = trace(vec![
             (

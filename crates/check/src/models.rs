@@ -2,14 +2,14 @@
 //! bounded model checker.
 //!
 //! Model fidelity is the whole game: a paraphrased model proves nothing
-//! about the real pool. These models therefore make their *decisions*
-//! with the very functions the pool exports and uses itself —
-//! [`split_ranges`], [`pick_victim`], [`chunk_count`], [`chunk_bounds`] —
-//! and mirror its control flow statement by statement (own-range drain,
-//! overshoot-undo, victim snapshot loads one relaxed read per step,
-//! first-steal-miss terminates the worker). What the model checker then
-//! proves — every interleaving claims every index exactly once — is a
-//! statement about the algorithm the pool actually runs.
+//! about the real pool. [`PoolMapModel`] therefore splits the index space
+//! with the very [`split_ranges`] the pool uses and mirrors `Pool::map`'s
+//! control flow statement by statement: worker `w` claims from its own
+//! range with one atomic `fetch_add` per step until a claim lands past the
+//! range's end, then moves to range `(w + 1) % workers`, and so on through
+//! every range once, then terminates. What the model checker then proves —
+//! every interleaving claims every index exactly once — is a statement
+//! about the algorithm the pool actually runs.
 //!
 //! Each model also has a deliberately broken variant (a claim whose
 //! load and store are separate steps; a memo fill outside the critical
@@ -17,43 +17,18 @@
 //! that is the self-test demonstrating the checker has teeth.
 
 use crate::explore::Model;
-use mmio_parallel::pool::{chunk_bounds, chunk_count, pick_victim, split_ranges};
+use mmio_parallel::pool::split_ranges;
 
-/// Worker progress through the drain/steal loop.
+/// One virtual worker's program counter. `k` is the worker's position in
+/// its range order: worker `t` is on range `(t + k) % workers`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-enum Mode {
-    /// Draining the worker's own range.
-    Own,
-    /// First claim on a freshly selected victim (`drain_one`): a miss
-    /// here exits the steal loop.
-    StealFirst,
-    /// Continuing drain of a victim after a successful first steal.
-    Steal,
-}
-
-impl Mode {
-    fn after_hit(self) -> Mode {
-        match self {
-            Mode::Own => Mode::Own,
-            Mode::StealFirst | Mode::Steal => Mode::Steal,
-        }
-    }
-}
-
-/// One virtual worker's program counter.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 enum Pc {
-    /// Atomic `fetch_add` claim on `range` (the correct pool).
-    Claim { range: usize, mode: Mode },
+    /// Atomic `fetch_add` claim (the correct pool).
+    Claim { k: usize },
     /// Broken claim, load half: read the cursor, remember it.
-    ClaimLoad { range: usize, mode: Mode },
+    ClaimLoad { k: usize },
     /// Broken claim, store half: write back `i + 1` and take `i`.
-    ClaimStore { range: usize, i: usize, mode: Mode },
-    /// Compensating `fetch_sub` after an overshooting claim.
-    Undo { range: usize, mode: Mode },
-    /// Loading the per-range cursor snapshot (one load per step) that
-    /// feeds victim selection.
-    Select { loaded: Vec<usize> },
+    ClaimStore { k: usize, i: usize },
     /// Terminated.
     Done,
 }
@@ -94,32 +69,38 @@ impl PoolMapModel {
             cursors: ranges.iter().map(|&(s, _)| s).collect(),
             ends: ranges.iter().map(|&(_, e)| e).collect(),
             atomic,
-            pcs: (0..workers)
-                .map(|w| PoolMapModel::claim_pc(atomic, w, Mode::Own))
-                .collect(),
+            pcs: vec![PoolMapModel::claim_pc(atomic, 0); workers],
             claims: vec![0; n],
         }
     }
 
-    fn claim_pc(atomic: bool, range: usize, mode: Mode) -> Pc {
+    fn claim_pc(atomic: bool, k: usize) -> Pc {
         if atomic {
-            Pc::Claim { range, mode }
+            Pc::Claim { k }
         } else {
-            Pc::ClaimLoad { range, mode }
+            Pc::ClaimLoad { k }
         }
     }
 
-    /// A claim of `i` on `range` landed: record it and advance `mode`.
-    fn land(&mut self, t: usize, range: usize, i: usize, mode: Mode) {
-        if i < self.ends[range] {
+    /// The range worker `t` claims from at order position `k`.
+    fn range(&self, t: usize, k: usize) -> usize {
+        (t + k) % self.pcs.len()
+    }
+
+    /// Worker `t`'s claim of `i` at order position `k` landed: record a
+    /// hit and claim again, or move on to the next range after a miss.
+    fn land(&mut self, t: usize, k: usize, i: usize) {
+        if i < self.ends[self.range(t, k)] {
             // Cap at 3 ("three or more"): the racy variant can re-claim an
             // index unboundedly via cursor regress, and collapsing the
             // count folds those runaway futures into cycles the explorer
             // detects as livelocks instead of an infinite state space.
             self.claims[i] = (self.claims[i] + 1).min(3);
-            self.pcs[t] = PoolMapModel::claim_pc(self.atomic, range, mode.after_hit());
+            self.pcs[t] = PoolMapModel::claim_pc(self.atomic, k);
+        } else if k + 1 < self.pcs.len() {
+            self.pcs[t] = PoolMapModel::claim_pc(self.atomic, k + 1);
         } else {
-            self.pcs[t] = Pc::Undo { range, mode };
+            self.pcs[t] = Pc::Done;
         }
     }
 }
@@ -140,131 +121,39 @@ impl Model for PoolMapModel {
     }
 
     fn step(&mut self, t: usize) {
-        match self.pcs[t].clone() {
-            Pc::Claim { range, mode } => {
-                let i = self.cursors[range];
-                self.cursors[range] += 1;
-                self.land(t, range, i, mode);
+        match self.pcs[t] {
+            Pc::Claim { k } => {
+                let r = self.range(t, k);
+                let i = self.cursors[r];
+                self.cursors[r] += 1;
+                self.land(t, k, i);
             }
-            Pc::ClaimLoad { range, mode } => {
-                let i = self.cursors[range];
-                self.pcs[t] = Pc::ClaimStore { range, i, mode };
+            Pc::ClaimLoad { k } => {
+                let i = self.cursors[self.range(t, k)];
+                self.pcs[t] = Pc::ClaimStore { k, i };
             }
-            Pc::ClaimStore { range, i, mode } => {
+            Pc::ClaimStore { k, i } => {
                 // The lost update: another thread may have loaded the same
                 // cursor value between our load and this store.
-                self.cursors[range] = i + 1;
-                self.land(t, range, i, mode);
-            }
-            Pc::Undo { range, mode } => {
-                // Saturating: with racy claims, interleaved undos can
-                // otherwise push a cursor below zero.
-                self.cursors[range] = self.cursors[range].saturating_sub(1);
-                self.pcs[t] = match mode {
-                    // After a failed own-drain or exhausted steal-drain the
-                    // worker (re)enters the steal loop; a first-steal miss
-                    // terminates it (`break` in `Pool::map`).
-                    Mode::Own | Mode::Steal => Pc::Select { loaded: Vec::new() },
-                    Mode::StealFirst => Pc::Done,
-                };
-            }
-            Pc::Select { mut loaded } => {
-                // One relaxed cursor load per step, like the real snapshot.
-                let r = loaded.len();
-                loaded.push(self.ends[r].saturating_sub(self.cursors[r]));
-                self.pcs[t] = if loaded.len() == self.cursors.len() {
-                    let victim = pick_victim(loaded).expect("at least one range");
-                    PoolMapModel::claim_pc(self.atomic, victim, Mode::StealFirst)
-                } else {
-                    Pc::Select { loaded }
-                };
+                let r = self.range(t, k);
+                self.cursors[r] = i + 1;
+                self.land(t, k, i);
             }
             Pc::Done => unreachable!("stepping a finished thread"),
         }
     }
 
     fn next_object(&self, t: usize) -> Option<u64> {
-        match &self.pcs[t] {
-            Pc::Claim { range, .. }
-            | Pc::ClaimLoad { range, .. }
-            | Pc::ClaimStore { range, .. }
-            | Pc::Undo { range, .. } => Some(*range as u64),
-            Pc::Select { loaded } => Some(loaded.len() as u64),
+        match self.pcs[t] {
+            Pc::Claim { k } | Pc::ClaimLoad { k } | Pc::ClaimStore { k, .. } => {
+                Some(self.range(t, k) as u64)
+            }
             Pc::Done => None,
         }
     }
 
     fn output(&self) -> Vec<u8> {
         self.claims.clone()
-    }
-}
-
-/// A bounded model of `Pool::map_chunks`: the same claim machine over the
-/// chunk index space, plus the caller's fixed-order fold.
-///
-/// The output is the folded total where chunk `c` contributes its claim
-/// count times a per-chunk value derived from [`chunk_bounds`] — so a
-/// chunk claimed twice (or never) shifts the total, exactly like a lost
-/// or duplicated update would shift a sharded counter.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub struct ChunksModel {
-    inner: PoolMapModel,
-    n: usize,
-    /// Number of chunks, from the production [`chunk_count`] arithmetic.
-    pub chunks: usize,
-}
-
-impl ChunksModel {
-    /// Models `Pool::map_chunks(n, chunks_per_worker, ..)` at `workers`
-    /// threads with the production chunk arithmetic.
-    pub fn new(n: usize, workers: usize, chunks_per_worker: usize) -> ChunksModel {
-        let chunks = chunk_count(workers, chunks_per_worker, n);
-        ChunksModel {
-            inner: PoolMapModel::new(chunks, workers.min(chunks)),
-            n,
-            chunks,
-        }
-    }
-
-    /// The fold value of one chunk: Σ (i+1) over its item range.
-    fn chunk_value(&self, c: usize) -> u64 {
-        chunk_bounds(self.n, self.chunks, c)
-            .map(|i| i as u64 + 1)
-            .sum()
-    }
-
-    /// The serial result the fold must reproduce on every schedule.
-    pub fn serial(&self) -> u64 {
-        (0..self.chunks).map(|c| self.chunk_value(c)).sum()
-    }
-}
-
-impl Model for ChunksModel {
-    type Output = u64;
-
-    fn threads(&self) -> usize {
-        self.inner.threads()
-    }
-    fn enabled(&self, t: usize) -> bool {
-        self.inner.enabled(t)
-    }
-    fn finished(&self, t: usize) -> bool {
-        self.inner.finished(t)
-    }
-    fn step(&mut self, t: usize) {
-        self.inner.step(t);
-    }
-    fn next_object(&self, t: usize) -> Option<u64> {
-        self.inner.next_object(t)
-    }
-
-    fn output(&self) -> u64 {
-        // The caller-side fold visits chunks in fixed index order; its
-        // result depends only on the claim multiset, which is what the
-        // exploration quantifies over.
-        (0..self.chunks)
-            .map(|c| u64::from(self.inner.claims[c]) * self.chunk_value(c))
-            .sum()
     }
 }
 
@@ -443,15 +332,6 @@ mod tests {
             "the explorer failed to find the planted lost update: {:?}",
             e.outputs
         );
-    }
-
-    #[test]
-    fn chunks_model_is_serial_on_every_schedule() {
-        let m = ChunksModel::new(8, 2, 2);
-        assert_eq!(m.chunks, 4);
-        let serial = m.serial();
-        let e = explore(&m, Limits::default());
-        assert!(e.all_equal_to(&serial), "{:?}", e.outputs);
     }
 
     #[test]

@@ -27,33 +27,6 @@ fn fuzz_map_matches_serial_across_thread_counts() {
     }
 }
 
-/// `map_chunks` with an order-sensitive fold (concatenation): any chunk
-/// claimed twice, dropped, or merged out of order changes the bytes.
-#[test]
-fn fuzz_map_chunks_matches_serial_across_thread_counts() {
-    let mut rng = StdRng::seed_from_u64(0xFEED);
-    for round in 0..40 {
-        let n = rng.gen_range(1usize..120);
-        let cpw = rng.gen_range(1usize..5);
-        let expected: Vec<usize> = (0..n).collect();
-        for threads in [1, 2, 8] {
-            let got = Pool::new(threads).map_chunks(
-                n,
-                cpw,
-                |r| r.collect::<Vec<usize>>(),
-                |mut a, b| {
-                    a.extend(b);
-                    a
-                },
-            );
-            assert_eq!(
-                got, expected,
-                "round {round}: n={n} cpw={cpw} threads={threads}"
-            );
-        }
-    }
-}
-
 /// Walks the model under one random schedule to a maximal state; returns
 /// the output, or `None` on a deadlock (never reached for these models)
 /// or when the walk exceeds `max_steps` (a livelock-ish run).

@@ -325,7 +325,7 @@ fn run() -> Result<ExitCode, CliError> {
     let json = args.iter().any(|a| a == "--json");
     args.retain(|a| a != "--json");
     let pool = Pool::from_env(explicit_threads);
-    let Some(cmd) = args.first() else {
+    let Some(cmd) = args.first().cloned() else {
         return Err("no command".into());
     };
     match cmd.as_str() {
@@ -711,32 +711,24 @@ fn run() -> Result<ExitCode, CliError> {
             }
         }
         "serve" => {
-            let flag_value = |name: &str| -> Option<&String> {
-                args.iter()
-                    .position(|a| a == name)
-                    .and_then(|i| args.get(i + 1))
-            };
-            let parse_flag = |name: &str, default: u64| -> Result<u64, CliError> {
-                match flag_value(name) {
+            let mut parse_flag = |name: &str, default: u64| -> Result<u64, CliError> {
+                match extract_value(&mut args, name)? {
                     None => Ok(default),
                     Some(v) => v
                         .parse()
                         .map_err(|_| CliError::Usage(format!("invalid {name} value '{v}'"))),
                 }
             };
-            let socket = flag_value("--socket")
-                .cloned()
-                .ok_or("missing --socket PATH")?;
             let workers = parse_flag("--workers", 2)? as usize;
+            let queue_cap = parse_flag("--queue-cap", 64)? as usize;
+            let deadline_ms = parse_flag("--deadline-ms", 30_000)?;
+            let socket = extract_value(&mut args, "--socket")?.ok_or("missing --socket PATH")?;
             let cfg = mmio_serve::EngineConfig {
                 workers,
-                queue_cap: parse_flag("--queue-cap", 64)? as usize,
+                queue_cap,
                 max_spawns: workers.saturating_mul(4),
-                default_deadline: std::time::Duration::from_millis(parse_flag(
-                    "--deadline-ms",
-                    30_000,
-                )?),
-                cache_dir: flag_value("--cache").map(std::path::PathBuf::from),
+                default_deadline: std::time::Duration::from_millis(deadline_ms),
+                cache_dir: extract_value(&mut args, "--cache")?.map(std::path::PathBuf::from),
                 pool_threads: pool.threads(),
             };
             let hook: std::sync::Arc<dyn mmio_serve::FaultHook> =
@@ -758,16 +750,7 @@ fn run() -> Result<ExitCode, CliError> {
             server.run().map_err(|e| CliError::io(&socket, e))?;
         }
         "audit" => {
-            let baseline = args
-                .iter()
-                .position(|a| a == "--baseline")
-                .map(|i| {
-                    args.get(i + 1)
-                        .cloned()
-                        .ok_or_else(|| CliError::Usage("--baseline needs a FILE".to_string()))
-                })
-                .transpose()?
-                .map(std::path::PathBuf::from);
+            let baseline = extract_value(&mut args, "--baseline")?.map(std::path::PathBuf::from);
             let cwd = std::env::current_dir().map_err(|e| CliError::io(".", e))?;
             let root = mmio_audit::find_workspace_root(&cwd)
                 .ok_or_else(|| CliError::io(cwd.display(), "no workspace Cargo.toml above"))?;
@@ -788,14 +771,13 @@ fn run() -> Result<ExitCode, CliError> {
         }
         "distsim" => {
             use mmio_parallel::distsim::{MachineModel, Topology};
+            let procs = extract_value(&mut args, "--procs")?;
+            let mem = extract_value(&mut args, "--mem")?;
+            let assign = extract_value(&mut args, "--assign")?;
+            let topo = extract_value(&mut args, "--topo")?;
             let base = resolve(args.get(1).ok_or("missing algorithm")?)?;
             let k: u32 = parse(args.get(2), "k")?;
-            let flag_value = |name: &str| -> Option<&String> {
-                args.iter()
-                    .position(|a| a == name)
-                    .and_then(|i| args.get(i + 1))
-            };
-            let p: u32 = match flag_value("--procs") {
+            let p: u32 = match procs {
                 Some(v) => v
                     .parse()
                     .map_err(|_| format!("invalid --procs value '{v}'"))?,
@@ -804,20 +786,14 @@ fn run() -> Result<ExitCode, CliError> {
             if p == 0 {
                 return Err("--procs must be ≥ 1".into());
             }
-            let mem: Option<usize> = match flag_value("--mem") {
-                Some(v) => Some(
-                    v.parse()
-                        .map_err(|_| format!("invalid --mem value '{v}'"))?,
-                ),
-                None => None,
-            };
-            let assign_name = flag_value("--assign")
-                .map(String::as_str)
-                .unwrap_or("cyclic");
-            let machine = match flag_value("--topo") {
+            let mem: Option<usize> = mem
+                .map(|v| v.parse().map_err(|_| format!("invalid --mem value '{v}'")))
+                .transpose()?;
+            let assign_name = assign.as_deref().unwrap_or("cyclic");
+            let machine = match topo {
                 None => None,
                 Some(t) => Some(MachineModel::new(
-                    Topology::parse(t, p).map_err(CliError::Usage)?,
+                    Topology::parse(&t, p).map_err(CliError::Usage)?,
                     1,
                     1,
                     1,

@@ -144,6 +144,46 @@ fn analyze_reads_r_wherever_json_stands() {
 }
 
 #[test]
+fn distsim_reads_operands_wherever_flags_stand() {
+    let want = mmio(&["distsim", "strassen", "2", "--procs", "8", "--topo", "ring"]);
+    assert!(want.status.success());
+    assert!(String::from_utf8_lossy(&want.stdout).contains("P=8"));
+    for args in [
+        ["distsim", "--procs", "8", "strassen", "2", "--topo", "ring"],
+        ["distsim", "--topo", "ring", "strassen", "--procs", "8", "2"],
+    ] {
+        let got = mmio(&args);
+        assert_eq!(got.status.code(), want.status.code(), "{args:?}");
+        assert_eq!(got.stdout, want.stdout, "{args:?}");
+    }
+}
+
+#[test]
+fn flag_without_value_is_a_usage_error() {
+    let socket = std::env::temp_dir().join(format!("mmio_cli_novalue_{}", std::process::id()));
+    let socket = socket.to_str().unwrap();
+    for args in [
+        &["distsim", "strassen", "2", "--procs"][..],
+        &["distsim", "strassen", "2", "--mem"],
+        &["distsim", "strassen", "2", "--assign"],
+        &["distsim", "strassen", "2", "--topo"],
+        &["serve", "--socket", socket, "--workers"],
+        &["serve", "--socket", socket, "--queue-cap"],
+        &["serve", "--socket", socket, "--deadline-ms"],
+        &["serve", "--socket", socket, "--cache"],
+        &["serve", "--socket"],
+        &["audit", "--baseline"],
+    ] {
+        let out = mmio(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("missing value for"),
+            "{args:?}"
+        );
+    }
+}
+
+#[test]
 fn cert_emit_reads_r_wherever_flags_stand() {
     let dir = std::env::temp_dir().join(format!("mmio_cli_emit_order_{}", std::process::id()));
     let out = dir.to_str().unwrap();

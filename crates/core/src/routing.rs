@@ -22,7 +22,7 @@ pub struct VertexHitCounter<'g> {
 }
 
 /// Summary statistics of a verified routing.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub struct RoutingStats {
     /// Number of paths in the routing.
     pub paths: u64,

@@ -232,6 +232,25 @@ mod tests {
     }
 
     #[test]
+    fn verify_with_is_thread_count_invariant() {
+        // The sharded path (`threads > 1`) is separate code from the
+        // serial `route_all` stream; both must give the same stats.
+        for base in [strassen(), winograd()] {
+            let g = build_cdag(&base, 2);
+            let routing = InOutRouting::new(&g).unwrap();
+            let serial = routing.verify();
+            for threads in [2, 3, 8] {
+                assert_eq!(
+                    routing.verify_with(&Pool::new(threads)),
+                    serial,
+                    "{} threads={threads}",
+                    base.name()
+                );
+            }
+        }
+    }
+
+    #[test]
     fn routing_theorem_holds_for_winograd() {
         let g = build_cdag(&winograd(), 2);
         let routing = InOutRouting::new(&g).unwrap();

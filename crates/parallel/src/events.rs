@@ -1,19 +1,19 @@
 //! Sync-event instrumentation: a zero-cost-when-disabled shim over the
 //! workspace's synchronization points.
 //!
-//! The work-stealing [`crate::pool::Pool`] and the `mmio-core` routing memo
-//! are load-bearing concurrency: every certification and bench path runs
+//! The [`crate::pool::Pool`] and the `mmio-core` routing memo are
+//! load-bearing concurrency: every certification and bench path runs
 //! through them. `mmio-check` re-verifies that concurrency with a
 //! happens-before race detector over *recorded* executions — which needs a
-//! trace of every synchronization action (cursor fetch-adds, steal victim
-//! selection, worker joins, memo lock/fill/hit) in a total order.
+//! trace of every synchronization action (range-cursor claims, worker
+//! completion and joins, memo lock/fill/hit/unlock) in a total order.
 //!
 //! This module is that tap. Call sites emit a [`SyncEvent`] through
 //! [`emit`]; the call compiles to nothing unless the `trace` cargo feature
 //! is enabled, and even then it is a single relaxed load unless a recording
-//! session ([`record`]) is active. The `bench-smoke` CI job builds
-//! `mmio-bench` without the feature, so the hot paths it measures contain
-//! no instrumentation at all.
+//! session ([`record`]) is active. Builds that select no crate enabling
+//! the feature (`-p mmio-parallel`, `-p mmio-serve`, `-p mmio-bench`)
+//! contain no instrumentation at all.
 //!
 //! ## Ordering caveat
 //!
@@ -39,17 +39,7 @@ pub enum SyncEvent {
         /// Whether `claimed < end` (the claim produced work).
         hit: bool,
     },
-    /// Compensating `fetch_sub` after an overshooting claim.
-    CursorUndo {
-        /// Range whose cursor is restored.
-        range: u32,
-    },
-    /// A steal iteration selected `victim` as the most-loaded range.
-    StealSelect {
-        /// Range chosen by [`crate::pool::pick_victim`].
-        victim: u32,
-    },
-    /// Worker `worker` finished its drain/steal loop (last worker event).
+    /// Worker `worker` finished draining every range (last worker event).
     WorkerDone {
         /// Pool-local worker index.
         worker: u32,
@@ -58,11 +48,6 @@ pub enum SyncEvent {
     WorkerJoin {
         /// Pool-local worker index.
         worker: u32,
-    },
-    /// The fixed-order fold of `map_chunks` consumed chunk `chunk`.
-    ChunkMerge {
-        /// Chunk index being merged.
-        chunk: u64,
     },
     /// The routing-memo mutex was acquired.
     MemoLock,

@@ -45,4 +45,4 @@ pub mod executor;
 pub mod pool;
 
 pub use bandwidth::BandwidthReport;
-pub use pool::{JoinError, Pool};
+pub use pool::Pool;

@@ -1,22 +1,27 @@
-//! A work-stealing thread pool for deterministic fan-out of indexed work.
+//! A thread pool for deterministic fan-out of indexed work.
 //!
 //! The workspace's verification workloads — per-copy routing transport,
 //! hit-count verification, segment audits, registry-wide static analysis —
-//! are all *indexed* families of independent tasks `f(0), …, f(n-1)`. This
-//! pool runs them on scoped worker threads: the index space is split into
-//! per-worker ranges, each worker drains its own range through an atomic
-//! cursor, and a worker whose range is exhausted *steals* indices from the
-//! most-loaded remaining range. Results are merged back **in index order**,
+//! are all *indexed* families of independent tasks `f(0), …, f(n-1)`,
+//! handed to the pool already coarse (a few chunks per worker, one shard
+//! or grid point per task). This pool runs them on scoped worker threads:
+//! the index space is split into one contiguous range per worker
+//! ([`split_ranges`]); worker `w` drains its own range through that
+//! range's atomic cursor, then every other range in the fixed order
+//! `(w + 1) % workers, (w + 2) % workers, …`, so no index is left behind
+//! a slow worker. A claim is one `fetch_add`; a claim past the range's end
+//! just moves the worker on. Results are merged back **in index order**,
 //! so the output of [`Pool::map`] is byte-for-byte identical to the serial
-//! loop regardless of thread count, interleaving, or which worker ran which
-//! index — the determinism contract the golden tests and the CI
-//! `bench-smoke` job enforce.
+//! loop regardless of thread count, interleaving, or which worker ran
+//! which index — the determinism contract the golden tests enforce.
 //!
-//! The scheduling *decisions* — range splitting ([`split_ranges`]), victim
-//! selection ([`pick_victim`]), chunk arithmetic ([`chunk_count`],
-//! [`chunk_bounds`]) — are exported as pure functions so that
-//! `mmio-check`'s bounded model checker replays the same algorithm under
-//! exhaustive schedules instead of a paraphrase of it, and every
+//! Each worker starts on its own range rather than all workers taking
+//! turns on one shared cursor: a shared cursor scatters neighbouring tasks
+//! over all threads, and with glibc's per-thread malloc arenas that raised
+//! the distributed simulator's peak memory markedly.
+//!
+//! `mmio-check`'s bounded model checker replays this algorithm under
+//! exhaustive schedules, built on the same [`split_ranges`], and every
 //! synchronization point emits a [`crate::events`] sync event (compiled
 //! out unless the `trace` feature is on).
 //!
@@ -27,37 +32,7 @@
 //! the available-parallelism fallback is used instead.
 
 use crate::events::{self, SyncEvent};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// A task panicked inside [`Pool::try_map`] / [`Pool::try_map_chunks`]:
-/// the lowest panicking index (deterministic at any thread count and
-/// interleaving) plus its panic message.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct JoinError {
-    /// The lowest index (or chunk index) whose task panicked.
-    pub index: usize,
-    /// The panic payload, when it was a string (the common case).
-    pub message: String,
-}
-
-impl std::fmt::Display for JoinError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "task {} panicked: {}", self.index, self.message)
-    }
-}
-
-impl std::error::Error for JoinError {}
-
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
 
 /// A fixed-width thread pool. `threads == 1` runs every task inline on the
 /// caller's thread with no synchronization at all, so the serial path is
@@ -79,32 +54,6 @@ pub fn split_ranges(n: usize, workers: usize) -> Vec<(usize, usize)> {
     (0..workers)
         .map(|w| (n * w / workers, n * (w + 1) / workers))
         .collect()
-}
-
-/// Victim-selection rule of the steal loop: the index of the range with
-/// the most work remaining, ties broken towards the *last* such range
-/// (`Iterator::max_by_key` semantics, kept bit-compatible with the
-/// pre-refactor code). `None` only on an empty iterator.
-pub fn pick_victim<I: IntoIterator<Item = usize>>(remaining: I) -> Option<usize> {
-    let mut best: Option<(usize, usize)> = None;
-    for (i, rem) in remaining.into_iter().enumerate() {
-        match best {
-            Some((_, b)) if rem < b => {}
-            _ => best = Some((i, rem)),
-        }
-    }
-    best.map(|(i, _)| i)
-}
-
-/// Number of chunks [`Pool::map_chunks`] splits `n` items into at a given
-/// thread count: `threads · chunks_per_worker`, clamped to `[1, n]`.
-pub fn chunk_count(threads: usize, chunks_per_worker: usize, n: usize) -> usize {
-    (threads * chunks_per_worker.max(1)).min(n).max(1)
-}
-
-/// The half-open item range of chunk `c` out of `chunks` over `n` items.
-pub fn chunk_bounds(n: usize, chunks: usize, c: usize) -> std::ops::Range<usize> {
-    n * c / chunks..n * (c + 1) / chunks
 }
 
 /// Resolution of a thread-count request against an (already read)
@@ -172,6 +121,11 @@ impl Pool {
     /// Applies `f` to every index in `0..n` and returns the results in
     /// index order. Deterministic: the returned vector never depends on
     /// scheduling (only on `f` itself being a function of its index).
+    ///
+    /// A panicking task panics the call with that task's own payload, at
+    /// any thread count: every worker is joined first (the others finish
+    /// the remaining indices), then the first failed worker's payload is
+    /// resumed.
     pub fn map<T, F>(&self, n: usize, f: F) -> Vec<T>
     where
         T: Send,
@@ -193,159 +147,59 @@ impl Pool {
         let ranges = &ranges;
         let f = &f;
 
-        let mut tagged: Vec<(usize, T)> = std::thread::scope(|s| {
+        let mut tagged: Vec<(usize, T)> = Vec::with_capacity(n);
+        let mut panicked = None;
+        std::thread::scope(|s| {
             let handles: Vec<_> = (0..workers)
                 .map(|w| {
                     s.spawn(move || {
                         let mut out: Vec<(usize, T)> = Vec::new();
-                        // Drain the worker's own range, then steal.
-                        drain(&ranges[w], w as u32, f, &mut out);
-                        loop {
-                            // Steal from the victim with the most work left.
-                            let victim =
-                                pick_victim(ranges.iter().map(|r| {
-                                    r.end.saturating_sub(r.cursor.load(Ordering::Relaxed))
-                                }))
-                                .expect("at least one range");
-                            events::emit(SyncEvent::StealSelect {
-                                victim: victim as u32,
-                            });
-                            if !drain_one(&ranges[victim], victim as u32, f, &mut out) {
-                                break;
-                            }
-                            drain(&ranges[victim], victim as u32, f, &mut out);
+                        // Own range first, then every other range in turn.
+                        for k in 0..workers {
+                            let r = (w + k) % workers;
+                            drain(&ranges[r], r as u32, f, &mut out);
                         }
                         events::emit(SyncEvent::WorkerDone { worker: w as u32 });
                         out
                     })
                 })
                 .collect();
-            let mut all: Vec<(usize, T)> = Vec::with_capacity(n);
             for (w, h) in handles.into_iter().enumerate() {
-                all.extend(h.join().expect("pool worker panicked"));
+                match h.join() {
+                    Ok(out) => tagged.extend(out),
+                    Err(payload) => {
+                        panicked.get_or_insert(payload);
+                    }
+                }
                 events::emit(SyncEvent::WorkerJoin { worker: w as u32 });
             }
-            all
         });
+        if let Some(payload) = panicked {
+            std::panic::resume_unwind(payload);
+        }
 
         debug_assert_eq!(tagged.len(), n, "every index claimed exactly once");
         tagged.sort_unstable_by_key(|&(i, _)| i);
         tagged.into_iter().map(|(_, v)| v).collect()
     }
-
-    /// Splits `n` items into at most `chunks_per_worker · threads` contiguous
-    /// chunks (each a `start..end` range), maps every chunk through `f` on
-    /// the pool, and folds the chunk results **in chunk order** into `init`.
-    ///
-    /// This is the sharded-counter pattern: each chunk accumulates into its
-    /// own counter, and because the fold visits chunks in a fixed order the
-    /// merged result is independent of scheduling. With `threads == 1` the
-    /// whole computation degenerates to one chunk folded serially.
-    pub fn map_chunks<T, F, M>(&self, n: usize, chunks_per_worker: usize, f: F, mut merge: M) -> T
-    where
-        T: Send + Default,
-        F: Fn(std::ops::Range<usize>) -> T + Sync,
-        M: FnMut(T, T) -> T,
-    {
-        if n == 0 {
-            return T::default();
-        }
-        let chunks = chunk_count(self.threads, chunks_per_worker, n);
-        let results = self.map(chunks, |c| f(chunk_bounds(n, chunks, c)));
-        let mut acc = T::default();
-        for (c, r) in results.into_iter().enumerate() {
-            events::emit(SyncEvent::ChunkMerge { chunk: c as u64 });
-            acc = merge(acc, r);
-        }
-        acc
-    }
-
-    /// [`Pool::map`] with panic isolation: every task runs under
-    /// `catch_unwind`, so a panicking task becomes a typed [`JoinError`]
-    /// instead of tearing down the caller — and, critically, instead of
-    /// wedging the steal loop: the remaining indices still run to
-    /// completion (their results are discarded on error), every worker
-    /// joins, and the pool is immediately reusable.
-    ///
-    /// On multiple panics the error reports the **lowest** panicking
-    /// index, so the outcome is deterministic at any thread count — the
-    /// same contract [`Pool::map`] gives for values, extended to failures.
-    pub fn try_map<T, F>(&self, n: usize, f: F) -> Result<Vec<T>, JoinError>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        let raw = self.map(n, |i| {
-            catch_unwind(AssertUnwindSafe(|| f(i))).map_err(panic_message)
-        });
-        let mut out = Vec::with_capacity(n);
-        for (index, r) in raw.into_iter().enumerate() {
-            match r {
-                Ok(v) => out.push(v),
-                Err(message) => return Err(JoinError { index, message }),
-            }
-        }
-        Ok(out)
-    }
-
-    /// [`Pool::map_chunks`] with panic isolation: a panicking chunk
-    /// becomes a typed [`JoinError`] carrying the lowest panicking *chunk*
-    /// index; the merge fold never runs on a partial result set.
-    pub fn try_map_chunks<T, F, M>(
-        &self,
-        n: usize,
-        chunks_per_worker: usize,
-        f: F,
-        mut merge: M,
-    ) -> Result<T, JoinError>
-    where
-        T: Send + Default,
-        F: Fn(std::ops::Range<usize>) -> T + Sync,
-        M: FnMut(T, T) -> T,
-    {
-        if n == 0 {
-            return Ok(T::default());
-        }
-        let chunks = chunk_count(self.threads, chunks_per_worker, n);
-        let results = self.try_map(chunks, |c| f(chunk_bounds(n, chunks, c)))?;
-        let mut acc = T::default();
-        for (c, r) in results.into_iter().enumerate() {
-            events::emit(SyncEvent::ChunkMerge { chunk: c as u64 });
-            acc = merge(acc, r);
-        }
-        Ok(acc)
-    }
 }
 
-/// Claims and runs every remaining index of `range`.
+/// Claims and runs indices of `range` until a claim lands past its end.
+/// The overshooting `fetch_add` is left in place: nothing reads the cursor
+/// except later claims, which miss as well.
 fn drain<T, F: Fn(usize) -> T>(range: &Range, ri: u32, f: &F, out: &mut Vec<(usize, T)>) {
-    while drain_one(range, ri, f, out) {}
-}
-
-/// Claims one index of `range` if any remain; returns whether it did.
-fn drain_one<T, F: Fn(usize) -> T>(
-    range: &Range,
-    ri: u32,
-    f: &F,
-    out: &mut Vec<(usize, T)>,
-) -> bool {
-    let i = range.cursor.fetch_add(1, Ordering::Relaxed);
-    let hit = i < range.end;
-    events::emit(SyncEvent::CursorFetchAdd {
-        range: ri,
-        claimed: i as u64,
-        hit,
-    });
-    if hit {
+    loop {
+        let i = range.cursor.fetch_add(1, Ordering::Relaxed);
+        let hit = i < range.end;
+        events::emit(SyncEvent::CursorFetchAdd {
+            range: ri,
+            claimed: i as u64,
+            hit,
+        });
+        if !hit {
+            return;
+        }
         out.push((i, f(i)));
-        true
-    } else {
-        // Undo the overshoot so `end - cursor` stays a sane "work left"
-        // estimate for victim selection (saturating, so benign if several
-        // workers overshoot concurrently).
-        range.cursor.fetch_sub(1, Ordering::Relaxed);
-        events::emit(SyncEvent::CursorUndo { range: ri });
-        false
     }
 }
 
@@ -384,7 +238,7 @@ mod tests {
     #[test]
     fn stealing_covers_skewed_work() {
         // Front-loaded work: the first quarter of the indices are slow, so
-        // workers that finish their own range must steal to help.
+        // workers that finish their own range must drain worker 0's.
         let pool = Pool::new(4);
         let out = pool.map(64, |i| {
             if i < 16 {
@@ -393,40 +247,6 @@ mod tests {
             i
         });
         assert_eq!(out, (0..64).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn map_chunks_merges_in_order() {
-        for threads in [1, 2, 8] {
-            let pool = Pool::new(threads);
-            let total = pool.map_chunks(
-                1000,
-                4,
-                |range| range.map(|i| i as u64).sum::<u64>(),
-                |a: u64, b: u64| a + b,
-            );
-            assert_eq!(total, 999 * 1000 / 2);
-        }
-    }
-
-    #[test]
-    fn map_chunks_concatenation_is_deterministic() {
-        // A non-commutative merge (concatenation) still gives the serial
-        // answer because chunks fold in fixed order.
-        let serial: Vec<usize> = (0..257).collect();
-        for threads in [2, 5, 8] {
-            let pool = Pool::new(threads);
-            let out = pool.map_chunks(
-                257,
-                3,
-                |range| range.collect::<Vec<usize>>(),
-                |mut a, mut b| {
-                    a.append(&mut b);
-                    a
-                },
-            );
-            assert_eq!(out, serial, "threads={threads}");
-        }
     }
 
     #[test]
@@ -475,105 +295,16 @@ mod tests {
     }
 
     #[test]
-    fn pick_victim_matches_max_by_key() {
-        let cases: &[&[usize]] = &[&[0], &[3, 1], &[1, 3], &[2, 2], &[0, 5, 5, 1]];
-        for rem in cases {
-            let expect = rem
-                .iter()
-                .enumerate()
-                .max_by_key(|&(_, r)| *r)
-                .map(|(i, _)| i);
-            assert_eq!(pick_victim(rem.iter().copied()), expect, "{rem:?}");
-        }
-        assert_eq!(pick_victim(std::iter::empty()), None);
-    }
-
-    #[test]
-    fn chunk_arithmetic_covers_items() {
-        for (threads, cpw, n) in [(2, 2, 8), (2, 2, 3), (1, 4, 100), (8, 4, 5)] {
-            let chunks = chunk_count(threads, cpw, n);
-            assert!(chunks >= 1 && chunks <= n.max(1));
-            let mut all = Vec::new();
-            for c in 0..chunks {
-                all.extend(chunk_bounds(n, chunks, c));
-            }
-            assert_eq!(all, (0..n).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn try_map_succeeds_like_map() {
-        for threads in [1, 2, 8] {
-            let pool = Pool::new(threads);
-            assert_eq!(
-                pool.try_map(50, |i| i * 2),
-                Ok((0..50).map(|i| i * 2).collect::<Vec<_>>()),
-                "threads={threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn try_map_panic_is_typed_lowest_index_and_pool_survives() {
-        for threads in [1, 2, 8] {
-            let pool = Pool::new(threads);
-            let err = pool
-                .try_map(100, |i| {
-                    if i == 17 || i == 63 {
-                        panic!("boom at {i}");
-                    }
-                    i
-                })
-                .unwrap_err();
-            // Lowest panicking index wins, at every thread count.
-            assert_eq!(err.index, 17, "threads={threads}");
-            assert_eq!(err.message, "boom at 17");
-            assert!(err.to_string().contains("task 17 panicked"));
-            // The pool is immediately reusable after a failed run.
-            assert_eq!(pool.try_map(10, |i| i), Ok((0..10).collect()));
-        }
-    }
-
-    #[test]
-    fn try_map_chunks_panic_is_typed_and_merge_never_partial() {
-        for threads in [1, 2, 8] {
-            let pool = Pool::new(threads);
-            let mut merges = 0usize;
-            let err = pool
-                .try_map_chunks(
-                    100,
-                    2,
-                    |range| {
-                        if range.contains(&50) {
-                            panic!("chunk containing 50");
-                        }
-                        range.len()
-                    },
-                    |a: usize, b| {
-                        merges += 1;
-                        a + b
-                    },
-                )
-                .unwrap_err();
-            assert_eq!(err.message, "chunk containing 50", "threads={threads}");
-            assert_eq!(merges, 0, "merge must not fold a partial result set");
-            assert_eq!(
-                pool.try_map_chunks(100, 2, |r| r.len(), |a: usize, b| a + b),
-                Ok(100)
-            );
-        }
-    }
-
-    #[test]
     fn map_panic_propagates_promptly_and_never_deadlocks() {
-        // The regression this pins: a panicking task inside plain `map`
-        // must tear down the call (the documented behavior), not wedge a
-        // worker or deadlock the join. Run it off-thread with a timeout so
-        // a future regression fails the test instead of hanging CI.
+        // The regression this pins: a panicking task inside `map` must
+        // tear down the call with the task's own payload at every thread
+        // count, not wedge a worker, deadlock the join or swap the payload
+        // for a generic one. Run it off-thread with a timeout so a future
+        // regression fails the test instead of hanging CI.
         for threads in [1, 2, 8] {
             let (tx, rx) = std::sync::mpsc::channel();
             std::thread::spawn(move || {
-                let outcome = catch_unwind(|| {
+                let outcome = std::panic::catch_unwind(|| {
                     Pool::new(threads).map(64, |i| {
                         if i == 20 {
                             panic!("injected");
@@ -581,12 +312,19 @@ mod tests {
                         i
                     })
                 });
-                let _ = tx.send(outcome.is_err());
+                let payload = outcome
+                    .err()
+                    .map(|p| p.downcast_ref::<&str>().map(|s| s.to_string()));
+                let _ = tx.send(payload);
             });
-            let panicked = rx
+            let payload = rx
                 .recv_timeout(std::time::Duration::from_secs(30))
                 .unwrap_or_else(|_| panic!("map deadlocked on panic (threads={threads})"));
-            assert!(panicked, "map must propagate the panic (threads={threads})");
+            assert_eq!(
+                payload,
+                Some(Some("injected".to_string())),
+                "map must propagate the task's own panic (threads={threads})"
+            );
         }
     }
 
