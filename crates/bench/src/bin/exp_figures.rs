@@ -62,13 +62,13 @@ fn main() {
     let input = gc.input_a(0, 0);
     assert_eq!(meta.size_of(input), 3);
     assert!(meta.has_multiple_copying(&gc));
-    let members = meta.members_of(input);
+    let members = meta.members(input);
     save(
         "figure2_meta_vertex.dot",
         &to_dot(
             &gc,
             &DotOptions {
-                highlight: members.clone(),
+                highlight: members.to_vec(),
                 ..DotOptions::default()
             },
         ),

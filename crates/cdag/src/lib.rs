@@ -69,7 +69,7 @@ pub mod view;
 pub use base::BaseGraph;
 pub use csr::Csr;
 pub use graph::{Cdag, Layer, VertexId, VertexRef};
-pub use meta::MetaVertices;
+pub use meta::{MetaClosure, MetaVertices};
 pub use view::{CdagView, IndexView, ViewError};
 
 /// Fact 1 through [`CdagView::lift_from`]: the middle `2(k+1)` ranks of

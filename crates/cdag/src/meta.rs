@@ -6,10 +6,12 @@
 //! are grouped into a *meta-vertex*: a chain under single copying, an
 //! upward-branching subtree rooted at the original value (an input, for
 //! base graphs satisfying the single-use assumption) under multiple copying.
+//!
+//! [`MetaClosure`] holds the meta-closure of a vertex set sparsely, with
+//! reusable membership stamps; it computes the meta-boundary `δ'`.
 
 use crate::graph::{Cdag, VertexId};
 use crate::view::CdagView;
-use std::collections::HashMap;
 
 /// Identifier of a meta-vertex: the dense id of its *root* — the unique
 /// member all other members are copies of (the member of smallest rank).
@@ -17,11 +19,18 @@ use std::collections::HashMap;
 pub struct MetaId(pub u32);
 
 /// The meta-vertex structure of a CDAG.
+///
+/// Members are stored as CSR: the members of the meta-vertex rooted at
+/// `rt` are `flat[offsets[rt]..offsets[rt + 1]]`, root first and the copies
+/// after it in ascending id order. A vertex that is not a root owns an
+/// empty range.
 pub struct MetaVertices {
     /// For each vertex, the root of its meta-vertex.
     root: Vec<u32>,
-    /// Members of each nontrivial meta-vertex (singletons omitted).
-    members: HashMap<u32, Vec<VertexId>>,
+    /// Member-range offsets, indexed by root (`n_vertices + 1` entries).
+    offsets: Vec<u32>,
+    /// Every vertex once, grouped by meta-vertex.
+    flat: Vec<VertexId>,
 }
 
 impl MetaVertices {
@@ -48,17 +57,27 @@ impl MetaVertices {
                 root[i as usize] = root[p.idx()];
             }
         }
-        let mut members: HashMap<u32, Vec<VertexId>> = HashMap::new();
-        for i in 0..n as u32 {
-            let rt = root[i as usize];
-            if rt != i {
-                members
-                    .entry(rt)
-                    .or_insert_with(|| vec![VertexId(rt)])
-                    .push(VertexId(i));
-            }
+        // Counting sort by root. A root precedes its copies in dense order,
+        // so filling in ascending id order puts it first in its range.
+        let mut offsets = vec![0u32; n + 1];
+        for &rt in &root {
+            offsets[rt as usize + 1] += 1;
         }
-        MetaVertices { root, members }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut fill = offsets.clone();
+        let mut flat = vec![VertexId(0); n];
+        for (i, &rt) in root.iter().enumerate() {
+            let slot = &mut fill[rt as usize];
+            flat[*slot as usize] = VertexId(i as u32);
+            *slot += 1;
+        }
+        MetaVertices {
+            root,
+            offsets,
+            flat,
+        }
     }
 
     /// The meta-vertex containing `v`.
@@ -71,26 +90,21 @@ impl MetaVertices {
         VertexId(m.0)
     }
 
-    /// All members of the meta-vertex containing `v` (including `v`).
-    /// Singleton meta-vertices are returned without allocation lookups.
-    pub fn members_of(&self, v: VertexId) -> Vec<VertexId> {
-        let rt = self.root[v.idx()];
-        match self.members.get(&rt) {
-            Some(ms) => ms.clone(),
-            None => vec![VertexId(rt)],
-        }
+    /// All members of the meta-vertex containing `v` (including `v`): the
+    /// root first, then its copies in ascending id order.
+    pub fn members(&self, v: VertexId) -> &[VertexId] {
+        let rt = self.root[v.idx()] as usize;
+        &self.flat[self.offsets[rt] as usize..self.offsets[rt + 1] as usize]
     }
 
     /// Whether `v` is *duplicated*: its meta-vertex has more than one member.
     pub fn is_duplicated(&self, v: VertexId) -> bool {
-        self.members.contains_key(&self.root[v.idx()])
+        self.size_of(v) > 1
     }
 
     /// Size of the meta-vertex containing `v`.
     pub fn size_of(&self, v: VertexId) -> usize {
-        self.members
-            .get(&self.root[v.idx()])
-            .map_or(1, |ms| ms.len())
+        self.members(v).len()
     }
 
     /// Number of distinct meta-vertices in the graph.
@@ -105,51 +119,115 @@ impl MetaVertices {
     /// two or more copy-children, i.e. the meta-vertex is a tree, not a chain.
     pub fn has_multiple_copying<V: CdagView>(&self, g: &V) -> bool {
         let mut succs = Vec::new();
-        for ms in self.members.values() {
-            for &v in ms {
+        self.flat
+            .iter()
+            .filter(|&&v| self.is_duplicated(v))
+            .any(|&v| {
                 succs.clear();
                 g.succs_into(v, &mut succs);
                 let copy_children = succs
                     .iter()
                     .filter(|&&s| self.root[s.idx()] == self.root[v.idx()])
                     .count();
-                if copy_children >= 2 {
-                    return true;
-                }
-            }
-        }
-        false
+                copy_children >= 2
+            })
     }
 
     /// Meta-vertices adjacent to the meta-closure of `set` that are not in it
-    /// — the paper's `δ'(S')` (Definition 1, meta form). `set` is given as
-    /// vertices; its meta-closure is taken automatically.
+    /// — the paper's `δ'(S')` (Definition 1, meta form), sorted. `set` is
+    /// given as vertices; its meta-closure is taken automatically.
     pub fn meta_boundary<V: CdagView>(&self, g: &V, set: &[VertexId]) -> Vec<MetaId> {
-        let mut in_set = vec![false; g.n_vertices()];
-        // Meta-closure: mark every member of every touched meta-vertex.
+        let mut closure = MetaClosure::new(g.n_vertices());
         for &v in set {
-            for m in self.members_of(v) {
-                in_set[m.idx()] = true;
-            }
+            closure.insert(self, v);
         }
-        let mut seen = std::collections::HashSet::new();
-        let mut adj = Vec::new();
-        for i in 0..in_set.len() as u32 {
-            if !in_set[i as usize] {
-                continue;
-            }
-            adj.clear();
-            g.preds_into(VertexId(i), &mut adj);
-            g.succs_into(VertexId(i), &mut adj);
-            for &w in &adj {
-                if !in_set[w.idx()] {
-                    seen.insert(self.meta_of(w));
+        let mut out = Vec::new();
+        closure.boundary_into(g, self, &mut out);
+        out
+    }
+}
+
+/// The meta-closure of a vertex set, held sparsely: the list of its
+/// members plus generation-stamped membership marks. Starting the next
+/// closure ([`MetaClosure::reset`]) bumps the generation instead of
+/// clearing the marks, so one `MetaClosure` serves any number of sets at a
+/// cost linear in each closure, not in `|V|`.
+pub struct MetaClosure {
+    /// `marks[v] == generation` ⇔ `v` is in the current closure.
+    marks: Vec<u32>,
+    generation: u32,
+    members: Vec<VertexId>,
+    adj: Vec<VertexId>,
+}
+
+impl MetaClosure {
+    /// An empty closure over a graph of `n_vertices` vertices.
+    pub fn new(n_vertices: usize) -> MetaClosure {
+        MetaClosure::starting_at(n_vertices, 1)
+    }
+
+    /// [`MetaClosure::new`] with the stamp counter at `generation` (`0`
+    /// counts as `1`): the result is the same for any start, which lets
+    /// tests start next to `u32::MAX` to exercise the wrap-around.
+    pub fn starting_at(n_vertices: usize, generation: u32) -> MetaClosure {
+        MetaClosure {
+            marks: vec![0; n_vertices],
+            generation: generation.max(1),
+            members: Vec::new(),
+            adj: Vec::new(),
+        }
+    }
+
+    /// Empties the closure in `O(1)`, clearing the marks only when the
+    /// generation counter wraps.
+    pub fn reset(&mut self) {
+        self.members.clear();
+        if self.generation == u32::MAX {
+            self.marks.fill(0);
+            self.generation = 1;
+        } else {
+            self.generation += 1;
+        }
+    }
+
+    /// Adds the meta-vertex of `v` (all of its members) to the closure.
+    pub fn insert(&mut self, meta: &MetaVertices, v: VertexId) {
+        if self.includes(v) {
+            return;
+        }
+        for &w in meta.members(v) {
+            self.marks[w.idx()] = self.generation;
+            self.members.push(w);
+        }
+    }
+
+    /// Whether `v` is in the closure.
+    pub fn includes(&self, v: VertexId) -> bool {
+        self.marks[v.idx()] == self.generation
+    }
+
+    /// Writes `δ'` of the closure into `out` (cleared first): the sorted,
+    /// deduplicated meta-vertices outside it that are adjacent, in either
+    /// direction, to one of its members.
+    pub fn boundary_into<V: CdagView>(
+        &mut self,
+        g: &V,
+        meta: &MetaVertices,
+        out: &mut Vec<MetaId>,
+    ) {
+        out.clear();
+        for &v in &self.members {
+            self.adj.clear();
+            g.preds_into(v, &mut self.adj);
+            g.succs_into(v, &mut self.adj);
+            for &w in &self.adj {
+                if self.marks[w.idx()] != self.generation {
+                    out.push(meta.meta_of(w));
                 }
             }
         }
-        let mut out: Vec<MetaId> = seen.into_iter().collect();
-        out.sort();
-        out
+        out.sort_unstable();
+        out.dedup();
     }
 }
 
@@ -264,5 +342,30 @@ mod tests {
         // Product 0 = a00·b00 → c00: adjacent metas are input-a00's meta,
         // input-b00's meta, and the output c00.
         assert_eq!(boundary.len(), 3);
+    }
+
+    #[test]
+    fn closure_is_reusable_across_a_generation_wrap() {
+        // Three closures in one scratch whose stamps start next to
+        // u32::MAX: each holds exactly the members of its own set's metas,
+        // with nothing left over from the one before.
+        let g = build_cdag(&classical2(), 1);
+        let meta = MetaVertices::compute(&g);
+        let inputs: Vec<VertexId> = g.inputs().collect();
+        let products: Vec<VertexId> = g.products().collect();
+        let mut closure = MetaClosure::starting_at(g.n_vertices(), u32::MAX - 1);
+        for set in [&inputs[..2], &products[..3], &inputs[2..3]] {
+            closure.reset();
+            for &v in set {
+                closure.insert(&meta, v);
+            }
+            let want: Vec<VertexId> = set
+                .iter()
+                .flat_map(|&v| meta.members(v).iter().copied())
+                .collect();
+            for v in g.vertices() {
+                assert_eq!(closure.includes(v), want.contains(&v), "{v:?}");
+            }
+        }
     }
 }

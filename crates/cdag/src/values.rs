@@ -243,7 +243,7 @@ mod tests {
         let vc = ValueClasses::compute(&g);
         let meta = MetaVertices::compute(&g);
         for v in g.vertices() {
-            for w in meta.members_of(v) {
+            for &w in meta.members(v) {
                 assert_eq!(vc.class_of(w), vc.class_of(v));
             }
         }

@@ -336,6 +336,30 @@ fn certify_golden_across_views_and_threads() {
 }
 
 #[test]
+fn certify_huge_cache_is_infeasible_not_wrapped() {
+    // `M` near `u64::MAX` used to overflow `multiplier·M` and the segment
+    // threshold: 2^62 panicked, 2^63 wrapped to a zero threshold and
+    // certified one segment per step. Every such `M` must print what any
+    // `M` too large for `r` prints: infeasible `k`, no complete segment.
+    for m in [
+        "4611686018427387904",
+        "9223372036854775808",
+        "18446744073709551615",
+    ] {
+        let out = mmio(&["certify", "strassen", "3", m]);
+        assert!(out.status.success(), "M = {m}");
+        assert_eq!(
+            String::from_utf8(out.stdout).unwrap(),
+            format!(
+                "n = 8, M = {m}: 0 complete segments, certified I/O ≥ 0\n\
+                 (k = 1, feasible = false, disjoint subcomputations = 49 ≥ target 1)\n"
+            ),
+            "M = {m}"
+        );
+    }
+}
+
+#[test]
 fn simulate_identical_across_views() {
     let explicit = mmio(&["--view", "explicit", "simulate", "strassen", "3", "64"]);
     let implicit = mmio(&["--view", "implicit", "simulate", "strassen", "3", "64"]);

@@ -11,7 +11,8 @@
 //! cache / allowed to stay), so each complete segment costs at least `M`
 //! I/Os.
 
-use mmio_cdag::{index, Cdag, CdagView, Layer, MetaVertices, VertexId, VertexRef};
+use mmio_cdag::meta::MetaId;
+use mmio_cdag::{index, Cdag, CdagView, Layer, MetaClosure, MetaVertices, VertexId, VertexRef};
 use mmio_parallel::Pool;
 use serde::Serialize;
 
@@ -24,9 +25,12 @@ use serde::Serialize;
 /// constant factor"; smaller multipliers give certificates at smaller
 /// scales (experiment E8c sweeps this).
 pub fn choose_k<V: CdagView>(g: &V, m: u64, multiplier: u64) -> (u32, bool) {
-    let a = g.a();
+    // Saturating: a target past `u64::MAX` is reached only by a saturated
+    // power, whose `k` is far beyond `r - 2`, so it reports infeasible.
+    let target = multiplier.saturating_mul(m);
+    let a = g.a() as u64;
     let mut k = 1u32;
-    while index::pow(a, k) < multiplier * m && k < 63 {
+    while a.saturating_pow(k) < target && k < 63 {
         k += 1;
     }
     if g.r() >= 3 && k <= g.r() - 2 {
@@ -140,111 +144,28 @@ pub fn analyze<V: CdagView + Sync>(
     analyze_with(g, meta, order, counted, m, threshold, k, &Pool::serial())
 }
 
-/// One segment's boundary and I/O quantities. `vs = order[start..end]` is
-/// the segment's computed vertices; `pos` maps every vertex to its position
-/// in the order (`u64::MAX` for inputs).
-fn segment_report<V: CdagView>(
-    g: &V,
-    meta: &MetaVertices,
-    pos: &[u64],
-    vs: &[VertexId],
-    (start, end, counted_n, complete): (usize, usize, u64, bool),
-) -> SegmentReport {
-    // Meta-closure membership mask.
-    let mut in_closure = vec![false; g.n_vertices()];
-    for &v in vs {
-        for w in meta.members_of(v) {
-            in_closure[w.idx()] = true;
-        }
-    }
-    // δ'(S'): outside metas adjacent in either direction (Equation 2).
-    let boundary = meta.meta_boundary(g, vs).len() as u64;
-    // R'(S'): outside metas feeding vertices *computed in this
-    // segment*. (Not the whole closure: a closure member computed in an
-    // earlier segment needed its operands then, not now — charging them
-    // again here would double-count loads and break soundness.)
-    let mut read_roots = std::collections::HashSet::new();
-    let mut adj: Vec<VertexId> = Vec::new();
-    for &v in vs {
-        adj.clear();
-        g.preds_into(v, &mut adj);
-        for &p in &adj {
-            if !in_closure[p.idx()] {
-                read_roots.insert(meta.meta_of(p));
-            }
-        }
-    }
-    // W°(S'): metas whose root is computed in this segment and that are
-    // used after it (some member has a successor computed at position
-    // ≥ end) or contain an output (which must eventually be stored).
-    let end_pos = end as u64;
-    let mut write_roots = std::collections::HashSet::new();
-    for &v in vs {
-        let root = meta.root_vertex(meta.meta_of(v));
-        let rp = pos[root.idx()];
-        if rp == u64::MAX || rp < start as u64 || rp >= end_pos {
-            continue; // root is an input or computed in another segment
-        }
-        let needed_later = meta.members_of(root).into_iter().any(|member| {
-            if g.is_output(member) {
-                return true;
-            }
-            adj.clear();
-            g.succs_into(member, &mut adj);
-            adj.iter()
-                .any(|&s| pos[s.idx()] != u64::MAX && pos[s.idx()] >= end_pos)
-        });
-        if needed_later {
-            write_roots.insert(meta.meta_of(root));
-        }
-    }
-    SegmentReport {
-        start,
-        end,
-        counted: counted_n,
-        meta_boundary: boundary,
-        read_metas: read_roots.len() as u64,
-        write_metas: write_roots.len() as u64,
-        complete,
-    }
-}
+/// One segment of the order: `start..end`, its counted-vertex count, and
+/// whether it reached the threshold.
+type Bounds = (usize, usize, u64, bool);
 
-/// [`analyze`] with the per-segment reports computed over `pool`.
-///
-/// Two phases: the segment *boundaries* come from a serial scan of the
-/// order (the running counted-vertex counter is inherently sequential), and
-/// then each segment's report — closure mask, `δ'(S')`, `R'(S')`, `W°(S')`,
-/// the expensive part — is computed independently. [`Pool::map`] returns
-/// results in segment order, so the analysis is byte-identical to the
-/// serial path at any thread count.
-#[allow(clippy::too_many_arguments)] // mirrors `analyze`, plus the pool
-pub fn analyze_with<V: CdagView + Sync>(
-    g: &V,
+/// Position sentinel for vertices the order never computes (the inputs).
+const NOT_COMPUTED: u32 = u32::MAX;
+
+/// Finds the segment boundaries: a serial scan of the order, since the
+/// running counted-vertex counter is inherently sequential. A vertex
+/// counts every not-yet-counted counted-rank member of its meta-vertex.
+fn segment_bounds(
     meta: &MetaVertices,
     order: &[VertexId],
     counted: &[bool],
-    m: u64,
     threshold: u64,
-    k: u32,
-    pool: &Pool,
-) -> SegmentAnalysis {
-    let n = g.n_vertices();
-    // Position of each vertex's computation; inputs get position MAX-as-
-    // "before everything" sentinel handled separately.
-    let mut pos = vec![u64::MAX; n];
-    for (i, &v) in order.iter().enumerate() {
-        pos[v.idx()] = i as u64;
-    }
-
-    // Phase 1 (serial): find the segment boundaries.
-    let mut bounds: Vec<(usize, usize, u64, bool)> = Vec::new();
+) -> Vec<Bounds> {
+    let mut bounds = Vec::new();
     let mut start = 0usize;
     let mut counted_in_segment = 0u64;
-    let mut counted_seen = vec![false; n];
+    let mut counted_seen = vec![false; counted.len()];
     for (i, &v) in order.iter().enumerate() {
-        // Meta-closure: count every not-yet-counted counted-rank member of
-        // v's meta-vertex.
-        for w in meta.members_of(v) {
+        for &w in meta.members(v) {
             if counted[w.idx()] && !counted_seen[w.idx()] {
                 counted_seen[w.idx()] = true;
                 counted_in_segment += 1;
@@ -259,12 +180,149 @@ pub fn analyze_with<V: CdagView + Sync>(
     if start < order.len() {
         bounds.push((start, order.len(), counted_in_segment, false));
     }
+    bounds
+}
 
-    // Phase 2 (parallel): per-segment reports, merged in segment order.
-    let segments = pool.map(bounds.len(), |i| {
-        let b = bounds[i];
-        segment_report(g, meta, &pos, &order[b.0..b.1], b)
+/// Each vertex's position in `order`, [`NOT_COMPUTED`] for the rest.
+fn positions(n: usize, order: &[VertexId]) -> Vec<u32> {
+    let mut pos = vec![NOT_COMPUTED; n];
+    for (i, &v) in order.iter().enumerate() {
+        pos[v.idx()] = u32::try_from(i).expect("order fits the u32 id space");
+    }
+    pos
+}
+
+/// Scratch for [`segment_report`], reused across the segments of a chunk:
+/// the segment's sparse meta-closure, an adjacency buffer and a list of
+/// meta-vertices to count.
+struct Scratch {
+    closure: MetaClosure,
+    adj: Vec<VertexId>,
+    metas: Vec<MetaId>,
+}
+
+impl Scratch {
+    fn new(closure: MetaClosure) -> Scratch {
+        Scratch {
+            closure,
+            adj: Vec::new(),
+            metas: Vec::new(),
+        }
+    }
+
+    /// Sorts and deduplicates `metas`, returning how many distinct remain.
+    fn distinct_metas(&mut self) -> u64 {
+        self.metas.sort_unstable();
+        self.metas.dedup();
+        self.metas.len() as u64
+    }
+}
+
+/// One segment's boundary and I/O quantities, in time linear in the
+/// segment's meta-closure and its adjacency. `pos` maps every vertex to its
+/// position in `order` ([`NOT_COMPUTED`] for inputs).
+fn segment_report<V: CdagView>(
+    g: &V,
+    meta: &MetaVertices,
+    pos: &[u32],
+    order: &[VertexId],
+    (start, end, counted_n, complete): Bounds,
+    scratch: &mut Scratch,
+) -> SegmentReport {
+    let vs = &order[start..end];
+    scratch.closure.reset();
+    for &v in vs {
+        scratch.closure.insert(meta, v);
+    }
+    // δ'(S'): outside metas adjacent in either direction (Equation 2).
+    scratch.closure.boundary_into(g, meta, &mut scratch.metas);
+    let boundary = scratch.metas.len() as u64;
+    // R'(S'): outside metas feeding vertices *computed in this
+    // segment*. (Not the whole closure: a closure member computed in an
+    // earlier segment needed its operands then, not now — charging them
+    // again here would double-count loads and break soundness.)
+    scratch.metas.clear();
+    for &v in vs {
+        scratch.adj.clear();
+        g.preds_into(v, &mut scratch.adj);
+        for &p in &scratch.adj {
+            if !scratch.closure.includes(p) {
+                scratch.metas.push(meta.meta_of(p));
+            }
+        }
+    }
+    let read_metas = scratch.distinct_metas();
+    // W°(S'): metas whose root is computed in this segment and that are
+    // used after it (some member has a successor computed at position
+    // ≥ end) or contain an output (which must eventually be stored). A
+    // root computed here is itself in `vs`, so visiting the roots in `vs`
+    // visits every such meta.
+    let in_segment = |p: u32| p != NOT_COMPUTED && (start..end).contains(&(p as usize));
+    let later = |p: u32| p != NOT_COMPUTED && p as usize >= end;
+    scratch.metas.clear();
+    for &root in vs {
+        if meta.meta_of(root) != MetaId(root.0) || !in_segment(pos[root.idx()]) {
+            continue; // a copy, or computed in another segment
+        }
+        let needed_later = meta.members(root).iter().any(|&member| {
+            if g.is_output(member) {
+                return true;
+            }
+            scratch.adj.clear();
+            g.succs_into(member, &mut scratch.adj);
+            scratch.adj.iter().any(|&s| later(pos[s.idx()]))
+        });
+        if needed_later {
+            scratch.metas.push(MetaId(root.0));
+        }
+    }
+    let write_metas = scratch.distinct_metas();
+    SegmentReport {
+        start,
+        end,
+        counted: counted_n,
+        meta_boundary: boundary,
+        read_metas,
+        write_metas,
+        complete,
+    }
+}
+
+/// [`analyze`] with the per-segment reports computed over `pool`.
+///
+/// Two phases: the segment *boundaries* come from a serial scan of the
+/// order, and then each segment's report — sparse meta-closure, `δ'(S')`,
+/// `R'(S')`, `W°(S')`, the expensive part — is computed independently.
+/// Segments are split into a few contiguous chunks per worker; each chunk
+/// allocates one `Scratch` (a `|V|`-sized stamp array) and reuses it
+/// across its segments, so the pass is `O(|V| + Σ closure sizes)` per
+/// chunk rather than `O(segments · |V|)`. [`Pool::map`] returns chunks in
+/// order, so the analysis is byte-identical to the serial path at any
+/// thread count.
+#[allow(clippy::too_many_arguments)] // mirrors `analyze`, plus the pool
+pub fn analyze_with<V: CdagView + Sync>(
+    g: &V,
+    meta: &MetaVertices,
+    order: &[VertexId],
+    counted: &[bool],
+    m: u64,
+    threshold: u64,
+    k: u32,
+    pool: &Pool,
+) -> SegmentAnalysis {
+    let n = g.n_vertices();
+    let pos = positions(n, order);
+    let bounds = segment_bounds(meta, order, counted, threshold);
+    let chunks = (pool.threads() * 4).min(bounds.len()).max(1);
+    let per_chunk: Vec<Vec<SegmentReport>> = pool.map(chunks, |c| {
+        let (lo, hi) = (bounds.len() * c / chunks, bounds.len() * (c + 1) / chunks);
+        let mut scratch = Scratch::new(MetaClosure::new(n));
+        bounds[lo..hi]
+            .iter()
+            .map(|&b| segment_report(g, meta, &pos, order, b, &mut scratch))
+            .collect()
     });
+    let segments: Vec<SegmentReport> = per_chunk.into_iter().flatten().collect();
 
     let complete_segments = segments.iter().filter(|s| s.complete).count() as u64;
     let certified_io = segments
@@ -323,9 +381,10 @@ pub fn analyze_section5(g: &Cdag, order: &[VertexId], k: u32, threshold: u64) ->
 /// Section 5's choice of `k` for Strassen-like graphs: smallest `k` with
 /// `a^k ≥ multiplier·m` (the paper uses 132 = 2·66).
 pub fn choose_k_section5(g: &Cdag, m: u64, multiplier: u64) -> u32 {
-    let a = g.base().a();
+    let target = multiplier.saturating_mul(m);
+    let a = g.base().a() as u64;
     let mut k = 1u32;
-    while index::pow(a, k) < multiplier * m && k < g.r() {
+    while a.saturating_pow(k) < target && k < g.r() {
         k += 1;
     }
     k.min(g.r())
@@ -349,9 +408,140 @@ pub fn counted_ranks_only<V: CdagView>(g: &V, k: u32, counted: &[bool]) -> bool 
 mod tests {
     use super::*;
     use crate::lemma1::select_input_disjoint;
-    use mmio_algos::strassen::strassen;
+    use crate::theorem1::{certify_with, CertifyParams};
+    use mmio_algos::classical::classical;
+    use mmio_algos::strassen::{strassen, winograd};
+    use mmio_algos::synthetic::with_duplicated_combination;
     use mmio_cdag::build::build_cdag;
+    use mmio_cdag::IndexView;
     use mmio_pebble::orders;
+    use std::collections::HashSet;
+
+    /// The dense segment pass the sparse one replaced, kept as its named
+    /// oracle: per segment, a `|V|`-sized closure mask, a `δ'` scan over
+    /// all of `V`, and a `HashSet` for each of `δ'`, `R'` and `W°`.
+    fn dense_analyze<V: CdagView>(
+        g: &V,
+        meta: &MetaVertices,
+        order: &[VertexId],
+        counted: &[bool],
+        m: u64,
+        threshold: u64,
+        k: u32,
+    ) -> SegmentAnalysis {
+        let n = g.n_vertices();
+        let mut pos = vec![u64::MAX; n];
+        for (i, &v) in order.iter().enumerate() {
+            pos[v.idx()] = i as u64;
+        }
+        let mut bounds: Vec<Bounds> = Vec::new();
+        let mut start = 0usize;
+        let mut counted_in_segment = 0u64;
+        let mut counted_seen = vec![false; n];
+        for (i, &v) in order.iter().enumerate() {
+            for &w in meta.members(v) {
+                if counted[w.idx()] && !counted_seen[w.idx()] {
+                    counted_seen[w.idx()] = true;
+                    counted_in_segment += 1;
+                }
+            }
+            if counted_in_segment >= threshold {
+                bounds.push((start, i + 1, counted_in_segment, true));
+                start = i + 1;
+                counted_in_segment = 0;
+            }
+        }
+        if start < order.len() {
+            bounds.push((start, order.len(), counted_in_segment, false));
+        }
+        let segments: Vec<SegmentReport> = bounds
+            .iter()
+            .map(|&b| dense_segment_report(g, meta, &pos, &order[b.0..b.1], b))
+            .collect();
+        let complete_segments = segments.iter().filter(|s| s.complete).count() as u64;
+        let certified_io = segments
+            .iter()
+            .map(|s| s.read_metas.saturating_sub(m) + s.write_metas.saturating_sub(m))
+            .sum();
+        SegmentAnalysis {
+            k,
+            m,
+            threshold,
+            segments,
+            complete_segments,
+            certified_io,
+        }
+    }
+
+    fn dense_segment_report<V: CdagView>(
+        g: &V,
+        meta: &MetaVertices,
+        pos: &[u64],
+        vs: &[VertexId],
+        (start, end, counted_n, complete): Bounds,
+    ) -> SegmentReport {
+        let mut in_closure = vec![false; g.n_vertices()];
+        for &v in vs {
+            for &w in meta.members(v) {
+                in_closure[w.idx()] = true;
+            }
+        }
+        let mut adj: Vec<VertexId> = Vec::new();
+        let mut boundary = HashSet::new();
+        for i in 0..in_closure.len() as u32 {
+            if !in_closure[i as usize] {
+                continue;
+            }
+            adj.clear();
+            g.preds_into(VertexId(i), &mut adj);
+            g.succs_into(VertexId(i), &mut adj);
+            for &w in &adj {
+                if !in_closure[w.idx()] {
+                    boundary.insert(meta.meta_of(w));
+                }
+            }
+        }
+        let mut read_roots = HashSet::new();
+        for &v in vs {
+            adj.clear();
+            g.preds_into(v, &mut adj);
+            for &p in &adj {
+                if !in_closure[p.idx()] {
+                    read_roots.insert(meta.meta_of(p));
+                }
+            }
+        }
+        let end_pos = end as u64;
+        let mut write_roots = HashSet::new();
+        for &v in vs {
+            let root = meta.root_vertex(meta.meta_of(v));
+            let rp = pos[root.idx()];
+            if rp == u64::MAX || rp < start as u64 || rp >= end_pos {
+                continue;
+            }
+            let needed_later = meta.members(root).iter().any(|&member| {
+                if g.is_output(member) {
+                    return true;
+                }
+                adj.clear();
+                g.succs_into(member, &mut adj);
+                adj.iter()
+                    .any(|&s| pos[s.idx()] != u64::MAX && pos[s.idx()] >= end_pos)
+            });
+            if needed_later {
+                write_roots.insert(meta.meta_of(root));
+            }
+        }
+        SegmentReport {
+            start,
+            end,
+            counted: counted_n,
+            meta_boundary: boundary.len() as u64,
+            read_metas: read_roots.len() as u64,
+            write_metas: write_roots.len() as u64,
+            complete,
+        }
+    }
 
     fn setup(r: u32, k: u32) -> (Cdag, MetaVertices, Vec<bool>) {
         let g = build_cdag(&strassen(), r);
@@ -473,5 +663,80 @@ mod tests {
         let (k3, ok3) = choose_k(&g2, 2, 2);
         assert!(ok3);
         assert_eq!(k3, 1);
+    }
+
+    #[test]
+    fn sparse_pass_matches_dense_oracle() {
+        let bases = [
+            strassen(),
+            winograd(),
+            classical(2),
+            with_duplicated_combination(&strassen()),
+        ];
+        for base in &bases {
+            for r in [3, 4] {
+                let g = build_cdag(base, r);
+                let view = IndexView::from_base(base, r);
+                let meta = MetaVertices::compute(&g);
+                let view_meta = MetaVertices::compute_view(&view);
+                let chosen = select_input_disjoint(&g, &meta, 1);
+                let counted = counted_mask(&g, 1, &chosen);
+                for order in [orders::recursive_order(&g), orders::rank_order(&g)] {
+                    for threshold in [8, 24, 64] {
+                        let oracle = dense_analyze(&g, &meta, &order, &counted, 2, threshold, 1);
+                        let want = format!("{oracle:?}");
+                        for threads in [1, 2, 8] {
+                            let pool = Pool::new(threads);
+                            let on_graph =
+                                analyze_with(&g, &meta, &order, &counted, 2, threshold, 1, &pool);
+                            let on_view = analyze_with(
+                                &view, &view_meta, &order, &counted, 2, threshold, 1, &pool,
+                            );
+                            let at =
+                                format!("{} r={r} S̄={threshold} threads={threads}", base.name());
+                            assert_eq!(format!("{on_graph:?}"), want, "Cdag, {at}");
+                            assert_eq!(format!("{on_view:?}"), want, "IndexView, {at}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn stamp_wraparound_matches_dense_oracle() {
+        // One scratch across every segment, its generation starting next
+        // to u32::MAX: the marks must be cleared when the counter wraps,
+        // or stale stamps would alias into a later closure.
+        let (g, meta, counted) = setup(3, 1);
+        let order = orders::recursive_order(&g);
+        let bounds = segment_bounds(&meta, &order, &counted, 8);
+        assert!(bounds.len() >= 4, "the wrap must fall mid-run");
+        let pos = positions(g.n_vertices(), &order);
+        let mut scratch = Scratch::new(MetaClosure::starting_at(g.n_vertices(), u32::MAX - 1));
+        let sparse: Vec<SegmentReport> = bounds
+            .iter()
+            .map(|&b| segment_report(&g, &meta, &pos, &order, b, &mut scratch))
+            .collect();
+        let oracle = dense_analyze(&g, &meta, &order, &counted, 2, 8, 1);
+        assert_eq!(format!("{sparse:?}"), format!("{:?}", oracle.segments));
+    }
+
+    #[test]
+    fn huge_cache_is_infeasible_and_completes_no_segment() {
+        // multiplier·M and threshold_multiplier·M overflow u64 for these M:
+        // they saturate instead of wrapping or panicking.
+        let g = build_cdag(&strassen(), 3);
+        let order = orders::recursive_order(&g);
+        for m in [1u64 << 62, 1 << 63, u64::MAX] {
+            assert_eq!(choose_k(&g, m, 2), (1, false), "M = {m}");
+            assert_eq!(choose_k(&g, m, 72), (1, false), "M = {m}");
+            assert_eq!(choose_k_section5(&g, m, 132), g.r(), "M = {m}");
+            let cert = certify_with(&g, m, &order, CertifyParams::SMALL);
+            assert_eq!((cert.k, cert.k_feasible), (1, false), "M = {m}");
+            assert_eq!(cert.analysis.threshold, u64::MAX, "M = {m}");
+            assert_eq!(cert.analysis.complete_segments, 0, "M = {m}");
+            assert_eq!(cert.analysis.certified_io, 0, "M = {m}");
+        }
     }
 }

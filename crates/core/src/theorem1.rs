@@ -167,7 +167,8 @@ pub fn certify_pooled_view<V: CdagView + Sync>(
     let (k, k_feasible) = segments::choose_k(g, m, params.k_multiplier);
     let chosen = lemma1::select_input_disjoint(g, &meta, k);
     let counted = segments::counted_mask(g, k, &chosen);
-    let threshold = params.threshold_multiplier * m;
+    // Saturating: a threshold past `u64::MAX` completes no segment.
+    let threshold = params.threshold_multiplier.saturating_mul(m);
     let analysis = segments::analyze_with(g, &meta, order, &counted, m, threshold, k, pool);
     let lemma1_target = if k + 2 <= g.r() {
         index::pow(base.b(), g.r() - k - 2)

@@ -6,7 +6,7 @@ use mmio_algos::registry::{all_base_graphs, theorem1_base_graphs};
 use mmio_algos::Executor;
 use mmio_cdag::build::{build_cdag, build_checked};
 use mmio_cdag::traversal::eval_outputs;
-use mmio_cdag::MetaVertices;
+use mmio_cdag::{IndexView, MetaVertices};
 use mmio_core::theorem1::{certify_with, CertifyParams, LowerBound};
 use mmio_core::theorem2::InOutRouting;
 use mmio_matrix::classical::multiply_naive;
@@ -139,6 +139,32 @@ fn formula_and_measurement_shapes_agree() {
         assert!(
             (growth / formula_growth - 1.0).abs() < 0.45,
             "growth {growth:.2} vs formula {formula_growth:.2}"
+        );
+    }
+}
+
+/// The CSR member layout: every vertex lies in its own member range, which
+/// starts with the meta-vertex's root and ascends after it, and the
+/// materialized graph and the closed-form view group identically.
+#[test]
+fn meta_vertex_members_are_csr_root_first_and_view_independent() {
+    for base in all_base_graphs() {
+        let g = build_cdag(&base, 3);
+        let explicit = MetaVertices::compute(&g);
+        let implicit = MetaVertices::compute_view(&IndexView::from_base(&base, 3));
+        for v in g.vertices() {
+            let members = explicit.members(v);
+            let root = explicit.root_vertex(explicit.meta_of(v));
+            assert!(members.contains(&v), "{} {v:?}", base.name());
+            assert_eq!(members[0], root, "{} {v:?}", base.name());
+            assert!(members.windows(2).all(|w| w[0] < w[1]), "{}", base.name());
+            assert_eq!(members, implicit.members(v), "{} {v:?}", base.name());
+        }
+        assert_eq!(
+            explicit.count(&g),
+            implicit.count(&g),
+            "{} meta count",
+            base.name()
         );
     }
 }

@@ -207,9 +207,21 @@ fn drain<T, F: Fn(usize) -> T>(range: &Range, ri: u32, f: &F, out: &mut Vec<(usi
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Serializes every test here that runs a multi-worker `map`. A
+    /// workspace build unifies the `trace` feature into this crate, and a
+    /// recording session's on-switch is process-global: an unrecorded map
+    /// running in a parallel test thread would emit its claims into
+    /// `map_records_claims_and_joins`'s trace.
+    fn exclusive() -> MutexGuard<'static, ()> {
+        static MAPS: Mutex<()> = Mutex::new(());
+        MAPS.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn map_is_identity_ordered() {
+        let _maps = exclusive();
         for threads in [1, 2, 3, 8] {
             let pool = Pool::new(threads);
             let out = pool.map(100, |i| i * i);
@@ -219,6 +231,7 @@ mod tests {
 
     #[test]
     fn map_empty_and_tiny() {
+        let _maps = exclusive();
         let pool = Pool::new(4);
         assert_eq!(pool.map(0, |i| i), Vec::<usize>::new());
         assert_eq!(pool.map(1, |i| i + 7), vec![7]);
@@ -227,6 +240,7 @@ mod tests {
 
     #[test]
     fn every_index_runs_exactly_once() {
+        let _maps = exclusive();
         let hits: Vec<AtomicU64> = (0..1000).map(|_| AtomicU64::new(0)).collect();
         let pool = Pool::new(8);
         pool.map(1000, |i| hits[i].fetch_add(1, Ordering::Relaxed));
@@ -237,6 +251,7 @@ mod tests {
 
     #[test]
     fn stealing_covers_skewed_work() {
+        let _maps = exclusive();
         // Front-loaded work: the first quarter of the indices are slow, so
         // workers that finish their own range must drain worker 0's.
         let pool = Pool::new(4);
@@ -296,6 +311,7 @@ mod tests {
 
     #[test]
     fn map_panic_propagates_promptly_and_never_deadlocks() {
+        let _maps = exclusive();
         // The regression this pins: a panicking task inside `map` must
         // tear down the call with the task's own payload at every thread
         // count, not wedge a worker, deadlock the join or swap the payload
@@ -332,6 +348,7 @@ mod tests {
     #[test]
     fn map_records_claims_and_joins() {
         use crate::events::{record, SyncEvent};
+        let _maps = exclusive();
         let (out, trace) = record(|| Pool::new(2).map(8, |i| i));
         assert_eq!(out, (0..8).collect::<Vec<_>>());
         let mut claims: Vec<u64> = trace
