@@ -12,7 +12,7 @@ use mmio_parallel::assign::{
     all_on_one, block_per_rank, by_top_subproblem, cyclic_per_rank, Assignment,
 };
 use mmio_parallel::distsim::{
-    reference, simulate, simulate_traced, simulate_traced_on, MachineModel, Topology,
+    reference, simulate, simulate_on, simulate_traced, simulate_traced_on, MachineModel, Topology,
 };
 use mmio_parallel::Pool;
 use mmio_pebble::orders::recursive_order;
@@ -163,6 +163,50 @@ fn analyzer_audit_confirms_every_clean_run() {
                 // The audit replayed real work and respected the capacity.
                 assert!(audit.execs > 0);
                 assert!(audit.max_occupancy <= m);
+            }
+        }
+    }
+}
+
+#[test]
+fn long_routes_audit_clean_and_are_thread_count_independent() {
+    // Thousands of ranks: ring routes up to 2048 hops and torus routes up
+    // to 64, far past the ≤ 8-hop routes of the registry sweeps above.
+    // The analyzer re-routes every send hop by hop (MMIO-D006/D007), and
+    // pooled runs match the serial one byte for byte.
+    let g = build_cdag(&mmio_algos::strassen::strassen(), 3);
+    let order = recursive_order(&g);
+    let m = 16;
+    for p in [1024u32, 4096] {
+        let topologies = [
+            ("ring", Topology::Ring),
+            ("torus", Topology::parse("torus", p).expect("square P")),
+        ];
+        for (name, a) in [
+            ("cyclic_per_rank", cyclic_per_rank(&g, p)),
+            ("block_per_rank", block_per_rank(&g, p)),
+        ] {
+            for (tname, topo) in topologies {
+                let ctx = format!("strassen r=3 P={p} {name} {tname}");
+                let mm = Some(MachineModel::new(topo, 2, 1, 1));
+                let t = simulate_traced_on(&g, &a, &order, m, mm, &Pool::serial());
+                let c = t.contention.as_ref().expect("contended");
+                let longest = c.rounds.iter().map(|r| r.max_hops).max();
+                assert!(longest > Some(8), "{ctx}: longest route {longest:?}");
+                let mut report = Report::new();
+                let audit = audit_dist_trace(&g, &a, &t, &mut report);
+                assert!(
+                    audit.ok && report.error_count() == 0,
+                    "{ctx}: {:?}",
+                    report.diagnostics
+                );
+                let serial = simulate_on(&g, &a, &order, m, mm, &Pool::serial());
+                assert_eq!(serial.run, t.claimed, "{ctx}");
+                assert_eq!(serial.contention, t.contention, "{ctx}");
+                for threads in [2usize, 8] {
+                    let pooled = simulate_on(&g, &a, &order, m, mm, &Pool::new(threads));
+                    assert_eq!(pooled, serial, "{ctx} threads={threads}");
+                }
             }
         }
     }

@@ -26,13 +26,17 @@
 //! State is O(threads·min(M, work) + V): shards process their ranks
 //! sequentially, reusing one slot arena (vertex/prev/next/chain arrays,
 //! sized by the shard's largest per-rank touch bound, never more than
-//! M) and one chained-hash residency table (cleared per rank).
+//! M) and one chained-hash residency table (cleared per rank). With a
+//! machine model, the run adds one contention accumulator of
+//! `rounds·(2P + links)` words, which the shards fill through bounded
+//! send buffers (see [`ShardLoads`]).
 
 use super::topo::{ContAcc, ContentionReport, MachineModel};
 use super::{DistEvent, DistOutcome, DistRun, DistTrace};
 use crate::assign::Assignment;
 use crate::pool::Pool;
 use mmio_cdag::{CdagView, VertexId};
+use std::sync::Mutex;
 
 const NONE: u32 = u32::MAX;
 
@@ -179,11 +183,56 @@ struct ShardOut {
     /// Local I/O, per shard-local rank.
     local_io: Vec<u64>,
     total_words: u64,
-    /// Contended load accumulators, when a machine model is attached.
-    cont: Option<ContAcc>,
     /// Traced mode: the shard's events (ranks ascending, steps in
     /// order) plus one event count per owned step, same layout.
     events: Option<(Vec<DistEvent>, Vec<u32>)>,
+}
+
+/// Sends buffered per shard before they are folded into the run's
+/// accumulator under its lock.
+const SEND_BATCH: usize = 4096;
+
+/// What the run's one [`ContAcc`] needs from a shard: its sends as
+/// `(round, from, to)`, folded in batches of [`SEND_BATCH`], and its
+/// ranks' executions per round (`execs[(rank − lo)·rounds + round]`),
+/// folded when the shard ends. Every load is a sum or a maximum, so the
+/// fold order — which depends on thread timing — never shows.
+struct ShardLoads<'a> {
+    acc: &'a Mutex<ContAcc>,
+    lo: u32,
+    rounds: usize,
+    sends: Vec<(u32, u32, u32)>,
+    execs: Vec<u64>,
+}
+
+impl ShardLoads<'_> {
+    fn push_send(&mut self, round: usize, from: u32, to: u32) {
+        self.sends.push((round as u32, from, to));
+        if self.sends.len() == SEND_BATCH {
+            self.fold_sends();
+        }
+    }
+
+    fn push_exec(&mut self, round: usize, proc: u32) {
+        self.execs[(proc - self.lo) as usize * self.rounds + round] += 1;
+    }
+
+    fn fold_sends(&mut self) {
+        let mut acc = self.acc.lock().expect("contention accumulator");
+        for (round, from, to) in self.sends.drain(..) {
+            acc.record_send(round as usize, from, to);
+        }
+    }
+
+    fn finish(mut self) {
+        self.fold_sends();
+        let mut acc = self.acc.lock().expect("contention accumulator");
+        for (proc, execs) in (self.lo..).zip(self.execs.chunks(self.rounds)) {
+            for (round, &n) in execs.iter().enumerate() {
+                acc.record_execs(round, proc, n);
+            }
+        }
+    }
 }
 
 /// Steps grouped by rank: `steps[start[r]..start[r] + count[r]]` are the
@@ -235,8 +284,7 @@ fn run_shard<V: CdagView>(
     lo: usize,
     hi: usize,
     m: usize,
-    machine: Option<&MachineModel>,
-    rounds: usize,
+    cont: Option<(&Mutex<ContAcc>, usize)>,
     traced: bool,
 ) -> ShardOut {
     let p = a.p as usize;
@@ -246,9 +294,15 @@ fn run_shard<V: CdagView>(
         received: vec![0; hi - lo],
         local_io: vec![0; hi - lo],
         total_words: 0,
-        cont: machine.map(|mm| ContAcc::new(mm, p, rounds)),
         events: traced.then(|| (Vec::new(), Vec::new())),
     };
+    let mut loads = cont.map(|(acc, rounds)| ShardLoads {
+        acc,
+        lo: lo as u32,
+        rounds,
+        sends: Vec::with_capacity(SEND_BATCH),
+        execs: vec![0; (hi - lo) * rounds],
+    });
     // Residency can never exceed the rank's distinct touches, bounded by
     // steps·(maxdeg+1); sizing the arena by the shard's largest rank
     // keeps scratch proportional to actual work even when M is huge.
@@ -275,7 +329,7 @@ fn run_shard<V: CdagView>(
                     g,
                     &mut cache,
                     &mut out,
-                    machine,
+                    &mut loads,
                     lo,
                     me,
                     op.0,
@@ -287,16 +341,19 @@ fn run_shard<V: CdagView>(
                 if let Some((ev, _)) = &mut out.events {
                     ev.push(DistEvent::Exec { proc: me, v: vu });
                 }
-                if let Some(c) = &mut out.cont {
-                    c.record_exec(round_of(g, vu), me);
+                if let Some(c) = &mut loads {
+                    c.push_exec(round_of(g, vu), me);
                 }
             }
             // The result occupies a slot; computing into cache is free.
-            touch(g, &mut cache, &mut out, machine, lo, me, vu, false, None);
+            touch(g, &mut cache, &mut out, &mut loads, lo, me, vu, false, None);
             if let Some((ev, counts)) = &mut out.events {
                 counts.push((ev.len() - events_before) as u32);
             }
         }
+    }
+    if let Some(c) = loads {
+        c.finish();
     }
     out
 }
@@ -315,7 +372,7 @@ fn touch<V: CdagView>(
     g: &V,
     cache: &mut RankCache,
     out: &mut ShardOut,
-    machine: Option<&MachineModel>,
+    loads: &mut Option<ShardLoads>,
     lo: usize,
     me: u32,
     v: u32,
@@ -357,8 +414,8 @@ fn touch<V: CdagView>(
                     v,
                 });
             }
-            if let (Some(c), Some(mm)) = (&mut out.cont, machine) {
-                c.record_send(mm, round_of(g, v), owner, me);
+            if let Some(c) = loads {
+                c.push_send(round_of(g, v), owner, me);
             }
         }
     }
@@ -399,9 +456,11 @@ pub(super) fn run_soa<V: CdagView + Sync>(
         .map(|s| (p * s / shards, p * (s + 1) / shards))
         .collect();
 
+    let cont = machine.map(|mm| Mutex::new(ContAcc::new(mm, a.p, rounds)));
     let outs: Vec<ShardOut> = pool.map(shards, |s| {
         let (lo, hi) = bounds[s];
-        run_shard(g, a, &rs, lo, hi, m, machine.as_ref(), rounds, traced)
+        let shard_cont = cont.as_ref().map(|acc| (acc, rounds));
+        run_shard(g, a, &rs, lo, hi, m, shard_cont, traced)
     });
 
     // Merge counters (index-ordered, shard-count-independent: sums and
@@ -410,7 +469,6 @@ pub(super) fn run_soa<V: CdagView + Sync>(
     let mut received = vec![0u64; p];
     let mut local_io = vec![0u64; p];
     let mut total_words = 0u64;
-    let mut cont = machine.as_ref().map(|mm| ContAcc::new(mm, p, rounds));
     for (s, o) in outs.iter().enumerate() {
         let (lo, hi) = bounds[s];
         for (dst, &src) in sent.iter_mut().zip(&o.sent) {
@@ -419,9 +477,6 @@ pub(super) fn run_soa<V: CdagView + Sync>(
         received[lo..hi].copy_from_slice(&o.received);
         local_io[lo..hi].copy_from_slice(&o.local_io);
         total_words += o.total_words;
-        if let (Some(acc), Some(oc)) = (&mut cont, &o.cont) {
-            acc.merge(oc);
-        }
     }
     let run = DistRun {
         total_words,
@@ -434,7 +489,8 @@ pub(super) fn run_soa<V: CdagView + Sync>(
         max_local_io: local_io.iter().copied().max().unwrap_or(0),
         total_local_io: local_io.iter().sum(),
     };
-    let contention: Option<ContentionReport> = cont.zip(machine).map(|(acc, mm)| acc.report(mm));
+    let contention: Option<ContentionReport> =
+        cont.map(|acc| acc.into_inner().expect("contention accumulator").report());
     let outcome = DistOutcome {
         run: run.clone(),
         contention: contention.clone(),

@@ -23,6 +23,25 @@
 //! With `β ≥ 1` (enforced by [`MachineModel::new`]) the contended
 //! makespan dominates the uncontended critical path:
 //! `Σ_ρ max_rank(ρ) ≥ max_r Σ_ρ (sent_r + recv_r)(ρ) = critical_path_words`.
+//!
+//! **Arcs and difference arrays.** Every tracked link lies on one
+//! directed *line* that closes on itself: the ring's two directions, or
+//! one row (x±) or column (y±) of the torus. A dimension-ordered
+//! shortest route uses one contiguous arc per line — on a ring the
+//! forward arc `[from, from + fwd)` or the backward arc ending at `from`;
+//! on a torus an x-arc on row `from / q`, then a y-arc on column
+//! `to % q`. So the run's accumulator charges a word in O(1), whatever
+//! its hop count: +1 at the arc's first link and −1 just past its last,
+//! in a per-round difference array indexed by link id, with a wrapping
+//! arc split in two. The report takes one prefix sum per line to get
+//! every link's load. [`Topology::route_into`] and [`Topology::hops`] stay the
+//! hop-by-hop definition, which the analyzer's recount and the tests use
+//! as the oracle. One accumulator serves a whole run: `rounds · (2P +
+//! links)` words.
+//!
+//! Offsets `(to − from) mod p` are computed without intermediate
+//! overflow and link ids are `u64`, so every `p ≥ 1` up to `u32::MAX`
+//! routes exactly; `p = 0` is rejected by [`Topology::validate`].
 
 use serde::{Serialize, Value};
 
@@ -75,12 +94,16 @@ impl Topology {
         Ok(t)
     }
 
-    /// Checks that the topology is consistent with `p` ranks.
+    /// Checks that the topology is consistent with `p` ranks (at least
+    /// one: routes are taken modulo `p`).
     pub fn validate(&self, p: u32) -> Result<(), String> {
+        if p == 0 {
+            return Err("a topology needs at least one rank".to_string());
+        }
         match *self {
             Topology::Full | Topology::Ring => Ok(()),
             Topology::Torus2d { q } => {
-                if q.checked_mul(q) == Some(p) && q > 0 {
+                if q.checked_mul(q) == Some(p) {
                     Ok(())
                 } else {
                     Err(format!("torus side {q} does not square to {p} ranks"))
@@ -104,13 +127,13 @@ impl Topology {
         match *self {
             Topology::Full => 1,
             Topology::Ring => {
-                let fwd = (to + p - from) % p;
+                let fwd = forward(p, from, to);
                 u64::from(fwd.min(p - fwd))
             }
             Topology::Torus2d { q } => {
-                let dx = (to % q + q - from % q) % q;
-                let dy = (to / q + q - from / q) % q;
-                u64::from(dx.min(q - dx) + dy.min(q - dy))
+                let dx = forward(q, from % q, to % q);
+                let dy = forward(q, from / q, to / q);
+                u64::from(dx.min(q - dx)) + u64::from(dy.min(q - dy))
             }
         }
     }
@@ -119,53 +142,193 @@ impl Topology {
     /// (cleared first). Empty on `Full` — no per-link tracking. Link
     /// ids: ring `2·node + {0:+1, 1:−1}`, torus `4·node + {0:x+, 1:x−,
     /// 2:y+, 3:y−}`, where `node` is the rank the word departs from.
-    pub fn route_into(&self, p: u32, from: u32, to: u32, out: &mut Vec<u32>) {
+    pub fn route_into(&self, p: u32, from: u32, to: u32, out: &mut Vec<u64>) {
         out.clear();
         match *self {
             Topology::Full => {}
             Topology::Ring => {
-                let fwd = (to + p - from) % p;
+                let fwd = forward(p, from, to);
                 let mut cur = from;
                 if fwd <= p - fwd {
                     for _ in 0..fwd {
-                        out.push(2 * cur);
-                        cur = (cur + 1) % p;
+                        out.push(2 * u64::from(cur));
+                        cur = step_up(p, cur);
                     }
                 } else {
                     for _ in 0..(p - fwd) {
-                        out.push(2 * cur + 1);
-                        cur = (cur + p - 1) % p;
+                        out.push(2 * u64::from(cur) + 1);
+                        cur = step_down(p, cur);
                     }
                 }
             }
             Topology::Torus2d { q } => {
                 let (mut x, mut y) = (from % q, from / q);
                 let (tx, ty) = (to % q, to / q);
-                let fx = (tx + q - x) % q;
+                let node = |x: u32, y: u32| 4 * (u64::from(x) + u64::from(q) * u64::from(y));
+                let fx = forward(q, x, tx);
                 if fx <= q - fx {
                     for _ in 0..fx {
-                        out.push(4 * (x + q * y));
-                        x = (x + 1) % q;
+                        out.push(node(x, y));
+                        x = step_up(q, x);
                     }
                 } else {
                     for _ in 0..(q - fx) {
-                        out.push(4 * (x + q * y) + 1);
-                        x = (x + q - 1) % q;
+                        out.push(node(x, y) + 1);
+                        x = step_down(q, x);
                     }
                 }
-                let fy = (ty + q - y) % q;
+                let fy = forward(q, y, ty);
                 if fy <= q - fy {
                     for _ in 0..fy {
-                        out.push(4 * (x + q * y) + 2);
-                        y = (y + 1) % q;
+                        out.push(node(x, y) + 2);
+                        y = step_up(q, y);
                     }
                 } else {
                     for _ in 0..(q - fy) {
-                        out.push(4 * (x + q * y) + 3);
-                        y = (y + q - 1) % q;
+                        out.push(node(x, y) + 3);
+                        y = step_down(q, y);
                     }
                 }
             }
+        }
+    }
+
+    /// The directed lines of the interconnect: the ring's two directions,
+    /// or the torus's rows (x±) and columns (y±). Every tracked link lies
+    /// on exactly one line.
+    fn lines(&self, p: u32) -> Vec<Line> {
+        match *self {
+            Topology::Full => Vec::new(),
+            Topology::Ring => (0..2).map(|d| Line::new(d, 2, p)).collect(),
+            Topology::Torus2d { q } => {
+                let q64 = u64::from(q);
+                let rows =
+                    (0..2).flat_map(|d| (0..q64).map(move |y| Line::new(4 * q64 * y + d, 4, q)));
+                let cols =
+                    (2..4).flat_map(|d| (0..q64).map(move |x| Line::new(4 * x + d, 4 * q64, q)));
+                rows.chain(cols).collect()
+            }
+        }
+    }
+
+    /// The route `from → to` as at most two arcs, the same links
+    /// [`Topology::route_into`] lists hop by hop: on a ring, the forward
+    /// arc starting at `from` or the backward arc ending at `from`; on a
+    /// torus, an x-arc on row `from / q`, then a y-arc on column `to % q`.
+    /// Zero-hop legs are `None`.
+    fn arcs(&self, p: u32, from: u32, to: u32) -> [Option<Arc>; 2] {
+        match *self {
+            Topology::Full => [None, None],
+            Topology::Ring => [
+                Arc::shortest(Line::new(0, 2, p), Line::new(1, 2, p), from, to),
+                None,
+            ],
+            Topology::Torus2d { q } => {
+                let q64 = u64::from(q);
+                let (x, y) = (from % q, from / q);
+                let (tx, ty) = (to % q, to / q);
+                let row = |d: u64| Line::new(4 * q64 * u64::from(y) + d, 4, q);
+                let col = |d: u64| Line::new(4 * u64::from(tx) + d, 4 * q64, q);
+                [
+                    Arc::shortest(row(0), row(1), x, tx),
+                    Arc::shortest(col(2), col(3), y, ty),
+                ]
+            }
+        }
+    }
+}
+
+/// `(to − from) mod n` for `from, to < n`, without intermediate overflow.
+fn forward(n: u32, from: u32, to: u32) -> u32 {
+    if to >= from {
+        to - from
+    } else {
+        n - (from - to)
+    }
+}
+
+/// `(i + 1) mod n` for `i < n`.
+fn step_up(n: u32, i: u32) -> u32 {
+    if i + 1 == n {
+        0
+    } else {
+        i + 1
+    }
+}
+
+/// `(i − 1) mod n` for `i < n`.
+fn step_down(n: u32, i: u32) -> u32 {
+    if i == 0 {
+        n - 1
+    } else {
+        i - 1
+    }
+}
+
+/// One directed line of links that closes on itself: position `i` is
+/// link `first + i·stride`, for `i < len`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Line {
+    first: u64,
+    stride: u64,
+    len: u32,
+}
+
+impl Line {
+    fn new(first: u64, stride: u64, len: u32) -> Line {
+        Line { first, stride, len }
+    }
+
+    /// The link id at position `i`.
+    fn link(&self, i: u32) -> usize {
+        (self.first + u64::from(i) * self.stride) as usize
+    }
+}
+
+/// The links one route leg uses on one line: positions `start`,
+/// `start + 1`, …, `start + hops − 1`, modulo the line's length.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Arc {
+    line: Line,
+    start: u32,
+    hops: u32,
+}
+
+impl Arc {
+    /// The shorter way from position `from` to `to` along a line pair:
+    /// forward on `up` from `from`, or backward on `down`, which uses the
+    /// links of positions `to + 1 ..= from`. Ties go forward.
+    fn shortest(up: Line, down: Line, from: u32, to: u32) -> Option<Arc> {
+        let n = up.len;
+        let fwd = forward(n, from, to);
+        let arc = if fwd <= n - fwd {
+            Arc {
+                line: up,
+                start: from,
+                hops: fwd,
+            }
+        } else {
+            Arc {
+                line: down,
+                start: step_up(n, to),
+                hops: n - fwd,
+            }
+        };
+        (arc.hops > 0).then_some(arc)
+    }
+
+    /// Adds one word to each link of the arc in `diff`, the line's
+    /// difference array: +1 where the arc starts, −1 just past where it
+    /// ends, and a wrapping arc split in two at position 0.
+    fn add_to(&self, diff: &mut [i64]) {
+        let end = u64::from(self.start) + u64::from(self.hops);
+        let len = u64::from(self.line.len);
+        diff[self.line.link(self.start)] += 1;
+        if end < len {
+            diff[self.line.link(end as u32)] -= 1;
+        } else if end > len {
+            diff[self.line.link(0)] += 1;
+            diff[self.line.link((end - len) as u32)] -= 1;
         }
     }
 }
@@ -234,12 +397,16 @@ pub struct ContentionReport {
     pub makespan: u64,
 }
 
-/// Flat per-(round, rank) and per-(round, link) load accumulators. Each
-/// simulation shard owns one; shards merge by elementwise sum (loads)
-/// and max (hop maxima), so the totals are independent of sharding.
+/// The contended-load accumulator of one run: per-round word and hop
+/// totals, per-(round, rank) NIC loads and executions, and per-round
+/// link-load difference arrays. A send costs O(1) whatever its length:
+/// each arc of its route adds ±1 at its two ends (see [`Arc::add_to`]),
+/// and [`ContAcc::report`] takes one prefix sum per line. State is
+/// `rounds · (2P + links)` words, allocated once per run.
 #[derive(Clone, Debug)]
 pub(crate) struct ContAcc {
-    p: usize,
+    machine: MachineModel,
+    p: u32,
     rounds: usize,
     n_links: usize,
     words: Vec<u64>,
@@ -247,90 +414,79 @@ pub(crate) struct ContAcc {
     max_hops: Vec<u64>,
     rank_words: Vec<u64>,
     execs: Vec<u64>,
-    link_words: Vec<u64>,
-    route: Vec<u32>,
+    /// `n_links` cells per round, indexed by link id: along each line,
+    /// a link's load is the sum of the line's cells up to and including
+    /// its own.
+    link_diff: Vec<i64>,
 }
 
 impl ContAcc {
-    pub(crate) fn new(machine: &MachineModel, p: usize, rounds: usize) -> ContAcc {
-        let n_links = machine.topo.n_links(p as u32);
+    pub(crate) fn new(machine: MachineModel, p: u32, rounds: usize) -> ContAcc {
+        let n_links = machine.topo.n_links(p);
+        let ranks = rounds * p as usize;
         ContAcc {
+            machine,
             p,
             rounds,
             n_links,
             words: vec![0; rounds],
             hop_words: vec![0; rounds],
             max_hops: vec![0; rounds],
-            rank_words: vec![0; rounds * p],
-            execs: vec![0; rounds * p],
-            link_words: vec![0; rounds * n_links],
-            route: Vec::new(),
+            rank_words: vec![0; ranks],
+            execs: vec![0; ranks],
+            link_diff: vec![0; rounds * n_links],
         }
     }
 
-    pub(crate) fn record_send(&mut self, machine: &MachineModel, round: usize, from: u32, to: u32) {
-        let p = self.p as u32;
+    pub(crate) fn record_send(&mut self, round: usize, from: u32, to: u32) {
+        let p = self.p as usize;
         self.words[round] += 1;
-        self.rank_words[round * self.p + from as usize] += 1;
-        self.rank_words[round * self.p + to as usize] += 1;
-        let h = machine.topo.hops(p, from, to);
+        self.rank_words[round * p + from as usize] += 1;
+        self.rank_words[round * p + to as usize] += 1;
+        let h = self.machine.topo.hops(self.p, from, to);
         self.hop_words[round] += h;
         self.max_hops[round] = self.max_hops[round].max(h);
-        if self.n_links > 0 {
-            let mut route = std::mem::take(&mut self.route);
-            machine.topo.route_into(p, from, to, &mut route);
-            for &link in &route {
-                self.link_words[round * self.n_links + link as usize] += 1;
+        let diff = &mut self.link_diff[round * self.n_links..(round + 1) * self.n_links];
+        let arcs = self.machine.topo.arcs(self.p, from, to);
+        for arc in arcs.into_iter().flatten() {
+            arc.add_to(diff);
+        }
+    }
+
+    pub(crate) fn record_execs(&mut self, round: usize, proc: u32, n: u64) {
+        self.execs[round * self.p as usize + proc as usize] += n;
+    }
+
+    /// Words forwarded over each link in `round`, indexed by link id.
+    fn link_loads(&self, round: usize) -> Vec<u64> {
+        let diff = &self.link_diff[round * self.n_links..(round + 1) * self.n_links];
+        let mut loads = vec![0; self.n_links];
+        for line in self.machine.topo.lines(self.p) {
+            let mut load = 0i64;
+            for i in 0..line.len {
+                load += diff[line.link(i)];
+                loads[line.link(i)] = load as u64;
             }
-            self.route = route;
         }
+        loads
     }
 
-    pub(crate) fn record_exec(&mut self, round: usize, proc: u32) {
-        self.execs[round * self.p + proc as usize] += 1;
-    }
-
-    /// Elementwise merge of another shard's accumulator (same shape).
-    pub(crate) fn merge(&mut self, other: &ContAcc) {
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a += b;
-        }
-        for (a, b) in self.hop_words.iter_mut().zip(&other.hop_words) {
-            *a += b;
-        }
-        for (a, b) in self.max_hops.iter_mut().zip(&other.max_hops) {
-            *a = (*a).max(*b);
-        }
-        for (a, b) in self.rank_words.iter_mut().zip(&other.rank_words) {
-            *a += b;
-        }
-        for (a, b) in self.execs.iter_mut().zip(&other.execs) {
-            *a += b;
-        }
-        for (a, b) in self.link_words.iter_mut().zip(&other.link_words) {
-            *a += b;
-        }
-    }
-
-    pub(crate) fn report(&self, machine: MachineModel) -> ContentionReport {
+    pub(crate) fn report(&self) -> ContentionReport {
+        let p = self.p as usize;
         let mut rounds = Vec::with_capacity(self.rounds);
         let mut makespan = 0u64;
         for r in 0..self.rounds {
-            let max_rank_words = self.rank_words[r * self.p..(r + 1) * self.p]
+            let max_rank_words = self.rank_words[r * p..(r + 1) * p]
                 .iter()
                 .copied()
                 .max()
                 .unwrap_or(0);
-            let max_execs = self.execs[r * self.p..(r + 1) * self.p]
+            let max_execs = self.execs[r * p..(r + 1) * p]
                 .iter()
                 .copied()
                 .max()
                 .unwrap_or(0);
-            let max_link_words = self.link_words[r * self.n_links..(r + 1) * self.n_links]
-                .iter()
-                .copied()
-                .max()
-                .unwrap_or(0);
+            let max_link_words = self.link_loads(r).into_iter().max().unwrap_or(0);
             let load = RoundLoad {
                 round: r as u32,
                 words: self.words[r],
@@ -340,7 +496,7 @@ impl ContAcc {
                 max_rank_words,
                 max_execs,
                 time: round_time(
-                    &machine,
+                    &self.machine,
                     max_execs,
                     self.max_hops[r],
                     max_link_words,
@@ -351,7 +507,7 @@ impl ContAcc {
             rounds.push(load);
         }
         ContentionReport {
-            machine,
+            machine: self.machine,
             rounds,
             makespan,
         }
@@ -427,6 +583,157 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Every ring of 1..=17 ranks and torus of side 1..=6, with `p`.
+    fn small_topologies() -> Vec<(Topology, u32)> {
+        let rings = (1..=17).map(|p| (Topology::Ring, p));
+        let tori = (1..=6).map(|q| (Topology::Torus2d { q }, q * q));
+        rings.chain(tori).collect()
+    }
+
+    /// Per-hop link loads of `sends` (one round), from `route_into`.
+    fn routed_loads(topo: Topology, p: u32, sends: &[(u32, u32)]) -> Vec<u64> {
+        let mut loads = vec![0; topo.n_links(p)];
+        let mut route = Vec::new();
+        for &(from, to) in sends {
+            topo.route_into(p, from, to, &mut route);
+            for &link in &route {
+                loads[link as usize] += 1;
+            }
+        }
+        loads
+    }
+
+    #[test]
+    fn difference_arrays_match_per_hop_routes_link_for_link() {
+        // Every ordered pair alone (odd and even sizes, antipodal ties,
+        // wraparound), then all pairs at once spread over three rounds:
+        // the prefix-summed difference arrays give the per-hop counts of
+        // `route_into` on every link, and the report's per-round maxima
+        // and hop totals agree with them.
+        for (topo, p) in small_topologies() {
+            let machine = MachineModel::new(topo, 1, 1, 1);
+            let pairs: Vec<(u32, u32)> = (0..p).flat_map(|f| (0..p).map(move |t| (f, t))).collect();
+            for &(from, to) in &pairs {
+                let mut acc = ContAcc::new(machine, p, 1);
+                acc.record_send(0, from, to);
+                let expect = routed_loads(topo, p, &[(from, to)]);
+                assert_eq!(acc.link_loads(0), expect, "{topo:?} {from}->{to}");
+                let hops: u32 = topo
+                    .arcs(p, from, to)
+                    .iter()
+                    .flatten()
+                    .map(|a| a.hops)
+                    .sum();
+                assert_eq!(
+                    u64::from(hops),
+                    topo.hops(p, from, to),
+                    "{topo:?} {from}->{to}"
+                );
+            }
+            let mut acc = ContAcc::new(machine, p, 3);
+            for (i, &(from, to)) in pairs.iter().enumerate() {
+                acc.record_send(i % 3, from, to);
+            }
+            let report = acc.report();
+            for round in 0..3 {
+                let sends: Vec<(u32, u32)> = pairs.iter().copied().skip(round).step_by(3).collect();
+                let expect = routed_loads(topo, p, &sends);
+                assert_eq!(acc.link_loads(round), expect, "{topo:?} round {round}");
+                let load = &report.rounds[round];
+                assert_eq!(
+                    load.max_link_words,
+                    expect.iter().copied().max().unwrap_or(0)
+                );
+                assert_eq!(load.hop_words, expect.iter().sum::<u64>(), "{topo:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn zero_ranks_are_rejected() {
+        for topo in [Topology::Full, Topology::Ring, Topology::Torus2d { q: 0 }] {
+            assert!(topo.validate(0).is_err(), "{topo:?}");
+        }
+        assert!(Topology::parse("ring", 0).is_err());
+        assert!(Topology::parse("full", 0).is_err());
+        assert!(Topology::parse("torus", 0).is_err());
+    }
+
+    #[test]
+    fn one_and_two_ranks_route_sensibly() {
+        let mut route = Vec::new();
+        for topo in [Topology::Ring, Topology::Torus2d { q: 1 }] {
+            assert!(topo.validate(1).is_ok());
+            assert_eq!(topo.hops(1, 0, 0), 0);
+            topo.route_into(1, 0, 0, &mut route);
+            assert!(route.is_empty());
+            assert_eq!(topo.arcs(1, 0, 0), [None, None]);
+        }
+        // Two ranks: both directions are one hop, and the tie goes forward.
+        let t = Topology::Ring;
+        assert!(t.validate(2).is_ok());
+        t.route_into(2, 0, 1, &mut route);
+        assert_eq!(route, vec![0]);
+        t.route_into(2, 1, 0, &mut route);
+        assert_eq!(route, vec![2]);
+        assert_eq!(t.hops(2, 1, 0), 1);
+    }
+
+    /// The links of the route `from → to`: per hop from `route_into` and
+    /// position by position from its arcs, each sorted.
+    fn both_link_lists(t: Topology, p: u32, from: u32, to: u32) -> (Vec<u64>, Vec<u64>) {
+        let mut route = Vec::new();
+        t.route_into(p, from, to, &mut route);
+        route.sort_unstable();
+        let mut arcs: Vec<u64> = t
+            .arcs(p, from, to)
+            .into_iter()
+            .flatten()
+            .flat_map(|a| {
+                (0..a.hops).map(move |i| {
+                    let pos = (u64::from(a.start) + u64::from(i)) % u64::from(a.line.len);
+                    a.line.link(pos as u32) as u64
+                })
+            })
+            .collect();
+        arcs.sort_unstable();
+        (route, arcs)
+    }
+
+    #[test]
+    fn offsets_do_not_wrap_at_u32_max_ranks() {
+        let (t, p) = (Topology::Ring, u32::MAX);
+        assert!(t.validate(p).is_ok());
+        // Backward across rank 0, forward across the top, and the longest
+        // route, which goes forward (p is odd: no tie).
+        for (from, to, hops) in [
+            (0, p - 1, 1u64),
+            (p - 1, 0, 1),
+            (p - 2, 1, 3),
+            (1, p - 2, 3),
+        ] {
+            assert_eq!(t.hops(p, from, to), hops, "{from}->{to}");
+            let (route, arcs) = both_link_lists(t, p, from, to);
+            assert_eq!(route, arcs, "{from}->{to}");
+        }
+        assert_eq!(t.hops(p, 0, p / 2), u64::from(p / 2));
+        assert_eq!(t.hops(p, p / 2, 0), u64::from(p / 2));
+        // Route (0, 0) -> (q−1, q−1) and back on the largest square torus:
+        // link ids pass u32::MAX.
+        let q = 65_535u32;
+        let (t, p) = (Topology::Torus2d { q }, q * q);
+        assert!(t.validate(p).is_ok());
+        for (from, to) in [(0, p - 1), (p - 1, 0)] {
+            assert_eq!(t.hops(p, from, to), 2);
+            let (route, arcs) = both_link_lists(t, p, from, to);
+            assert_eq!(route, arcs, "{from}->{to}");
+        }
+        let mut route = Vec::new();
+        t.route_into(p, p - 1, 0, &mut route);
+        let last_row = u64::from(q) * u64::from(q - 1);
+        assert_eq!(route, vec![4 * u64::from(p - 1), 4 * last_row + 2]);
     }
 
     #[test]
