@@ -17,11 +17,9 @@
 //!   (`ω₀ = 3·log₁₂ 11 ≈ 2.894`) — the Hopcroft–Kerr family as a
 //!   [`BaseGraph`] the whole lower-bound pipeline accepts.
 
-use crate::verify::verify_bilinear_randomized;
 use mmio_cdag::base::Side;
 use mmio_cdag::BaseGraph;
 use mmio_matrix::{Matrix, Rational};
-use rand::Rng;
 
 /// A bilinear algorithm computing `C (m×n) = A (m×k) · B (k×n)` with `b`
 /// products. Entry flattening is row-major per operand.
@@ -155,21 +153,6 @@ impl RectAlgorithm {
         } else {
             Err(violations)
         }
-    }
-
-    /// Randomized verification for shapes too large for the exhaustive
-    /// check: evaluates the bilinear form on random integer matrices and
-    /// compares with the classical product. A wrong algorithm fails with
-    /// overwhelming probability per sample.
-    pub fn verify_randomized<R: Rng>(&self, samples: usize, rng: &mut R) -> bool {
-        verify_bilinear_randomized(
-            (self.m, self.k, self.n),
-            &self.enc_a,
-            &self.enc_b,
-            &self.dec,
-            samples,
-            rng,
-        )
     }
 
     /// Applies the algorithm once to block matrices: `A` is `(m·s) × (k·s)`,

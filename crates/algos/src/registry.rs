@@ -40,12 +40,6 @@ pub fn all_base_graphs() -> Vec<BaseGraph> {
     v
 }
 
-/// Larger constructions excluded from the default sweeps for cost:
-/// the Hopcroft–Kerr-family square ⟨12,12,12;1331⟩.
-pub fn extended_base_graphs() -> Vec<BaseGraph> {
-    vec![crate::rect::hopcroft_kerr_square()]
-}
-
 /// Base graphs satisfying all of the main theorem's hypotheses (single-use
 /// assumption and the Lemma 1 condition) — the ones the full lower-bound
 /// pipeline runs on.

@@ -233,13 +233,6 @@ pub fn is_expectation_file(rel_path: &str) -> bool {
     EXPECTATION_FILES.contains(&rel_path)
 }
 
-/// Crates excluded from the source model entirely: the shims are
-/// stand-ins for external dependencies — they sit *outside* the trust
-/// boundary exactly like the real crates they replace would.
-pub fn crate_dir_excluded(dir_name: &str) -> bool {
-    dir_name == "shims"
-}
-
 /// Path fragments excluded from the real-workspace scan: the planted
 /// fixture workspace exists to violate every rule on purpose.
 pub fn path_excluded(rel_path: &str) -> bool {

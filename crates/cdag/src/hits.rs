@@ -169,14 +169,6 @@ impl HitCounter {
         self.hits[v as usize]
     }
 
-    /// Hits of the group rooted at `root` (0 when groups are untracked).
-    pub fn group_hits_of(&self, root: u32) -> u64 {
-        self.groups
-            .as_ref()
-            .map(|(_, gh)| gh[root as usize])
-            .unwrap_or(0)
-    }
-
     /// Dense index of a vertex with maximal hits (ties: lowest id).
     pub fn argmax_vertex(&self) -> Option<u32> {
         argmax(&self.hits)

@@ -26,7 +26,9 @@
 //!
 //! `<algo>` is a built-in name (`mmio list`) or a path to a JSON base-graph
 //! file (see `mmio export`). The flags `--json` and `--out DIR` may stand
-//! anywhere: operands are counted after they are removed.
+//! anywhere: operands are counted after they are removed. A flag that the
+//! command does not read, or an operand past its last one, is a usage
+//! error (exit 2).
 //!
 //! The global flag `--threads N` (or the `MMIO_THREADS` environment
 //! variable; default: all available cores) sets the worker count for the
@@ -34,11 +36,15 @@
 //! count.
 //!
 //! The global flag `--view explicit|implicit|auto` (default: `auto`) picks
-//! the `G_r` representation for `simulate`, `certify`, `routing`, and
-//! `cert emit`: `explicit` materializes the graph, `implicit` runs on the
-//! closed-form [`mmio_cdag::IndexView`] (memory independent of `b^r`), and
-//! `auto` switches to the implicit view once the vertex count exceeds a
-//! fixed budget. Output is byte-identical across views wherever both run.
+//! the `G_r` representation for `simulate`, `certify`, `routing`,
+//! `distsim` and `cert emit`: `explicit` materializes the graph,
+//! `implicit` runs on the closed-form [`mmio_cdag::IndexView`] (memory
+//! independent of `b^r`), and `auto` switches to the implicit view once
+//! the vertex count exceeds a fixed budget. The output of `simulate`,
+//! `certify`, `routing` and `distsim` is byte-identical across views.
+//! `cert emit` is not: under the implicit view its schedule and sweep
+//! witnesses are capped at depth 4 (see `emit_certs_for`), so at `r ≥ 5`
+//! it writes different files than the explicit view.
 
 #![forbid(unsafe_code)]
 
@@ -167,6 +173,30 @@ fn extract_value(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, S
     let value = args.remove(i + 1);
     args.remove(i);
     Ok(Some(value))
+}
+
+/// Fails with a usage error on anything the command `args[0]` does not
+/// read: one of the `given` position-free flags (stripped before the
+/// command was known) that is not in `reads`, a `--flag` left over after
+/// the command stripped its own, or an operand past its first `operands`.
+fn reject_unread(
+    args: &[String],
+    operands: usize,
+    given: &[&str],
+    reads: &[&str],
+) -> Result<(), CliError> {
+    let unread = given.iter().copied().filter(|f| !reads.contains(f));
+    let leftover = args
+        .iter()
+        .map(String::as_str)
+        .filter(|a| a.starts_with("--"));
+    if let Some(flag) = unread.chain(leftover).next() {
+        return Err(CliError::Usage(format!("{} does not take {flag}", args[0])));
+    }
+    match args[1..].get(operands) {
+        Some(extra) => Err(CliError::Usage(format!("unexpected argument '{extra}'"))),
+        None => Ok(()),
+    }
 }
 
 /// Strips a `--threads N` flag and returns the explicit worker count, if
@@ -324,12 +354,17 @@ fn run() -> Result<ExitCode, CliError> {
     let out_dir = extract_value(&mut args, "--out")?;
     let json = args.iter().any(|a| a == "--json");
     args.retain(|a| a != "--json");
+    let given: Vec<&str> = [("--json", json), ("--out", out_dir.is_some())]
+        .into_iter()
+        .filter_map(|(flag, set)| set.then_some(flag))
+        .collect();
     let pool = Pool::from_env(explicit_threads);
     let Some(cmd) = args.first().cloned() else {
         return Err("no command".into());
     };
     match cmd.as_str() {
         "list" => {
+            reject_unread(&args, 0, &given, &[])?;
             println!(
                 "{:<22} {:>3} {:>3} {:>4} {:>8} {:>6}",
                 "name", "n0", "a", "b", "ω₀", "fast"
@@ -347,6 +382,7 @@ fn run() -> Result<ExitCode, CliError> {
             }
         }
         "info" => {
+            reject_unread(&args, 1, &given, &[])?;
             let base = resolve(args.get(1).ok_or("missing algorithm")?)?;
             let props = classify(&base);
             println!(
@@ -355,6 +391,7 @@ fn run() -> Result<ExitCode, CliError> {
             );
         }
         "verify" => {
+            reject_unread(&args, 1, &given, &[])?;
             let base = resolve(args.get(1).ok_or("missing algorithm")?)?;
             match base.verify_correctness() {
                 Ok(()) => println!(
@@ -377,10 +414,12 @@ fn run() -> Result<ExitCode, CliError> {
             }
         }
         "export" => {
+            reject_unread(&args, 1, &given, &[])?;
             let base = resolve(args.get(1).ok_or("missing algorithm")?)?;
             println!("{}", serialize::to_json(&base));
         }
         "simulate" => {
+            reject_unread(&args, 3, &given, &[])?;
             let base = resolve(args.get(1).ok_or("missing algorithm")?)?;
             let r: u32 = parse(args.get(2), "r")?;
             let m: usize = parse(args.get(3), "M")?;
@@ -408,6 +447,7 @@ fn run() -> Result<ExitCode, CliError> {
             );
         }
         "certify" => {
+            reject_unread(&args, 3, &given, &[])?;
             let base = resolve(args.get(1).ok_or("missing algorithm")?)?;
             let r: u32 = parse(args.get(2), "r")?;
             let m: u64 = parse(args.get(3), "M")?;
@@ -416,6 +456,7 @@ fn run() -> Result<ExitCode, CliError> {
             print!("{}", ops::certify_text(&base, r, m, view, &pool));
         }
         "routing" => {
+            reject_unread(&args, 3, &given, &[])?;
             let base = resolve(args.get(1).ok_or("missing algorithm")?)?;
             let k: u32 = parse(args.get(2), "k")?;
             let g = build_cdag(&base, k);
@@ -473,6 +514,7 @@ fn run() -> Result<ExitCode, CliError> {
             }
         }
         "report" => {
+            reject_unread(&args, 3, &given, &[])?;
             let base = resolve(args.get(1).ok_or("missing algorithm")?)?;
             let r: u32 = parse(args.get(2), "r")?;
             let m: u64 = parse(args.get(3), "M")?;
@@ -484,6 +526,7 @@ fn run() -> Result<ExitCode, CliError> {
             );
         }
         "analyze" => {
+            reject_unread(&args, 2, &given, &["--json"])?;
             let target = args.get(1).ok_or("missing algorithm (or 'all')")?;
             let explicit_r: Option<u32> = match args.get(2) {
                 Some(a) => Some(a.parse().map_err(|_| "invalid r")?),
@@ -545,6 +588,7 @@ fn run() -> Result<ExitCode, CliError> {
             }
         }
         "check" => {
+            reject_unread(&args, 0, &given, &["--json"])?;
             // Deliberately ignores the pool: the suite fixes its own thread
             // counts, so `mmio check` output is byte-identical at any
             // `--threads` value (golden-tested).
@@ -607,6 +651,7 @@ fn run() -> Result<ExitCode, CliError> {
                 .ok_or("missing cert subcommand (emit|verify)")?;
             match sub {
                 "emit" => {
+                    reject_unread(&args, 3, &given, &["--json", "--out"])?;
                     let target = args.get(2).ok_or("missing algorithm (or 'all')")?;
                     let r: u32 = match args.get(3) {
                         Some(a) => a.parse().map_err(|_| "invalid r")?,
@@ -649,6 +694,7 @@ fn run() -> Result<ExitCode, CliError> {
                     }
                 }
                 "verify" => {
+                    reject_unread(&args, usize::MAX, &given, &["--json"])?;
                     let files = expand_cert_paths(&args[2..])?;
                     if files.is_empty() {
                         return Err(CliError::BadInput(
@@ -723,12 +769,14 @@ fn run() -> Result<ExitCode, CliError> {
             let queue_cap = parse_flag("--queue-cap", 64)? as usize;
             let deadline_ms = parse_flag("--deadline-ms", 30_000)?;
             let socket = extract_value(&mut args, "--socket")?.ok_or("missing --socket PATH")?;
+            let cache_dir = extract_value(&mut args, "--cache")?.map(std::path::PathBuf::from);
+            reject_unread(&args, 0, &given, &[])?;
             let cfg = mmio_serve::EngineConfig {
                 workers,
                 queue_cap,
                 max_spawns: workers.saturating_mul(4),
                 default_deadline: std::time::Duration::from_millis(deadline_ms),
-                cache_dir: extract_value(&mut args, "--cache")?.map(std::path::PathBuf::from),
+                cache_dir,
                 pool_threads: pool.threads(),
             };
             let hook: std::sync::Arc<dyn mmio_serve::FaultHook> =
@@ -751,6 +799,7 @@ fn run() -> Result<ExitCode, CliError> {
         }
         "audit" => {
             let baseline = extract_value(&mut args, "--baseline")?.map(std::path::PathBuf::from);
+            reject_unread(&args, 0, &given, &["--json"])?;
             let cwd = std::env::current_dir().map_err(|e| CliError::io(".", e))?;
             let root = mmio_audit::find_workspace_root(&cwd)
                 .ok_or_else(|| CliError::io(cwd.display(), "no workspace Cargo.toml above"))?;
@@ -775,6 +824,7 @@ fn run() -> Result<ExitCode, CliError> {
             let mem = extract_value(&mut args, "--mem")?;
             let assign = extract_value(&mut args, "--assign")?;
             let topo = extract_value(&mut args, "--topo")?;
+            reject_unread(&args, 2, &given, &["--json"])?;
             let base = resolve(args.get(1).ok_or("missing algorithm")?)?;
             let k: u32 = parse(args.get(2), "k")?;
             let p: u32 = match procs {
@@ -851,6 +901,7 @@ fn run() -> Result<ExitCode, CliError> {
             }
         }
         "codes" => {
+            reject_unread(&args, 0, &given, &[])?;
             for (crate_name, table) in mmio_analyze::codes::all_tables() {
                 for (code, desc) in table {
                     println!("{code:<12} {crate_name:<14} {desc}");

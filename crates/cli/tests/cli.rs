@@ -401,3 +401,52 @@ fn degenerate_r0_legal_under_every_view() {
         assert_eq!(out.stdout, golden.stdout, "view={view} at r=0");
     }
 }
+
+#[test]
+fn stray_arguments_are_usage_errors() {
+    // A flag the command does not read, or an operand past its last one,
+    // exits 2 with the usage text instead of being dropped silently.
+    for args in [
+        &["list", "--bogus"][..],
+        &["verify", "strassen", "junk"],
+        &["certify", "strassen", "3", "64", "--procs", "4"],
+        &["simulate", "strassen", "3", "64", "--out", "unused-dir"],
+        &["certify", "strassen", "3", "64", "5"],
+        &["routing", "strassen", "1", "2", "9"],
+    ] {
+        let out = mmio(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("usage: mmio"),
+            "{args:?}"
+        );
+    }
+}
+
+#[test]
+fn cert_emit_witness_depth_depends_on_view() {
+    // The schedule and sweep witnesses replay explicit schedules, so the
+    // implicit view caps their depth at 4; the routing certificate keeps
+    // the requested depth under both views.
+    for (view, depth) in [("implicit", 4), ("explicit", 5)] {
+        let dir = std::env::temp_dir().join(format!("mmio_cli_emit_{view}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let out = dir.to_str().unwrap();
+        let o = mmio(&[
+            "--view", view, "cert", "emit", "strassen", "5", "--out", out,
+        ]);
+        assert!(o.status.success(), "view={view}");
+        let mut files: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        files.sort();
+        let want = [
+            "strassen__routing_k2_r5.json".to_string(),
+            format!("strassen__schedule_r{depth}_m9.json"),
+            format!("strassen__sweep_r{depth}.json"),
+        ];
+        assert_eq!(files, want, "view={view}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

@@ -122,28 +122,6 @@ pub struct SegmentAnalysis {
     pub certified_io: u64,
 }
 
-/// Partitions `order` into minimal segments each containing `threshold`
-/// counted vertices (meta-closure included in `S`), computes `δ'(S')`,
-/// `R'(S')`, and `W°(S')` per segment, and accumulates the I/O certificate.
-///
-/// The certificate charges, per segment: every meta-vertex read from
-/// outside the closure beyond the `M` that may already sit in cache (one
-/// load each), and every meta-vertex created in the segment and needed
-/// later beyond the `M` that may remain in cache (one store each —
-/// creation segments are unique per meta, so the charges are disjoint
-/// I/O events).
-pub fn analyze<V: CdagView + Sync>(
-    g: &V,
-    meta: &MetaVertices,
-    order: &[VertexId],
-    counted: &[bool],
-    m: u64,
-    threshold: u64,
-    k: u32,
-) -> SegmentAnalysis {
-    analyze_with(g, meta, order, counted, m, threshold, k, &Pool::serial())
-}
-
 /// One segment of the order: `start..end`, its counted-vertex count, and
 /// whether it reached the threshold.
 type Bounds = (usize, usize, u64, bool);
@@ -288,7 +266,17 @@ fn segment_report<V: CdagView>(
     }
 }
 
-/// [`analyze`] with the per-segment reports computed over `pool`.
+/// Partitions `order` into minimal segments each containing `threshold`
+/// counted vertices (meta-closure included in `S`), computes `δ'(S')`,
+/// `R'(S')`, and `W°(S')` per segment over `pool`, and accumulates the
+/// I/O certificate.
+///
+/// The certificate charges, per segment: every meta-vertex read from
+/// outside the closure beyond the `M` that may already sit in cache (one
+/// load each), and every meta-vertex created in the segment and needed
+/// later beyond the `M` that may remain in cache (one store each —
+/// creation segments are unique per meta, so the charges are disjoint
+/// I/O events).
 ///
 /// Two phases: the segment *boundaries* come from a serial scan of the
 /// order, and then each segment's report — sparse meta-closure, `δ'(S')`,
@@ -299,7 +287,7 @@ fn segment_report<V: CdagView>(
 /// chunk rather than `O(segments · |V|)`. [`Pool::map`] returns chunks in
 /// order, so the analysis is byte-identical to the serial path at any
 /// thread count.
-#[allow(clippy::too_many_arguments)] // mirrors `analyze`, plus the pool
+#[allow(clippy::too_many_arguments)]
 pub fn analyze_with<V: CdagView + Sync>(
     g: &V,
     meta: &MetaVertices,
@@ -562,7 +550,7 @@ mod tests {
     fn segments_partition_the_order() {
         let (g, meta, counted) = setup(3, 1);
         let order = orders::recursive_order(&g);
-        let analysis = analyze(&g, &meta, &order, &counted, 2, 24, 1);
+        let analysis = analyze_with(&g, &meta, &order, &counted, 2, 24, 1, &Pool::serial());
         // Segments tile the order.
         let mut expected_start = 0;
         for s in &analysis.segments {
@@ -585,7 +573,7 @@ mod tests {
         // Equation 2: |δ'(S')| ≥ |S̄|/12 for every segment, any order.
         let (g, meta, counted) = setup(3, 1);
         for order in [orders::recursive_order(&g), orders::rank_order(&g)] {
-            let analysis = analyze(&g, &meta, &order, &counted, 2, 24, 1);
+            let analysis = analyze_with(&g, &meta, &order, &counted, 2, 24, 1, &Pool::serial());
             for s in analysis.segments.iter().filter(|s| s.complete) {
                 assert!(
                     s.meta_boundary * 12 >= s.counted,
@@ -603,7 +591,7 @@ mod tests {
     fn parallel_analysis_is_thread_count_invariant() {
         let (g, meta, counted) = setup(3, 1);
         let order = orders::recursive_order(&g);
-        let serial = analyze(&g, &meta, &order, &counted, 2, 24, 1);
+        let serial = analyze_with(&g, &meta, &order, &counted, 2, 24, 1, &Pool::serial());
         for threads in [2, 8] {
             let pool = Pool::new(threads);
             let par = analyze_with(&g, &meta, &order, &counted, 2, 24, 1, &pool);
@@ -619,8 +607,8 @@ mod tests {
     fn certificate_nonnegative_and_monotone_in_segments() {
         let (g, meta, counted) = setup(3, 1);
         let order = orders::recursive_order(&g);
-        let coarse = analyze(&g, &meta, &order, &counted, 2, 48, 1);
-        let fine = analyze(&g, &meta, &order, &counted, 2, 24, 1);
+        let coarse = analyze_with(&g, &meta, &order, &counted, 2, 48, 1, &Pool::serial());
+        let fine = analyze_with(&g, &meta, &order, &counted, 2, 24, 1, &Pool::serial());
         assert!(fine.complete_segments >= coarse.complete_segments);
     }
 

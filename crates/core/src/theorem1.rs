@@ -50,12 +50,6 @@ impl LowerBound {
     pub fn memory_independent_bandwidth(&self, n: u64, p: u64) -> f64 {
         (n as f64).powi(2) / (p as f64).powf(2.0 / self.omega0)
     }
-
-    /// The cache size below which the bound exceeds the trivial `Ω(n²)`
-    /// bound — the regime where Theorem 1 bites (`M ≤ o(n²)`).
-    pub fn asymptotic_regime(&self, n: u64, m: u64) -> bool {
-        (m as f64) < (n as f64).powi(2)
-    }
 }
 
 /// An end-to-end certified lower-bound instance.
@@ -110,12 +104,6 @@ impl CertifyParams {
         k_multiplier: 2,
         threshold_multiplier: 4,
     };
-}
-
-/// Runs the whole lower-bound pipeline on a concrete instance with the
-/// paper's constants. See [`certify_with`].
-pub fn certify(g: &Cdag, m: u64, order: &[VertexId]) -> Certificate {
-    certify_with(g, m, order, CertifyParams::PAPER)
 }
 
 /// Runs the whole lower-bound pipeline on a concrete instance.

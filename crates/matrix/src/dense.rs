@@ -76,11 +76,6 @@ impl<T: Scalar> Matrix<T> {
         &self.data
     }
 
-    /// Mutably borrow the underlying row-major data.
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-
     /// Borrow row `i` as a slice.
     pub fn row(&self, i: usize) -> &[T] {
         &self.data[i * self.cols..(i + 1) * self.cols]

@@ -36,11 +36,6 @@ impl LinForm {
         f
     }
 
-    /// Builds a form from an explicit coefficient vector.
-    pub fn from_coeffs(coeffs: Vec<Rational>) -> LinForm {
-        LinForm { coeffs }
-    }
-
     /// Number of variables.
     pub fn nvars(&self) -> usize {
         self.coeffs.len()

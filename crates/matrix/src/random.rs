@@ -1,7 +1,6 @@
 //! Random matrix generation for tests and workload generators.
 
 use crate::dense::Matrix;
-use crate::rational::Rational;
 use rand::Rng;
 
 /// Random `rows × cols` matrix with small integer entries in `[-9, 9]`.
@@ -15,13 +14,6 @@ pub fn random_i64_matrix<R: Rng>(rows: usize, cols: usize, rng: &mut R) -> Matri
 /// Random `rows × cols` matrix with `f64` entries in `[-1, 1)`.
 pub fn random_f64_matrix<R: Rng>(rows: usize, cols: usize, rng: &mut R) -> Matrix<f64> {
     Matrix::from_fn(rows, cols, |_, _| rng.gen_range(-1.0..1.0))
-}
-
-/// Random `rows × cols` matrix of small integer-valued rationals.
-pub fn random_rational_matrix<R: Rng>(rows: usize, cols: usize, rng: &mut R) -> Matrix<Rational> {
-    Matrix::from_fn(rows, cols, |_, _| {
-        Rational::integer(rng.gen_range(-9i64..=9))
-    })
 }
 
 #[cfg(test)]

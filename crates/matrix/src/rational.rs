@@ -35,8 +35,6 @@ impl Rational {
     pub const ZERO: Rational = Rational { num: 0, den: 1 };
     /// The multiplicative identity.
     pub const ONE: Rational = Rational { num: 1, den: 1 };
-    /// Minus one, the most common nontrivial coefficient in fast algorithms.
-    pub const MINUS_ONE: Rational = Rational { num: -1, den: 1 };
 
     /// Creates `num/den` in canonical form.
     ///

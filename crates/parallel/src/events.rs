@@ -96,14 +96,6 @@ impl SyncTrace {
     pub fn n_threads(&self) -> usize {
         self.events.iter().map(|e| e.thread + 1).max().unwrap_or(0) as usize
     }
-
-    /// The sub-trace of one thread, in emission order.
-    pub fn per_thread(&self, thread: u32) -> impl Iterator<Item = SyncEvent> + '_ {
-        self.events
-            .iter()
-            .filter(move |e| e.thread == thread)
-            .map(|e| e.event)
-    }
 }
 
 /// Stable FNV-1a hash of a routing-memo key, so memo events carry a

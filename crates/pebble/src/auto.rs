@@ -593,6 +593,35 @@ mod tests {
     }
 
     #[test]
+    fn working_set_suffices_for_compulsory_io() {
+        // The working set of an order at step i is every value computed
+        // (or input first read) at or before i and still read at or after
+        // i. Its maximum for classical2 G_2's recursive order is 48, so at
+        // M = 49 LRU does only compulsory I/O: one load per input, one
+        // store per output.
+        let g = build_cdag(&classical2_base(), 2);
+        let order = orders::recursive_order(&g);
+        let stats = AutoScheduler::new(&g, 49).run(&order, &mut Lru::new(g.n_vertices()));
+        assert_eq!(stats.loads, 2 * 16);
+        assert_eq!(stats.stores, 16);
+    }
+
+    #[test]
+    fn recursive_order_needs_less_cache_than_rank_order() {
+        // On classical2 G_3 the largest working set is 192 for the
+        // recursive order and 1025 for rank-by-rank. At M = 193 the
+        // recursive order does only compulsory I/O; rank-by-rank does not.
+        let g = build_cdag(&classical2_base(), 3);
+        let run = |order: &[VertexId]| {
+            AutoScheduler::new(&g, 193).run(order, &mut Lru::new(g.n_vertices()))
+        };
+        let rec = run(&orders::recursive_order(&g));
+        assert_eq!((rec.loads, rec.stores), (2 * 64, 64));
+        let rank = run(&orders::rank_order(&g));
+        assert!(rank.io() > rec.io(), "rank-by-rank {rank:?}");
+    }
+
+    #[test]
     fn smaller_cache_never_reduces_io() {
         let g = build_cdag(&classical2_base(), 2);
         let order = orders::recursive_order(&g);

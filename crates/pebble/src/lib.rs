@@ -70,7 +70,6 @@ pub mod schedule;
 pub mod sim;
 pub mod stats;
 pub mod sweep;
-pub mod trace;
 
 pub use auto::{AutoScheduler, CacheTooSmall, RunOptions, RunOutput, SchedScratch};
 pub use graph::{PebbleGraph, ViewGraph};

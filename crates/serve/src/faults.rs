@@ -1,8 +1,8 @@
 //! Deterministic fault injection for the serve tier.
 //!
 //! Every failure mode the server claims to survive is *injected* here and
-//! proven recovered in `tests/fault_suite.rs`, the `serve_faults` report
-//! binary, and CI's blocking `serve-faults` job — the same philosophy as
+//! proven recovered in `tests/fault_suite.rs` and `tests/crash_restart.rs`,
+//! which CI's blocking `serve-faults` job runs — the same philosophy as
 //! `mmio-cert`'s mutation harness: a recovery path that has never fired is
 //! assumed broken.
 //!
@@ -36,8 +36,8 @@ pub enum PersistFault {
     /// write and publish.
     SkipRename,
     /// Write `keep_bytes` of the temp file and abort the process — the
-    /// kill-mid-persist half of a crash/restart cycle (only the
-    /// `serve_faults` child process ever runs this).
+    /// kill-mid-persist half of a crash/restart cycle (only the child
+    /// process of `tests/crash_restart.rs` ever runs this).
     AbortProcess {
         /// Bytes written before the simulated kill.
         keep_bytes: usize,

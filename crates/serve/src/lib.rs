@@ -17,9 +17,9 @@
 //! render through the same [`ops`] functions. The second half is *proved*,
 //! not hoped: the deterministic fault-injection layer ([`faults`]) tears
 //! writes, flips bits, kills the process mid-persist, wedges workers, and
-//! saturates the queue, and the harness in `tests/` plus the
-//! `serve_faults` report binary assert zero hangs, zero corrupt responses,
-//! and exact diagnostic codes under every one of those insults.
+//! saturates the queue, and the harness in `tests/` asserts zero hangs,
+//! zero corrupt responses, and exact diagnostic codes under every one of
+//! those insults.
 //!
 //! Diagnostic codes live in the workspace registry
 //! (`mmio-analyze::codes`, the `MMIO-Fxxx` family) and are re-exported

@@ -285,9 +285,9 @@ fn seeded_campaign_responses_always_batch_identical() {
     // A randomized-but-reproducible storm of recoverable cache faults at
     // real concurrency: whatever the fault schedule does to the disk tier,
     // every successful response must carry the batch bytes, and nothing
-    // may hang. Three seeds × 16 concurrent requests.
+    // may hang. Four seeds × 16 concurrent requests.
     let expect = batch_certify_payload();
-    for seed in [7, 1312, 0xC0FFEE] {
+    for seed in [7, 1312, 0xC0FFEE, 0xDEAD] {
         let dir = tmpdir(&format!("seed{seed}"));
         let hook = Arc::new(FaultPlan::seeded(seed, 48));
         let (engine, _) = Engine::start(
