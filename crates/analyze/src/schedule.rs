@@ -254,17 +254,18 @@ mod tests {
 
     #[test]
     fn audit_accepts_fast_engine_schedules_for_every_policy() {
-        // The heap-based engine must emit schedules the auditor certifies
-        // clean for every replacement policy, not just Belady — lazy heap
-        // invalidation and the dead free-list change *how* victims are
-        // found, never the legality of the recorded actions.
+        // The fast engine must emit schedules the auditor certifies clean
+        // for every replacement policy, not just Belady — the recency
+        // list, the indexed next-use heap and the dead free-list change
+        // *how* victims are found, never the legality of the recorded
+        // actions.
         use mmio_pebble::orders::recursive_order;
         use mmio_pebble::sweep::PolicySpec;
-        use mmio_pebble::{AutoScheduler, RunOptions, SchedScratch};
+        use mmio_pebble::{AutoScheduler, RunOptions, SchedScratch, UseLists};
         let g = build_cdag(&mmio_algos::strassen::strassen(), 2);
         let order = recursive_order(&g);
+        let uses = UseLists::new(&g, &order);
         let mut scratch = SchedScratch::new();
-        scratch.prepare(&g, &order);
         let opts = RunOptions {
             record_schedule: true,
             record_victims: false,
@@ -277,6 +278,7 @@ mod tests {
             for m in [9, 24, 64] {
                 let out = AutoScheduler::new(&g, m).run_prepared(
                     &order,
+                    &uses,
                     &mut scratch,
                     spec.instantiate(g.n_vertices()).as_mut(),
                     opts,

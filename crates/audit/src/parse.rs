@@ -227,6 +227,16 @@ impl Parser<'_> {
                             if attr_contains(attr, "forbid") && attr_contains(attr, "unsafe_code") {
                                 has_forbid_unsafe = true;
                             }
+                            // `#![cfg(test)]` makes the enclosing file or
+                            // module test code, as an outer one on its
+                            // `mod` item would.
+                            let mut gate = Pending::default();
+                            absorb_attr(attr, &mut gate);
+                            if gate.is_test && attr_contains(attr, "cfg") {
+                                if let Some(scope) = scopes.last_mut() {
+                                    scope.is_test = true;
+                                }
+                            }
                         } else {
                             absorb_attr(attr, &mut pending);
                         }
@@ -627,6 +637,20 @@ mod tests {
         assert!(!m.fns[0].is_test);
         assert!(m.fns[1].is_test, "helper inherits mod cfg(test)");
         assert!(m.fns[2].is_test);
+    }
+
+    #[test]
+    fn inner_cfg_test_marks_the_whole_file() {
+        let m = model_of(
+            r#"
+            //! An oracle compiled into test builds only.
+            #![cfg(test)]
+            pub fn oracle() {}
+            "#,
+        );
+        assert!(m.fns[0].is_test);
+        let m = model_of("#![cfg(not(test))]\npub fn fallback() {}\n");
+        assert!(!m.fns[0].is_test);
     }
 
     #[test]

@@ -68,6 +68,17 @@ impl Csr {
         self.items.len()
     }
 
+    /// Row starts: row `key` begins at `items()[offsets()[key]]`; the
+    /// final entry is the item count.
+    pub fn offsets(&self) -> &[u32] {
+        &self.offsets
+    }
+
+    /// Every row's items, concatenated in key order.
+    pub fn items(&self) -> &[u64] {
+        &self.items
+    }
+
     /// Row `key` as a slice (empty slice for keys with no items).
     #[inline]
     pub fn row(&self, key: usize) -> &[u64] {

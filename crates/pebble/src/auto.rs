@@ -15,36 +15,43 @@
 //!
 //! # The fast engine
 //!
-//! This module is the amortized-O(log M) engine; the original O(M)-per-miss
-//! scan engine survives as [`reference::ReferenceScheduler`] and defines the
-//! behavior this engine must reproduce exactly (same [`IoStats`], same
-//! recorded [`Schedule`], same eviction sequence, for every policy). Three
-//! structures replace the per-miss scans:
+//! This module is the O(log M)-per-event engine. The original
+//! O(M)-per-miss scan engine lives on, in test builds only, as
+//! `reference::ReferenceScheduler`: it defines the behavior this engine
+//! must reproduce exactly (same [`IoStats`], same recorded [`Schedule`],
+//! same eviction sequence, for every policy). Every structure that holds
+//! cached vertices is bounded by the cache, and sized by `min(M, n)`:
 //!
-//! - **Lazy-invalidation policy heaps.** For [`PolicyKind::Belady`] a
-//!   max-heap keyed `(next_use, Reverse(id))`; for [`PolicyKind::Lru`] a
-//!   min-heap keyed `(last_touch, id)`. Entries are pushed on every key
-//!   change and never removed in place; a popped entry is *stale* (its key
-//!   no longer matches the vertex's current key, or the vertex left the
-//!   cache) and discarded, or *pinned* (an operand of the current step) and
-//!   stashed + re-pushed after the victim is found. The VertexId tie-break
-//!   makes the victim identical to the reference scan regardless of heap
-//!   internals. [`PolicyKind::Other`] policies fall back to a candidate
-//!   scan over the cache in insertion order, so stateful policies (random)
-//!   observe the exact call sequence the reference makes.
+//! - **An exact policy structure per canonical policy.** For
+//!   [`PolicyKind::Lru`] an intrusive recency list: a touch moves the
+//!   vertex to the hot end in O(1), and the victim is the first unpinned
+//!   vertex from the cold end. For [`PolicyKind::Belady`] an indexed
+//!   binary max-heap of `(next_use, Reverse(id))` entries, key inline: a
+//!   key changes in place and an eviction removes its entry, so the heap
+//!   holds exactly the cached vertices. Its top is never pinned: an
+//!   operand's next use is the current step, every other cached vertex's
+//!   is later. Both tie-breaks are those of the reference scan, so the
+//!   victim is identical, not merely equally good. [`PolicyKind::Other`]
+//!   policies fall back to a candidate scan over the cache in insertion
+//!   order, and only they see [`ReplacementPolicy::on_touch`], so stateful
+//!   policies (random) observe the exact call sequence the reference makes.
 //! - **Dead-value free-list.** A value that is dead the moment it is
 //!   computed (a non-output with zero uses under this order) is pushed onto
 //!   a min-heap by id; free evictions pop it in O(log M). All other values
 //!   die while pinned as operands (or as just-stored outputs) and are
 //!   dropped eagerly at that point, so the free-list is exactly the set of
 //!   dead values in cache — no lazy validation needed.
-//! - **Flat CSR use-lists.** Per-vertex sorted use positions live in one
-//!   [`Csr`] (`use_offsets`/`use_positions`) built once per `(graph,
-//!   order)` by [`SchedScratch::prepare`] and reused across every
-//!   `(policy, M)` run of a sweep; `use_ptr` advances eagerly as uses are
-//!   consumed, so "next use" is an O(1) lookup.
+//! - **Flat CSR use-lists.** Per-vertex sorted use positions, each row
+//!   closed by a `u64::MAX` sentinel, live in one [`Csr`] built once per
+//!   `(graph, order)` by [`UseLists::new`] and shared, read-only, by every
+//!   `(policy, M)` run of a sweep. A per-vertex cursor into it advances
+//!   eagerly as uses are consumed, so "next use" is one load, and "no uses
+//!   left" is that load returning the sentinel.
 
-pub mod reference;
+#[cfg(test)]
+mod equivalence;
+#[cfg(test)]
+mod reference;
 
 use crate::graph::PebbleGraph;
 use crate::policy::{PolicyKind, ReplacementPolicy};
@@ -62,6 +69,18 @@ pub struct CacheTooSmall {
     pub m: usize,
     /// The minimum feasible cache size (`max_indegree + 1`).
     pub need: usize,
+}
+
+impl CacheTooSmall {
+    /// `Ok` iff a cache of `m` slots holds an operand set of a graph whose
+    /// largest in-degree is `max_indegree`, plus its result.
+    fn check(m: usize, max_indegree: usize) -> Result<(), CacheTooSmall> {
+        let need = max_indegree.saturating_add(1);
+        if m < need {
+            return Err(CacheTooSmall { m, need });
+        }
+        Ok(())
+    }
 }
 
 impl fmt::Display for CacheTooSmall {
@@ -94,33 +113,240 @@ pub struct RunOutput {
     pub schedule: Option<Schedule>,
     /// The eviction sequence, if [`RunOptions::record_victims`] was set.
     pub victims: Option<Vec<VertexId>>,
-    /// Engine-internal event counts (heap traffic, eviction kinds).
+    /// Engine-internal event counts (eviction kinds).
     pub counters: EngineCounters,
 }
 
-/// Reusable scheduler state: the per-(graph, order) CSR use-lists plus every
-/// per-run vector and heap, so a sweep over a (policy, M) grid allocates
-/// once per worker instead of once per run.
+/// The immutable per-`(graph, order)` input of a run: every vertex's
+/// sorted use positions, each row closed by a `u64::MAX` sentinel, and the
+/// graph's largest in-degree. Built once and shared, read-only, by any
+/// number of concurrent runs.
+pub struct UseLists {
+    uses: Csr,
+    max_indegree: usize,
+}
+
+impl UseLists {
+    /// Builds the use-lists of `g` under `order` (every non-input vertex,
+    /// topologically sorted).
+    pub fn new<G: PebbleGraph>(g: &G, order: &[VertexId]) -> UseLists {
+        let n = g.n_vertices();
+        let mut uses = Csr::new();
+        // Emitting in ascending order position keeps every row sorted, and
+        // the sentinels come last.
+        uses.rebuild(n, |sink| {
+            for (pos, &v) in order.iter().enumerate() {
+                for &p in g.preds(v) {
+                    sink(p.0, pos as u64);
+                }
+            }
+            for k in 0..n as u32 {
+                sink(k, u64::MAX);
+            }
+        });
+        UseLists {
+            uses,
+            max_indegree: g.max_indegree(),
+        }
+    }
+
+    /// Every vertex's cursor before its first use: the start of its row.
+    fn first_cursors(&self) -> &[u32] {
+        let offsets = self.uses.offsets();
+        &offsets[..offsets.len() - 1]
+    }
+
+    /// The use position under `cursor`: a vertex's next use, or `u64::MAX`
+    /// once all of its uses are consumed.
+    #[inline]
+    fn at(&self, cursor: u32) -> u64 {
+        self.uses.items()[cursor as usize]
+    }
+}
+
+/// Per-vertex flag bits: cached; computed and not reloaded since (a
+/// store is owed if it is evicted unstored); written to slow memory.
+const IN_CACHE: u8 = 1;
+const DIRTY: u8 = 2;
+const STORED: u8 = 4;
+
+/// Link and position sentinel: "not in the structure".
+const NIL: u32 = u32::MAX;
+
+/// An intrusive doubly-linked list of the cached vertices in recency order,
+/// coldest first: the exact LRU order without stamps.
+#[derive(Default)]
+struct RecencyList {
+    prev: Vec<u32>,
+    next: Vec<u32>,
+    cold: u32,
+    hot: u32,
+}
+
+impl RecencyList {
+    fn reset(&mut self, n: usize) {
+        self.prev.clear();
+        self.prev.resize(n, NIL);
+        self.next.clear();
+        self.next.resize(n, NIL);
+        self.cold = NIL;
+        self.hot = NIL;
+    }
+
+    /// Moves `v` (listed or not) to the hot end.
+    fn touch(&mut self, v: VertexId) {
+        if self.hot == v.0 {
+            return;
+        }
+        if self.prev[v.idx()] != NIL || self.cold == v.0 {
+            self.remove(v);
+        }
+        self.prev[v.idx()] = self.hot;
+        match self.hot {
+            NIL => self.cold = v.0,
+            h => self.next[h as usize] = v.0,
+        }
+        self.hot = v.0;
+    }
+
+    /// Unlinks listed `v`.
+    fn remove(&mut self, v: VertexId) {
+        let (p, nx) = (self.prev[v.idx()], self.next[v.idx()]);
+        match p {
+            NIL => self.cold = nx,
+            p => self.next[p as usize] = nx,
+        }
+        match nx {
+            NIL => self.hot = p,
+            nx => self.prev[nx as usize] = p,
+        }
+        self.prev[v.idx()] = NIL;
+        self.next[v.idx()] = NIL;
+    }
+
+    /// The coldest vertex for which `pinned` is false.
+    fn coldest_unpinned(&self, pinned: impl Fn(u32) -> bool) -> Option<VertexId> {
+        let mut c = self.cold;
+        while c != NIL && pinned(c) {
+            c = self.next[c as usize];
+        }
+        (c != NIL).then_some(VertexId(c))
+    }
+}
+
+/// An indexed binary max-heap of `(next_use, Reverse(id))` over the cached
+/// vertices: `pos[v]` is `v`'s slot in `entries`, so a key changes in place
+/// and a removal takes the entry out, and the top is Belady's victim.
+#[derive(Default)]
+struct NextUseHeap {
+    entries: Vec<(u64, Reverse<VertexId>)>,
+    pos: Vec<u32>,
+}
+
+impl NextUseHeap {
+    fn reset(&mut self, n: usize, cap: usize) {
+        self.entries.clear();
+        self.entries.reserve(cap);
+        self.pos.clear();
+        self.pos.resize(n, NIL);
+    }
+
+    /// Inserts `v` with `key`, or moves it to `key` if present.
+    fn set(&mut self, v: VertexId, key: u64) {
+        match self.pos[v.idx()] {
+            NIL => {
+                self.entries.push((key, Reverse(v)));
+                self.sift_up(self.entries.len() - 1);
+            }
+            i => {
+                let i = i as usize;
+                let old = self.entries[i].0;
+                self.entries[i].0 = key;
+                if key > old {
+                    self.sift_up(i);
+                } else {
+                    self.sift_down(i);
+                }
+            }
+        }
+    }
+
+    /// Removes present `v`.
+    fn remove(&mut self, v: VertexId) {
+        let i = self.pos[v.idx()] as usize;
+        self.pos[v.idx()] = NIL;
+        let last = self.entries.pop().expect("a present vertex has an entry");
+        if i < self.entries.len() {
+            self.entries[i] = last;
+            self.sift_up(i);
+            self.sift_down(self.pos[last.1 .0.idx()] as usize);
+        }
+    }
+
+    /// The vertex with the farthest next use, smallest id on ties.
+    fn top(&self) -> Option<VertexId> {
+        self.entries.first().map(|&(_, Reverse(v))| v)
+    }
+
+    /// Writes `e` into slot `i` and records the slot.
+    fn place(&mut self, i: usize, e: (u64, Reverse<VertexId>)) {
+        self.entries[i] = e;
+        self.pos[e.1 .0.idx()] = i as u32;
+    }
+
+    fn sift_up(&mut self, mut i: usize) {
+        let e = self.entries[i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if self.entries[parent] >= e {
+                break;
+            }
+            self.place(i, self.entries[parent]);
+            i = parent;
+        }
+        self.place(i, e);
+    }
+
+    fn sift_down(&mut self, mut i: usize) {
+        let e = self.entries[i];
+        let len = self.entries.len();
+        loop {
+            let left = 2 * i + 1;
+            if left >= len {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < len && self.entries[right] > self.entries[left] {
+                right
+            } else {
+                left
+            };
+            if self.entries[child] <= e {
+                break;
+            }
+            self.place(i, self.entries[child]);
+            i = child;
+        }
+        self.place(i, e);
+    }
+}
+
+/// Reusable per-run scheduler state: per-vertex progress and flags, the
+/// policy structure, and the dead free-list. Everything that holds cached
+/// vertices is sized by `min(M, n)`, never by `M` alone. Reset by every
+/// [`AutoScheduler::run_prepared`], so one scratch serves any sequence of
+/// runs over any graphs.
 #[derive(Default)]
 pub struct SchedScratch {
-    // Built by `prepare`, immutable during runs.
-    compute_pos: Vec<u64>,
-    uses: Csr,
-    // Per-run state, reset by `run_prepared`.
-    use_ptr: Vec<u32>,
-    remaining_uses: Vec<u32>,
-    in_cache: Vec<bool>,
+    cursor: Vec<u32>,
+    flags: Vec<u8>,
+    lru: RecencyList,
+    belady: NextUseHeap,
+    dead_heap: BinaryHeap<Reverse<VertexId>>,
+    // `PolicyKind::Other` only: the cache in insertion order (with
+    // swap-remove, as the reference engine keeps it) and scan buffers.
     cache_list: Vec<VertexId>,
     cache_pos: Vec<u32>,
-    dirty: Vec<bool>,
-    stored: Vec<bool>,
-    pinned_mark: Vec<u64>,
-    last_touch: Vec<u64>,
-    next_use_cur: Vec<u64>,
-    belady_heap: BinaryHeap<(u64, Reverse<VertexId>)>,
-    lru_heap: BinaryHeap<Reverse<(u64, VertexId)>>,
-    dead_heap: BinaryHeap<Reverse<VertexId>>,
-    stash: Vec<(u64, VertexId)>,
     candidates: Vec<VertexId>,
     next_use_buf: Vec<u64>,
 }
@@ -129,28 +355,6 @@ impl SchedScratch {
     /// Fresh, empty scratch.
     pub fn new() -> SchedScratch {
         SchedScratch::default()
-    }
-
-    /// Builds the flat CSR use-lists and compute positions for `(g, order)`,
-    /// reusing existing allocations. Must be called before
-    /// [`AutoScheduler::run_prepared`] with the same graph and order.
-    pub fn prepare<G: PebbleGraph>(&mut self, g: &G, order: &[VertexId]) {
-        let n = g.n_vertices();
-        self.compute_pos.clear();
-        self.compute_pos.resize(n, u64::MAX);
-        for (i, &v) in order.iter().enumerate() {
-            self.compute_pos[v.idx()] = i as u64;
-        }
-        // Emitting in ascending order position keeps every row sorted.
-        let compute_pos = &self.compute_pos;
-        self.uses.rebuild(n, |sink| {
-            for &v in order {
-                let pos = compute_pos[v.idx()];
-                for &p in g.preds(v) {
-                    sink(p.0, pos);
-                }
-            }
-        });
     }
 }
 
@@ -167,10 +371,18 @@ impl<'g, G: PebbleGraph> AutoScheduler<'g, G> {
     /// Creates a scheduler with cache size `m`, or reports why it cannot
     /// schedule anything (`m < max_indegree + 1`).
     pub fn try_new(g: &'g G, m: usize) -> Result<AutoScheduler<'g, G>, CacheTooSmall> {
-        let need = g.max_indegree() + 1;
-        if m < need {
-            return Err(CacheTooSmall { m, need });
-        }
+        CacheTooSmall::check(m, g.max_indegree())?;
+        Ok(AutoScheduler { g, m })
+    }
+
+    /// Like [`AutoScheduler::try_new`], reading the in-degree off `uses`
+    /// (built for `g`) instead of rescanning the graph.
+    pub fn try_with_uses(
+        g: &'g G,
+        m: usize,
+        uses: &UseLists,
+    ) -> Result<AutoScheduler<'g, G>, CacheTooSmall> {
+        CacheTooSmall::check(m, uses.max_indegree)?;
         Ok(AutoScheduler { g, m })
     }
 
@@ -189,10 +401,15 @@ impl<'g, G: PebbleGraph> AutoScheduler<'g, G> {
     /// Runs `order` (all non-input vertices, topologically sorted) under
     /// `policy` and returns the I/O statistics.
     pub fn run(&self, order: &[VertexId], policy: &mut dyn ReplacementPolicy) -> IoStats {
-        let mut scratch = SchedScratch::new();
-        scratch.prepare(self.g, order);
-        self.run_prepared(order, &mut scratch, policy, RunOptions::default())
-            .stats
+        let uses = UseLists::new(self.g, order);
+        self.run_prepared(
+            order,
+            &uses,
+            &mut SchedScratch::new(),
+            policy,
+            RunOptions::default(),
+        )
+        .stats
     }
 
     /// Like [`AutoScheduler::run`], additionally returning the explicit
@@ -202,11 +419,11 @@ impl<'g, G: PebbleGraph> AutoScheduler<'g, G> {
         order: &[VertexId],
         policy: &mut dyn ReplacementPolicy,
     ) -> (IoStats, Schedule) {
-        let mut scratch = SchedScratch::new();
-        scratch.prepare(self.g, order);
+        let uses = UseLists::new(self.g, order);
         let out = self.run_prepared(
             order,
-            &mut scratch,
+            &uses,
+            &mut SchedScratch::new(),
             policy,
             RunOptions {
                 record_schedule: true,
@@ -216,12 +433,13 @@ impl<'g, G: PebbleGraph> AutoScheduler<'g, G> {
         (out.stats, out.schedule.expect("recording was requested"))
     }
 
-    /// The full-detail entry point: runs `order` under `policy` using
-    /// `scratch`, which must have been [`SchedScratch::prepare`]d for this
-    /// scheduler's graph and the same `order`.
+    /// The full-detail entry point: runs `order` under `policy`, reading
+    /// `uses` (built by [`UseLists::new`] for this scheduler's graph and
+    /// the same `order`) and resetting `scratch` for its per-run state.
     pub fn run_prepared(
         &self,
         order: &[VertexId],
+        uses: &UseLists,
         scratch: &mut SchedScratch,
         policy: &mut dyn ReplacementPolicy,
         opts: RunOptions,
@@ -235,140 +453,124 @@ impl<'g, G: PebbleGraph> AutoScheduler<'g, G> {
             "order must cover every non-input vertex exactly once"
         );
         debug_assert_eq!(
-            scratch.uses.n_keys(),
+            uses.uses.n_keys(),
             n,
-            "scratch must be prepared for this graph and order"
+            "use-lists must be built for this graph and order"
         );
 
         let SchedScratch {
-            compute_pos: _,
-            uses,
-            use_ptr,
-            remaining_uses,
-            in_cache,
+            cursor,
+            flags,
+            lru,
+            belady,
+            dead_heap,
             cache_list,
             cache_pos,
-            dirty,
-            stored,
-            pinned_mark,
-            last_touch,
-            next_use_cur,
-            belady_heap,
-            lru_heap,
-            dead_heap,
-            stash,
             candidates,
             next_use_buf,
         } = scratch;
 
-        use_ptr.clear();
-        use_ptr.resize(n, 0);
-        remaining_uses.clear();
-        remaining_uses.resize(n, 0);
-        for (i, r) in remaining_uses.iter_mut().enumerate() {
-            *r = uses.row(i).len() as u32;
-        }
-        in_cache.clear();
-        in_cache.resize(n, false);
-        cache_list.clear();
-        cache_list.reserve(m);
-        cache_pos.clear();
-        cache_pos.resize(n, u32::MAX);
-        dirty.clear();
-        dirty.resize(n, false);
-        stored.clear();
-        stored.resize(n, false);
-        pinned_mark.clear();
-        pinned_mark.resize(n, 0);
-        last_touch.clear();
-        last_touch.resize(n, 0);
-        next_use_cur.clear();
-        next_use_cur.resize(n, 0);
-        belady_heap.clear();
-        lru_heap.clear();
-        dead_heap.clear();
-        stash.clear();
-
         let pk = policy.kind();
+        // The cache never holds more than every vertex.
+        let cap = m.min(n);
+        cursor.clear();
+        cursor.extend_from_slice(uses.first_cursors());
+        flags.clear();
+        flags.resize(n, 0);
+        dead_heap.clear();
+        match pk {
+            PolicyKind::Lru => lru.reset(n),
+            PolicyKind::Belady => belady.reset(n, cap),
+            PolicyKind::Other => {
+                cache_list.clear();
+                cache_list.reserve(cap);
+                cache_pos.clear();
+                cache_pos.resize(n, NIL);
+            }
+        }
+
         let record = opts.record_schedule;
+        let mut occupancy: usize = 0;
         let mut stats = IoStats::default();
         let mut counters = EngineCounters::default();
         let mut actions: Vec<Action> = Vec::new();
         let mut victims: Vec<VertexId> = Vec::new();
         let mut time: u64 = 0;
 
+        // Every cached vertex sits in the policy structure of `pk`; these
+        // two keep the cache and that structure in step.
         macro_rules! cache_insert {
             ($v:expr) => {{
                 let v: VertexId = $v;
-                in_cache[v.idx()] = true;
-                cache_pos[v.idx()] = cache_list.len() as u32;
-                cache_list.push(v);
+                flags[v.idx()] |= IN_CACHE;
+                occupancy += 1;
+                if pk == PolicyKind::Other {
+                    cache_pos[v.idx()] = cache_list.len() as u32;
+                    cache_list.push(v);
+                }
             }};
         }
         macro_rules! cache_remove {
             ($v:expr) => {{
                 let v: VertexId = $v;
-                let pos = cache_pos[v.idx()] as usize;
-                let last = *cache_list.last().unwrap();
-                cache_list.swap_remove(pos);
-                if last != v {
-                    cache_pos[last.idx()] = pos as u32;
+                flags[v.idx()] &= !IN_CACHE;
+                occupancy -= 1;
+                match pk {
+                    PolicyKind::Lru => lru.remove(v),
+                    PolicyKind::Belady => belady.remove(v),
+                    PolicyKind::Other => {
+                        let pos = cache_pos[v.idx()] as usize;
+                        let last = *cache_list.last().unwrap();
+                        cache_list.swap_remove(pos);
+                        if last != v {
+                            cache_pos[last.idx()] = pos as u32;
+                        }
+                        cache_pos[v.idx()] = NIL;
+                    }
                 }
-                in_cache[v.idx()] = false;
-                cache_pos[v.idx()] = u32::MAX;
             }};
         }
-        // Mirrors the reference's `policy.on_touch` call sites; for LRU the
-        // engine also maintains its own stamp + heap entry.
+        // Mirrors the reference's `policy.on_touch` call sites. Only
+        // `Other` policies are consulted, so only they see the calls.
         macro_rules! touch {
             ($w:expr) => {{
                 let w: VertexId = $w;
-                policy.on_touch(w, time);
-                if pk == PolicyKind::Lru {
-                    last_touch[w.idx()] = time;
-                    lru_heap.push(Reverse((time, w)));
-                    counters.heap_pushes += 1;
+                match pk {
+                    PolicyKind::Lru => lru.touch(w),
+                    PolicyKind::Belady => {}
+                    PolicyKind::Other => {
+                        policy.on_touch(w, time);
+                        time += 1;
+                    }
                 }
-                time += 1;
             }};
         }
-        // Publishes a vertex's current next-use key to the Belady heap; the
-        // previous entry (if any) becomes stale and is discarded at pop.
+        // Publishes a cached vertex's current next-use key to the Belady
+        // heap, in place.
         macro_rules! refresh_next_use {
             ($w:expr) => {{
                 if pk == PolicyKind::Belady {
                     let w: VertexId = $w;
-                    let key = uses
-                        .row(w.idx())
-                        .get(use_ptr[w.idx()] as usize)
-                        .copied()
-                        .unwrap_or(u64::MAX);
-                    next_use_cur[w.idx()] = key;
-                    belady_heap.push((key, Reverse(w)));
-                    counters.heap_pushes += 1;
+                    belady.set(w, uses.at(cursor[w.idx()]));
                 }
             }};
         }
 
-        for (step, &v) in order.iter().enumerate() {
-            let step = step as u64;
-            // Operands and v are pinned for the whole step; `step + 1` so
-            // the zero-initialized marks never match step 0.
-            let step_tag = step + 1;
-            for &p in g.preds(v) {
-                pinned_mark[p.idx()] = step_tag;
-            }
-            pinned_mark[v.idx()] = step_tag;
+        for &v in order {
+            // Operands and v are pinned for the whole step: never evicted
+            // to make room for one another. In-degrees are small, so a
+            // scan beats per-vertex marks.
+            let pinned = |w: VertexId| w == v || g.preds(v).contains(&w);
 
             macro_rules! ensure_slot {
                 () => {{
-                    if cache_list.len() >= m {
+                    if occupancy >= m {
                         if let Some(Reverse(w)) = dead_heap.pop() {
-                            // 1) O(1) free eviction off the dead free-list.
-                            //    Dead values are never pinned: a dead-at-birth
+                            // 1) Free eviction off the dead free-list. Dead
+                            //    values are never pinned: a dead-at-birth
                             //    vertex has no successors to be an operand of.
-                            debug_assert!(in_cache[w.idx()]);
-                            debug_assert!(pinned_mark[w.idx()] != step_tag);
+                            debug_assert!(flags[w.idx()] & IN_CACHE != 0);
+                            debug_assert!(!pinned(w));
                             cache_remove!(w);
                             counters.dead_drops += 1;
                             if opts.record_victims {
@@ -381,67 +583,26 @@ impl<'g, G: PebbleGraph> AutoScheduler<'g, G> {
                             // 2) Live eviction chosen by the policy.
                             let victim: VertexId = match pk {
                                 PolicyKind::Belady => {
-                                    let victim;
-                                    loop {
-                                        let (key, Reverse(c)) = belady_heap
-                                            .pop()
-                                            .expect("a live unpinned candidate must exist");
-                                        if !in_cache[c.idx()] || key != next_use_cur[c.idx()] {
-                                            counters.stale_pops += 1;
-                                            continue;
-                                        }
-                                        if pinned_mark[c.idx()] == step_tag {
-                                            stash.push((key, c));
-                                            counters.pinned_stashes += 1;
-                                            continue;
-                                        }
-                                        victim = c;
-                                        break;
-                                    }
-                                    for &(k, c) in stash.iter() {
-                                        belady_heap.push((k, Reverse(c)));
-                                    }
-                                    stash.clear();
-                                    victim
+                                    let top = belady.top().expect("the cache is full");
+                                    debug_assert!(
+                                        !pinned(top),
+                                        "an operand's next use is the current step, \
+                                         every other cached vertex's is later"
+                                    );
+                                    top
                                 }
-                                PolicyKind::Lru => {
-                                    let victim;
-                                    loop {
-                                        let Reverse((stamp, c)) = lru_heap
-                                            .pop()
-                                            .expect("a live unpinned candidate must exist");
-                                        if !in_cache[c.idx()] || stamp != last_touch[c.idx()] {
-                                            counters.stale_pops += 1;
-                                            continue;
-                                        }
-                                        if pinned_mark[c.idx()] == step_tag {
-                                            stash.push((stamp, c));
-                                            counters.pinned_stashes += 1;
-                                            continue;
-                                        }
-                                        victim = c;
-                                        break;
-                                    }
-                                    for &(k, c) in stash.iter() {
-                                        lru_heap.push(Reverse((k, c)));
-                                    }
-                                    stash.clear();
-                                    victim
-                                }
+                                PolicyKind::Lru => lru
+                                    .coldest_unpinned(|c| pinned(VertexId(c)))
+                                    .expect("a live unpinned candidate must exist"),
                                 PolicyKind::Other => {
                                     // Candidates in cache-insertion order, as
                                     // the reference engine presents them.
                                     candidates.clear();
                                     next_use_buf.clear();
                                     for &w in cache_list.iter() {
-                                        if pinned_mark[w.idx()] != step_tag {
+                                        if !pinned(w) {
                                             candidates.push(w);
-                                            next_use_buf.push(
-                                                uses.row(w.idx())
-                                                    .get(use_ptr[w.idx()] as usize)
-                                                    .copied()
-                                                    .unwrap_or(u64::MAX),
-                                            );
+                                            next_use_buf.push(uses.at(cursor[w.idx()]));
                                         }
                                     }
                                     let i = policy.choose_victim(candidates, next_use_buf);
@@ -449,9 +610,9 @@ impl<'g, G: PebbleGraph> AutoScheduler<'g, G> {
                                 }
                             };
                             counters.policy_evictions += 1;
-                            if dirty[victim.idx()] && !stored[victim.idx()] {
+                            if flags[victim.idx()] & (DIRTY | STORED) == DIRTY {
                                 stats.stores += 1;
-                                stored[victim.idx()] = true;
+                                flags[victim.idx()] |= STORED;
                                 if record {
                                     actions.push(Action::Store(victim));
                                 }
@@ -470,17 +631,17 @@ impl<'g, G: PebbleGraph> AutoScheduler<'g, G> {
 
             // Load missing operands.
             for &p in g.preds(v) {
-                if in_cache[p.idx()] {
+                if flags[p.idx()] & IN_CACHE != 0 {
                     touch!(p);
                     continue;
                 }
                 debug_assert!(
-                    g.is_input(p) || stored[p.idx()],
+                    g.is_input(p) || flags[p.idx()] & STORED != 0,
                     "invariant violated: evicted live value {p:?} was not stored"
                 );
                 ensure_slot!();
                 cache_insert!(p);
-                dirty[p.idx()] = false;
+                flags[p.idx()] &= !DIRTY;
                 stats.loads += 1;
                 if record {
                     actions.push(Action::Load(p));
@@ -492,24 +653,25 @@ impl<'g, G: PebbleGraph> AutoScheduler<'g, G> {
             // Compute v.
             ensure_slot!();
             cache_insert!(v);
-            dirty[v.idx()] = true;
+            flags[v.idx()] |= DIRTY;
             stats.computes += 1;
             if record {
                 actions.push(Action::Compute(v));
             }
             refresh_next_use!(v);
             touch!(v);
-            if !g.is_output(v) && remaining_uses[v.idx()] == 0 {
+            if !g.is_output(v) && uses.at(cursor[v.idx()]) == u64::MAX {
                 // Dead at birth: the only way a dead value stays in cache.
                 dead_heap.push(Reverse(v));
             }
 
             // Consume one use of each operand; drop operands that died.
             for &p in g.preds(v) {
-                remaining_uses[p.idx()] -= 1;
-                use_ptr[p.idx()] += 1;
-                if in_cache[p.idx()] && p != v {
-                    if remaining_uses[p.idx()] == 0 && (!g.is_output(p) || stored[p.idx()]) {
+                cursor[p.idx()] += 1;
+                if flags[p.idx()] & IN_CACHE != 0 && p != v {
+                    if uses.at(cursor[p.idx()]) == u64::MAX
+                        && (!g.is_output(p) || flags[p.idx()] & STORED != 0)
+                    {
                         cache_remove!(p);
                         if record {
                             actions.push(Action::Drop(p));
@@ -523,11 +685,11 @@ impl<'g, G: PebbleGraph> AutoScheduler<'g, G> {
             // Outputs are stored (and dropped) immediately.
             if g.is_output(v) {
                 stats.stores += 1;
-                stored[v.idx()] = true;
+                flags[v.idx()] |= STORED;
                 if record {
                     actions.push(Action::Store(v));
                 }
-                if remaining_uses[v.idx()] == 0 {
+                if uses.at(cursor[v.idx()]) == u64::MAX {
                     cache_remove!(v);
                     if record {
                         actions.push(Action::Drop(v));
@@ -697,11 +859,10 @@ mod tests {
                         "belady" => Box::new(Belady),
                         _ => Box::new(RandomEvict::new(StdRng::seed_from_u64(42))),
                     };
-                    let mut scratch = SchedScratch::new();
-                    scratch.prepare(&g, &order);
                     let fast = AutoScheduler::new(&g, m).run_prepared(
                         &order,
-                        &mut scratch,
+                        &UseLists::new(&g, &order),
+                        &mut SchedScratch::new(),
                         fast_policy.as_mut(),
                         opts,
                     );
@@ -729,19 +890,21 @@ mod tests {
     fn scratch_reuse_is_clean() {
         let g = build_cdag(&classical2_base(), 2);
         let order = orders::recursive_order(&g);
+        let uses = UseLists::new(&g, &order);
         let mut scratch = SchedScratch::new();
-        scratch.prepare(&g, &order);
         let opts = RunOptions::default();
         let mut io = Vec::new();
         for _ in 0..2 {
             for m in [8usize, 32] {
-                let a = AutoScheduler::new(&g, m)
-                    .run_prepared(&order, &mut scratch, &mut Belady, opts)
-                    .stats;
-                let b = AutoScheduler::new(&g, m)
-                    .run_prepared(&order, &mut scratch, &mut Lru::new(g.n_vertices()), opts)
-                    .stats;
-                io.push((a, b));
+                let mut run = |policy: &mut dyn ReplacementPolicy| {
+                    AutoScheduler::new(&g, m)
+                        .run_prepared(&order, &uses, &mut scratch, policy, opts)
+                        .stats
+                };
+                let a = run(&mut Belady);
+                let b = run(&mut Lru::new(g.n_vertices()));
+                let c = run(&mut RandomEvict::new(StdRng::seed_from_u64(3)));
+                io.push((a, b, c));
             }
         }
         assert_eq!(io[0], io[2]);
@@ -752,15 +915,46 @@ mod tests {
     fn counters_report_engine_activity() {
         let g = build_cdag(&classical2_base(), 2);
         let order = orders::recursive_order(&g);
-        let mut scratch = SchedScratch::new();
-        scratch.prepare(&g, &order);
         let out = AutoScheduler::new(&g, 8).run_prepared(
             &order,
-            &mut scratch,
+            &UseLists::new(&g, &order),
+            &mut SchedScratch::new(),
             &mut Belady,
-            RunOptions::default(),
+            RunOptions {
+                record_schedule: false,
+                record_victims: true,
+            },
         );
         assert!(out.counters.policy_evictions > 0);
-        assert!(out.counters.heap_pushes > 0);
+        // Every eviction on a miss is either a free drop or a policy pick.
+        assert_eq!(
+            out.counters.policy_evictions + out.counters.dead_drops,
+            out.victims.unwrap().len() as u64
+        );
+    }
+
+    /// A cache larger than the graph behaves exactly like one that holds
+    /// the whole graph, and nothing is sized by `M` itself: `10^12` and
+    /// `usize::MAX` neither abort on allocation nor overflow a capacity.
+    #[test]
+    fn huge_cache_is_bounded_by_the_graph() {
+        let g = build_cdag(&classical2_base(), 2);
+        let order = orders::recursive_order(&g);
+        let n = g.n_vertices();
+        for which in 0..3 {
+            let run = |m: usize| {
+                let mut policy: Box<dyn ReplacementPolicy> = match which {
+                    0 => Box::new(Lru::new(n)),
+                    1 => Box::new(Belady),
+                    _ => Box::new(RandomEvict::new(StdRng::seed_from_u64(5))),
+                };
+                AutoScheduler::new(&g, m).run(&order, policy.as_mut())
+            };
+            let whole = run(n + 1);
+            assert_eq!((whole.loads, whole.stores), (2 * 16, 16));
+            for m in [1_000_000_000_000, usize::MAX] {
+                assert_eq!(run(m), whole, "policy {which}, M = {m}");
+            }
+        }
     }
 }

@@ -11,9 +11,11 @@
 //!
 //! The fast engine must produce identical [`IoStats`], an identical recorded
 //! [`Schedule`], and an identical eviction sequence for every policy — see
-//! `crates/pebble/tests/engine_equivalence.rs`: a proptest over random
-//! bases and a fixed Strassen `G_3` case under every policy. Only tests use
-//! this engine.
+//! `super::equivalence`: a proptest over random bases and fixed Strassen
+//! `G_3` and Strassen/Winograd `G_4` cases under every policy. Only tests
+//! use this engine, so it is compiled into test builds only.
+
+#![cfg(test)]
 
 use super::CacheTooSmall;
 use crate::policy::ReplacementPolicy;
@@ -113,7 +115,7 @@ impl<'g> ReferenceScheduler<'g> {
 
         // Cache as a membership bitmap + member list for candidate scans.
         let mut in_cache = vec![false; n];
-        let mut cache_list: Vec<VertexId> = Vec::with_capacity(self.m);
+        let mut cache_list: Vec<VertexId> = Vec::with_capacity(self.m.min(n));
         let mut cache_pos = vec![usize::MAX; n];
         let mut dirty = vec![false; n];
         let mut stored = vec![false; n];

@@ -34,10 +34,12 @@
 //! - [`sweep`]: pooled batch runs of (order × policy × M) grids with
 //!   deterministic, thread-count-independent results.
 //!
-//! [`auto`] is the amortized-O(log M) heap-based engine; the original
-//! scan-based engine survives as [`auto::reference`] and every release is
-//! held to an exact equivalence contract between the two (same stats, same
-//! schedules, same eviction sequences — see `tests/engine_equivalence.rs`).
+//! [`auto`] is the O(log M)-per-event engine: an exact LRU recency list
+//! and an indexed Belady heap, both holding only cached vertices. The
+//! original scan-based engine survives, in test builds only, as
+//! `auto::reference`, and every release is held to an exact equivalence
+//! contract between the two (same stats, same schedules, same eviction
+//! sequences — see `src/auto/equivalence.rs`).
 //!
 //! ```
 //! use mmio_algos::strassen::strassen;
@@ -71,7 +73,7 @@ pub mod sim;
 pub mod stats;
 pub mod sweep;
 
-pub use auto::{AutoScheduler, CacheTooSmall, RunOptions, RunOutput, SchedScratch};
+pub use auto::{AutoScheduler, CacheTooSmall, RunOptions, RunOutput, SchedScratch, UseLists};
 pub use graph::{PebbleGraph, ViewGraph};
 pub use schedule::{Action, Schedule};
 pub use stats::{EngineCounters, IoStats};

@@ -14,7 +14,8 @@ use rand::Rng;
 /// A policy that returns [`PolicyKind::Lru`] or [`PolicyKind::Belady`]
 /// promises that its [`ReplacementPolicy::choose_victim`] implements exactly
 /// the canonical rule below, which lets the engine replace the per-eviction
-/// candidate scan with an amortized-O(log M) lazy-invalidation heap:
+/// candidate scan with an exact structure of its own (a recency list, an
+/// indexed next-use heap) and never call the policy at all:
 ///
 /// - **LRU**: minimize `(last_touch, VertexId)` — least-recently touched,
 ///   ties (impossible under the scheduler's monotone clock, but defined
@@ -28,9 +29,9 @@ use rand::Rng;
 /// identical call sequence in both engines.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PolicyKind {
-    /// Canonical least-recently-used (heap-accelerated).
+    /// Canonical least-recently-used (recency list).
     Lru,
-    /// Canonical Belady MIN (heap-accelerated).
+    /// Canonical Belady MIN (indexed next-use heap).
     Belady,
     /// Anything else: the engine falls back to `choose_victim`.
     Other,
@@ -43,7 +44,8 @@ pub enum PolicyKind {
 /// only decide among *live* candidates.
 pub trait ReplacementPolicy {
     /// Called when `v` is touched (loaded, computed, or used as an operand)
-    /// at logical time `time`.
+    /// at logical time `time`. The fast engine calls it on
+    /// [`PolicyKind::Other`] policies only; it never consults the others.
     fn on_touch(&mut self, v: VertexId, time: u64);
     /// Chooses which of `candidates` (all live, all cached) to evict.
     /// `next_use[i]` is the compute-order position of the candidate's next

@@ -22,21 +22,15 @@ impl IoStats {
 }
 
 /// Internal event counts of the fast scheduler engine — not part of the
-/// model's cost accounting, but the observables that explain *why* a run was
-/// fast or slow (heap traffic vs free evictions). Reported by
-/// [`crate::auto::AutoScheduler::run_prepared`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
+/// model's cost accounting and never serialized, but the observables that
+/// explain *why* a run was fast or slow (policy picks vs free evictions).
+/// Reported by [`crate::auto::AutoScheduler::run_prepared`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineCounters {
-    /// Evictions decided by the replacement policy (heap pop or scan).
+    /// Evictions decided by the replacement policy.
     pub policy_evictions: u64,
-    /// Free evictions of dead values off the O(1) free-list.
+    /// Free evictions of dead values off the free-list.
     pub dead_drops: u64,
-    /// Entries pushed onto the lazy-invalidation policy heaps.
-    pub heap_pushes: u64,
-    /// Popped heap entries discarded as stale (superseded key or evicted).
-    pub stale_pops: u64,
-    /// Popped heap entries stashed because the vertex was pinned.
-    pub pinned_stashes: u64,
 }
 
 impl Add for IoStats {

@@ -9,16 +9,16 @@
 //!   policy spec, M)` — policies with randomness are specified by seed, not
 //!   by a shared RNG — and `Pool::map` returns results in index order, so a
 //!   sweep's output vector is byte-identical at any thread count.
-//! - **Scratch reuse.** Each worker keeps one thread-local [`SchedScratch`];
-//!   the CSR use-lists are rebuilt only when a worker switches to a
-//!   different order, so the (policy, M) inner grid reuses both the
-//!   use-lists and every per-run allocation.
+//! - **One prepare per order.** The caller builds each order's
+//!   [`UseLists`] once per call and every worker reads them; a grid point
+//!   allocates only its per-run [`SchedScratch`], which is sized by
+//!   `min(M, n)` and by the vertex count, never by `M` alone.
 //!
 //! Infeasible grid points (`M < max_indegree + 1`) report a typed
 //! [`SweepError`] in their slot instead of aborting the sweep — the
-//! scheduler is constructed with [`AutoScheduler::try_new`].
+//! scheduler is constructed with [`AutoScheduler::try_with_uses`].
 
-use crate::auto::{AutoScheduler, RunOptions, SchedScratch};
+use crate::auto::{AutoScheduler, RunOptions, SchedScratch, UseLists};
 use crate::policy::{Belady, Lru, RandomEvict, ReplacementPolicy};
 use crate::stats::{EngineCounters, IoStats};
 use mmio_cdag::{Cdag, VertexId};
@@ -26,8 +26,6 @@ use mmio_parallel::Pool;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Serialize, Value};
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A replacement policy *specification*: value-typed, so a grid point can be
 /// shipped to a worker and instantiated there. Randomized policies carry
@@ -131,12 +129,20 @@ impl Serialize for SweepError {
 }
 
 /// The measurements of one successful grid point.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SweepRun {
     /// Exact I/O statistics.
     pub stats: IoStats,
     /// Fast-engine event counters for this run.
     pub counters: EngineCounters,
+}
+
+/// Serializes the model's observables only: the engine's counters
+/// describe how it got there, not what it measured.
+impl Serialize for SweepRun {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![("stats".to_string(), self.stats.to_value())])
+    }
 }
 
 /// One sweep result: the grid point plus its outcome.
@@ -173,16 +179,6 @@ impl SweepPoint {
     }
 }
 
-/// Distinguishes scratch prepared for one sweep's order from a leftover
-/// prepared by an earlier sweep on the same thread (the serial pool runs
-/// inline on the caller's thread, whose thread-local outlives the call).
-static SWEEP_GEN: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    static SCRATCH: RefCell<(u64, SchedScratch)> =
-        RefCell::new((u64::MAX, SchedScratch::new()));
-}
-
 /// Runs the full `orders × policies × ms` grid (order-major, then policy,
 /// then M) on `pool` and returns one [`SweepPoint`] per cell, in grid
 /// order. The output is identical for every thread count.
@@ -201,32 +197,31 @@ pub fn sweep(
             }
         }
     }
-    let gen = SWEEP_GEN.fetch_add(orders.len() as u64, Ordering::Relaxed);
+    let uses: Vec<UseLists> = pool.map(orders.len(), |k| UseLists::new(g, orders[k]));
     let n = g.n_vertices();
 
     pool.map(grid.len(), |i| {
         let point = grid[i];
-        let result = match AutoScheduler::try_new(g, point.m) {
+        let (order, uses) = (orders[point.order], &uses[point.order]);
+        let result = match AutoScheduler::try_with_uses(g, point.m, uses) {
             Err(e) => Err(SweepError::CacheTooSmall {
                 m: e.m,
                 need: e.need,
             }),
-            Ok(sched) => SCRATCH.with(|cell| {
-                let (token, scratch) = &mut *cell.borrow_mut();
-                let order = orders[point.order];
-                let want = gen + point.order as u64;
-                if *token != want {
-                    scratch.prepare(g, order);
-                    *token = want;
-                }
+            Ok(sched) => {
                 let mut policy = point.policy.instantiate(n);
-                let out =
-                    sched.run_prepared(order, scratch, policy.as_mut(), RunOptions::default());
+                let out = sched.run_prepared(
+                    order,
+                    uses,
+                    &mut SchedScratch::new(),
+                    policy.as_mut(),
+                    RunOptions::default(),
+                );
                 Ok(SweepRun {
                     stats: out.stats,
                     counters: out.counters,
                 })
-            }),
+            }
         };
         SweepPoint { point, result }
     })

@@ -41,7 +41,9 @@ use std::time::Duration;
 
 /// Snapshot format version; bumped on any incompatible layout change.
 /// Snapshots from other versions are quarantined, never reinterpreted.
-pub const FORMAT_VERSION: u64 = 1;
+/// Version 2: sweep payloads carry each grid point's I/O statistics only,
+/// without the engine counters version 1 included.
+pub const FORMAT_VERSION: u64 = 2;
 
 /// Number of shard directories.
 pub const SHARD_COUNT: u64 = 8;

@@ -14,7 +14,7 @@
 //! Regenerate (after an *intentional* snapshot-format change) with:
 //! `cargo test -p mmio-serve --test corpus -- --ignored regenerate_corpus`
 
-use mmio_serve::cache::{CacheKey, DiskCache};
+use mmio_serve::cache::{CacheKey, DiskCache, FORMAT_VERSION};
 use mmio_serve::faults::NoFaults;
 use serde::Value;
 use std::fs;
@@ -228,7 +228,8 @@ fn regenerate_corpus() {
 
     // Stale format version → F003 (version is checked before anything else,
     // so the otherwise-intact entry is still refused).
-    let stale = text.replace("\"format_version\":1", "\"format_version\":0");
+    let current = format!("\"format_version\":{FORMAT_VERSION}");
+    let stale = text.replace(&current, "\"format_version\":0");
     assert_ne!(stale, text);
     emit(
         "staleversion__v0.json",
@@ -237,8 +238,19 @@ fn regenerate_corpus() {
         stale.as_bytes(),
     );
 
+    // The previous format version → F003: v1 sweep payloads carried engine
+    // counters, so nothing an earlier build wrote may be served.
+    let previous = text.replace(&current, "\"format_version\":1");
+    assert_ne!(previous, text);
+    emit(
+        "staleversion__v1.json",
+        &canonical_name,
+        Some("MMIO-F003"),
+        previous.as_bytes(),
+    );
+
     // Future format version → F003.
-    let future = text.replace("\"format_version\":1", "\"format_version\":999");
+    let future = text.replace(&current, "\"format_version\":999");
     emit(
         "staleversion__v999.json",
         &canonical_name,

@@ -281,6 +281,35 @@ fn dead_disk_degrades_to_recompute_never_fails_requests() {
 }
 
 #[test]
+fn huge_sweep_cache_answers_and_server_keeps_serving() {
+    // `ms` takes any integer off the wire. Nothing the scheduler allocates
+    // may be sized by M itself: a 10^12-slot cache is one that holds the
+    // whole graph, answered Ok with the batch bytes, not an allocation
+    // abort that no worker isolation could catch.
+    let (engine, _) = Engine::start(cfg(None), Arc::new(NoFaults)).unwrap();
+    let engine = Arc::new(engine);
+    let (resp, _) =
+        engine.handle_line(r#"{"id":1,"op":"sweep","algo":"strassen","r":1,"ms":[1000000000000]}"#);
+    assert_eq!(resp.status, Status::Ok, "{resp:?}");
+    let batch = ops::sweep_json(
+        &ops::resolve_registry("strassen").unwrap(),
+        1,
+        &[1_000_000_000_000],
+        &Pool::serial(),
+    );
+    assert_eq!(resp.payload.as_deref(), Some(batch.as_str()));
+    assert!(batch.contains("\"loads\""), "{batch}");
+
+    let next = submit_bounded(&engine, certify(2, None));
+    assert_eq!(next.status, Status::Ok, "{next:?}");
+    assert_eq!(
+        next.payload.as_deref(),
+        Some(batch_certify_payload().as_str())
+    );
+    assert!(engine.shutdown(Duration::from_secs(10)));
+}
+
+#[test]
 fn seeded_campaign_responses_always_batch_identical() {
     // A randomized-but-reproducible storm of recoverable cache faults at
     // real concurrency: whatever the fault schedule does to the disk tier,
