@@ -242,7 +242,7 @@ mod tests {
         let g = build_cdag(&mmio_algos::strassen::strassen(), 2);
         let m = 24;
         let order = recursive_order(&g);
-        let (stats, sched) = AutoScheduler::new(&g, m).run_recorded(&order, &mut Belady);
+        let (stats, sched) = AutoScheduler::new(&g, m).run_recorded(&order, &Belady);
         let mut report = Report::new();
         let audit = audit_schedule(&g, &sched, m, &mut report);
         assert!(!report.has_errors(), "{:?}", report.diagnostics);
@@ -280,7 +280,7 @@ mod tests {
                     &order,
                     &uses,
                     &mut scratch,
-                    spec.instantiate(g.n_vertices()).as_mut(),
+                    &spec,
                     opts,
                 );
                 let mut report = Report::new();

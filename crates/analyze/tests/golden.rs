@@ -303,7 +303,7 @@ fn constructed_artifacts_audit_clean() {
 
     let m = 32;
     let order = recursive_order(&g);
-    let (_, sched) = AutoScheduler::new(&g, m).run_recorded(&order, &mut Belady);
+    let (_, sched) = AutoScheduler::new(&g, m).run_recorded(&order, &Belady);
     let mut report = Report::new();
     audit_schedule(&g, &sched, m, &mut report);
     assert!(!report.has_errors(), "{:?}", report.diagnostics);

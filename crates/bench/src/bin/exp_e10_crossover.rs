@@ -39,8 +39,8 @@ fn main() {
             if (m * 4) as u64 > gs.n() * gs.n() {
                 continue;
             }
-            let s_io = AutoScheduler::new(&gs, m).run(&os, &mut Belady).io();
-            let c_io = AutoScheduler::new(&gc, m).run(&oc, &mut Belady).io();
+            let s_io = AutoScheduler::new(&gs, m).run(&os, &Belady).io();
+            let c_io = AutoScheduler::new(&gc, m).run(&oc, &Belady).io();
             let ratio = c_io as f64 / s_io as f64;
             println!("{:>4} {m:>5} | {c_io:>12} {s_io:>12} {ratio:>8.3}", gs.n());
             rows.push(

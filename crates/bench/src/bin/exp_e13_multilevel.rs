@@ -6,7 +6,7 @@
 //! hierarchy and check that the traffic across every boundary `i`
 //! dominates `(n/√M_i)^{ω₀}·M_i` in shape.
 //!
-//! The per-boundary runs go through `Hierarchy::measure_pooled` (a
+//! The per-boundary runs go through `Hierarchy::measure` (a
 //! `mmio_pebble::sweep` over the level sizes on the shared thread pool) and
 //! are asserted against the pre-migration boundary traffic.
 
@@ -29,7 +29,7 @@ fn main() {
     let g = build_cdag(&base, 5);
     let order = recursive_order(&g);
     let h = Hierarchy::new(vec![8, 32, 128, 512]);
-    let traffic = h.measure_pooled(&g, &order, PolicySpec::Belady, &Pool::from_env(None));
+    let traffic = h.measure(&g, &order, PolicySpec::Belady, &Pool::from_env(None));
     assert_eq!(
         traffic.boundary_io, EXPECTED_IO,
         "pooled hierarchy traffic diverged from pre-migration values"

@@ -60,8 +60,7 @@ fn schedule_certificates_verify() {
         let m = need + 4;
         let sched = AutoScheduler::try_new(&g, m).unwrap();
         let order = orders::rank_order(&g);
-        let mut policy = PolicySpec::Lru.instantiate(g.n_vertices());
-        let (stats, schedule) = sched.run_recorded(&order, &mut *policy);
+        let (stats, schedule) = sched.run_recorded(&order, &PolicySpec::Lru);
         let cert = emit_schedule_certificate(&g, m, &schedule);
         // The emitter's replay must agree with the engine's own accounting.
         match &cert.payload {

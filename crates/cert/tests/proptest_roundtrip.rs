@@ -60,8 +60,7 @@ proptest! {
         let m = need + slack;
         let sched = AutoScheduler::try_new(&g, m).unwrap();
         let order = orders::rank_order(&g);
-        let mut policy = PolicySpec::Lru.instantiate(g.n_vertices());
-        let (_, schedule) = sched.run_recorded(&order, &mut *policy);
+        let (_, schedule) = sched.run_recorded(&order, &PolicySpec::Lru);
         let cert = emit_schedule_certificate(&g, m, &schedule);
         roundtrip_identity(&cert, &format!("{} schedule m={m}", base.name()));
 

@@ -73,8 +73,7 @@ fn clean_engine_certs(pool: &Pool) -> Vec<(String, Certificate)> {
         let m = need + 4;
         let sched = AutoScheduler::try_new(&g, m).expect("m above indegree floor");
         let order = orders::rank_order(&g);
-        let mut policy = PolicySpec::Lru.instantiate(g.n_vertices());
-        let (_, schedule) = sched.run_recorded(&order, &mut *policy);
+        let (_, schedule) = sched.run_recorded(&order, &PolicySpec::Lru);
         certs.push((
             format!("{name}/schedule"),
             emit_schedule_certificate(&g, m, &schedule),
@@ -111,8 +110,7 @@ fn engine_mutants() -> Vec<EngineMutant> {
         let m = need + 4;
         let sched = AutoScheduler::try_new(&g, m).expect("m above indegree floor");
         let order = orders::rank_order(&g);
-        let mut policy = PolicySpec::Lru.instantiate(g.n_vertices());
-        let (_, schedule) = sched.run_recorded(&order, &mut *policy);
+        let (_, schedule) = sched.run_recorded(&order, &PolicySpec::Lru);
         emit_schedule_certificate(&g, m, &schedule)
     };
     vec![

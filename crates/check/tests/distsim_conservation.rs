@@ -12,7 +12,7 @@ use mmio_parallel::assign::{
     all_on_one, block_per_rank, by_top_subproblem, cyclic_per_rank, Assignment,
 };
 use mmio_parallel::distsim::{
-    reference, simulate, simulate_on, simulate_traced, simulate_traced_on, MachineModel, Topology,
+    simulate, simulate_on, simulate_traced, simulate_traced_on, MachineModel, Topology,
 };
 use mmio_parallel::Pool;
 use mmio_pebble::orders::recursive_order;
@@ -64,30 +64,6 @@ fn words_are_conserved_across_all_strategies_and_graphs() {
 
                 // Traced and untraced simulation agree exactly.
                 assert_eq!(t.claimed, simulate(&g, &a, &order, m), "{ctx}");
-            }
-        }
-    }
-}
-
-#[test]
-fn soa_engine_matches_reference_on_registry() {
-    // The exact-equivalence contract of the two engines: identical totals,
-    // per-rank counters, and event streams, on every registry graph at
-    // r ≤ 2 under every assignment strategy.
-    for base in all_base_graphs() {
-        for r in 1..=2u32 {
-            let g = build_cdag(&base, r);
-            let order = recursive_order(&g);
-            let need = g.vertices().map(|v| g.preds(v).len()).max().unwrap_or(0) + 1;
-            let m = need.max(16);
-            for (name, a) in strategies(&g, 4) {
-                let ctx = format!("{} r={r} {name}", base.name());
-                let fast = simulate_traced(&g, &a, &order, m);
-                let slow = reference::simulate_traced(&g, &a, &order, m);
-                assert_eq!(fast.claimed, slow.claimed, "{ctx}");
-                assert_eq!(fast.sent, slow.sent, "{ctx}");
-                assert_eq!(fast.received, slow.received, "{ctx}");
-                assert_eq!(fast.events, slow.events, "{ctx}");
             }
         }
     }

@@ -52,6 +52,7 @@ use mmio_algos::registry::all_base_graphs;
 use mmio_cdag::build::build_cdag;
 use mmio_cdag::connectivity::classify;
 use mmio_cdag::serialize;
+use mmio_cdag::view::count_vertices;
 use mmio_cdag::{BaseGraph, IndexView};
 use mmio_core::theorem1::LowerBound;
 use mmio_core::theorem2::InOutRouting;
@@ -237,6 +238,19 @@ fn parse<T: std::str::FromStr>(arg: Option<&String>, what: &str) -> Result<T, Cl
         .map_err(|_| CliError::Usage(format!("invalid {what}")))
 }
 
+/// Passes the depth `r` of `base` through, or rejects it (exit 4) when
+/// `G_r` exceeds the dense `u32` vertex-id space that `IndexView::new` and
+/// `build_cdag` enforce, so no command reaches a constructor that panics.
+fn check_depth(base: &BaseGraph, r: u32) -> Result<u32, CliError> {
+    match count_vertices(base.a() as u64, base.b() as u64, r) {
+        Some(n) if n <= u64::from(u32::MAX) => Ok(r),
+        _ => Err(CliError::BadInput(format!(
+            "{}: r = {r} is too deep (G_r exceeds u32 vertex ids)",
+            base.name()
+        ))),
+    }
+}
+
 /// Emits the certificate suite for one algorithm at depth `r`: a routing
 /// certificate (Theorem 2 paths + Fact-1 transport), a schedule-legality
 /// witness, and an LRU sweep witness. Depths are capped exactly like
@@ -275,7 +289,7 @@ fn emit_certs_for(
     let need = g.vertices().map(|v| g.preds(v).len()).max().unwrap_or(1) + 1;
     let m = need + 4;
     let order = recursive_order(&g);
-    let (_, sched) = AutoScheduler::new(&g, m).run_recorded(&order, &mut Belady);
+    let (_, sched) = AutoScheduler::new(&g, m).run_recorded(&order, &Belady);
     out.push((
         format!("{name}__schedule_r{sched_r}_m{m}.json"),
         emit_schedule_certificate(&g, m, &sched),
@@ -421,7 +435,7 @@ fn run() -> Result<ExitCode, CliError> {
         "simulate" => {
             reject_unread(&args, 3, &given, &[])?;
             let base = resolve(args.get(1).ok_or("missing algorithm")?)?;
-            let r: u32 = parse(args.get(2), "r")?;
+            let r = check_depth(&base, parse(args.get(2), "r")?)?;
             let m: usize = parse(args.get(3), "M")?;
             // Both paths run the identical engine on identical (preds,
             // order) data, so the stats — and this line — are byte-equal.
@@ -429,12 +443,13 @@ fn run() -> Result<ExitCode, CliError> {
                 let v = IndexView::from_base(&base, r);
                 let order = recursive_order(&v);
                 let vg = ViewGraph::from_view(&v);
-                AutoScheduler::new(&vg, m).run(&order, &mut Belady)
+                AutoScheduler::try_new(&vg, m).map(|s| s.run(&order, &Belady))
             } else {
                 let g = build_cdag(&base, r);
                 let order = recursive_order(&g);
-                AutoScheduler::new(&g, m).run(&order, &mut Belady)
-            };
+                AutoScheduler::try_new(&g, m).map(|s| s.run(&order, &Belady))
+            }
+            .map_err(|e| CliError::BadInput(e.to_string()))?;
             let n = mmio_cdag::index::pow(base.n0(), r);
             let bound = LowerBound::new(&base).sequential_io(n, m as u64);
             println!(
@@ -449,7 +464,7 @@ fn run() -> Result<ExitCode, CliError> {
         "certify" => {
             reject_unread(&args, 3, &given, &[])?;
             let base = resolve(args.get(1).ok_or("missing algorithm")?)?;
-            let r: u32 = parse(args.get(2), "r")?;
+            let r = check_depth(&base, parse(args.get(2), "r")?)?;
             let m: u64 = parse(args.get(3), "M")?;
             // Rendered by the same function the serve tier uses, so a serve
             // `certify` response is byte-identical to this output.
@@ -458,7 +473,19 @@ fn run() -> Result<ExitCode, CliError> {
         "routing" => {
             reject_unread(&args, 3, &given, &[])?;
             let base = resolve(args.get(1).ok_or("missing algorithm")?)?;
-            let k: u32 = parse(args.get(2), "k")?;
+            let k = check_depth(&base, parse(args.get(2), "k")?)?;
+            // Optional third argument r: transport into G_r, checked here
+            // so a bad r fails before any output.
+            let transport_r = match args.get(3) {
+                Some(rarg) => {
+                    let r = check_depth(&base, rarg.parse().map_err(|_| "invalid r")?)?;
+                    if r < k {
+                        return Err(CliError::Usage(format!("r = {r} must be ≥ k = {k}")));
+                    }
+                    Some(r)
+                }
+                None => None,
+            };
             let g = build_cdag(&base, k);
             let routing = InOutRouting::new(&g).ok_or_else(|| {
                 CliError::Verification(
@@ -478,14 +505,10 @@ fn run() -> Result<ExitCode, CliError> {
                     "VIOLATED"
                 }
             );
-            // Optional third argument r: build the routing *class* once and
-            // transport it into every copy of G_k inside G_r (Fact 1),
-            // re-verifying each copy against the real G_r edges.
-            if let Some(rarg) = args.get(3) {
-                let r: u32 = rarg.parse().map_err(|_| "invalid r")?;
-                if r < k {
-                    return Err(CliError::Usage(format!("r = {r} must be ≥ k = {k}")));
-                }
+            // With r: build the routing *class* once and transport it into
+            // every copy of G_k inside G_r (Fact 1), re-verifying each copy
+            // against the real G_r edges.
+            if let Some(r) = transport_r {
                 let class = RoutingClass::build(&base, k, &pool)
                     .expect("Hall matching exists (verified above)");
                 let tr = if use_implicit(view, &base, r) {
@@ -516,7 +539,7 @@ fn run() -> Result<ExitCode, CliError> {
         "report" => {
             reject_unread(&args, 3, &given, &[])?;
             let base = resolve(args.get(1).ok_or("missing algorithm")?)?;
-            let r: u32 = parse(args.get(2), "r")?;
+            let r = check_depth(&base, parse(args.get(2), "r")?)?;
             let m: u64 = parse(args.get(3), "M")?;
             let routing_k = if base.a() >= 16 { 1 } else { 2 };
             let report = mmio_core::report::analyze(&base, r, m, routing_k);
@@ -537,6 +560,11 @@ fn run() -> Result<ExitCode, CliError> {
             } else {
                 vec![resolve(target)?]
             };
+            if let Some(r) = explicit_r {
+                for base in &bases {
+                    check_depth(base, r)?;
+                }
+            }
             // Flatten the (algorithm, r) targets, fan the analyses out over
             // the pool, and consume results in target order — so the output
             // is byte-identical to the serial loop at any thread count.
@@ -663,6 +691,9 @@ fn run() -> Result<ExitCode, CliError> {
                     } else {
                         vec![resolve(target)?]
                     };
+                    for base in &bases {
+                        check_depth(base, r)?;
+                    }
                     std::fs::create_dir_all(&out_dir)
                         .map_err(|e| CliError::io(out_dir.display(), e))?;
                     let mut written = Vec::new();
@@ -826,7 +857,7 @@ fn run() -> Result<ExitCode, CliError> {
             let topo = extract_value(&mut args, "--topo")?;
             reject_unread(&args, 2, &given, &["--json"])?;
             let base = resolve(args.get(1).ok_or("missing algorithm")?)?;
-            let k: u32 = parse(args.get(2), "k")?;
+            let k = check_depth(&base, parse(args.get(2), "k")?)?;
             let p: u32 = match procs {
                 Some(v) => v
                     .parse()

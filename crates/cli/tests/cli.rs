@@ -450,3 +450,50 @@ fn cert_emit_witness_depth_depends_on_view() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
+
+#[test]
+fn simulate_below_operand_floor_is_bad_input() {
+    // Strassen needs 5 slots to hold an operand set plus its result; a
+    // smaller M is malformed input (exit 4), not a panic, under both views.
+    for view in ["explicit", "implicit"] {
+        for m in ["2", "0"] {
+            let out = mmio(&["--view", view, "simulate", "strassen", "2", m]);
+            assert_eq!(out.status.code(), Some(4), "view={view} M={m}");
+            assert!(out.stdout.is_empty(), "view={view} M={m}");
+            assert_eq!(
+                String::from_utf8(out.stderr).unwrap(),
+                format!("error: cache size {m} cannot hold an operand set (5 needed)\n"),
+                "view={view} M={m}"
+            );
+        }
+    }
+}
+
+#[test]
+fn too_deep_r_is_bad_input() {
+    // Strassen G_40 overflows dense u32 vertex ids. Every command that
+    // takes a depth rejects it where it parses it: exit 4, one line, no
+    // partial output, nothing written.
+    let dir = std::env::temp_dir().join(format!("mmio_cli_deep_{}", std::process::id()));
+    let out_dir = dir.to_str().unwrap();
+    for args in [
+        &["simulate", "strassen", "40", "64"][..],
+        &["certify", "strassen", "40", "64"],
+        &["distsim", "strassen", "40"],
+        &["report", "strassen", "40", "64"],
+        &["cert", "emit", "strassen", "40", "--out", out_dir],
+        &["routing", "strassen", "1", "40"],
+        &["routing", "strassen", "40"],
+        &["analyze", "strassen", "40"],
+    ] {
+        let out = mmio(args);
+        assert_eq!(out.status.code(), Some(4), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+        assert_eq!(
+            String::from_utf8(out.stderr).unwrap(),
+            "error: strassen: r = 40 is too deep (G_r exceeds u32 vertex ids)\n",
+            "{args:?}"
+        );
+    }
+    assert!(!dir.exists(), "cert emit wrote before rejecting r");
+}

@@ -79,9 +79,7 @@ pub fn analyze(base: &BaseGraph, r: u32, m: u64, routing_k: u32) -> AlgorithmRep
     });
 
     let certificate = certify_with(&g, m, &order, CertifyParams::SMALL);
-    let measured_io = AutoScheduler::new(&g, m as usize)
-        .run(&order, &mut Belady)
-        .io();
+    let measured_io = AutoScheduler::new(&g, m as usize).run(&order, &Belady).io();
     AlgorithmReport {
         properties: classify(base),
         profile: profile(&g),

@@ -263,9 +263,7 @@ mod tests {
             let order = orders::random_topo_order(&g, &mut rng);
             for m in [6u64, 12, 24] {
                 let cert = certify_with(&g, m, &order, CertifyParams::SMALL);
-                let measured = AutoScheduler::new(&g, m as usize)
-                    .run(&order, &mut Lru::new(g.n_vertices()))
-                    .io();
+                let measured = AutoScheduler::new(&g, m as usize).run(&order, &Lru).io();
                 assert!(
                     cert.analysis.certified_io <= measured,
                     "trial {trial} m={m}: certified {} > measured {measured}",
@@ -285,9 +283,7 @@ mod tests {
         for order in [orders::recursive_order(&g), orders::rank_order(&g)] {
             for m in [8u64, 16, 32] {
                 let cert = certify_with(&g, m, &order, CertifyParams::SMALL);
-                let measured = AutoScheduler::new(&g, m as usize)
-                    .run(&order, &mut Belady)
-                    .io();
+                let measured = AutoScheduler::new(&g, m as usize).run(&order, &Belady).io();
                 assert!(
                     cert.analysis.certified_io <= measured,
                     "m={m}: certificate {} exceeds measured {measured}",

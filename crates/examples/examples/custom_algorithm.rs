@@ -69,9 +69,7 @@ fn main() {
     let order = recursive_order(&g);
     let lb = LowerBound::new(&base);
     for m in [32usize, 128] {
-        let io = AutoScheduler::new(&g, m)
-            .run(&order, &mut Lru::new(g.n_vertices()))
-            .io();
+        let io = AutoScheduler::new(&g, m).run(&order, &Lru).io();
         println!(
             "M = {m:>4}: measured {io} I/Os, Ω bound {:.0}",
             lb.sequential_io(g.n(), m as u64)

@@ -28,13 +28,9 @@ fn main() {
         "M", "rec+belady", "rec+lru", "rank+lru", "Ω bound", "classical(blk)"
     );
     for m in [8usize, 16, 32, 64, 128, 256, 512, 1024] {
-        let rb = AutoScheduler::new(&g, m).run(&recursive, &mut Belady).io();
-        let rl = AutoScheduler::new(&g, m)
-            .run(&recursive, &mut Lru::new(g.n_vertices()))
-            .io();
-        let kl = AutoScheduler::new(&g, m)
-            .run(&ranked, &mut Lru::new(g.n_vertices()))
-            .io();
+        let rb = AutoScheduler::new(&g, m).run(&recursive, &Belady).io();
+        let rl = AutoScheduler::new(&g, m).run(&recursive, &Lru).io();
+        let kl = AutoScheduler::new(&g, m).run(&ranked, &Lru).io();
         let bound = lb.sequential_io(n, m as u64);
         let classical = blocked_io(n, m as u64);
         println!("{m:>6} | {rb:>12} {rl:>12} {kl:>12} | {bound:>12.0} {classical:>14}",);

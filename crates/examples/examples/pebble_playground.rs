@@ -40,13 +40,9 @@ fn main() {
         let opt = min_io(&g, m, 5_000_000)
             .map(|x| x.to_string())
             .unwrap_or_else(|| "?".into());
-        let rb = AutoScheduler::new(&g, m).run(&rec, &mut Belady).io();
-        let rl = AutoScheduler::new(&g, m)
-            .run(&rec, &mut Lru::new(g.n_vertices()))
-            .io();
-        let kl = AutoScheduler::new(&g, m)
-            .run(&rank, &mut Lru::new(g.n_vertices()))
-            .io();
+        let rb = AutoScheduler::new(&g, m).run(&rec, &Belady).io();
+        let rl = AutoScheduler::new(&g, m).run(&rec, &Lru).io();
+        let kl = AutoScheduler::new(&g, m).run(&rank, &Lru).io();
         println!("{m:>3} | {opt:>8} | {rb:>10} {rl:>10} {kl:>10}");
     }
 

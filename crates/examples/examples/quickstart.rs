@@ -68,7 +68,7 @@ fn main() {
         g.n()
     );
     for m in [16usize, 64, 256, 1024] {
-        let stats = AutoScheduler::new(&g, m).run(&order, &mut Lru::new(g.n_vertices()));
+        let stats = AutoScheduler::new(&g, m).run(&order, &Lru);
         let bound = lb.sequential_io(g.n(), m as u64);
         println!("{}", ratio_line(&format!("M = {m}"), stats.io(), bound));
     }

@@ -89,7 +89,7 @@ fn scheduler_schedules_replay_exactly_for_every_graph() {
         assert!(is_valid_compute_order(&g, &order), "{}", base.name());
         let m = g.vertices().map(|v| g.preds(v).len()).max().unwrap().max(7) + 1;
         let sched = AutoScheduler::new(&g, m);
-        let (stats, schedule) = sched.run_recorded(&order, &mut Lru::new(g.n_vertices()));
+        let (stats, schedule) = sched.run_recorded(&order, &Lru);
         let replayed = simulate(&g, &schedule, m).expect("valid schedule");
         assert_eq!(replayed, stats, "{}", base.name());
     }
@@ -105,9 +105,7 @@ fn certified_lower_bound_below_measured_io_for_all_graphs() {
         let order = recursive_order(&g);
         let m = 8u64.max(g.vertices().map(|v| g.preds(v).len() as u64).max().unwrap() + 1);
         let cert = certify_with(&g, m, &order, CertifyParams::SMALL);
-        let measured = AutoScheduler::new(&g, m as usize)
-            .run(&order, &mut Belady)
-            .io();
+        let measured = AutoScheduler::new(&g, m as usize).run(&order, &Belady).io();
         assert!(
             cert.analysis.certified_io <= measured,
             "{}: certified {} > measured {}",
@@ -128,10 +126,7 @@ fn formula_and_measurement_shapes_agree() {
     for r in 3..=5u32 {
         let g = build_cdag(&base, r);
         let order = recursive_order(&g);
-        measured.push((
-            g.n(),
-            AutoScheduler::new(&g, 16).run(&order, &mut Belady).io(),
-        ));
+        measured.push((g.n(), AutoScheduler::new(&g, 16).run(&order, &Belady).io()));
     }
     for w in measured.windows(2) {
         let growth = w[1].1 as f64 / w[0].1 as f64;

@@ -16,7 +16,7 @@ fn r7_cdag_builds_and_schedules() {
     assert_eq!(g.n(), 128);
     assert!(g.n_vertices() > 1_000_000);
     let order = recursive_order(&g);
-    let io = AutoScheduler::new(&g, 256).run(&order, &mut Belady).io();
+    let io = AutoScheduler::new(&g, 256).run(&order, &Belady).io();
     let bound = LowerBound::new(&strassen()).sequential_io(g.n(), 256);
     assert!(io as f64 >= bound);
     assert!(
@@ -41,9 +41,7 @@ fn certificate_scales_to_r6() {
     let order = recursive_order(&g);
     let m = 32u64;
     let cert = certify_with(&g, m, &order, CertifyParams::SMALL);
-    let measured = AutoScheduler::new(&g, m as usize)
-        .run(&order, &mut Belady)
-        .io();
+    let measured = AutoScheduler::new(&g, m as usize).run(&order, &Belady).io();
     assert!(cert.analysis.certified_io > 0);
     assert!(cert.analysis.certified_io <= measured);
     // The certificate should cover a nontrivial fraction at scale.

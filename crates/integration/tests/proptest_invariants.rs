@@ -78,7 +78,7 @@ proptest! {
         let order = random_topo_order(&g, &mut rng);
         prop_assert!(is_valid_compute_order(&g, &order));
         let sched = AutoScheduler::new(&g, 8);
-        let (stats, schedule) = sched.run_recorded(&order, &mut Lru::new(g.n_vertices()));
+        let (stats, schedule) = sched.run_recorded(&order, &Lru);
         let replay = simulate(&g, &schedule, 8).expect("recorded schedule valid");
         prop_assert_eq!(replay, stats);
     }
@@ -89,9 +89,9 @@ proptest! {
         let g = build_cdag(&strassen(), 2);
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let order = random_topo_order(&g, &mut rng);
-        let b = AutoScheduler::new(&g, m).run(&order, &mut Belady).io();
+        let b = AutoScheduler::new(&g, m).run(&order, &Belady).io();
         let l = AutoScheduler::new(&g, m)
-            .run(&order, &mut Lru::new(g.n_vertices()))
+            .run(&order, &Lru)
             .io();
         prop_assert!(b <= l, "belady {} > lru {}", b, l);
     }
@@ -104,7 +104,7 @@ proptest! {
         let order = random_topo_order(&g, &mut rng);
         let mut prev = u64::MAX;
         for m in [6usize, 12, 24, 48, 96] {
-            let io = AutoScheduler::new(&g, m).run(&order, &mut Belady).io();
+            let io = AutoScheduler::new(&g, m).run(&order, &Belady).io();
             prop_assert!(io <= prev, "m={} io={} prev={}", m, io, prev);
             prev = io;
         }

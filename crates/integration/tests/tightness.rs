@@ -26,7 +26,7 @@ fn io_scales_as_n_to_omega0_at_fixed_m() {
     for r in 3..=6u32 {
         let g = build_cdag(&base, r);
         let order = recursive_order(&g);
-        let io = AutoScheduler::new(&g, m).run(&order, &mut Belady).io();
+        let io = AutoScheduler::new(&g, m).run(&order, &Belady).io();
         points.push(((g.n() as f64).ln(), (io as f64).ln()));
     }
     let s = slope(&points);
@@ -45,7 +45,7 @@ fn io_scales_as_m_to_one_minus_half_omega0_at_fixed_n() {
     let order = recursive_order(&g);
     let mut points = Vec::new();
     for m in [16usize, 64, 256, 1024] {
-        let io = AutoScheduler::new(&g, m).run(&order, &mut Belady).io();
+        let io = AutoScheduler::new(&g, m).run(&order, &Belady).io();
         points.push(((m as f64).ln(), (io as f64).ln()));
     }
     let s = slope(&points);
@@ -65,7 +65,7 @@ fn classical_io_scales_as_cube_at_fixed_m() {
     for r in 3..=5u32 {
         let g = build_cdag(&base, r);
         let order = recursive_order(&g);
-        let io = AutoScheduler::new(&g, m).run(&order, &mut Belady).io();
+        let io = AutoScheduler::new(&g, m).run(&order, &Belady).io();
         points.push(((g.n() as f64).ln(), (io as f64).ln()));
     }
     let s = slope(&points);

@@ -28,9 +28,7 @@ fn variants_route_and_certify() {
         let g3 = build_cdag(&variant, 3);
         let order = recursive_order(&g3);
         let cert = certify_with(&g3, 8, &order, CertifyParams::SMALL);
-        let measured = AutoScheduler::new(&g3, 8)
-            .run(&order, &mut Lru::new(g3.n_vertices()))
-            .io();
+        let measured = AutoScheduler::new(&g3, 8).run(&order, &Lru).io();
         assert!(
             cert.analysis.certified_io <= measured,
             "{}: unsound certificate",
@@ -60,16 +58,12 @@ fn io_invariant_under_product_permutation() {
     let base = strassen();
     let g = build_cdag(&base, 4);
     let order = recursive_order(&g);
-    let io_base = AutoScheduler::new(&g, 16)
-        .run(&order, &mut Lru::new(g.n_vertices()))
-        .io();
+    let io_base = AutoScheduler::new(&g, 16).run(&order, &Lru).io();
     let perm: Vec<usize> = (0..7).rev().collect();
     let variant = permute_products(&base, &perm);
     let gv = build_cdag(&variant, 4);
     let order_v = recursive_order(&gv);
-    let io_variant = AutoScheduler::new(&gv, 16)
-        .run(&order_v, &mut Lru::new(gv.n_vertices()))
-        .io();
+    let io_variant = AutoScheduler::new(&gv, 16).run(&order_v, &Lru).io();
     let ratio = io_base as f64 / io_variant as f64;
     assert!(
         (0.95..1.05).contains(&ratio),

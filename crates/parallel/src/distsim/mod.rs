@@ -24,10 +24,10 @@
 //!   every public `simulate*` function): O(threads·min(M, work) + V)
 //!   state, `Pool`-parallel rank stepping, optional per-link contention
 //!   timing under a [`MachineModel`] — built for thousands of ranks;
-//! - [`reference`], the original dense O(P·V) engine, kept as the
-//!   equivalence oracle: on every instance both can run, totals *and*
-//!   the traced event stream are identical (enforced by the
-//!   conservation suite and proptests).
+//! - `reference`, the original dense O(P·V) engine, kept in test builds
+//!   only as the equivalence oracle: on every instance both can run,
+//!   totals *and* the traced event stream are identical (enforced by this
+//!   module's unit tests).
 //!
 //! [`simulate_traced`] records the full machine-level event stream
 //! (cache evictions/insertions, sends, receives, executions) so
@@ -38,7 +38,8 @@
 //! per-round contended loads for the analyzer's link-conservation and
 //! makespan recounts (`MMIO-D006`/`MMIO-D007`).
 
-pub mod reference;
+#[cfg(test)]
+mod reference;
 mod soa;
 pub mod topo;
 
@@ -208,10 +209,13 @@ pub fn simulate_traced_on<V: CdagView + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::assign::{all_on_one, by_top_subproblem, cyclic_per_rank};
+    use crate::assign::{all_on_one, block_per_rank, by_top_subproblem, cyclic_per_rank};
+    use mmio_algos::registry::all_base_graphs;
     use mmio_algos::strassen::strassen;
     use mmio_cdag::build::build_cdag;
+    use mmio_cdag::Cdag;
     use mmio_pebble::orders::recursive_order;
+    use proptest::prelude::*;
 
     fn setup() -> (mmio_cdag::Cdag, Vec<VertexId>) {
         let g = build_cdag(&strassen(), 3);
@@ -383,5 +387,67 @@ mod tests {
         assert!(out.contention.is_none());
         let t = simulate_traced(&g, &a, &order, 16);
         assert!(t.contention.is_none());
+    }
+
+    fn strategies(g: &Cdag, p: u32) -> Vec<(&'static str, Assignment)> {
+        vec![
+            ("cyclic_per_rank", cyclic_per_rank(g, p)),
+            ("block_per_rank", block_per_rank(g, p)),
+            ("by_top_subproblem", by_top_subproblem(g, p)),
+            ("all_on_one", all_on_one(g, p)),
+        ]
+    }
+
+    /// Runs both engines traced and asserts identical totals, per-rank
+    /// counters and event streams.
+    fn assert_engines_agree(g: &Cdag, a: &Assignment, order: &[VertexId], m: usize, ctx: &str) {
+        let fast = simulate_traced(g, a, order, m);
+        let slow = reference::simulate_traced(g, a, order, m);
+        assert_eq!(fast.claimed, slow.claimed, "{ctx}: totals drifted");
+        assert_eq!(fast.sent, slow.sent, "{ctx}: sent drifted");
+        assert_eq!(fast.received, slow.received, "{ctx}: received drifted");
+        assert_eq!(fast.events, slow.events, "{ctx}: events drifted");
+    }
+
+    #[test]
+    fn soa_engine_matches_reference_on_registry() {
+        // Every registry graph at r ≤ 2 under every assignment strategy.
+        for base in all_base_graphs() {
+            for r in 1..=2u32 {
+                let g = build_cdag(&base, r);
+                let order = recursive_order(&g);
+                let need = g.vertices().map(|v| g.preds(v).len()).max().unwrap_or(0) + 1;
+                let m = need.max(16);
+                for (name, a) in strategies(&g, 4) {
+                    let ctx = format!("{} r={r} {name}", base.name());
+                    assert_engines_agree(&g, &a, &order, m, &ctx);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn soa_matches_reference_on_random_instances(
+            algo in 0usize..3,
+            k in 1u32..3,
+            p in 2u32..11,
+            slack in 0usize..24,
+            which in 0usize..4,
+        ) {
+            let base = vec![
+                strassen(),
+                mmio_algos::strassen::winograd(),
+                mmio_algos::classical::classical(2),
+            ]
+            .swap_remove(algo);
+            let g = build_cdag(&base, k);
+            let order = recursive_order(&g);
+            let need = g.vertices().map(|v| g.preds(v).len()).max().unwrap() + 1;
+            let m = need + slack;
+            let (name, a) = strategies(&g, p).swap_remove(which);
+            let ctx = format!("{} k={k} p={p} m={m} {name}", base.name());
+            assert_engines_agree(&g, &a, &order, m, &ctx);
+        }
     }
 }

@@ -1,12 +1,14 @@
 //! The original dense distributed simulator, kept verbatim as the
-//! equivalence oracle for the flat SoA engine (the PR 4 pebble-engine
-//! playbook): per-rank `Vec<bool>` residency bitmaps and per-vertex LRU
-//! stamp vectors, O(P·V) state. Slow and memory-hungry at thousands of
-//! ranks, but simple enough to trust by inspection. The contract —
-//! enforced by `crates/check/tests/distsim_conservation.rs` and the
-//! proptest suite, the only users of this engine — is that on every
+//! equivalence oracle for the flat SoA engine: per-rank `Vec<bool>`
+//! residency bitmaps and per-vertex LRU stamp vectors, O(P·V) state. Slow
+//! and memory-hungry at thousands of ranks, but simple enough to trust by
+//! inspection. The contract — enforced by the unit tests of `super`, the
+//! only users of this engine — is that on every
 //! instance both engines can run, totals *and* the traced event stream
-//! are identical.
+//! are identical. Only tests use this engine, so it is compiled into test
+//! builds only.
+
+#![cfg(test)]
 
 use super::{DistEvent, DistRun, DistTrace};
 use crate::assign::Assignment;

@@ -1,6 +1,7 @@
 //! The flat structure-of-arrays distributed simulator.
 //!
-//! Why it is exactly equivalent to [`super::reference`]:
+//! Why it is exactly equivalent to the reference engine (the dense
+//! oracle in `distsim/reference.rs`, compiled into test builds only):
 //!
 //! - **Per-rank decomposability.** A rank's cache is touched only by the
 //!   steps it owns (every `touch` in the reference targets the step's

@@ -107,7 +107,7 @@ fn analyzer_certifies_matching_sequential_schedule() {
     let g = build_cdag(&base, 2); // n = 4, same instance the executor ran
     let m = 24;
     let order = recursive_order(&g);
-    let (stats, sched) = AutoScheduler::new(&g, m).run_recorded(&order, &mut Belady);
+    let (stats, sched) = AutoScheduler::new(&g, m).run_recorded(&order, &Belady);
 
     let mut report = mmio_analyze::Report::new();
     let audit = mmio_analyze::audit_schedule(&g, &sched, m, &mut report);

@@ -3,8 +3,8 @@
 //!
 //! Given the order in which a program computes the CDAG's vertices, the only
 //! remaining freedom in the machine model is *what to keep in cache*. This
-//! scheduler makes those decisions with a pluggable [`ReplacementPolicy`],
-//! maintaining the invariants the model demands:
+//! scheduler makes those decisions under a [`PolicySpec`], maintaining the
+//! invariants the model demands:
 //!
 //! - a live value (one with uncomputed successors, or an unstored output)
 //!   that is evicted while *dirty* (never stored) is stored first — it will
@@ -22,19 +22,18 @@
 //! same eviction sequence, for every policy). Every structure that holds
 //! cached vertices is bounded by the cache, and sized by `min(M, n)`:
 //!
-//! - **An exact policy structure per canonical policy.** For
-//!   [`PolicyKind::Lru`] an intrusive recency list: a touch moves the
-//!   vertex to the hot end in O(1), and the victim is the first unpinned
-//!   vertex from the cold end. For [`PolicyKind::Belady`] an indexed
-//!   binary max-heap of `(next_use, Reverse(id))` entries, key inline: a
-//!   key changes in place and an eviction removes its entry, so the heap
-//!   holds exactly the cached vertices. Its top is never pinned: an
-//!   operand's next use is the current step, every other cached vertex's
-//!   is later. Both tie-breaks are those of the reference scan, so the
-//!   victim is identical, not merely equally good. [`PolicyKind::Other`]
-//!   policies fall back to a candidate scan over the cache in insertion
-//!   order, and only they see [`ReplacementPolicy::on_touch`], so stateful
-//!   policies (random) observe the exact call sequence the reference makes.
+//! - **An exact structure per policy.** For [`PolicySpec::Lru`] an
+//!   intrusive recency list: a touch moves the vertex to the hot end in
+//!   O(1), and the victim is the first unpinned vertex from the cold end.
+//!   For [`PolicySpec::Belady`] an indexed binary max-heap of
+//!   `(next_use, Reverse(id))` entries, key inline: a key changes in place
+//!   and an eviction removes its entry, so the heap holds exactly the
+//!   cached vertices. Its top is never pinned: an operand's next use is the
+//!   current step, every other cached vertex's is later. Both tie-breaks
+//!   are those of the reference scan, so the victim is identical, not
+//!   merely equally good. [`PolicySpec::Random`] keeps the cache in
+//!   insertion order and draws from the unpinned candidates in that order
+//!   with a per-run `StdRng`, so every draw is the reference's draw.
 //! - **Dead-value free-list.** A value that is dead the moment it is
 //!   computed (a non-output with zero uses under this order) is pushed onto
 //!   a min-heap by id; free evictions pop it in O(log M). All other values
@@ -54,10 +53,12 @@ mod equivalence;
 mod reference;
 
 use crate::graph::PebbleGraph;
-use crate::policy::{PolicyKind, ReplacementPolicy};
+use crate::policy::PolicySpec;
 use crate::schedule::{Action, Schedule};
 use crate::stats::{EngineCounters, IoStats};
 use mmio_cdag::{Cdag, Csr, VertexId};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
@@ -343,12 +344,11 @@ pub struct SchedScratch {
     lru: RecencyList,
     belady: NextUseHeap,
     dead_heap: BinaryHeap<Reverse<VertexId>>,
-    // `PolicyKind::Other` only: the cache in insertion order (with
-    // swap-remove, as the reference engine keeps it) and scan buffers.
+    // `PolicySpec::Random` only: the cache in insertion order (with
+    // swap-remove, as the reference engine keeps it) and the scan buffer.
     cache_list: Vec<VertexId>,
     cache_pos: Vec<u32>,
     candidates: Vec<VertexId>,
-    next_use_buf: Vec<u64>,
 }
 
 impl SchedScratch {
@@ -400,7 +400,7 @@ impl<'g, G: PebbleGraph> AutoScheduler<'g, G> {
 
     /// Runs `order` (all non-input vertices, topologically sorted) under
     /// `policy` and returns the I/O statistics.
-    pub fn run(&self, order: &[VertexId], policy: &mut dyn ReplacementPolicy) -> IoStats {
+    pub fn run(&self, order: &[VertexId], policy: &PolicySpec) -> IoStats {
         let uses = UseLists::new(self.g, order);
         self.run_prepared(
             order,
@@ -414,11 +414,7 @@ impl<'g, G: PebbleGraph> AutoScheduler<'g, G> {
 
     /// Like [`AutoScheduler::run`], additionally returning the explicit
     /// schedule (for validation against [`crate::sim::simulate`]).
-    pub fn run_recorded(
-        &self,
-        order: &[VertexId],
-        policy: &mut dyn ReplacementPolicy,
-    ) -> (IoStats, Schedule) {
+    pub fn run_recorded(&self, order: &[VertexId], policy: &PolicySpec) -> (IoStats, Schedule) {
         let uses = UseLists::new(self.g, order);
         let out = self.run_prepared(
             order,
@@ -441,7 +437,7 @@ impl<'g, G: PebbleGraph> AutoScheduler<'g, G> {
         order: &[VertexId],
         uses: &UseLists,
         scratch: &mut SchedScratch,
-        policy: &mut dyn ReplacementPolicy,
+        policy: &PolicySpec,
         opts: RunOptions,
     ) -> RunOutput {
         let g = self.g;
@@ -467,10 +463,9 @@ impl<'g, G: PebbleGraph> AutoScheduler<'g, G> {
             cache_list,
             cache_pos,
             candidates,
-            next_use_buf,
         } = scratch;
 
-        let pk = policy.kind();
+        let policy = *policy;
         // The cache never holds more than every vertex.
         let cap = m.min(n);
         cursor.clear();
@@ -478,16 +473,19 @@ impl<'g, G: PebbleGraph> AutoScheduler<'g, G> {
         flags.clear();
         flags.resize(n, 0);
         dead_heap.clear();
-        match pk {
-            PolicyKind::Lru => lru.reset(n),
-            PolicyKind::Belady => belady.reset(n, cap),
-            PolicyKind::Other => {
+        let mut rng = None;
+        match policy {
+            PolicySpec::Lru => lru.reset(n),
+            PolicySpec::Belady => belady.reset(n, cap),
+            PolicySpec::Random { seed } => {
+                rng = Some(StdRng::seed_from_u64(seed));
                 cache_list.clear();
                 cache_list.reserve(cap);
                 cache_pos.clear();
                 cache_pos.resize(n, NIL);
             }
         }
+        let random = rng.is_some();
 
         let record = opts.record_schedule;
         let mut occupancy: usize = 0;
@@ -495,16 +493,15 @@ impl<'g, G: PebbleGraph> AutoScheduler<'g, G> {
         let mut counters = EngineCounters::default();
         let mut actions: Vec<Action> = Vec::new();
         let mut victims: Vec<VertexId> = Vec::new();
-        let mut time: u64 = 0;
 
-        // Every cached vertex sits in the policy structure of `pk`; these
-        // two keep the cache and that structure in step.
+        // Every cached vertex sits in the policy's structure; these two
+        // keep the cache and that structure in step.
         macro_rules! cache_insert {
             ($v:expr) => {{
                 let v: VertexId = $v;
                 flags[v.idx()] |= IN_CACHE;
                 occupancy += 1;
-                if pk == PolicyKind::Other {
+                if random {
                     cache_pos[v.idx()] = cache_list.len() as u32;
                     cache_list.push(v);
                 }
@@ -515,10 +512,10 @@ impl<'g, G: PebbleGraph> AutoScheduler<'g, G> {
                 let v: VertexId = $v;
                 flags[v.idx()] &= !IN_CACHE;
                 occupancy -= 1;
-                match pk {
-                    PolicyKind::Lru => lru.remove(v),
-                    PolicyKind::Belady => belady.remove(v),
-                    PolicyKind::Other => {
+                match policy {
+                    PolicySpec::Lru => lru.remove(v),
+                    PolicySpec::Belady => belady.remove(v),
+                    PolicySpec::Random { .. } => {
                         let pos = cache_pos[v.idx()] as usize;
                         let last = *cache_list.last().unwrap();
                         cache_list.swap_remove(pos);
@@ -530,18 +527,11 @@ impl<'g, G: PebbleGraph> AutoScheduler<'g, G> {
                 }
             }};
         }
-        // Mirrors the reference's `policy.on_touch` call sites. Only
-        // `Other` policies are consulted, so only they see the calls.
+        // Mirrors the reference's touch sites; only LRU keeps recency.
         macro_rules! touch {
             ($w:expr) => {{
-                let w: VertexId = $w;
-                match pk {
-                    PolicyKind::Lru => lru.touch(w),
-                    PolicyKind::Belady => {}
-                    PolicyKind::Other => {
-                        policy.on_touch(w, time);
-                        time += 1;
-                    }
+                if policy == PolicySpec::Lru {
+                    lru.touch($w);
                 }
             }};
         }
@@ -549,7 +539,7 @@ impl<'g, G: PebbleGraph> AutoScheduler<'g, G> {
         // heap, in place.
         macro_rules! refresh_next_use {
             ($w:expr) => {{
-                if pk == PolicyKind::Belady {
+                if policy == PolicySpec::Belady {
                     let w: VertexId = $w;
                     belady.set(w, uses.at(cursor[w.idx()]));
                 }
@@ -581,8 +571,8 @@ impl<'g, G: PebbleGraph> AutoScheduler<'g, G> {
                             }
                         } else {
                             // 2) Live eviction chosen by the policy.
-                            let victim: VertexId = match pk {
-                                PolicyKind::Belady => {
+                            let victim: VertexId = match policy {
+                                PolicySpec::Belady => {
                                     let top = belady.top().expect("the cache is full");
                                     debug_assert!(
                                         !pinned(top),
@@ -591,22 +581,17 @@ impl<'g, G: PebbleGraph> AutoScheduler<'g, G> {
                                     );
                                     top
                                 }
-                                PolicyKind::Lru => lru
+                                PolicySpec::Lru => lru
                                     .coldest_unpinned(|c| pinned(VertexId(c)))
                                     .expect("a live unpinned candidate must exist"),
-                                PolicyKind::Other => {
+                                PolicySpec::Random { .. } => {
                                     // Candidates in cache-insertion order, as
                                     // the reference engine presents them.
                                     candidates.clear();
-                                    next_use_buf.clear();
-                                    for &w in cache_list.iter() {
-                                        if !pinned(w) {
-                                            candidates.push(w);
-                                            next_use_buf.push(uses.at(cursor[w.idx()]));
-                                        }
-                                    }
-                                    let i = policy.choose_victim(candidates, next_use_buf);
-                                    candidates[i]
+                                    candidates
+                                        .extend(cache_list.iter().copied().filter(|&w| !pinned(w)));
+                                    let rng = rng.as_mut().expect("seeded for a random run");
+                                    candidates[rng.gen_range(0..candidates.len())]
                                 }
                             };
                             counters.policy_evictions += 1;
@@ -712,11 +697,9 @@ mod tests {
     use super::reference::ReferenceScheduler;
     use super::*;
     use crate::orders;
-    use crate::policy::{Belady, Lru, RandomEvict};
+    use crate::policy::{Belady, Lru};
     use crate::sim::simulate;
     use mmio_cdag::build::build_cdag;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     use crate::testutil::classical2_base;
 
@@ -726,7 +709,7 @@ mod tests {
         let order = orders::rank_order(&g);
         for m in [8usize, 16, 64] {
             let sched = AutoScheduler::new(&g, m);
-            let (stats, schedule) = sched.run_recorded(&order, &mut Lru::new(g.n_vertices()));
+            let (stats, schedule) = sched.run_recorded(&order, &Lru);
             let replayed = simulate(&g, &schedule, m).expect("schedule must be valid");
             assert_eq!(replayed, stats, "m={m}");
         }
@@ -737,7 +720,7 @@ mod tests {
         let g = build_cdag(&classical2_base(), 2);
         let order = orders::recursive_order(&g);
         let sched = AutoScheduler::new(&g, 10);
-        let (stats, schedule) = sched.run_recorded(&order, &mut Belady);
+        let (stats, schedule) = sched.run_recorded(&order, &Belady);
         let replayed = simulate(&g, &schedule, 10).expect("schedule must be valid");
         assert_eq!(replayed, stats);
     }
@@ -749,7 +732,7 @@ mod tests {
         let g = build_cdag(&classical2_base(), 2);
         let order = orders::rank_order(&g);
         let sched = AutoScheduler::new(&g, g.n_vertices() + 1);
-        let stats = sched.run(&order, &mut Lru::new(g.n_vertices()));
+        let stats = sched.run(&order, &Lru);
         assert_eq!(stats.loads, 2 * 16); // every input touched once
         assert_eq!(stats.stores, 16); // every output stored once
     }
@@ -763,7 +746,7 @@ mod tests {
         // store per output.
         let g = build_cdag(&classical2_base(), 2);
         let order = orders::recursive_order(&g);
-        let stats = AutoScheduler::new(&g, 49).run(&order, &mut Lru::new(g.n_vertices()));
+        let stats = AutoScheduler::new(&g, 49).run(&order, &Lru);
         assert_eq!(stats.loads, 2 * 16);
         assert_eq!(stats.stores, 16);
     }
@@ -774,9 +757,7 @@ mod tests {
         // recursive order and 1025 for rank-by-rank. At M = 193 the
         // recursive order does only compulsory I/O; rank-by-rank does not.
         let g = build_cdag(&classical2_base(), 3);
-        let run = |order: &[VertexId]| {
-            AutoScheduler::new(&g, 193).run(order, &mut Lru::new(g.n_vertices()))
-        };
+        let run = |order: &[VertexId]| AutoScheduler::new(&g, 193).run(order, &Lru);
         let rec = run(&orders::recursive_order(&g));
         assert_eq!((rec.loads, rec.stores), (2 * 64, 64));
         let rank = run(&orders::rank_order(&g));
@@ -789,7 +770,7 @@ mod tests {
         let order = orders::recursive_order(&g);
         let mut last = None;
         for m in [64usize, 32, 16, 8] {
-            let stats = AutoScheduler::new(&g, m).run(&order, &mut Belady);
+            let stats = AutoScheduler::new(&g, m).run(&order, &Belady);
             if let Some(prev) = last {
                 assert!(stats.io() >= prev, "m={m}: {} < {prev}", stats.io());
             }
@@ -802,8 +783,8 @@ mod tests {
         let g = build_cdag(&classical2_base(), 2);
         for order in [orders::rank_order(&g), orders::recursive_order(&g)] {
             for m in [8usize, 12, 24, 48] {
-                let b = AutoScheduler::new(&g, m).run(&order, &mut Belady);
-                let l = AutoScheduler::new(&g, m).run(&order, &mut Lru::new(g.n_vertices()));
+                let b = AutoScheduler::new(&g, m).run(&order, &Belady);
+                let l = AutoScheduler::new(&g, m).run(&order, &Lru);
                 assert!(
                     b.io() <= l.io(),
                     "belady {} > lru {} at m={m}",
@@ -848,26 +829,17 @@ mod tests {
         };
         for order in [orders::rank_order(&g), orders::recursive_order(&g)] {
             for m in [8usize, 10, 16, 32, 64] {
-                for which in ["lru", "belady", "random"] {
-                    let mut fast_policy: Box<dyn crate::policy::ReplacementPolicy> = match which {
-                        "lru" => Box::new(Lru::new(g.n_vertices())),
-                        "belady" => Box::new(Belady),
-                        _ => Box::new(RandomEvict::new(StdRng::seed_from_u64(42))),
-                    };
-                    let mut ref_policy: Box<dyn crate::policy::ReplacementPolicy> = match which {
-                        "lru" => Box::new(Lru::new(g.n_vertices())),
-                        "belady" => Box::new(Belady),
-                        _ => Box::new(RandomEvict::new(StdRng::seed_from_u64(42))),
-                    };
+                for policy in [Lru, Belady, PolicySpec::Random { seed: 42 }] {
+                    let which = policy.name();
                     let fast = AutoScheduler::new(&g, m).run_prepared(
                         &order,
                         &UseLists::new(&g, &order),
                         &mut SchedScratch::new(),
-                        fast_policy.as_mut(),
+                        &policy,
                         opts,
                     );
                     let (rs, rsched, rvictims) =
-                        ReferenceScheduler::new(&g, m).run_traced(&order, ref_policy.as_mut());
+                        ReferenceScheduler::new(&g, m).run_traced(&order, &policy);
                     assert_eq!(fast.stats, rs, "{which} m={m}: stats diverge");
                     assert_eq!(
                         fast.schedule.as_ref().unwrap(),
@@ -896,14 +868,14 @@ mod tests {
         let mut io = Vec::new();
         for _ in 0..2 {
             for m in [8usize, 32] {
-                let mut run = |policy: &mut dyn ReplacementPolicy| {
+                let mut run = |policy: PolicySpec| {
                     AutoScheduler::new(&g, m)
-                        .run_prepared(&order, &uses, &mut scratch, policy, opts)
+                        .run_prepared(&order, &uses, &mut scratch, &policy, opts)
                         .stats
                 };
-                let a = run(&mut Belady);
-                let b = run(&mut Lru::new(g.n_vertices()));
-                let c = run(&mut RandomEvict::new(StdRng::seed_from_u64(3)));
+                let a = run(Belady);
+                let b = run(Lru);
+                let c = run(PolicySpec::Random { seed: 3 });
                 io.push((a, b, c));
             }
         }
@@ -919,7 +891,7 @@ mod tests {
             &order,
             &UseLists::new(&g, &order),
             &mut SchedScratch::new(),
-            &mut Belady,
+            &Belady,
             RunOptions {
                 record_schedule: false,
                 record_victims: true,
@@ -941,19 +913,12 @@ mod tests {
         let g = build_cdag(&classical2_base(), 2);
         let order = orders::recursive_order(&g);
         let n = g.n_vertices();
-        for which in 0..3 {
-            let run = |m: usize| {
-                let mut policy: Box<dyn ReplacementPolicy> = match which {
-                    0 => Box::new(Lru::new(n)),
-                    1 => Box::new(Belady),
-                    _ => Box::new(RandomEvict::new(StdRng::seed_from_u64(5))),
-                };
-                AutoScheduler::new(&g, m).run(&order, policy.as_mut())
-            };
+        for policy in [Lru, Belady, PolicySpec::Random { seed: 5 }] {
+            let run = |m: usize| AutoScheduler::new(&g, m).run(&order, &policy);
             let whole = run(n + 1);
             assert_eq!((whole.loads, whole.stores), (2 * 16, 16));
             for m in [1_000_000_000_000, usize::MAX] {
-                assert_eq!(run(m), whole, "policy {which}, M = {m}");
+                assert_eq!(run(m), whole, "policy {policy:?}, M = {m}");
             }
         }
     }

@@ -11,7 +11,7 @@
 
 use super::reference::ReferenceScheduler;
 use super::{AutoScheduler, RunOptions, SchedScratch, UseLists};
-use crate::policy::{Belady, Lru, RandomEvict, ReplacementPolicy};
+use crate::policy::{Belady, Lru, PolicySpec};
 use crate::sim::simulate;
 use crate::{orders, IoStats};
 use mmio_cdag::build::build_cdag;
@@ -59,11 +59,11 @@ fn pick_order(g: &Cdag, which: usize, seed: u64) -> Vec<VertexId> {
     }
 }
 
-fn make_policy(g: &Cdag, which: usize, seed: u64) -> Box<dyn ReplacementPolicy> {
+fn pick_policy(which: usize, seed: u64) -> PolicySpec {
     match which {
-        0 => Box::new(Lru::new(g.n_vertices())),
-        1 => Box::new(Belady),
-        _ => Box::new(RandomEvict::new(StdRng::seed_from_u64(seed))),
+        0 => Lru,
+        1 => Belady,
+        _ => PolicySpec::Random { seed },
     }
 }
 
@@ -77,18 +77,19 @@ fn check_equivalent(
     policy_kind: usize,
     policy_seed: u64,
 ) -> Result<(), TestCaseError> {
+    let policy = pick_policy(policy_kind, policy_seed);
     let fast = AutoScheduler::new(g, m).run_prepared(
         order,
         &UseLists::new(g, order),
         &mut SchedScratch::new(),
-        make_policy(g, policy_kind, policy_seed).as_mut(),
+        &policy,
         RunOptions {
             record_schedule: true,
             record_victims: true,
         },
     );
-    let (ref_stats, ref_sched, ref_victims) = ReferenceScheduler::new(g, m)
-        .run_traced(order, make_policy(g, policy_kind, policy_seed).as_mut());
+    let (ref_stats, ref_sched, ref_victims) =
+        ReferenceScheduler::new(g, m).run_traced(order, &policy);
 
     prop_assert_eq!(fast.stats, ref_stats);
     prop_assert_eq!(fast.schedule.as_ref().unwrap(), &ref_sched);

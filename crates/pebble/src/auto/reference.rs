@@ -7,7 +7,9 @@
 //!   output) and drop the one with the smallest [`VertexId`];
 //! - *policy eviction*: collect all unpinned cached values in
 //!   cache-insertion order, compute each candidate's next use lazily, and
-//!   let the [`ReplacementPolicy`] choose.
+//!   let the policy's own scan rule choose ([`ScanPolicy`], kept apart from
+//!   the fast engine's structures so the contract compares two
+//!   implementations).
 //!
 //! The fast engine must produce identical [`IoStats`], an identical recorded
 //! [`Schedule`], and an identical eviction sequence for every policy — see
@@ -18,10 +20,59 @@
 #![cfg(test)]
 
 use super::CacheTooSmall;
-use crate::policy::ReplacementPolicy;
+use crate::policy::PolicySpec;
 use crate::schedule::{Action, Schedule};
 use crate::stats::IoStats;
 use mmio_cdag::{Cdag, VertexId};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// The reference's eviction rule for one run: a scan over the candidates.
+enum ScanPolicy {
+    /// Evicts the minimum `(last_touch, VertexId)`.
+    Lru { last_touch: Vec<u64> },
+    /// Evicts the maximum `(next_use, Reverse(VertexId))`.
+    Belady,
+    /// Draws uniformly over the candidates in the order presented.
+    Random(StdRng),
+}
+
+impl ScanPolicy {
+    /// A fresh rule for `spec` on a graph with `n` vertices.
+    fn new(spec: &PolicySpec, n: usize) -> ScanPolicy {
+        match *spec {
+            PolicySpec::Lru => ScanPolicy::Lru {
+                last_touch: vec![0; n],
+            },
+            PolicySpec::Belady => ScanPolicy::Belady,
+            PolicySpec::Random { seed } => ScanPolicy::Random(StdRng::seed_from_u64(seed)),
+        }
+    }
+
+    /// Records that `v` was touched (loaded, computed, or used as an
+    /// operand) at logical time `time`.
+    fn on_touch(&mut self, v: VertexId, time: u64) {
+        if let ScanPolicy::Lru { last_touch } = self {
+            last_touch[v.idx()] = time;
+        }
+    }
+
+    /// Chooses which of `candidates` (all live, all cached, in
+    /// cache-insertion order) to evict; `next_use[i]` is candidate `i`'s
+    /// next use position (`u64::MAX` if none).
+    fn choose_victim(&mut self, candidates: &[VertexId], next_use: &[u64]) -> usize {
+        let all = 0..candidates.len();
+        match self {
+            ScanPolicy::Lru { last_touch } => all
+                .min_by_key(|&i| (last_touch[candidates[i].idx()], candidates[i]))
+                .expect("no eviction candidates"),
+            ScanPolicy::Belady => all
+                .max_by_key(|&i| (next_use[i], std::cmp::Reverse(candidates[i])))
+                .expect("no eviction candidates"),
+            ScanPolicy::Random(rng) => rng.gen_range(all),
+        }
+    }
+}
 
 /// The naive scan-based scheduler for one CDAG under a fixed cache size.
 pub struct ReferenceScheduler<'g> {
@@ -54,17 +105,13 @@ impl<'g> ReferenceScheduler<'g> {
 
     /// Runs `order` (all non-input vertices, topologically sorted) under
     /// `policy` and returns the I/O statistics.
-    pub fn run(&self, order: &[VertexId], policy: &mut dyn ReplacementPolicy) -> IoStats {
+    pub fn run(&self, order: &[VertexId], policy: &PolicySpec) -> IoStats {
         self.run_detailed(order, policy, false).0
     }
 
     /// Like [`ReferenceScheduler::run`], additionally returning the explicit
     /// schedule (for validation against [`crate::sim::simulate`]).
-    pub fn run_recorded(
-        &self,
-        order: &[VertexId],
-        policy: &mut dyn ReplacementPolicy,
-    ) -> (IoStats, Schedule) {
+    pub fn run_recorded(&self, order: &[VertexId], policy: &PolicySpec) -> (IoStats, Schedule) {
         let (stats, sched, _) = self.run_detailed(order, policy, true);
         (stats, sched.expect("recording was requested"))
     }
@@ -75,7 +122,7 @@ impl<'g> ReferenceScheduler<'g> {
     pub fn run_traced(
         &self,
         order: &[VertexId],
-        policy: &mut dyn ReplacementPolicy,
+        policy: &PolicySpec,
     ) -> (IoStats, Schedule, Vec<VertexId>) {
         let (stats, sched, victims) = self.run_detailed(order, policy, true);
         (stats, sched.expect("recording was requested"), victims)
@@ -84,11 +131,12 @@ impl<'g> ReferenceScheduler<'g> {
     fn run_detailed(
         &self,
         order: &[VertexId],
-        policy: &mut dyn ReplacementPolicy,
+        policy: &PolicySpec,
         record: bool,
     ) -> (IoStats, Option<Schedule>, Vec<VertexId>) {
         let g = self.g;
         let n = g.n_vertices();
+        let policy = &mut ScanPolicy::new(policy, n);
         debug_assert_eq!(
             order.len(),
             g.vertices().filter(|&v| !g.is_input(v)).count(),
@@ -166,7 +214,7 @@ impl<'g> ReferenceScheduler<'g> {
                                stored: &mut Vec<bool>,
                                remaining_uses: &Vec<u32>,
                                use_ptr: &mut Vec<usize>,
-                               policy: &mut dyn ReplacementPolicy| {
+                               policy: &mut ScanPolicy| {
                 if cache_list.len() < self.m {
                     return;
                 }
@@ -338,7 +386,7 @@ mod tests {
         let order = orders::rank_order(&g);
         for m in [8usize, 16, 64] {
             let sched = ReferenceScheduler::new(&g, m);
-            let (stats, schedule) = sched.run_recorded(&order, &mut Lru::new(g.n_vertices()));
+            let (stats, schedule) = sched.run_recorded(&order, &Lru);
             let replayed = simulate(&g, &schedule, m).expect("schedule must be valid");
             assert_eq!(replayed, stats, "m={m}");
         }
@@ -349,7 +397,7 @@ mod tests {
         let g = build_cdag(&classical2_base(), 2);
         let order = orders::rank_order(&g);
         let sched = ReferenceScheduler::new(&g, g.n_vertices() + 1);
-        let stats = sched.run(&order, &mut Belady);
+        let stats = sched.run(&order, &Belady);
         assert_eq!(stats.loads, 2 * 16); // every input touched once
         assert_eq!(stats.stores, 16); // every output stored once
     }
@@ -368,5 +416,32 @@ mod tests {
     fn cache_too_small_panics() {
         let g = build_cdag(&classical2_base(), 1);
         let _ = ReferenceScheduler::new(&g, 2);
+    }
+
+    #[test]
+    fn lru_picks_least_recent() {
+        let mut lru = ScanPolicy::new(&Lru, 3);
+        lru.on_touch(VertexId(0), 5);
+        lru.on_touch(VertexId(1), 2);
+        lru.on_touch(VertexId(2), 9);
+        let cands = [VertexId(0), VertexId(1), VertexId(2)];
+        assert_eq!(lru.choose_victim(&cands, &[0, 0, 0]), 1);
+    }
+
+    #[test]
+    fn belady_picks_farthest_use() {
+        let mut b = ScanPolicy::new(&Belady, 2);
+        let cands = [VertexId(0), VertexId(1)];
+        assert_eq!(b.choose_victim(&cands, &[3, 100]), 1);
+        assert_eq!(b.choose_victim(&cands, &[u64::MAX, 100]), 0);
+    }
+
+    #[test]
+    fn random_in_range() {
+        let mut r = ScanPolicy::new(&PolicySpec::Random { seed: 1 }, 3);
+        let cands = [VertexId(0), VertexId(1), VertexId(2)];
+        for _ in 0..50 {
+            assert!(r.choose_victim(&cands, &[0, 0, 0]) < 3);
+        }
     }
 }

@@ -187,7 +187,7 @@ mod tests {
         let g = tiny();
         let order = orders::recursive_order(&g);
         for m in [3usize, 4, 8] {
-            let auto = AutoScheduler::new(&g, m).run(&order, &mut Belady);
+            let auto = AutoScheduler::new(&g, m).run(&order, &Belady);
             let opt = min_io(&g, m, 1_000_000).unwrap();
             assert!(
                 opt <= auto.io(),

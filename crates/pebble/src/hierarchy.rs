@@ -8,12 +8,11 @@
 //! inclusive-hierarchy argument: levels above `i` behave as one fast
 //! memory of size `M_i`, everything below as slow memory). Theorem 1
 //! therefore applies *per boundary*: traffic across boundary `i` is
-//! `Ω((n/√M_i)^{ω₀}·M_i)`.
+//! `Ω((n/√M_i)^{ω₀}·M_i)`. [`Hierarchy::measure`] runs the boundaries as
+//! one pooled [`sweep`](crate::sweep) over the level sizes.
 
-use crate::auto::AutoScheduler;
-use crate::policy::ReplacementPolicy;
-use crate::stats::IoStats;
-use crate::sweep::{self, PolicySpec};
+use crate::policy::PolicySpec;
+use crate::sweep;
 use mmio_cdag::{Cdag, VertexId};
 use mmio_parallel::Pool;
 use serde::Serialize;
@@ -53,35 +52,11 @@ impl Hierarchy {
         &self.levels
     }
 
-    /// Measures per-boundary traffic for `order` under a per-level policy
-    /// built by `make_policy` (called once per boundary, so stateful
-    /// policies start fresh).
+    /// Measures per-boundary traffic for `order` under `policy`, running
+    /// the boundaries as a pooled [`sweep`](crate::sweep) over the level
+    /// sizes. Every boundary starts a fresh run of the same spec, so the
+    /// result is identical at any thread count.
     pub fn measure(
-        &self,
-        g: &Cdag,
-        order: &[VertexId],
-        mut make_policy: impl FnMut() -> Box<dyn ReplacementPolicy>,
-    ) -> HierarchyTraffic {
-        let boundary_io = self
-            .levels
-            .iter()
-            .map(|&m| {
-                let mut policy = make_policy();
-                let stats: IoStats = AutoScheduler::new(g, m).run(order, policy.as_mut());
-                stats.io()
-            })
-            .collect();
-        HierarchyTraffic {
-            level_sizes: self.levels.clone(),
-            boundary_io,
-        }
-    }
-
-    /// Like [`Hierarchy::measure`], but runs the boundaries as a pooled
-    /// [`sweep`](crate::sweep) over the level sizes. Deterministic at any
-    /// thread count; the policy is given as a [`PolicySpec`] so each
-    /// boundary instantiates a fresh, identically-seeded instance.
-    pub fn measure_pooled(
         &self,
         g: &Cdag,
         order: &[VertexId],
@@ -103,6 +78,7 @@ impl Hierarchy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::auto::AutoScheduler;
     use crate::orders::recursive_order;
     use crate::policy::Belady;
     use crate::testutil::classical2_base;
@@ -113,7 +89,7 @@ mod tests {
         let g = build_cdag(&classical2_base(), 3);
         let order = recursive_order(&g);
         let h = Hierarchy::new(vec![8, 32, 128, 512]);
-        let t = h.measure(&g, &order, || Box::new(Belady));
+        let t = h.measure(&g, &order, Belady, &Pool::serial());
         for w in t.boundary_io.windows(2) {
             assert!(w[1] <= w[0], "larger caches see no more traffic");
         }
@@ -124,8 +100,8 @@ mod tests {
         let g = build_cdag(&classical2_base(), 2);
         let order = recursive_order(&g);
         let h = Hierarchy::new(vec![16]);
-        let t = h.measure(&g, &order, || Box::new(Belady));
-        let flat = AutoScheduler::new(&g, 16).run(&order, &mut Belady).io();
+        let t = h.measure(&g, &order, Belady, &Pool::serial());
+        let flat = AutoScheduler::new(&g, 16).run(&order, &Belady).io();
         assert_eq!(t.boundary_io, vec![flat]);
     }
 
@@ -140,15 +116,16 @@ mod tests {
         let g = build_cdag(&classical2_base(), 3);
         let order = recursive_order(&g);
         let h = Hierarchy::new(vec![8, 32, 128, 512]);
-        let direct = h.measure(&g, &order, || Box::new(Belady));
-        for threads in [1usize, 2, 8] {
-            let pooled = h.measure_pooled(
-                &g,
-                &order,
-                PolicySpec::Belady,
-                &mmio_parallel::Pool::new(threads),
-            );
-            assert_eq!(pooled.boundary_io, direct.boundary_io, "threads={threads}");
+        for policy in [Belady, PolicySpec::Random { seed: 11 }] {
+            let direct: Vec<u64> = h
+                .levels()
+                .iter()
+                .map(|&m| AutoScheduler::new(&g, m).run(&order, &policy).io())
+                .collect();
+            for threads in [1usize, 2, 8] {
+                let pooled = h.measure(&g, &order, policy, &Pool::new(threads));
+                assert_eq!(pooled.boundary_io, direct, "{policy:?} threads={threads}");
+            }
         }
     }
 }

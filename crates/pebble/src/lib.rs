@@ -21,8 +21,9 @@
 //!
 //! - [`sim`]: a strict validator/counter for explicit schedules;
 //! - [`auto`]: a scheduler that turns a *compute order* into a valid
-//!   schedule under a [`policy`] (LRU, Belady's MIN, random) and counts its
-//!   I/O — the workhorse of every upper-bound measurement;
+//!   schedule under a [`PolicySpec`] (LRU, Belady's MIN, seeded random, see
+//!   [`policy`]) and counts its I/O — the workhorse of every upper-bound
+//!   measurement;
 //! - [`orders`]: compute orders — rank-by-rank (pessimal locality), the
 //!   recursive depth-first order of the actual Strassen-like algorithm
 //!   (which attains the Theorem 1 lower bound, cf. [3]), and random
@@ -36,10 +37,10 @@
 //!
 //! [`auto`] is the O(log M)-per-event engine: an exact LRU recency list
 //! and an indexed Belady heap, both holding only cached vertices. The
-//! original scan-based engine survives, in test builds only, as
-//! `auto::reference`, and every release is held to an exact equivalence
-//! contract between the two (same stats, same schedules, same eviction
-//! sequences — see `src/auto/equivalence.rs`).
+//! original scan-based engine, with its own scan rule per policy, survives
+//! in test builds only as `auto::reference`, and every release is held to
+//! an exact equivalence contract between the two (same stats, same
+//! schedules, same eviction sequences — see `src/auto/equivalence.rs`).
 //!
 //! ```
 //! use mmio_algos::strassen::strassen;
@@ -48,7 +49,7 @@
 //!
 //! let g = build_cdag(&strassen(), 3); // 8×8 matmul CDAG
 //! let order = recursive_order(&g);
-//! let stats = AutoScheduler::new(&g, 16).run(&order, &mut Lru::new(g.n_vertices()));
+//! let stats = AutoScheduler::new(&g, 16).run(&order, &Lru);
 //! assert!(stats.io() >= 2 * 64 + 64); // at least compulsory traffic
 //! assert_eq!(stats.computes as usize, order.len());
 //! ```
@@ -75,9 +76,10 @@ pub mod sweep;
 
 pub use auto::{AutoScheduler, CacheTooSmall, RunOptions, RunOutput, SchedScratch, UseLists};
 pub use graph::{PebbleGraph, ViewGraph};
+pub use policy::PolicySpec;
 pub use schedule::{Action, Schedule};
 pub use stats::{EngineCounters, IoStats};
-pub use sweep::{GridPoint, PolicySpec, SweepError, SweepPoint, SweepRun};
+pub use sweep::{GridPoint, SweepError, SweepPoint, SweepRun};
 
 #[cfg(test)]
 pub(crate) mod testutil {

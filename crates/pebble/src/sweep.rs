@@ -6,9 +6,10 @@
 //! [`mmio_parallel::Pool`] with two guarantees:
 //!
 //! - **Determinism.** Each grid point is a pure function of `(graph, order,
-//!   policy spec, M)` — policies with randomness are specified by seed, not
-//!   by a shared RNG — and `Pool::map` returns results in index order, so a
-//!   sweep's output vector is byte-identical at any thread count.
+//!   policy, M)`: a [`PolicySpec`] is a value, and the random policy carries
+//!   its seed rather than sharing an RNG. `Pool::map` returns results in
+//!   index order, so a sweep's output vector is byte-identical at any
+//!   thread count.
 //! - **One prepare per order.** The caller builds each order's
 //!   [`UseLists`] once per call and every worker reads them; a grid point
 //!   allocates only its per-run [`SchedScratch`], which is sized by
@@ -19,61 +20,11 @@
 //! scheduler is constructed with [`AutoScheduler::try_with_uses`].
 
 use crate::auto::{AutoScheduler, RunOptions, SchedScratch, UseLists};
-use crate::policy::{Belady, Lru, RandomEvict, ReplacementPolicy};
+pub use crate::policy::PolicySpec;
 use crate::stats::{EngineCounters, IoStats};
 use mmio_cdag::{Cdag, VertexId};
 use mmio_parallel::Pool;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::{Serialize, Value};
-
-/// A replacement policy *specification*: value-typed, so a grid point can be
-/// shipped to a worker and instantiated there. Randomized policies carry
-/// their seed — two instantiations of the same spec behave identically.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PolicySpec {
-    /// Least-recently-used.
-    Lru,
-    /// Belady's MIN.
-    Belady,
-    /// Uniform-random eviction with a fixed seed.
-    Random {
-        /// Seed for the per-run `StdRng`.
-        seed: u64,
-    },
-}
-
-impl PolicySpec {
-    /// Builds a fresh policy instance for a graph with `n` vertices.
-    pub fn instantiate(&self, n: usize) -> Box<dyn ReplacementPolicy> {
-        match *self {
-            PolicySpec::Lru => Box::new(Lru::new(n)),
-            PolicySpec::Belady => Box::new(Belady),
-            PolicySpec::Random { seed } => Box::new(RandomEvict::new(StdRng::seed_from_u64(seed))),
-        }
-    }
-
-    /// The policy's report name (matches [`ReplacementPolicy::name`]).
-    pub fn name(&self) -> &'static str {
-        match self {
-            PolicySpec::Lru => "lru",
-            PolicySpec::Belady => "belady",
-            PolicySpec::Random { .. } => "random",
-        }
-    }
-}
-
-impl Serialize for PolicySpec {
-    fn to_value(&self) -> Value {
-        match *self {
-            PolicySpec::Random { seed } => Value::Object(vec![
-                ("name".to_string(), Value::Str("random".to_string())),
-                ("seed".to_string(), Value::UInt(seed)),
-            ]),
-            spec => Value::Str(spec.name().to_string()),
-        }
-    }
-}
 
 /// One cell of a sweep grid.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
@@ -198,7 +149,6 @@ pub fn sweep(
         }
     }
     let uses: Vec<UseLists> = pool.map(orders.len(), |k| UseLists::new(g, orders[k]));
-    let n = g.n_vertices();
 
     pool.map(grid.len(), |i| {
         let point = grid[i];
@@ -209,12 +159,11 @@ pub fn sweep(
                 need: e.need,
             }),
             Ok(sched) => {
-                let mut policy = point.policy.instantiate(n);
                 let out = sched.run_prepared(
                     order,
                     uses,
                     &mut SchedScratch::new(),
-                    policy.as_mut(),
+                    &point.policy,
                     RunOptions::default(),
                 );
                 Ok(SweepRun {
@@ -255,8 +204,7 @@ mod tests {
         // Spot-check against direct scheduler runs.
         for pt in &serial {
             let order = orders[pt.point.order];
-            let mut policy = pt.point.policy.instantiate(g.n_vertices());
-            let direct = AutoScheduler::new(&g, pt.point.m).run(order, policy.as_mut());
+            let direct = AutoScheduler::new(&g, pt.point.m).run(order, &pt.point.policy);
             assert_eq!(pt.stats(), direct);
         }
     }
@@ -281,12 +229,12 @@ mod tests {
     }
 
     #[test]
-    fn policy_spec_instantiation_is_reproducible() {
+    fn random_spec_runs_are_reproducible() {
         let g = build_cdag(&classical2_base(), 2);
         let order = orders::rank_order(&g);
         let spec = PolicySpec::Random { seed: 99 };
-        let a = AutoScheduler::new(&g, 12).run(&order, spec.instantiate(g.n_vertices()).as_mut());
-        let b = AutoScheduler::new(&g, 12).run(&order, spec.instantiate(g.n_vertices()).as_mut());
+        let a = AutoScheduler::new(&g, 12).run(&order, &spec);
+        let b = AutoScheduler::new(&g, 12).run(&order, &spec);
         assert_eq!(a, b);
     }
 }

@@ -9,7 +9,7 @@
 
 use mmio_cdag::build::build_cdag;
 use mmio_pebble::orders::recursive_order;
-use mmio_pebble::policy::{Belady, Lru, ReplacementPolicy};
+use mmio_pebble::policy::{Belady, Lru, PolicySpec};
 use mmio_pebble::{AutoScheduler, IoStats, RunOptions, SchedScratch, UseLists};
 
 /// `(M, LRU, Belady)`, each `(loads, stores, policy_evictions)`.
@@ -44,7 +44,7 @@ fn recursive_order_g6_io_is_pinned() {
         let uses = UseLists::new(&g, &order);
         let mut scratch = SchedScratch::new();
         for (m, lru, belady) in pins {
-            let mut run = |policy: &mut dyn ReplacementPolicy| {
+            let mut run = |policy: &PolicySpec| {
                 let out = AutoScheduler::new(&g, m).run_prepared(
                     &order,
                     &uses,
@@ -55,13 +55,7 @@ fn recursive_order_g6_io_is_pinned() {
                 assert_eq!(out.counters.dead_drops, 0);
                 (out.stats, out.counters.policy_evictions)
             };
-            for (policy, (loads, stores, evictions)) in [
-                (
-                    &mut Lru::new(g.n_vertices()) as &mut dyn ReplacementPolicy,
-                    lru,
-                ),
-                (&mut Belady, belady),
-            ] {
+            for (policy, (loads, stores, evictions)) in [(Lru, lru), (Belady, belady)] {
                 let want = IoStats {
                     loads,
                     stores,
@@ -69,7 +63,7 @@ fn recursive_order_g6_io_is_pinned() {
                 };
                 let name = policy.name();
                 assert_eq!(
-                    run(policy),
+                    run(&policy),
                     (want, evictions),
                     "{} {name} M = {m}",
                     base.name()

@@ -105,7 +105,7 @@ pub fn analyze_target(base: &BaseGraph, r: u32) -> (mmio_analyze::Report, serde_
     let g = build_cdag(base, sched_r);
     let m = (3 * base.a()).max(8);
     let order = recursive_order(&g);
-    let (_, sched) = AutoScheduler::new(&g, m).run_recorded(&order, &mut Belady);
+    let (_, sched) = AutoScheduler::new(&g, m).run_recorded(&order, &Belady);
     let audit = mmio_analyze::audit_schedule(&g, &sched, m, &mut report);
 
     // Routing certificate: enumerate the Theorem 2 paths explicitly and
