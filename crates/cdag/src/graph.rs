@@ -156,7 +156,6 @@ impl Cdag {
     /// # Panics
     /// Panics if the reference is out of range.
     pub fn id(&self, vref: VertexRef) -> VertexId {
-        // audit: safe — documented contract panic; callers address vertices of this graph
         VertexId(self.view.id(vref).expect("vertex address out of range"))
     }
 

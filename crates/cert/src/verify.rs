@@ -13,7 +13,7 @@
 //! verifier can still reach — but per-code detail is capped so adversarial
 //! input cannot balloon the verdict itself.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
@@ -21,7 +21,7 @@ use crate::codes;
 use crate::format::{
     self, Certificate, Payload, RoutingPayload, SchedulePayload, SweepPayload, FORMAT_VERSION,
 };
-use crate::view::{checked_pow, IndexView, ViewError};
+use crate::view::{checked_pow, CdagView, IndexView, VertexRef, ViewError};
 use mmio_cdag::hits::HitCounter;
 
 /// Hard ceiling on the vertex count of any graph the verifier will walk
@@ -387,15 +387,18 @@ fn verify_routing(cert: &Certificate, p: &RoutingPayload, ctx: &mut Ctx) {
 /// Re-checks the Fact-1 transport: the prefix set must be exactly
 /// `[b^{r-k}]`, and every lifted hop of every path must be an edge of `G_r`.
 ///
-/// Cost: `O(b^{r-k} · (distinct vertices + distinct hops of the G_k
-/// paths))`. Whether a lifted hop is an edge depends only on
-/// `(prefix, hu, hv)`, so the hops of the structurally valid paths are
-/// collected once, repeats removed, in the order a path-by-path walk first
-/// meets them; each copy lifts every distinct vertex once and checks every
-/// distinct hop. The checked `(prefix, lifted hop)` facts are exactly the
-/// path walk's with repeats removed, and the first failing distinct hop of
-/// a copy is the first failing hop that walk meets, so each copy reports
-/// the same hop with the same code and message.
+/// Cost: `O(H log H + n_k + b^{r-k} · (distinct vertices + distinct hops))`
+/// for `H` path hops over a `G_k` of `n_k` vertices. Whether a lifted hop
+/// is an edge depends only on `(prefix, hu, hv)`, so the hops of the
+/// structurally valid paths are collected once, repeats removed, in the
+/// order a path-by-path walk first meets them. Each distinct vertex is
+/// decoded to its address once; each copy lifts every address once and
+/// tests every distinct hop on the two lifted addresses
+/// ([`IndexView::is_edge_vref`]), with no id decoded back. The checked
+/// `(prefix, lifted hop)` facts are exactly the path walk's with repeats
+/// removed, and the first failing distinct hop of a copy is the first
+/// failing hop that walk meets, so each copy reports the same hop with the
+/// same code and message.
 fn verify_transport(p: &RoutingPayload, kview: &IndexView, rview: &IndexView, ctx: &mut Ctx) {
     let Some(copies) = checked_pow(kview.b() as u64, p.r - p.k) else {
         ctx.reject(codes::V_PARAMS, "b^{r-k} overflows the id space");
@@ -438,47 +441,62 @@ fn verify_transport(p: &RoutingPayload, kview: &IndexView, rview: &IndexView, ct
         return;
     }
 
-    // Distinct hops in first-occurrence order, each with the lift-table
-    // slots of its endpoints; `vertices[slot]` is the local vertex.
+    // Distinct hops in first-occurrence order: every hop of every
+    // structurally valid path with its position in that walk, sorted so
+    // that each hop's first occurrence leads its run, deduplicated, and
+    // put back in walk order.
     let n_local = kview.n_vertices();
-    let mut slot_of: BTreeMap<u32, usize> = BTreeMap::new();
-    let mut vertices: Vec<u32> = Vec::new();
-    let mut hop_seen: BTreeSet<(u32, u32)> = BTreeSet::new();
-    let mut hops: Vec<(u32, u32, usize, usize)> = Vec::new();
+    let mut walk: Vec<(u32, u32, usize)> = Vec::new();
     for path in &p.paths {
         if path.is_empty() || path.iter().any(|&v| v >= n_local) {
             continue; // already rejected structurally
         }
         for w in path.windows(2) {
             let &[hu, hv] = w else { continue };
-            if !hop_seen.insert((hu, hv)) {
-                continue;
-            }
-            let mut slot = |v: u32| {
-                *slot_of.entry(v).or_insert_with(|| {
-                    let slot = vertices.len();
-                    vertices.push(v);
-                    slot
-                })
-            };
-            hops.push((hu, hv, slot(hu), slot(hv)));
+            walk.push((hu, hv, walk.len()));
         }
     }
+    walk.sort_unstable();
+    walk.dedup_by_key(|&mut (hu, hv, _)| (hu, hv));
+    walk.sort_unstable_by_key(|&(_, _, first)| first);
 
-    let mut lifted: Vec<Option<u32>> = Vec::with_capacity(vertices.len());
+    // Each distinct local vertex gets a lift-table slot (a dense table over
+    // G_k ids) and is decoded once; `locals[slot]` is its address.
+    const NO_SLOT: u32 = u32::MAX;
+    let mut slot_of = vec![NO_SLOT; n_local as usize];
+    let mut locals: Vec<Option<VertexRef>> = Vec::new();
+    let mut slot = |v: u32| {
+        let s = &mut slot_of[v as usize]; // audit: safe — v < n_local, checked above
+        if *s == NO_SLOT {
+            *s = locals.len() as u32;
+            locals.push(kview.vref(v));
+        }
+        *s as usize
+    };
+    let hops: Vec<(u32, u32, usize, usize)> = walk
+        .iter()
+        .map(|&(hu, hv, _)| (hu, hv, slot(hu), slot(hv)))
+        .collect();
+
+    // Per copy, each vertex is lifted once, as an address and its id; each
+    // hop is tested on the two addresses.
+    let mut lifted: Vec<Option<(u32, VertexRef)>> = Vec::with_capacity(locals.len());
     for &prefix in &prefixes_ok {
         lifted.clear();
-        lifted.extend(vertices.iter().map(|&v| rview.lift(kview, prefix, v)));
+        lifted.extend(locals.iter().map(|&vr| {
+            let l = rview.lift_vref(kview, prefix, vr?)?;
+            Some((rview.id(l)?, l))
+        }));
         let lift = |slot: usize| lifted.get(slot).copied().flatten();
         for &(hu, hv, su, sv) in &hops {
-            let (Some(lu), Some(lv)) = (lift(su), lift(sv)) else {
+            let (Some((lu, ru)), Some((lv, rv))) = (lift(su), lift(sv)) else {
                 ctx.reject(
                     codes::V_ROUTE_TRANSPORT,
                     format!("prefix {prefix}: hop ({hu}, {hv}) does not lift into G_r"),
                 );
                 break;
             };
-            if !rview.is_edge(lu, lv) {
+            if !rview.is_edge_vref(ru, rv) {
                 ctx.reject(
                     codes::V_ROUTE_TRANSPORT,
                     format!(

@@ -331,9 +331,9 @@ fn run_distsim<V: mmio_cdag::CdagView + Sync>(
     let need = g.max_indegree() + 1;
     let m = mem.unwrap_or_else(|| need.max(16));
     if m < need {
-        return Err(CliError::Usage(format!(
-            "--mem {m} cannot hold an operand set (need ≥ {need})"
-        )));
+        return Err(CliError::BadInput(
+            mmio_pebble::CacheTooSmall { m, need }.to_string(),
+        ));
     }
     let order = recursive_order(g);
     let outcome = mmio_parallel::distsim::simulate_on(g, &a, &order, m, machine, pool);
@@ -542,7 +542,8 @@ fn run() -> Result<ExitCode, CliError> {
             let r = check_depth(&base, parse(args.get(2), "r")?)?;
             let m: u64 = parse(args.get(3), "M")?;
             let routing_k = if base.a() >= 16 { 1 } else { 2 };
-            let report = mmio_core::report::analyze(&base, r, m, routing_k);
+            let report = mmio_core::report::analyze(&base, r, m, routing_k)
+                .map_err(|e| CliError::BadInput(e.to_string()))?;
             println!(
                 "{}",
                 serde_json::to_string_pretty(&report).expect("serializable")

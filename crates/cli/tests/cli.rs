@@ -470,6 +470,35 @@ fn simulate_below_operand_floor_is_bad_input() {
 }
 
 #[test]
+fn report_below_operand_floor_is_bad_input() {
+    // `report` times the recursive schedule at M: below the operand floor
+    // it exits 4 with `simulate`'s message, before any output.
+    let out = mmio(&["report", "strassen", "2", "1"]);
+    assert_eq!(out.status.code(), Some(4));
+    assert!(out.stdout.is_empty());
+    assert_eq!(
+        String::from_utf8(out.stderr).unwrap(),
+        "error: cache size 1 cannot hold an operand set (5 needed)\n"
+    );
+}
+
+#[test]
+fn distsim_mem_below_operand_floor_is_bad_input() {
+    // An out-of-range `--mem` is malformed input like `simulate`'s M (exit
+    // 4, one line, no usage text), under both views.
+    for view in ["explicit", "implicit"] {
+        let out = mmio(&["--view", view, "distsim", "strassen", "2", "--mem", "1"]);
+        assert_eq!(out.status.code(), Some(4), "view={view}");
+        assert!(out.stdout.is_empty(), "view={view}");
+        assert_eq!(
+            String::from_utf8(out.stderr).unwrap(),
+            "error: cache size 1 cannot hold an operand set (5 needed)\n",
+            "view={view}"
+        );
+    }
+}
+
+#[test]
 fn too_deep_r_is_bad_input() {
     // Strassen G_40 overflows dense u32 vertex ids. Every command that
     // takes a depth rejects it where it parses it: exit 4, one line, no

@@ -12,7 +12,7 @@ use mmio_cdag::stats::{profile, CdagProfile};
 use mmio_cdag::BaseGraph;
 use mmio_pebble::orders::recursive_order;
 use mmio_pebble::policy::Belady;
-use mmio_pebble::AutoScheduler;
+use mmio_pebble::{AutoScheduler, CacheTooSmall};
 use serde::Serialize;
 
 /// Verification outcome of one routing construction.
@@ -54,8 +54,17 @@ pub struct AlgorithmReport {
 ///
 /// `routing_k` bounds the depth at which routings are *constructed and
 /// verified* (path counts grow as `a^{2k}`); pass 1 or 2.
-pub fn analyze(base: &BaseGraph, r: u32, m: u64, routing_k: u32) -> AlgorithmReport {
+///
+/// Fails, before any analysis runs, when `m` cannot hold an operand set
+/// of `G_r`.
+pub fn analyze(
+    base: &BaseGraph,
+    r: u32,
+    m: u64,
+    routing_k: u32,
+) -> Result<AlgorithmReport, CacheTooSmall> {
     let g = build_cdag(base, r);
+    let scheduler = AutoScheduler::try_new(&g, usize::try_from(m).unwrap_or(usize::MAX))?;
     let gk = build_cdag(base, routing_k.min(r));
     let order = recursive_order(&g);
 
@@ -79,8 +88,8 @@ pub fn analyze(base: &BaseGraph, r: u32, m: u64, routing_k: u32) -> AlgorithmRep
     });
 
     let certificate = certify_with(&g, m, &order, CertifyParams::SMALL);
-    let measured_io = AutoScheduler::new(&g, m as usize).run(&order, &Belady).io();
-    AlgorithmReport {
+    let measured_io = scheduler.run(&order, &Belady).io();
+    Ok(AlgorithmReport {
         properties: classify(base),
         profile: profile(&g),
         claim1,
@@ -88,7 +97,7 @@ pub fn analyze(base: &BaseGraph, r: u32, m: u64, routing_k: u32) -> AlgorithmRep
         certificate,
         measured_io,
         formula: LowerBound::new(base).sequential_io(g.n(), m),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -99,7 +108,7 @@ mod tests {
 
     #[test]
     fn strassen_report_is_fully_verified() {
-        let report = analyze(&strassen(), 4, 8, 2);
+        let report = analyze(&strassen(), 4, 8, 2).unwrap();
         assert!(report.properties.is_fast);
         assert!(report.claim1.as_ref().unwrap().verified);
         assert!(report.theorem2.as_ref().unwrap().verified);
@@ -109,16 +118,25 @@ mod tests {
 
     #[test]
     fn classical_report_flags_disconnection() {
-        let report = analyze(&classical(2), 3, 8, 1);
+        let report = analyze(&classical(2), 3, 8, 1).unwrap();
         assert!(report.claim1.is_none(), "disconnected decoding graph");
         assert!(!report.properties.is_fast);
     }
 
     #[test]
     fn report_serializes() {
-        let report = analyze(&strassen(), 3, 8, 1);
+        let report = analyze(&strassen(), 3, 8, 1).unwrap();
         let json = serde_json::to_string(&report).unwrap();
         assert!(json.contains("\"certified_io\""));
         assert!(json.contains("\"omega0\""));
+    }
+
+    #[test]
+    fn cache_below_operand_floor_is_an_error() {
+        let err = analyze(&strassen(), 2, 1, 1).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "cache size 1 cannot hold an operand set (5 needed)"
+        );
     }
 }

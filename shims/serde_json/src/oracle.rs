@@ -1,0 +1,309 @@
+//! The per-character writer and parser the run-based codec replaced, kept
+//! verbatim as test oracles: the codec must produce the same bytes from
+//! every tree, and the same tree or the same error message from every
+//! input.
+
+#![cfg(test)]
+
+use super::{Error, Value};
+
+/// Serializes `v` as the old writer did: compact when `indent` is `None`.
+pub(crate) fn write(v: &Value, indent: Option<usize>) -> String {
+    let mut out = String::new();
+    write_value(v, &mut out, indent, 0);
+    out
+}
+
+fn write_escaped(s: &str, out: &mut String) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
+    if let Some(width) = indent {
+        out.push('\n');
+        for _ in 0..width * depth {
+            out.push(' ');
+        }
+    }
+}
+
+fn write_value(v: &Value, out: &mut String, indent: Option<usize>, depth: usize) {
+    match v {
+        Value::Null => out.push_str("null"),
+        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        Value::Int(i) => out.push_str(&i.to_string()),
+        Value::UInt(u) => out.push_str(&u.to_string()),
+        Value::Float(f) => {
+            if f.is_finite() {
+                let s = f.to_string();
+                out.push_str(&s);
+                if !s.contains(['.', 'e', 'E']) {
+                    out.push_str(".0");
+                }
+            } else {
+                out.push_str("null");
+            }
+        }
+        Value::Str(s) => write_escaped(s, out),
+        Value::Array(items) => {
+            if items.is_empty() {
+                out.push_str("[]");
+                return;
+            }
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                newline_indent(out, indent, depth + 1);
+                write_value(item, out, indent, depth + 1);
+            }
+            newline_indent(out, indent, depth);
+            out.push(']');
+        }
+        Value::Object(fields) => {
+            if fields.is_empty() {
+                out.push_str("{}");
+                return;
+            }
+            out.push('{');
+            for (i, (k, item)) in fields.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                newline_indent(out, indent, depth + 1);
+                write_escaped(k, out);
+                out.push(':');
+                if indent.is_some() {
+                    out.push(' ');
+                }
+                write_value(item, out, indent, depth + 1);
+            }
+            newline_indent(out, indent, depth);
+            out.push('}');
+        }
+    }
+}
+
+struct Parser<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+/// Parses `s` as the old parser did, one byte per step.
+pub(crate) fn parse(s: &str) -> Result<Value, Error> {
+    let mut p = Parser {
+        bytes: s.as_bytes(),
+        pos: 0,
+    };
+    let v = p.value()?;
+    p.skip_ws();
+    if p.pos != p.bytes.len() {
+        return Err(Error(format!("trailing characters at byte {}", p.pos)));
+    }
+    Ok(v)
+}
+
+impl Parser<'_> {
+    fn skip_ws(&mut self) {
+        while self.pos < self.bytes.len()
+            && matches!(self.bytes[self.pos], b' ' | b'\t' | b'\n' | b'\r')
+        {
+            self.pos += 1;
+        }
+    }
+
+    fn peek(&mut self) -> Result<u8, Error> {
+        self.skip_ws();
+        self.bytes
+            .get(self.pos)
+            .copied()
+            .ok_or_else(|| Error("unexpected end of input".into()))
+    }
+
+    fn expect(&mut self, b: u8) -> Result<(), Error> {
+        if self.peek()? == b {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(Error(format!(
+                "expected '{}' at byte {}",
+                b as char, self.pos
+            )))
+        }
+    }
+
+    fn literal(&mut self, word: &str, v: Value) -> Result<Value, Error> {
+        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+            self.pos += word.len();
+            Ok(v)
+        } else {
+            Err(Error(format!("invalid literal at byte {}", self.pos)))
+        }
+    }
+
+    fn value(&mut self) -> Result<Value, Error> {
+        match self.peek()? {
+            b'n' => self.literal("null", Value::Null),
+            b't' => self.literal("true", Value::Bool(true)),
+            b'f' => self.literal("false", Value::Bool(false)),
+            b'"' => Ok(Value::Str(self.string()?)),
+            b'[' => self.array(),
+            b'{' => self.object(),
+            b'-' | b'0'..=b'9' => self.number(),
+            c => Err(Error(format!(
+                "unexpected character '{}' at byte {}",
+                c as char, self.pos
+            ))),
+        }
+    }
+
+    fn string(&mut self) -> Result<String, Error> {
+        self.expect(b'"')?;
+        let mut out = String::new();
+        loop {
+            let Some(&b) = self.bytes.get(self.pos) else {
+                return Err(Error("unterminated string".into()));
+            };
+            self.pos += 1;
+            match b {
+                b'"' => return Ok(out),
+                b'\\' => {
+                    let Some(&esc) = self.bytes.get(self.pos) else {
+                        return Err(Error("unterminated escape".into()));
+                    };
+                    self.pos += 1;
+                    match esc {
+                        b'"' => out.push('"'),
+                        b'\\' => out.push('\\'),
+                        b'/' => out.push('/'),
+                        b'n' => out.push('\n'),
+                        b'r' => out.push('\r'),
+                        b't' => out.push('\t'),
+                        b'b' => out.push('\u{8}'),
+                        b'f' => out.push('\u{c}'),
+                        b'u' => {
+                            let hex = self
+                                .bytes
+                                .get(self.pos..self.pos + 4)
+                                .ok_or_else(|| Error("truncated \\u escape".into()))?;
+                            let code = u32::from_str_radix(
+                                std::str::from_utf8(hex)
+                                    .map_err(|_| Error("invalid \\u escape".into()))?,
+                                16,
+                            )
+                            .map_err(|_| Error("invalid \\u escape".into()))?;
+                            self.pos += 4;
+                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
+                        }
+                        _ => return Err(Error("invalid escape".into())),
+                    }
+                }
+                b if b < 0x80 => out.push(b as char),
+                _ => {
+                    let start = self.pos - 1;
+                    let end = self.bytes.len().min(start + 4);
+                    let window = &self.bytes[start..end];
+                    let valid = match std::str::from_utf8(window) {
+                        Ok(s) => s,
+                        Err(e) if e.valid_up_to() > 0 => {
+                            std::str::from_utf8(&window[..e.valid_up_to()])
+                                .expect("validated prefix")
+                        }
+                        Err(_) => return Err(Error("invalid UTF-8".into())),
+                    };
+                    let c = valid.chars().next().expect("nonempty");
+                    out.push(c);
+                    self.pos = start + c.len_utf8();
+                }
+            }
+        }
+    }
+
+    fn number(&mut self) -> Result<Value, Error> {
+        let start = self.pos;
+        if self.bytes[self.pos] == b'-' {
+            self.pos += 1;
+        }
+        let mut float = false;
+        while let Some(&b) = self.bytes.get(self.pos) {
+            match b {
+                b'0'..=b'9' => self.pos += 1,
+                b'.' | b'e' | b'E' | b'+' | b'-' => {
+                    float = true;
+                    self.pos += 1;
+                }
+                _ => break,
+            }
+        }
+        let text = std::str::from_utf8(&self.bytes[start..self.pos])
+            .map_err(|_| Error("invalid number".into()))?;
+        if !float {
+            if let Ok(i) = text.parse::<i64>() {
+                return Ok(Value::Int(i));
+            }
+            if let Ok(u) = text.parse::<u64>() {
+                return Ok(Value::UInt(u));
+            }
+        }
+        text.parse::<f64>()
+            .map(Value::Float)
+            .map_err(|_| Error(format!("invalid number '{text}'")))
+    }
+
+    fn array(&mut self) -> Result<Value, Error> {
+        self.expect(b'[')?;
+        let mut items = Vec::new();
+        if self.peek()? == b']' {
+            self.pos += 1;
+            return Ok(Value::Array(items));
+        }
+        loop {
+            items.push(self.value()?);
+            match self.peek()? {
+                b',' => self.pos += 1,
+                b']' => {
+                    self.pos += 1;
+                    return Ok(Value::Array(items));
+                }
+                _ => return Err(Error(format!("expected ',' or ']' at byte {}", self.pos))),
+            }
+        }
+    }
+
+    fn object(&mut self) -> Result<Value, Error> {
+        self.expect(b'{')?;
+        let mut fields = Vec::new();
+        if self.peek()? == b'}' {
+            self.pos += 1;
+            return Ok(Value::Object(fields));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.expect(b':')?;
+            let value = self.value()?;
+            fields.push((key, value));
+            match self.peek()? {
+                b',' => self.pos += 1,
+                b'}' => {
+                    self.pos += 1;
+                    return Ok(Value::Object(fields));
+                }
+                _ => return Err(Error(format!("expected ',' or '}}' at byte {}", self.pos))),
+            }
+        }
+    }
+}
