@@ -128,6 +128,9 @@ pub trait CdagView {
     /// If `v` is a copy (its generating base row is trivial: one nonzero
     /// coefficient, equal to 1), its single predecessor; `None` otherwise.
     fn copy_parent(&self, v: VertexId) -> Option<VertexId>;
+    /// The closed form of the viewed graph: the [`IndexView`] itself, or the
+    /// one a [`Cdag`] was materialized from.
+    fn closed_form(&self) -> &IndexView;
 
     /// The copy grouping as a flat root table (`roots[v]` = representative
     /// of `v`'s meta-vertex). `O(n_vertices)` memory by nature.
@@ -255,18 +258,21 @@ impl CdagView for Cdag {
     fn copy_parent(&self, v: VertexId) -> Option<VertexId> {
         Cdag::copy_parent(self, v)
     }
+    fn closed_form(&self) -> &IndexView {
+        self.view()
+    }
 }
 
 /// One coefficient matrix, row-sparse: per-row nonzero columns and their
 /// coefficients (for predecessor queries), per-column nonzero rows (for
-/// successor queries), and per-row triviality (exactly one nonzero, equal
-/// to 1 — the condition for copy-group membership).
+/// successor queries), and per trivial row (exactly one nonzero, equal to
+/// 1 — the condition for copy-group membership) its one column.
 #[derive(Clone)]
 struct RowTable {
     cols: Vec<Vec<usize>>,
     coeffs: Vec<Vec<Rational>>,
     rows_of_col: Vec<Vec<usize>>,
-    trivial: Vec<bool>,
+    copy_col: Vec<Option<usize>>,
 }
 
 impl RowTable {
@@ -275,7 +281,7 @@ impl RowTable {
             cols: Vec::with_capacity(m.rows()),
             coeffs: Vec::with_capacity(m.rows()),
             rows_of_col: vec![Vec::new(); m.cols()],
-            trivial: Vec::with_capacity(m.rows()),
+            copy_col: Vec::with_capacity(m.rows()),
         };
         for row in 0..m.rows() {
             // audit: safe — row and c range over m's own dimensions
@@ -285,7 +291,8 @@ impl RowTable {
             }
             // audit: safe — row and c range over m's own dimensions
             let coeffs: Vec<Rational> = nz.iter().map(|&c| m[(row, c)]).collect();
-            table.trivial.push(coeffs.len() == 1 && coeffs[0].is_one()); // audit: safe — len checked first
+            let trivial = coeffs.len() == 1 && coeffs[0].is_one(); // audit: safe — len checked first
+            table.copy_col.push(nz.first().copied().filter(|_| trivial));
             table.coeffs.push(coeffs);
             table.cols.push(nz);
         }
@@ -500,6 +507,7 @@ impl IndexView {
             Layer::EncB => 1,
             Layer::Dec => 2,
         };
+        // audit: safe — level ≤ r at every caller: below 3(r+1) segments, each ≥ 1 vertex, ≤ u32::MAX
         l * (self.r as usize + 1) + level as usize
     }
 
@@ -868,9 +876,7 @@ impl IndexView {
         let v = self.vref(id)?;
         let (rows, row) = self.row_of(v)?;
         // audit: safe — row_of returns a row index below the table's row count
-        if !rows.trivial[row] {
-            return None;
-        }
+        rows.copy_col[row]?; // only a trivial row makes a copy
         let mut parent = None;
         self.preds_of(v, &mut |p| {
             debug_assert!(parent.is_none(), "a trivial row has exactly one nonzero");
@@ -892,6 +898,58 @@ impl IndexView {
             }
         }
         uf.roots()
+    }
+
+    /// The copy grouping as a root table (`roots[v]` = the smallest id in
+    /// `v`'s meta-vertex), by one walk over the segments in dense order.
+    /// All vertices of a block share their generating row: a `mul` block
+    /// of `a^{r-t}` entries at encoding level `t`, a `υ` block of
+    /// `a^{k-1}` entries at decoding level `k`. So the row is tested once
+    /// per block, and a trivial row copies the roots of one contiguous
+    /// parent block, which one level down and earlier in dense order are
+    /// already final.
+    pub(crate) fn meta_roots(&self) -> Vec<u32> {
+        // Ids and block offsets stay below n_vertices ≤ u32::MAX, levels
+        // start at 1, and a, b and every width are at least 1, so none of
+        // the arithmetic below can overflow or divide by zero.
+        let mut roots: Vec<u32> = (0..self.n_vertices()).collect();
+        let (a, b) = (self.a as u64, self.b as u64);
+        for layer in [Layer::EncA, Layer::EncB] {
+            let rows = self.enc_rows(layer);
+            for t in 1..=self.r {
+                let parent = self.segment(layer, t - 1);
+                let width = self.entry_width(layer, t);
+                // Block `mul` reads column x of row `mul mod b`: entries
+                // `x·width..(x+1)·width` of parent `mul / b`, which is
+                // block `(mul / b)·a + x` of this width at level t - 1.
+                copy_blocks(&mut roots, self.segment(layer, t), width, |mul| {
+                    let x = rows.copy_col[(mul % b) as usize]?;
+                    Some(parent.start + ((mul / b) * a + x as u64) * width)
+                });
+            }
+        }
+        for k in 1..=self.r {
+            let parent = self.segment(Layer::Dec, k - 1);
+            let width = self.entry_width(Layer::Dec, k - 1);
+            // Block `mul·a + υ` reads column τ of row υ: block `mul·b + τ`
+            // of level k - 1.
+            copy_blocks(&mut roots, self.segment(Layer::Dec, k), width, |block| {
+                let tau = self.dec.copy_col[(block % a) as usize]?;
+                Some(parent.start + ((block / a) * b + tau as u64) * width)
+            });
+        }
+        roots
+    }
+}
+
+/// For each `width`-sized block `j` of the id range `seg` whose `src(j)` is
+/// `Some(s)`, copies the roots of `s..s + width` onto the block.
+fn copy_blocks(roots: &mut [u32], seg: Range<u64>, width: u64, src: impl Fn(u64) -> Option<u64>) {
+    for block in 0..(seg.end - seg.start) / width {
+        if let Some(s) = src(block) {
+            let (s, dst) = (s as usize, (seg.start + block * width) as usize);
+            roots.copy_within(s..s + width as usize, dst);
+        }
     }
 }
 
@@ -949,6 +1007,9 @@ impl CdagView for IndexView {
     }
     fn copy_parent(&self, v: VertexId) -> Option<VertexId> {
         self.copy_parent_of(v.0).map(VertexId)
+    }
+    fn closed_form(&self) -> &IndexView {
+        self
     }
 }
 

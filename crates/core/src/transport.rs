@@ -510,6 +510,9 @@ mod tests {
         fn copy_parent(&self, v: VertexId) -> Option<VertexId> {
             self.g.copy_parent(v)
         }
+        fn closed_form(&self) -> &IndexView {
+            self.g.closed_form()
+        }
     }
 
     #[test]

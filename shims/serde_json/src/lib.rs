@@ -353,11 +353,14 @@ impl Parser<'_> {
                         .bytes
                         .get(self.pos..self.pos + 4)
                         .ok_or_else(|| Error("truncated \\u escape".into()))?;
-                    let code = u32::from_str_radix(
-                        std::str::from_utf8(hex).map_err(|_| Error("invalid \\u escape".into()))?,
-                        16,
-                    )
-                    .map_err(|_| Error("invalid \\u escape".into()))?;
+                    // Exactly four hex digits: `u32::from_str_radix` would
+                    // also take a leading `+`.
+                    let code = hex
+                        .iter()
+                        .try_fold(0u32, |code, &d| {
+                            Some(code << 4 | char::from(d).to_digit(16)?)
+                        })
+                        .ok_or_else(|| Error("invalid \\u escape".into()))?;
                     self.pos += 4;
                     // Surrogate pairs are not needed by this workspace's
                     // data; map lone surrogates to the replacement
@@ -593,6 +596,15 @@ mod tests {
                 "input {input:?}"
             );
         }
+        // Declared divergence from the oracle, which reads `\u+041` as "A"
+        // (`from_str_radix` takes a leading `+`); strict JSON allows only
+        // four hex digits after `\u`. Escape errors carry no byte offset.
+        let input = r#""\u+041""#;
+        assert_eq!(
+            from_str::<Value>(input).map_err(|e| e.to_string()),
+            Err("invalid \\u escape".to_string())
+        );
+        assert_eq!(oracle::parse(input).ok(), Some(Value::Str("A".into())));
     }
 
     #[test]
@@ -651,7 +663,6 @@ mod tests {
             (r#""\u00e9\/\b\f""#, "\u{e9}/\u{8}\u{c}"),
             (r#""\u20AC\u20ac""#, "€€"),
             (r#""\ud834""#, "\u{fffd}"),
-            (r#""\u+041""#, "A"),
             ("\"a\u{1}b\u{1f}\"", "a\u{1}b\u{1f}"),
             (r#""é\né\"€\\𝄞""#, "é\né\"€\\𝄞"),
             (r#""\\""#, "\\"),
