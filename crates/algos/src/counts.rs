@@ -3,8 +3,8 @@
 //! A base graph with `a = n₀²` inputs per matrix and `b` multiplications,
 //! run for `r` levels, performs `b^r` leaf multiplications and
 //! `Θ(n^{ω₀})` total operations with `ω₀ = 2·log_a b = log_{n₀} b`. These
-//! formulas calibrate the lower bounds of Theorem 1 and the vertex counts
-//! of `G_r`.
+//! formulas calibrate the lower bounds of Theorem 1. The vertex count of
+//! `G_r` is `mmio_cdag::view::count_vertices`.
 
 use mmio_cdag::BaseGraph;
 
@@ -13,15 +13,6 @@ pub fn multiplications(base: &BaseGraph, r: u32) -> u64 {
     (base.b() as u64)
         .checked_pow(r)
         .expect("multiplication count overflow")
-}
-
-/// Total vertex count of `G_r`:
-/// `2·Σ_{t=0}^{r} b^t·a^{r-t} + Σ_{k=0}^{r} b^{r-k}·a^k`.
-pub fn cdag_vertices(base: &BaseGraph, r: u32) -> u64 {
-    let (a, b) = (base.a() as u64, base.b() as u64);
-    let enc_side: u64 = (0..=r).map(|t| b.pow(t) * a.pow(r - t)).sum();
-    let dec: u64 = (0..=r).map(|k| b.pow(r - k) * a.pow(k)).sum();
-    2 * enc_side + dec
 }
 
 /// `Θ(n^{ω₀})` evaluated literally: `n^{ω₀}` for `n = n₀^r`.
@@ -51,10 +42,15 @@ mod tests {
 
     #[test]
     fn vertex_formula_matches_builder() {
+        use mmio_cdag::view::count_vertices;
         let base = strassen();
         for r in 0..=4 {
             let g = build_cdag(&base, r);
-            assert_eq!(cdag_vertices(&base, r), g.n_vertices() as u64, "r={r}");
+            assert_eq!(
+                count_vertices(base.a() as u64, base.b() as u64, r),
+                Some(g.n_vertices() as u64),
+                "r={r}"
+            );
         }
     }
 

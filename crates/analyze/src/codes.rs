@@ -73,8 +73,8 @@ pub const CONC_DATA_RACE: &str = "MMIO-C001";
 /// Lost update: an index was claimed by two workers (or never claimed),
 /// so the parallel output diverges from serial.
 pub const CONC_LOST_UPDATE: &str = "MMIO-C002";
-/// Double fill: the same memo class was built and inserted twice.
-pub const CONC_DOUBLE_FILL: &str = "MMIO-C003";
+// MMIO-C003 (routing-memo double fill) is retired with the memo it
+// checked; the id is never reused.
 /// The bounded model checker found a schedule whose output differs from
 /// the serial execution (determinism contract violated).
 pub const CONC_SCHEDULE_DIVERGES: &str = "MMIO-C004";
@@ -220,7 +220,6 @@ pub const TABLE: &[(&str, &str)] = &[
         CONC_LOST_UPDATE,
         "index claimed twice or never (lost update)",
     ),
-    (CONC_DOUBLE_FILL, "memo class filled twice"),
     (
         CONC_SCHEDULE_DIVERGES,
         "a schedule's output differs from serial",

@@ -15,8 +15,8 @@
 //! race detector and bounded model checker.
 //!
 //! The passes are *re-verifiers*: they share no code with the constructors
-//! they audit (`mmio_cdag::MetaVertices`, `mmio_pebble::sim`, the
-//! `mmio-core` routing builders), so agreement between constructor and
+//! they audit (`mmio_cdag::MetaVertices`, the `mmio-pebble` scheduler,
+//! the `mmio-core` routing builders), so agreement between constructor and
 //! analyzer is genuine double-entry bookkeeping. Where a defect cannot occur
 //! in a correctly built artifact (a `Cdag` is topologically ordered by
 //! construction), the pass runs on an extracted [`facts::GraphFacts`] view
@@ -55,8 +55,5 @@ pub use cdag::{analyze_base_at, audit_fact1, lint_base, lint_facts, CdagAudit};
 pub use diag::{Diagnostic, Report, Severity, Span};
 pub use distsim::{audit_dist_trace, DistAudit};
 pub use facts::GraphFacts;
-pub use routing::{
-    audit_routing, audit_routing_paths, report_routing_infeasible, RoutingAudit, RoutingAuditor,
-    RoutingCertificate,
-};
+pub use routing::{audit_routing_paths, report_routing_infeasible, RoutingAudit, RoutingAuditor};
 pub use schedule::{audit_schedule, ScheduleAudit};

@@ -1,9 +1,8 @@
 //! Routing certificate auditing (`MMIO-Rxxx`).
 //!
-//! A [`RoutingCertificate`] is the explicit form of a claimed `m`-routing
-//! (Definition 2): the full list of paths plus the claimed bound `m` and the
-//! expected path count `|X|·|Y|`. [`audit_routing`] re-verifies the claim
-//! from scratch: every path must traverse real edges, and no vertex — nor
+//! A claimed `m`-routing (Definition 2) is the full list of paths plus the
+//! claimed bound `m` and the expected path count `|X|·|Y|`.
+//! [`audit_routing_paths`] re-verifies the claim from scratch: every path must traverse real edges, and no vertex — nor
 //! meta-vertex, under the auditor's *own* copy-grouping (a union-find built
 //! from edge coefficients, independent of [`mmio_cdag::MetaVertices`] and of
 //! the `mmio-core` routing constructors) — may be hit more than `m` times.
@@ -12,17 +11,6 @@ use crate::codes;
 use crate::diag::{Report, Severity, Span};
 use mmio_cdag::hits::{HitCounter, UnionFind};
 use mmio_cdag::{Cdag, VertexId};
-
-/// An explicit routing claim to be audited.
-#[derive(Clone, Debug)]
-pub struct RoutingCertificate {
-    /// The claimed bound `m`: no (meta-)vertex on more than `m` paths.
-    pub claimed_bound: u64,
-    /// The expected number of paths (`|X|·|Y|`), if the caller knows it.
-    pub expected_paths: Option<u64>,
-    /// The paths themselves, each a vertex sequence.
-    pub paths: Vec<Vec<VertexId>>,
-}
 
 /// Measured quantities from a certificate audit.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -152,11 +140,11 @@ impl<'g> RoutingAuditor<'g> {
     }
 }
 
-/// Audits a family of borrowed path slices (e.g. straight out of an
-/// `mmio_core` path arena) without requiring them to be materialized as a
-/// `Vec<Vec<VertexId>>` certificate first. Semantics match
-/// [`audit_routing`]; the path-count check runs after the sweep because the
-/// iterator's length is not known upfront.
+/// Audits a claimed routing given as borrowed path slices (e.g. straight
+/// out of an `mmio_core` path arena) against the graph, appending
+/// `MMIO-Rxxx` diagnostics and returning the measured hit statistics. The
+/// path-count check against `expected_paths` runs after the sweep because
+/// the iterator's length is not known upfront.
 pub fn audit_routing_paths<'a>(
     g: &Cdag,
     claimed_bound: u64,
@@ -197,30 +185,6 @@ pub fn report_routing_infeasible(report: &mut Report) {
     );
 }
 
-/// Audits a routing certificate against the graph, appending `MMIO-Rxxx`
-/// diagnostics and returning the measured hit statistics.
-pub fn audit_routing(g: &Cdag, cert: &RoutingCertificate, report: &mut Report) -> RoutingAudit {
-    if let Some(expected) = cert.expected_paths {
-        let actual = cert.paths.len() as u64;
-        if expected != actual {
-            report.push(
-                codes::ROUTE_PATH_COUNT,
-                Severity::Error,
-                Span::Global,
-                format!(
-                    "certificate has {actual} paths; an in-out routing requires |X|·|Y| = \
-                     {expected}"
-                ),
-            );
-        }
-    }
-    let mut auditor = RoutingAuditor::new(g);
-    for (i, path) in cert.paths.iter().enumerate() {
-        auditor.add_path(i, path, report);
-    }
-    auditor.finish(cert.claimed_bound, report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,13 +196,9 @@ mod tests {
         let g = build_cdag(&strassen(), 1);
         let input = g.inputs().next().unwrap();
         let combo = g.succs(input)[0];
-        let cert = RoutingCertificate {
-            claimed_bound: 2,
-            expected_paths: Some(2),
-            paths: vec![vec![input, combo], vec![combo, input]],
-        };
+        let paths = [[input, combo], [combo, input]];
         let mut report = Report::new();
-        let audit = audit_routing(&g, &cert, &mut report);
+        let audit = audit_routing_paths(&g, 2, Some(2), paths.iter().map(|p| &p[..]), &mut report);
         assert!(!report.has_errors(), "{:?}", report.diagnostics);
         assert_eq!(audit.max_vertex_hits, 2);
     }
@@ -248,38 +208,9 @@ mod tests {
         let g = build_cdag(&strassen(), 1);
         let input = g.inputs().next().unwrap();
         let output = g.outputs().next().unwrap();
-        let cert = RoutingCertificate {
-            claimed_bound: 10,
-            expected_paths: None,
-            paths: vec![vec![input, output]],
-        };
         let mut report = Report::new();
-        audit_routing(&g, &cert, &mut report);
+        audit_routing_paths(&g, 10, None, [&[input, output][..]], &mut report);
         assert!(report.has_code(codes::ROUTE_BAD_PATH));
-    }
-
-    #[test]
-    fn slice_audit_matches_certificate_audit() {
-        let g = build_cdag(&strassen(), 1);
-        let input = g.inputs().next().unwrap();
-        let combo = g.succs(input)[0];
-        let cert = RoutingCertificate {
-            claimed_bound: 2,
-            expected_paths: Some(2),
-            paths: vec![vec![input, combo], vec![combo, input]],
-        };
-        let mut r1 = Report::new();
-        let by_cert = audit_routing(&g, &cert, &mut r1);
-        let mut r2 = Report::new();
-        let by_slices = audit_routing_paths(
-            &g,
-            cert.claimed_bound,
-            cert.expected_paths,
-            cert.paths.iter().map(Vec::as_slice),
-            &mut r2,
-        );
-        assert_eq!(by_cert, by_slices);
-        assert_eq!(r1.diagnostics.len(), r2.diagnostics.len());
     }
 
     #[test]

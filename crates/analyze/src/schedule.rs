@@ -7,9 +7,9 @@
 //! never exceeds `M`, and that the terminal state has every vertex computed
 //! and every output stored. The first violating step is reported with its
 //! index. The implementation is written from the model rules (paper
-//! Section 1) and deliberately shares no code with
-//! [`mmio_pebble::sim`] — it is an independent re-verification, so the two
-//! can cross-check each other.
+//! Section 1) and deliberately shares no code with `mmio-pebble`'s
+//! test-only `sim` replay — it is an independent re-verification, so the
+//! integration tests replay the scheduler's recorded schedules through it.
 
 use crate::codes;
 use crate::diag::{Report, Severity, Span};

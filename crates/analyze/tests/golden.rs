@@ -6,8 +6,8 @@ use mmio_algos::registry::all_base_graphs;
 use mmio_algos::strassen::strassen;
 use mmio_algos::synthetic::with_duplicated_combination;
 use mmio_analyze::{
-    analyze_base_at, audit_fact1, audit_routing, audit_schedule, codes, lint_base, lint_facts,
-    GraphFacts, Report, RoutingCertificate, Severity,
+    analyze_base_at, audit_fact1, audit_routing_paths, audit_schedule, codes, lint_base,
+    lint_facts, GraphFacts, Report, Severity,
 };
 use mmio_cdag::build::build_cdag;
 use mmio_cdag::{BaseGraph, Cdag};
@@ -165,13 +165,9 @@ fn defect_inflated_hit_count() {
     let input = g.inputs().next().unwrap();
     let combo = g.succs(input)[0];
     // Seven paths through one vertex against a claimed 6-routing.
-    let cert = RoutingCertificate {
-        claimed_bound: 6,
-        expected_paths: Some(7),
-        paths: vec![vec![input, combo]; 7],
-    };
+    let path = [input, combo];
     let mut report = Report::new();
-    let audit = audit_routing(&g, &cert, &mut report);
+    let audit = audit_routing_paths(&g, 6, Some(7), [&path[..]; 7], &mut report);
     assert!(report.has_code(codes::ROUTE_VERTEX_OVERLOAD));
     assert_eq!(audit.max_vertex_hits, 7);
     for d in report.errors() {
@@ -245,13 +241,9 @@ fn defect_wrong_path_count() {
     let g = build_cdag(&strassen(), 1);
     let input = g.inputs().next().unwrap();
     let combo = g.succs(input)[0];
-    let cert = RoutingCertificate {
-        claimed_bound: 100,
-        expected_paths: Some(512), // 2a^k·a^k for k=1
-        paths: vec![vec![input, combo]],
-    };
     let mut report = Report::new();
-    audit_routing(&g, &cert, &mut report);
+    // 2a^k·a^k = 512 paths expected for k=1; one given.
+    audit_routing_paths(&g, 100, Some(512), [&[input, combo][..]], &mut report);
     assert_only_error(&report, codes::ROUTE_PATH_COUNT);
 }
 
@@ -320,13 +312,14 @@ fn constructed_artifacts_audit_clean() {
             }
         }
     }
-    let cert = RoutingCertificate {
-        claimed_bound: routing.theorem2_bound(),
-        expected_paths: Some(2 * ak * ak),
-        paths,
-    };
     let mut report = Report::new();
-    let audit = audit_routing(&g, &cert, &mut report);
+    let audit = audit_routing_paths(
+        &g,
+        routing.theorem2_bound(),
+        Some(2 * ak * ak),
+        paths.iter().map(Vec::as_slice),
+        &mut report,
+    );
     assert!(!report.has_errors(), "{:?}", report.diagnostics);
     assert!(audit.max_vertex_hits <= routing.theorem2_bound());
 

@@ -1,10 +1,12 @@
 //! Shared hit-counting primitives: a union-find over dense vertex ids and a
 //! streaming per-vertex / per-group hit counter.
 //!
-//! Three independent verifiers count routing hits: the routing engine's own
-//! verification (`mmio-core::routing::VertexHitCounter`), the analyzer's
-//! certificate audit (`mmio-analyze`'s `RoutingAuditor`), and the portable
-//! certificate verifier (`mmio-cert`). They deliberately *derive* their
+//! Three independent verifiers count routing hits, one per production
+//! entry point: the routing engine's one sharded count
+//! (`mmio-core::routing::count_sharded`, behind `InOutRouting::verify_with`
+//! and `RoutingClass::build`), the analyzer's audit (`mmio-analyze`'s
+//! `audit_routing_paths`, behind `mmio analyze`), and the portable
+//! certificate verifier (`mmio-cert`, behind `mmio cert verify`). They deliberately *derive* their
 //! vertex groupings differently (library meta-vertices, edge-coefficient
 //! union-find over the materialized graph, closed-form index arithmetic) —
 //! that diversity is the point — but the mechanical bookkeeping (group roots,

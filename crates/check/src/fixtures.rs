@@ -12,7 +12,7 @@ use mmio_cdag::build::build_cdag;
 use mmio_cdag::Cdag;
 use mmio_parallel::assign::{cyclic_per_rank, Assignment};
 use mmio_parallel::distsim::{simulate_traced, DistEvent, DistTrace};
-use mmio_parallel::events::{memo_key, SyncEvent, SyncTrace, TraceEvent};
+use mmio_parallel::events::{SyncEvent, SyncTrace, TraceEvent};
 use mmio_pebble::orders::recursive_order;
 
 fn trace(events: Vec<(u32, SyncEvent)>) -> SyncTrace {
@@ -86,20 +86,6 @@ pub fn planted_lost_update() -> SyncTrace {
     ])
 }
 
-/// A memo trace where two threads both build and insert the same class —
-/// the check-then-act double fill. Expected: `MMIO-C003`.
-pub fn planted_double_fill() -> SyncTrace {
-    let key = memo_key("strassen", 2);
-    trace(vec![
-        (0, SyncEvent::MemoLock),
-        (0, SyncEvent::MemoFill { key }),
-        (0, SyncEvent::MemoUnlock),
-        (1, SyncEvent::MemoLock),
-        (1, SyncEvent::MemoFill { key }),
-        (1, SyncEvent::MemoUnlock),
-    ])
-}
-
 /// A `Pool::map` trace whose second worker is never joined, yet its slot
 /// is consumed — an unordered write/read pair. Expected: `MMIO-C001`.
 pub fn planted_unjoined_read() -> SyncTrace {
@@ -149,7 +135,6 @@ mod tests {
     #[test]
     fn fixtures_are_deterministic() {
         assert_eq!(planted_lost_update(), planted_lost_update());
-        assert_eq!(planted_double_fill(), planted_double_fill());
         let (_, _, t1) = planted_unmatched_recv();
         let (_, _, t2) = planted_unmatched_recv();
         assert_eq!(t1.events, t2.events);

@@ -237,8 +237,8 @@ mod tests {
     #[test]
     fn unordered_write_write_races() {
         let ops = vec![
-            op(0, Access(Loc::Memo(9), Write)),
-            op(1, Access(Loc::Memo(9), Write)),
+            op(0, Access(Loc::Item(9), Write)),
+            op(1, Access(Loc::Item(9), Write)),
         ];
         let mut r = Report::new();
         assert_eq!(detect_races(&ops, &mut r).races.len(), 1);
@@ -296,10 +296,10 @@ mod tests {
         // Lock/unlock as acquire/release on the same sync object.
         let ops = vec![
             op(0, Acquire(1)),
-            op(0, Access(Loc::Memo(4), Write)),
+            op(0, Access(Loc::Item(4), Write)),
             op(0, Release(1)),
             op(1, Acquire(1)),
-            op(1, Access(Loc::Memo(4), Read)),
+            op(1, Access(Loc::Item(4), Read)),
             op(1, Release(1)),
         ];
         let mut r = Report::new();

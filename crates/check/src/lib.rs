@@ -9,15 +9,15 @@
 //!
 //! 1. **Recorded traces** ([`lower`], backed by `mmio-parallel`'s
 //!    feature-gated sync-event instrumentation): real executions of the
-//!    pool and the routing memo, replayed through a
-//!    vector-clock happens-before race detector ([`hb`]) and direct
-//!    claim/fill-uniqueness scans. Witnesses one legal execution each.
-//! 2. **Bounded model checking** ([`explore`], [`models`]): virtual
-//!    replicas of `Pool::map` (own range first, then every other range in
-//!    turn, split by the *production* `split_ranges`) and of the memo
-//!    protocol, explored over every reachable state at small bounds,
-//!    proving byte-identical output to serial on every schedule plus
-//!    absence of deadlocks, lost updates, and double fills.
+//!    pool, replayed through a vector-clock happens-before race detector
+//!    ([`hb`]) and a direct claim-uniqueness scan. Witnesses one legal
+//!    execution each.
+//! 2. **Bounded model checking** ([`explore`], [`models`]): a virtual
+//!    replica of `Pool::map` (own range first, then every other range in
+//!    turn, split by the *production* `split_ranges`), explored over every
+//!    reachable state at small bounds, proving byte-identical output to
+//!    serial on every schedule plus absence of deadlocks and lost
+//!    updates.
 //! 3. **Distributed-run audits** (in `mmio-analyze::distsim`, driven from
 //!    the suite here): event-level re-verification of traced `distsim`
 //!    runs across the whole registry.
@@ -39,5 +39,5 @@ pub mod suite;
 pub use explore::{explore, Exploration, Limits, Model};
 pub use hb::{detect_races, HbAnalysis, VectorClock};
 pub use lower::{lower, scan_trace, Loc, Op, OpKind};
-pub use models::{MemoModel, PoolMapModel};
+pub use models::PoolMapModel;
 pub use suite::{run_suite, CheckOutcome};

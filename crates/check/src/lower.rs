@@ -2,7 +2,7 @@
 //! direct semantic checks on the trace itself.
 //!
 //! A [`SyncTrace`](mmio_parallel::events::SyncTrace) records what the
-//! instrumented pool and memo *did*; the happens-before detector wants an
+//! instrumented pool *did*; the happens-before detector wants an
 //! abstract sequence of acquires, releases, atomic RMWs, and plain shared
 //! accesses. The mapping mirrors the real synchronization:
 //!
@@ -14,13 +14,10 @@
 //!   `thread::join` on a per-worker handoff object — the only edge that
 //!   publishes result slots to the caller;
 //! - after joining all workers, the caller *reads* every claimed slot (the
-//!   merge), which is exactly where a missing join materializes as a race;
-//! - `MemoLock`/`MemoUnlock` are acquire/release on the memo mutex;
-//!   `MemoFill`/`MemoHit` write/read the per-key entry ([`Loc::Memo`]).
+//!   merge), which is exactly where a missing join materializes as a race.
 //!
-//! [`scan_trace`] separately checks two properties that need no clocks,
-//! only counting: every index claimed at most once (`MMIO-C002` otherwise)
-//! and every memo key filled at most once (`MMIO-C003`).
+//! [`scan_trace`] separately checks a property that needs no clocks, only
+//! counting: every index claimed at most once (`MMIO-C002` otherwise).
 
 use mmio_analyze::{codes, Report, Severity, Span};
 use mmio_parallel::events::{SyncEvent, SyncTrace};
@@ -31,8 +28,6 @@ use std::collections::HashMap;
 pub enum Loc {
     /// Result slot of index `i` in a `Pool::map` output.
     Item(u64),
-    /// The memo entry for a hashed `(algorithm, k)` key.
-    Memo(u64),
 }
 
 /// Whether an access reads or writes.
@@ -69,7 +64,6 @@ pub struct Op {
 /// Sync-object id spaces (disjoint by construction).
 const CURSOR_BASE: u64 = 1 << 32;
 const JOIN_BASE: u64 = 2 << 32;
-const MEMO_MUTEX: u64 = 3 << 32;
 
 /// Lowers a recorded trace to the detector's op language (see the module
 /// docs for the mapping).
@@ -99,14 +93,6 @@ pub fn lower(trace: &SyncTrace) -> Vec<Op> {
                 push(&mut ops, OpKind::Acquire(JOIN_BASE + u64::from(worker)));
                 joiner = Some(t);
             }
-            SyncEvent::MemoLock => push(&mut ops, OpKind::Acquire(MEMO_MUTEX)),
-            SyncEvent::MemoUnlock => push(&mut ops, OpKind::Release(MEMO_MUTEX)),
-            SyncEvent::MemoHit { key } => {
-                push(&mut ops, OpKind::Access(Loc::Memo(key), AccessKind::Read));
-            }
-            SyncEvent::MemoFill { key } => {
-                push(&mut ops, OpKind::Access(Loc::Memo(key), AccessKind::Write));
-            }
         }
     }
     // The caller's merge: after the joins, every claimed slot is read by
@@ -131,55 +117,32 @@ pub struct TraceScan {
     pub claims: u64,
     /// Indices claimed more than once.
     pub duplicate_claims: u64,
-    /// Memo fills.
-    pub fills: u64,
-    /// Keys filled more than once.
-    pub double_fills: u64,
 }
 
-/// Checks claim-uniqueness (`MMIO-C002`) and fill-uniqueness (`MMIO-C003`)
-/// by direct counting over the trace.
+/// Checks claim-uniqueness (`MMIO-C002`) by direct counting over the trace.
 pub fn scan_trace(trace: &SyncTrace, report: &mut Report) -> TraceScan {
     let mut scan = TraceScan::default();
     let mut claims: HashMap<(u32, u64), u32> = HashMap::new();
-    let mut fills: HashMap<u64, u32> = HashMap::new();
     for e in &trace.events {
-        match e.event {
-            SyncEvent::CursorFetchAdd {
-                range,
-                claimed,
-                hit: true,
-            } => {
-                scan.claims += 1;
-                let c = claims.entry((range, claimed)).or_insert(0);
-                *c += 1;
-                if *c == 2 {
-                    scan.duplicate_claims += 1;
-                    report.push_with_hint(
-                        codes::CONC_LOST_UPDATE,
-                        Severity::Error,
-                        Span::Thread(e.thread),
-                        format!("index {claimed} of range {range} was claimed twice"),
-                        "a duplicated claim overwrites another worker's result (lost update)",
-                    );
-                }
+        if let SyncEvent::CursorFetchAdd {
+            range,
+            claimed,
+            hit: true,
+        } = e.event
+        {
+            scan.claims += 1;
+            let c = claims.entry((range, claimed)).or_insert(0);
+            *c += 1;
+            if *c == 2 {
+                scan.duplicate_claims += 1;
+                report.push_with_hint(
+                    codes::CONC_LOST_UPDATE,
+                    Severity::Error,
+                    Span::Thread(e.thread),
+                    format!("index {claimed} of range {range} was claimed twice"),
+                    "a duplicated claim overwrites another worker's result (lost update)",
+                );
             }
-            SyncEvent::MemoFill { key } => {
-                scan.fills += 1;
-                let c = fills.entry(key).or_insert(0);
-                *c += 1;
-                if *c == 2 {
-                    scan.double_fills += 1;
-                    report.push_with_hint(
-                        codes::CONC_DOUBLE_FILL,
-                        Severity::Error,
-                        Span::Thread(e.thread),
-                        format!("memo key {key:#x} was filled twice"),
-                        "the build must stay inside the critical section that checks the cache",
-                    );
-                }
-            }
-            _ => {}
         }
     }
     scan
@@ -331,28 +294,5 @@ mod tests {
         ]);
         let mut r = Report::new();
         assert_eq!(scan_trace(&t, &mut r).duplicate_claims, 0);
-    }
-
-    #[test]
-    fn double_fill_fires() {
-        let t = trace(vec![
-            (0, SyncEvent::MemoLock),
-            (0, SyncEvent::MemoFill { key: 42 }),
-            (0, SyncEvent::MemoUnlock),
-            (1, SyncEvent::MemoLock),
-            (1, SyncEvent::MemoFill { key: 42 }),
-            (1, SyncEvent::MemoUnlock),
-        ]);
-        let mut r = Report::new();
-        let scan = scan_trace(&t, &mut r);
-        assert_eq!(scan.double_fills, 1);
-        assert!(r.has_code(mmio_analyze::codes::CONC_DOUBLE_FILL));
-        // The mutex orders the two fills, so HB sees no race — the bug is
-        // semantic (wasted duplicate build), which is why C003 exists
-        // separately from C001.
-        let mut r2 = Report::new();
-        assert!(crate::hb::detect_races(&lower(&t), &mut r2)
-            .races
-            .is_empty());
     }
 }

@@ -11,10 +11,9 @@
 //! every interleaving claims every index exactly once — is a statement
 //! about the algorithm the pool actually runs.
 //!
-//! Each model also has a deliberately broken variant (a claim whose
-//! load and store are separate steps; a memo fill outside the critical
-//! section that checked the cache). The explorer must *find* those bugs:
-//! that is the self-test demonstrating the checker has teeth.
+//! The model also has a deliberately broken variant (a claim whose load
+//! and store are separate steps). The explorer must *find* that bug: that
+//! is the self-test demonstrating the checker has teeth.
 
 use crate::explore::Model;
 use mmio_parallel::pool::split_ranges;
@@ -157,145 +156,6 @@ impl Model for PoolMapModel {
     }
 }
 
-/// One memo thread's program counter.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-enum MemoPc {
-    /// Waiting for the mutex.
-    Lock,
-    /// Holding the mutex: check the cache.
-    Check,
-    /// Correct protocol: build + insert while still holding the mutex.
-    Fill,
-    /// Release the mutex, then terminate.
-    Unlock,
-    /// Buggy protocol: release after the check, remembering the verdict.
-    BuggyUnlock {
-        /// Whether the entry was absent at check time.
-        absent: bool,
-    },
-    /// Buggy protocol: re-acquire the mutex to insert.
-    BuggyRelock,
-    /// Buggy protocol: build + insert (unconditionally — the check is
-    /// stale by now).
-    BuggyFill,
-    /// Terminated.
-    Done,
-}
-
-/// A bounded model of `RoutingMemo::class`: `threads` virtual threads all
-/// requesting the same `(algorithm, k)` key.
-///
-/// The correct protocol checks and fills inside one critical section;
-/// every schedule fills exactly once. The buggy variant re-locks between
-/// check and fill (check-then-act), and the explorer finds schedules
-/// where two threads both observed "absent" and both fill.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub struct MemoModel {
-    lock_held: bool,
-    present: bool,
-    fills: u8,
-    hits: u8,
-    pcs: Vec<MemoPc>,
-    // Steers only the Check transition: release-then-relock vs fill in place.
-    buggy: bool,
-}
-
-impl MemoModel {
-    /// The faithful model of the memo's lock-check-fill-unlock protocol.
-    pub fn new(threads: usize) -> MemoModel {
-        MemoModel::build(threads, false)
-    }
-
-    /// The broken check-then-act variant.
-    pub fn buggy(threads: usize) -> MemoModel {
-        MemoModel::build(threads, true)
-    }
-
-    fn build(threads: usize, buggy: bool) -> MemoModel {
-        MemoModel {
-            lock_held: false,
-            present: false,
-            fills: 0,
-            hits: 0,
-            pcs: vec![MemoPc::Lock; threads],
-            buggy,
-        }
-    }
-}
-
-impl Model for MemoModel {
-    type Output = (u8, u8);
-
-    fn threads(&self) -> usize {
-        self.pcs.len()
-    }
-
-    fn enabled(&self, t: usize) -> bool {
-        match self.pcs[t] {
-            MemoPc::Lock | MemoPc::BuggyRelock => !self.lock_held,
-            MemoPc::Done => false,
-            _ => true,
-        }
-    }
-
-    fn finished(&self, t: usize) -> bool {
-        self.pcs[t] == MemoPc::Done
-    }
-
-    fn step(&mut self, t: usize) {
-        match self.pcs[t] {
-            MemoPc::Lock | MemoPc::BuggyRelock => {
-                debug_assert!(!self.lock_held);
-                self.lock_held = true;
-                self.pcs[t] = if self.pcs[t] == MemoPc::BuggyRelock {
-                    MemoPc::BuggyFill
-                } else {
-                    MemoPc::Check
-                };
-            }
-            MemoPc::Check => {
-                if self.present {
-                    self.hits += 1;
-                    self.pcs[t] = MemoPc::Unlock;
-                } else if self.buggy {
-                    self.pcs[t] = MemoPc::BuggyUnlock { absent: true };
-                } else {
-                    self.pcs[t] = MemoPc::Fill;
-                }
-            }
-            MemoPc::Fill | MemoPc::BuggyFill => {
-                self.present = true;
-                self.fills += 1;
-                self.pcs[t] = MemoPc::Unlock;
-            }
-            MemoPc::Unlock => {
-                self.lock_held = false;
-                self.pcs[t] = MemoPc::Done;
-            }
-            MemoPc::BuggyUnlock { absent } => {
-                self.lock_held = false;
-                self.pcs[t] = if absent {
-                    MemoPc::BuggyRelock
-                } else {
-                    MemoPc::Done
-                };
-            }
-            MemoPc::Done => unreachable!("stepping a finished thread"),
-        }
-    }
-
-    fn next_object(&self, t: usize) -> Option<u64> {
-        match self.pcs[t] {
-            MemoPc::Done => None,
-            _ => Some(0), // everything contends on the one mutex/entry
-        }
-    }
-
-    fn output(&self) -> (u8, u8) {
-        (self.fills, self.hits)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -332,29 +192,6 @@ mod tests {
             "the explorer failed to find the planted lost update: {:?}",
             e.outputs
         );
-    }
-
-    #[test]
-    fn memo_fills_once_on_every_schedule() {
-        for threads in [2, 3] {
-            let e = explore(&MemoModel::new(threads), Limits::default());
-            assert!(
-                e.all_equal_to(&(1, threads as u8 - 1)),
-                "threads={threads}: {:?}",
-                e.outputs
-            );
-        }
-    }
-
-    #[test]
-    fn buggy_memo_double_fills_somewhere() {
-        let e = explore(&MemoModel::buggy(2), Limits::default());
-        assert!(
-            e.outputs.iter().any(|&(fills, _)| fills == 2),
-            "the explorer failed to find the double fill: {:?}",
-            e.outputs
-        );
-        assert_eq!(e.deadlocks, 0);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! Determinism contract: the summary contains no schedule-dependent
 //! quantity. Recorded real-thread traces vary run to run (which worker
 //! claims which index is a race by design), so the suite reports only
-//! their *verdicts* (race, duplicate-claim, and double-fill counts — all
-//! provably zero), never raw event counts; explorer statistics are exact
+//! their *verdicts* (race and duplicate-claim counts — both provably
+//! zero), never raw event counts; explorer statistics are exact
 //! state-space counts and identical on every machine. `mmio check --json`
 //! is therefore byte-identical across `--threads 1/2/8` and across runs.
 
@@ -14,11 +14,10 @@ use crate::explore::{explore, Exploration, Limits};
 use crate::fixtures;
 use crate::hb::detect_races;
 use crate::lower::{lower, scan_trace};
-use crate::models::{MemoModel, PoolMapModel};
+use crate::models::PoolMapModel;
 use mmio_algos::registry::all_base_graphs;
 use mmio_analyze::{audit_dist_trace, codes, Report, Severity, Span};
 use mmio_cdag::build::build_cdag;
-use mmio_core::transport::RoutingMemo;
 use mmio_parallel::assign::{all_on_one, block_per_rank, by_top_subproblem, cyclic_per_rank};
 use mmio_parallel::distsim::simulate_traced;
 use mmio_parallel::events::{record, SyncTrace};
@@ -36,8 +35,6 @@ pub struct TraceVerdict {
     pub races: u64,
     /// Indices claimed twice.
     pub duplicate_claims: u64,
-    /// Memo keys filled twice.
-    pub double_fills: u64,
 }
 
 /// One bounded model-checking run.
@@ -110,7 +107,6 @@ fn verdict_of(name: &str, trace: &SyncTrace, report: &mut Report) -> TraceVerdic
         name: name.to_string(),
         races: hb.races.len() as u64,
         duplicate_claims: scan.duplicate_claims,
-        double_fills: scan.double_fills,
     }
 }
 
@@ -186,8 +182,8 @@ pub fn run_suite() -> CheckOutcome {
     let mut traces = Vec::new();
     let mut explorations = Vec::new();
 
-    // 1. Recorded real executions: the instrumented pool and memo, checked
-    //    by the happens-before detector and the trace scanners.
+    // 1. Recorded real executions: the instrumented pool, checked by the
+    //    happens-before detector and the trace scanner.
     for threads in [2, 3] {
         traces.push(check_recording(
             &format!("pool::map {threads} threads"),
@@ -198,21 +194,9 @@ pub fn run_suite() -> CheckOutcome {
             },
         ));
     }
-    traces.push(check_recording(
-        "routing memo fill + hit",
-        &mut report,
-        || {
-            let pool = Pool::serial();
-            let memo = RoutingMemo::new();
-            let base = mmio_algos::strassen::strassen();
-            let a = memo.class(&base, 1, &pool);
-            let b = memo.class(&base, 1, &pool);
-            assert!(a.is_some() && b.is_some());
-        },
-    ));
 
     // 2. Bounded model checking: every interleaving of the virtual pool
-    //    and memo at the acceptance configurations.
+    //    at the acceptance configurations.
     for n in 1..=6 {
         let model = PoolMapModel::new(n, 2);
         explorations.push(check_exploration(
@@ -231,15 +215,6 @@ pub fn run_suite() -> CheckOutcome {
             &mut report,
         ));
     }
-    for threads in [2, 3] {
-        let model = MemoModel::new(threads);
-        explorations.push(check_exploration(
-            &format!("memo fill {threads} threads"),
-            &model,
-            &(1, threads as u8 - 1),
-            &mut report,
-        ));
-    }
 
     // 3. Detector self-tests on the planted defect fixtures. Their
     //    (expected) diagnostics go into throwaway reports.
@@ -249,11 +224,6 @@ pub fn run_suite() -> CheckOutcome {
         scan_trace(&fixtures::planted_lost_update(), &mut r);
         detect_races(&lower(&fixtures::planted_lost_update()), &mut r);
         selftests.push(selftest("planted lost update", codes::CONC_LOST_UPDATE, r));
-    }
-    {
-        let mut r = Report::new();
-        scan_trace(&fixtures::planted_double_fill(), &mut r);
-        selftests.push(selftest("planted double fill", codes::CONC_DOUBLE_FILL, r));
     }
     {
         let mut r = Report::new();
@@ -271,9 +241,9 @@ pub fn run_suite() -> CheckOutcome {
         ));
     }
     {
-        // The explorer's own teeth: the broken claim and the broken memo
-        // protocol must be *found*. Lowered to self-tests so a silently
-        // weakened explorer fails the suite.
+        // The explorer's own teeth: the broken claim must be *found*.
+        // Lowered to a self-test so a silently weakened explorer fails the
+        // suite.
         let e = explore(&PoolMapModel::racy(2, 2), Limits::default());
         let mut r = Report::new();
         if e.outputs.iter().any(|o| o != &vec![1u8; 2]) {
@@ -287,21 +257,6 @@ pub fn run_suite() -> CheckOutcome {
         selftests.push(selftest(
             "explorer finds torn claim",
             codes::CONC_LOST_UPDATE,
-            r,
-        ));
-        let e = explore(&MemoModel::buggy(2), Limits::default());
-        let mut r = Report::new();
-        if e.outputs.iter().any(|&(fills, _)| fills >= 2) {
-            r.push(
-                codes::CONC_DOUBLE_FILL,
-                Severity::Error,
-                Span::Global,
-                "check-then-act memo double-fills (found by exploration)",
-            );
-        }
-        selftests.push(selftest(
-            "explorer finds double fill",
-            codes::CONC_DOUBLE_FILL,
             r,
         ));
     }
@@ -348,7 +303,6 @@ impl Serialize for TraceVerdict {
                 "duplicate_claims".to_string(),
                 Value::UInt(self.duplicate_claims),
             ),
-            ("double_fills".to_string(), Value::UInt(self.double_fills)),
         ])
     }
 }
@@ -416,12 +370,7 @@ mod tests {
         assert_eq!(a.report.error_count(), 0);
         // Every recorded trace is race- and anomaly-free.
         for t in &a.traces {
-            assert_eq!(
-                (t.races, t.duplicate_claims, t.double_fills),
-                (0, 0, 0),
-                "{}",
-                t.name
-            );
+            assert_eq!((t.races, t.duplicate_claims), (0, 0), "{}", t.name);
         }
         // Every exploration proved serial equivalence exhaustively.
         for e in &a.explorations {

@@ -3,7 +3,7 @@
 //! plus the partial-order-reduction cross-check on every one of them.
 
 use mmio_check::explore::{explore, Limits};
-use mmio_check::models::{MemoModel, PoolMapModel};
+use mmio_check::models::PoolMapModel;
 
 fn por_limits() -> Limits {
     Limits {
@@ -38,19 +38,6 @@ fn pool_map_three_workers_serial_equivalent() {
     }
 }
 
-/// The memo protocol fills exactly once on every schedule.
-#[test]
-fn memo_protocol_fills_once_exhaustively() {
-    for threads in [2, 3] {
-        let e = explore(&MemoModel::new(threads), Limits::default());
-        assert!(
-            e.all_equal_to(&(1, threads as u8 - 1)),
-            "threads={threads}: {:?}",
-            e.outputs
-        );
-    }
-}
-
 /// Partial-order reduction must preserve outputs, deadlocks, and
 /// livelocks on every acceptance model — correct and broken alike —
 /// while never visiting more states.
@@ -73,16 +60,6 @@ fn por_is_sound_on_all_acceptance_models() {
         assert_eq!(full.livelocks > 0, por.livelocks > 0);
         assert!(por.states <= full.states);
     }
-    for m in [MemoModel::new(2), MemoModel::new(3), MemoModel::buggy(2)] {
-        let full = explore(&m, Limits::default());
-        let por = explore(&m, por_limits());
-        let mut a = full.outputs.clone();
-        let mut b = por.outputs.clone();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b);
-        assert_eq!(full.deadlocks, por.deadlocks);
-    }
 }
 
 /// The broken variants stay broken at the acceptance bounds — the
@@ -91,6 +68,4 @@ fn por_is_sound_on_all_acceptance_models() {
 fn explorer_still_finds_the_planted_bugs() {
     let e = explore(&PoolMapModel::racy(2, 2), Limits::default());
     assert!(e.outputs.iter().any(|o| o != &vec![1u8; 2]));
-    let e = explore(&MemoModel::buggy(2), Limits::default());
-    assert!(e.outputs.iter().any(|&(fills, _)| fills >= 2));
 }

@@ -52,7 +52,6 @@ use mmio_algos::registry::all_base_graphs;
 use mmio_cdag::build::build_cdag;
 use mmio_cdag::connectivity::classify;
 use mmio_cdag::serialize;
-use mmio_cdag::view::count_vertices;
 use mmio_cdag::{BaseGraph, IndexView};
 use mmio_core::theorem1::LowerBound;
 use mmio_core::theorem2::InOutRouting;
@@ -238,20 +237,7 @@ fn parse<T: std::str::FromStr>(arg: Option<&String>, what: &str) -> Result<T, Cl
         .map_err(|_| CliError::Usage(format!("invalid {what}")))
 }
 
-/// Passes the depth `r` of `base` through, or rejects it (exit 4) when
-/// `G_r` exceeds the dense `u32` vertex-id space that `IndexView::new` and
-/// `build_cdag` enforce, so no command reaches a constructor that panics.
-fn check_depth(base: &BaseGraph, r: u32) -> Result<u32, CliError> {
-    match count_vertices(base.a() as u64, base.b() as u64, r) {
-        Some(n) if n <= u64::from(u32::MAX) => Ok(r),
-        _ => Err(CliError::BadInput(format!(
-            "{}: r = {r} is too deep (G_r exceeds u32 vertex ids)",
-            base.name()
-        ))),
-    }
-}
-
-/// Emits the certificate suite for one algorithm at depth `r`: a routing
+/// Emits the certificate suite for one algorithm at depth `r ≥ 1`: a routing
 /// certificate (Theorem 2 paths + Fact-1 transport), a schedule-legality
 /// witness, and an LRU sweep witness. Depths are capped exactly like
 /// `mmio analyze` so path enumeration and graph size stay tractable.
@@ -273,7 +259,7 @@ fn emit_certs_for(
     let name = base.name();
     let mut out = Vec::new();
 
-    let routing_k = r.min(if base.a() >= 16 { 1 } else { 2 }).max(1);
+    let routing_k = r.min(if base.a() >= 16 { 1 } else { 2 });
     if let Some(class) = RoutingClass::build(base, routing_k, pool) {
         out.push((
             format!("{name}__routing_k{routing_k}_r{r}.json"),
@@ -435,7 +421,8 @@ fn run() -> Result<ExitCode, CliError> {
         "simulate" => {
             reject_unread(&args, 3, &given, &[])?;
             let base = resolve(args.get(1).ok_or("missing algorithm")?)?;
-            let r = check_depth(&base, parse(args.get(2), "r")?)?;
+            let r =
+                ops::check_depth(&base, parse(args.get(2), "r")?).map_err(CliError::BadInput)?;
             let m: usize = parse(args.get(3), "M")?;
             // Both paths run the identical engine on identical (preds,
             // order) data, so the stats — and this line — are byte-equal.
@@ -464,7 +451,8 @@ fn run() -> Result<ExitCode, CliError> {
         "certify" => {
             reject_unread(&args, 3, &given, &[])?;
             let base = resolve(args.get(1).ok_or("missing algorithm")?)?;
-            let r = check_depth(&base, parse(args.get(2), "r")?)?;
+            let r =
+                ops::check_depth(&base, parse(args.get(2), "r")?).map_err(CliError::BadInput)?;
             let m: u64 = parse(args.get(3), "M")?;
             // Rendered by the same function the serve tier uses, so a serve
             // `certify` response is byte-identical to this output.
@@ -473,12 +461,14 @@ fn run() -> Result<ExitCode, CliError> {
         "routing" => {
             reject_unread(&args, 3, &given, &[])?;
             let base = resolve(args.get(1).ok_or("missing algorithm")?)?;
-            let k = check_depth(&base, parse(args.get(2), "k")?)?;
+            let k =
+                ops::check_depth(&base, parse(args.get(2), "k")?).map_err(CliError::BadInput)?;
             // Optional third argument r: transport into G_r, checked here
             // so a bad r fails before any output.
             let transport_r = match args.get(3) {
                 Some(rarg) => {
-                    let r = check_depth(&base, rarg.parse().map_err(|_| "invalid r")?)?;
+                    let r = ops::check_depth(&base, rarg.parse().map_err(|_| "invalid r")?)
+                        .map_err(CliError::BadInput)?;
                     if r < k {
                         return Err(CliError::Usage(format!("r = {r} must be ≥ k = {k}")));
                     }
@@ -539,7 +529,8 @@ fn run() -> Result<ExitCode, CliError> {
         "report" => {
             reject_unread(&args, 3, &given, &[])?;
             let base = resolve(args.get(1).ok_or("missing algorithm")?)?;
-            let r = check_depth(&base, parse(args.get(2), "r")?)?;
+            let r =
+                ops::check_depth(&base, parse(args.get(2), "r")?).map_err(CliError::BadInput)?;
             let m: u64 = parse(args.get(3), "M")?;
             let routing_k = if base.a() >= 16 { 1 } else { 2 };
             let report = mmio_core::report::analyze(&base, r, m, routing_k)
@@ -563,7 +554,7 @@ fn run() -> Result<ExitCode, CliError> {
             };
             if let Some(r) = explicit_r {
                 for base in &bases {
-                    check_depth(base, r)?;
+                    ops::check_depth(base, r).map_err(CliError::BadInput)?;
                 }
             }
             // Flatten the (algorithm, r) targets, fan the analyses out over
@@ -632,8 +623,8 @@ fn run() -> Result<ExitCode, CliError> {
                 println!("recorded traces:");
                 for t in &outcome.traces {
                     println!(
-                        "  {:<28} races {}, duplicate claims {}, double fills {}",
-                        t.name, t.races, t.duplicate_claims, t.double_fills
+                        "  {:<28} races {}, duplicate claims {}",
+                        t.name, t.races, t.duplicate_claims
                     );
                 }
                 println!("bounded exploration:");
@@ -686,6 +677,14 @@ fn run() -> Result<ExitCode, CliError> {
                         Some(a) => a.parse().map_err(|_| "invalid r")?,
                         None => 2,
                     };
+                    // The verifier rejects every certificate of the
+                    // degenerate G_0 (MMIO-V004), so none is written.
+                    if r == 0 {
+                        return Err(CliError::BadInput(
+                            "cert emit: r = 0 has no certificates (the verifier requires r ≥ 1)"
+                                .to_string(),
+                        ));
+                    }
                     let out_dir = std::path::PathBuf::from(out_dir.as_deref().unwrap_or("certs"));
                     let bases = if target == "all" {
                         all_base_graphs()
@@ -693,7 +692,7 @@ fn run() -> Result<ExitCode, CliError> {
                         vec![resolve(target)?]
                     };
                     for base in &bases {
-                        check_depth(base, r)?;
+                        ops::check_depth(base, r).map_err(CliError::BadInput)?;
                     }
                     std::fs::create_dir_all(&out_dir)
                         .map_err(|e| CliError::io(out_dir.display(), e))?;
@@ -858,7 +857,8 @@ fn run() -> Result<ExitCode, CliError> {
             let topo = extract_value(&mut args, "--topo")?;
             reject_unread(&args, 2, &given, &["--json"])?;
             let base = resolve(args.get(1).ok_or("missing algorithm")?)?;
-            let k = check_depth(&base, parse(args.get(2), "k")?)?;
+            let k =
+                ops::check_depth(&base, parse(args.get(2), "k")?).map_err(CliError::BadInput)?;
             let p: u32 = match procs {
                 Some(v) => v
                     .parse()

@@ -272,11 +272,13 @@ fn check_json_reports_exact_planted_codes() {
     assert!(out.status.success());
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("\"ok\": true"), "{stdout}");
-    // The three seeded defect traces fire their exact codes (plus the
-    // explorer's own planted-bug self-tests).
-    for code in ["MMIO-C001", "MMIO-C002", "MMIO-C003", "MMIO-D005"] {
+    // The seeded defect traces fire their exact codes (plus the
+    // explorer's own planted-bug self-test).
+    for code in ["MMIO-C001", "MMIO-C002", "MMIO-D005"] {
         assert!(stdout.contains(code), "missing selftest code {code}");
     }
+    // MMIO-C003 (routing-memo double fill) is retired.
+    assert!(!stdout.contains("MMIO-C003"), "{stdout}");
     assert!(!stdout.contains("\"fired\": false"), "{stdout}");
 }
 
@@ -525,4 +527,23 @@ fn too_deep_r_is_bad_input() {
         );
     }
     assert!(!dir.exists(), "cert emit wrote before rejecting r");
+}
+
+#[test]
+fn cert_emit_at_r_zero_is_bad_input() {
+    // G_0 has no certificate the verifier accepts (MMIO-V004), so `cert
+    // emit` refuses r = 0 up front: exit 4, one line, nothing written.
+    let dir = std::env::temp_dir().join(format!("mmio_cli_r0_{}", std::process::id()));
+    let out_dir = dir.to_str().unwrap();
+    for target in ["strassen", "all"] {
+        let out = mmio(&["cert", "emit", target, "0", "--out", out_dir]);
+        assert_eq!(out.status.code(), Some(4), "{target}");
+        assert!(out.stdout.is_empty(), "{target}");
+        assert_eq!(
+            String::from_utf8(out.stderr).unwrap(),
+            "error: cert emit: r = 0 has no certificates (the verifier requires r ≥ 1)\n",
+            "{target}"
+        );
+    }
+    assert!(!dir.exists(), "cert emit wrote before rejecting r = 0");
 }

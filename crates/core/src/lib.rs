@@ -77,4 +77,4 @@ pub mod transport;
 pub use routing::{RoutingStats, VertexHitCounter};
 pub use theorem1::LowerBound;
 pub use theorem2::InOutRouting;
-pub use transport::{RoutingClass, RoutingMemo, TransportReport};
+pub use transport::{RoutingClass, TransportReport};

@@ -9,7 +9,9 @@
 
 use mmio_cdag::hits::HitCounter;
 use mmio_cdag::{Cdag, MetaVertices, VertexId};
+use mmio_parallel::Pool;
 use serde::Serialize;
+use std::ops::Range;
 
 /// Streaming hit counter over a CDAG's vertices (and optionally its
 /// meta-vertices). The counting itself — per-occurrence vertex hits,
@@ -100,6 +102,32 @@ impl<'g> VertexHitCounter<'g> {
     }
 }
 
+/// Hit-counts the paths `0..n` of a routing on `g`, tracking `meta`,
+/// sharded over `pool`: the index space is split into contiguous chunks,
+/// `feed` streams each chunk's paths into its own [`VertexHitCounter`], and
+/// the shards are merged in fixed chunk order — so the stats are identical
+/// at any thread count (hit counts are sums; the fixed order makes that
+/// visible in the code rather than argued).
+pub fn count_sharded<F>(g: &Cdag, meta: &MetaVertices, n: u64, pool: &Pool, feed: F) -> RoutingStats
+where
+    F: Fn(Range<u64>, &mut VertexHitCounter<'_>) + Sync,
+{
+    let chunks = (pool.threads() * 4).min(n.max(1) as usize);
+    let shards = pool.map(chunks, |c| {
+        let mut counter = VertexHitCounter::new(g, Some(meta));
+        feed(
+            n * c as u64 / chunks as u64..n * (c as u64 + 1) / chunks as u64,
+            &mut counter,
+        );
+        counter
+    });
+    let mut merged = VertexHitCounter::new(g, Some(meta));
+    for shard in &shards {
+        merged.merge(shard);
+    }
+    merged.stats()
+}
+
 impl RoutingStats {
     /// Checks the routing against a claimed bound `m` (vertex hits, and
     /// meta hits if tracked).
@@ -118,7 +146,7 @@ pub fn is_chain(g: &Cdag, path: &[VertexId]) -> bool {
 /// Flat storage for a family of paths: one shared vertex buffer plus an
 /// offset table, instead of a `Vec<Vec<VertexId>>` with one heap block per
 /// path. Routing families contain `2a^{2k}` paths; storing them contiguously
-/// is what makes memoizing a whole routing class (and iterating it once per
+/// is what makes storing a whole routing class (and iterating it once per
 /// Fact-1 copy) cheap.
 #[derive(Clone, Debug, Default)]
 pub struct PathArena {

@@ -8,7 +8,7 @@
 use crate::chains::{ChainRouter, ChainScratch};
 use crate::deps::{unpack_entry, DepSide};
 use crate::lemma4::dependence_sequence;
-use crate::routing::{PathArena, RoutingStats, VertexHitCounter};
+use crate::routing::{count_sharded, PathArena, RoutingStats};
 use mmio_cdag::{index, Cdag, MetaVertices, VertexId};
 use mmio_parallel::Pool;
 
@@ -117,8 +117,8 @@ impl<'g> InOutRouting<'g> {
     }
 
     /// Enumerates the routing's paths for indices `range` (of `0..n_paths()`,
-    /// ordered side-major, then input entry, then output entry — the same
-    /// order [`InOutRouting::route_all`] streams them) and feeds each to `f`.
+    /// ordered side-major, then input entry, then output entry) and feeds
+    /// each to `f`.
     pub fn for_each_path_in(
         &self,
         range: std::ops::Range<u64>,
@@ -139,16 +139,8 @@ impl<'g> InOutRouting<'g> {
         }
     }
 
-    /// Streams all `2a^k · a^k` input–output paths into `counter`.
-    pub fn route_all(&self, counter: &mut VertexHitCounter<'_>) {
-        let mut scratch = RouteScratch::new();
-        self.for_each_path_in(0..self.n_paths(), &mut scratch, |path| {
-            counter.add_path(path);
-        });
-    }
-
     /// Materializes the entire routing into a flat [`PathArena`] (the
-    /// memoized-class representation transported into Fact-1 copies).
+    /// routing-class representation transported into Fact-1 copies).
     pub fn collect_paths(&self) -> PathArena {
         let paths = self.n_paths() as usize;
         let mut arena = PathArena::with_capacity(paths, 6 * (self.g.r() as usize + 1) - 2);
@@ -164,34 +156,14 @@ impl<'g> InOutRouting<'g> {
         self.verify_with(&Pool::serial())
     }
 
-    /// [`InOutRouting::verify`] sharded over `pool`: the path space is split
-    /// into contiguous chunks, each chunk hit-counted into its own
-    /// [`VertexHitCounter`], and the shards merged in fixed chunk order —
-    /// so the returned stats are identical to the serial path at any thread
-    /// count (hit counts are sums; merging is order-independent, and the
-    /// fixed order makes that visible in the code rather than argued).
+    /// [`InOutRouting::verify`] sharded over `pool` by
+    /// [`count_sharded`], which returns the same stats at any thread count.
     pub fn verify_with(&self, pool: &Pool) -> RoutingStats {
         let meta = MetaVertices::compute(self.g);
-        let n = self.n_paths();
-        if pool.threads() == 1 {
-            let mut counter = VertexHitCounter::new(self.g, Some(&meta));
-            self.route_all(&mut counter);
-            return counter.stats();
-        }
-        let chunks = (pool.threads() * 4).min(n.max(1) as usize);
-        let shards = pool.map(chunks, |c| {
-            let start = n * c as u64 / chunks as u64;
-            let end = n * (c as u64 + 1) / chunks as u64;
-            let mut counter = VertexHitCounter::new(self.g, Some(&meta));
+        count_sharded(self.g, &meta, self.n_paths(), pool, |range, counter| {
             let mut scratch = RouteScratch::new();
-            self.for_each_path_in(start..end, &mut scratch, |path| counter.add_path(path));
-            counter
-        });
-        let mut merged = VertexHitCounter::new(self.g, Some(&meta));
-        for shard in &shards {
-            merged.merge(shard);
-        }
-        merged.stats()
+            self.for_each_path_in(range, &mut scratch, |path| counter.add_path(path));
+        })
     }
 }
 
@@ -233,13 +205,18 @@ mod tests {
 
     #[test]
     fn verify_with_is_thread_count_invariant() {
-        // The sharded path (`threads > 1`) is separate code from the
-        // serial `route_all` stream; both must give the same stats.
+        // Oracle: every path streamed into one unsharded counter.
         for base in [strassen(), winograd()] {
             let g = build_cdag(&base, 2);
             let routing = InOutRouting::new(&g).unwrap();
-            let serial = routing.verify();
-            for threads in [2, 3, 8] {
+            let meta = MetaVertices::compute(&g);
+            let mut counter = crate::routing::VertexHitCounter::new(&g, Some(&meta));
+            let mut scratch = RouteScratch::new();
+            routing.for_each_path_in(0..routing.n_paths(), &mut scratch, |path| {
+                counter.add_path(path);
+            });
+            let serial = counter.stats();
+            for threads in [1, 2, 3, 8] {
                 assert_eq!(
                     routing.verify_with(&Pool::new(threads)),
                     serial,

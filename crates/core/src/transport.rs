@@ -1,4 +1,4 @@
-//! Fact-1 memoized routing classes and their transport into `G_r`.
+//! Fact-1 routing classes and their transport into `G_r`.
 //!
 //! Fact 1 says the middle `2(k+1)` levels of `G_r` decompose into `b^{r-k}`
 //! vertex-disjoint copies of `G_k`, each isomorphic to the standalone `G_k`
@@ -33,18 +33,14 @@
 //! longer global metas can only merge local ones and are audited
 //! independently by `mmio-analyze`'s union-find re-verification.)
 
-use crate::routing::{PathArena, RoutingStats, VertexHitCounter};
+use crate::routing::{count_sharded, PathArena, RoutingStats, VertexHitCounter};
 use crate::theorem2::InOutRouting;
 use mmio_cdag::build::build_cdag;
 use mmio_cdag::{BaseGraph, Cdag, CdagView, MetaVertices, VertexId};
-use mmio_parallel::events::{self, SyncEvent};
 use mmio_parallel::Pool;
 use serde::Serialize;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 
-/// One memoized routing class: the Routing Theorem's `6a^k`-routing built
+/// One routing class: the Routing Theorem's `6a^k`-routing built
 /// once on a standalone `G_k`, ready to be transported into every copy of
 /// `G_k` inside any `G_r` over the same base graph.
 pub struct RoutingClass {
@@ -74,22 +70,12 @@ impl RoutingClass {
             let routing = InOutRouting::new(&gk)?;
             (routing.collect_paths(), routing.theorem2_bound())
         };
-        // Verify from the arena (not by re-deriving chains): shard the path
-        // index space, merge shards in fixed chunk order.
-        let n = paths.len();
-        let chunks = (pool.threads() * 4).min(n.max(1));
-        let shards = pool.map(chunks, |c| {
-            let mut counter = VertexHitCounter::new(&gk, Some(&meta));
-            for i in n * c / chunks..n * (c + 1) / chunks {
-                counter.add_path(paths.path(i));
+        // Verify from the arena (not by re-deriving chains).
+        let stats = count_sharded(&gk, &meta, paths.len() as u64, pool, |range, counter| {
+            for i in range {
+                counter.add_path(paths.path(i as usize));
             }
-            counter
         });
-        let mut merged = VertexHitCounter::new(&gk, Some(&meta));
-        for shard in &shards {
-            merged.merge(shard);
-        }
-        let stats = merged.stats();
         Some(RoutingClass {
             gk,
             meta,
@@ -108,74 +94,6 @@ impl RoutingClass {
     /// The class's paths (local vertex ids of [`RoutingClass::gk`]).
     pub fn paths(&self) -> &PathArena {
         &self.paths
-    }
-}
-
-/// Process-wide cache of routing classes, keyed by the registry algorithm
-/// id (the base graph's name) and depth `k`. Lookups are serialized on one
-/// mutex — class construction is rare by design (that is the point of the
-/// cache) and every workload after the first hit is read-only through the
-/// returned [`Arc`].
-#[derive(Default)]
-pub struct RoutingMemo {
-    classes: Mutex<ClassTable>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-/// The memo's storage: `(algorithm id, k)` → built class, with `None`
-/// memoizing "no Hall matching at this capacity".
-type ClassTable = HashMap<(String, u32), Option<Arc<RoutingClass>>>;
-
-impl RoutingMemo {
-    /// An empty cache.
-    pub fn new() -> RoutingMemo {
-        RoutingMemo::default()
-    }
-
-    /// The class for `(base, k)`, building (and verifying) it on first
-    /// request. `None` is also memoized: a base graph without a Hall
-    /// matching stays without one.
-    pub fn class(&self, base: &BaseGraph, k: u32, pool: &Pool) -> Option<Arc<RoutingClass>> {
-        let key = (base.name().to_string(), k);
-        let ekey = events::memo_key(base.name(), k);
-        // A panic inside `RoutingClass::build` (isolated by a caller's
-        // `catch_unwind`, as the serve tier does per job) poisons this
-        // mutex without ever leaving the table inconsistent — the insert
-        // only happens after a successful build. Recover the guard so one
-        // panicking request cannot permanently poison the memo for every
-        // request after it.
-        let mut classes = self
-            .classes
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        // Emitted while the lock is held, so the trace's lock/fill/unlock
-        // triples nest correctly (see mmio-parallel's events module docs).
-        events::emit(SyncEvent::MemoLock);
-        if let Some(cached) = classes.get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            events::emit(SyncEvent::MemoHit { key: ekey });
-            events::emit(SyncEvent::MemoUnlock);
-            return cached.clone();
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        // The class is built *inside* the critical section: lost updates
-        // and double-fills are impossible by construction, which is exactly
-        // what mmio-check's model checker certifies (and what its buggy
-        // check-then-act variant demonstrably violates).
-        let built = RoutingClass::build(base, k, pool).map(Arc::new);
-        classes.insert(key, built.clone());
-        events::emit(SyncEvent::MemoFill { key: ekey });
-        events::emit(SyncEvent::MemoUnlock);
-        built
-    }
-
-    /// `(cache hits, cache misses)` so far.
-    pub fn stats(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
     }
 }
 
@@ -532,9 +450,8 @@ mod tests {
     #[test]
     fn transported_copies_verify_and_are_uniform() {
         let pool = Pool::serial();
-        let memo = RoutingMemo::new();
         for base in [strassen(), winograd()] {
-            let class = memo.class(&base, 1, &pool).unwrap();
+            let class = RoutingClass::build(&base, 1, &pool).unwrap();
             let g = build_cdag(&base, 3);
             let report = verify_transported(&g, &class, &pool);
             assert_eq!(report.copies, 49); // b^{r-k} = 7²
@@ -556,7 +473,7 @@ mod tests {
         // each copy, or its violation count or uniformity leaves the
         // oracle's.
         let base = strassen();
-        let class = memo.class(&base, 1, &pool).unwrap();
+        let class = RoutingClass::build(&base, 1, &pool).unwrap();
         let view = IndexView::from_base(&base, 3);
         let target = class.paths().path(0)[1];
         let hidden = (1..49)
@@ -585,19 +502,6 @@ mod tests {
                 "threads={threads}"
             );
         }
-    }
-
-    #[test]
-    fn memo_caches_per_algorithm_and_depth() {
-        let pool = Pool::serial();
-        let memo = RoutingMemo::new();
-        let c1 = memo.class(&strassen(), 1, &pool).unwrap();
-        let c2 = memo.class(&strassen(), 1, &pool).unwrap();
-        assert!(Arc::ptr_eq(&c1, &c2), "same (algo, k) must share the class");
-        let c3 = memo.class(&strassen(), 2, &pool).unwrap();
-        assert!(!Arc::ptr_eq(&c1, &c3));
-        let _ = memo.class(&laderman(), 1, &pool).unwrap();
-        assert_eq!(memo.stats(), (1, 3)); // one hit, three builds
     }
 
     #[test]

@@ -4,6 +4,7 @@
 
 use mmio_algos::registry::{all_base_graphs, theorem1_base_graphs};
 use mmio_algos::Executor;
+use mmio_analyze::{audit_schedule, Report};
 use mmio_cdag::build::{build_cdag, build_checked};
 use mmio_cdag::traversal::eval_outputs;
 use mmio_cdag::{IndexView, MetaVertices};
@@ -14,7 +15,6 @@ use mmio_matrix::random::random_i64_matrix;
 use mmio_matrix::Rational;
 use mmio_pebble::orders::{is_valid_compute_order, recursive_order};
 use mmio_pebble::policy::{Belady, Lru};
-use mmio_pebble::sim::simulate;
 use mmio_pebble::AutoScheduler;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -90,8 +90,15 @@ fn scheduler_schedules_replay_exactly_for_every_graph() {
         let m = g.vertices().map(|v| g.preds(v).len()).max().unwrap().max(7) + 1;
         let sched = AutoScheduler::new(&g, m);
         let (stats, schedule) = sched.run_recorded(&order, &Lru);
-        let replayed = simulate(&g, &schedule, m).expect("valid schedule");
-        assert_eq!(replayed, stats, "{}", base.name());
+        let mut report = Report::new();
+        let audit = audit_schedule(&g, &schedule, m, &mut report);
+        assert!(!report.has_errors(), "{}: {report:?}", base.name());
+        assert_eq!(
+            (audit.loads, audit.stores, audit.computes),
+            (stats.loads, stats.stores, stats.computes),
+            "{}",
+            base.name()
+        );
     }
 }
 

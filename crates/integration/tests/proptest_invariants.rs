@@ -2,6 +2,7 @@
 
 use mmio_algos::strassen::strassen;
 use mmio_algos::Executor;
+use mmio_analyze::{audit_schedule, Report};
 use mmio_cdag::build::build_cdag;
 use mmio_cdag::index;
 use mmio_matrix::classical::{multiply_blocked, multiply_naive};
@@ -9,7 +10,6 @@ use mmio_matrix::solve::{rank, solve};
 use mmio_matrix::{Matrix, Rational};
 use mmio_pebble::orders::{is_valid_compute_order, random_topo_order};
 use mmio_pebble::policy::{Belady, Lru};
-use mmio_pebble::sim::simulate;
 use mmio_pebble::AutoScheduler;
 use proptest::prelude::*;
 
@@ -79,8 +79,13 @@ proptest! {
         prop_assert!(is_valid_compute_order(&g, &order));
         let sched = AutoScheduler::new(&g, 8);
         let (stats, schedule) = sched.run_recorded(&order, &Lru);
-        let replay = simulate(&g, &schedule, 8).expect("recorded schedule valid");
-        prop_assert_eq!(replay, stats);
+        let mut report = Report::new();
+        let audit = audit_schedule(&g, &schedule, 8, &mut report);
+        prop_assert!(!report.has_errors(), "recorded schedule invalid: {:?}", report);
+        prop_assert_eq!(
+            (audit.loads, audit.stores, audit.computes),
+            (stats.loads, stats.stores, stats.computes)
+        );
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! Sync-event instrumentation: a zero-cost-when-disabled shim over the
 //! workspace's synchronization points.
 //!
-//! The [`crate::pool::Pool`] and the `mmio-core` routing memo are
-//! load-bearing concurrency: every certification and bench path runs
-//! through them. `mmio-check` re-verifies that concurrency with a
-//! happens-before race detector over *recorded* executions — which needs a
-//! trace of every synchronization action (range-cursor claims, worker
-//! completion and joins, memo lock/fill/hit/unlock) in a total order.
+//! The [`crate::pool::Pool`] is load-bearing concurrency: every
+//! certification and bench path runs through it. `mmio-check` re-verifies
+//! that concurrency with a happens-before race detector over *recorded*
+//! executions — which needs a trace of every synchronization action
+//! (range-cursor claims, worker completion and joins) in a total order.
 //!
 //! This module is that tap. Call sites emit a [`SyncEvent`] through
 //! [`emit`]; the call compiles to nothing unless the `trace` cargo feature
@@ -49,20 +48,6 @@ pub enum SyncEvent {
         /// Pool-local worker index.
         worker: u32,
     },
-    /// The routing-memo mutex was acquired.
-    MemoLock,
-    /// Cache hit for the class keyed by `key` (see [`memo_key`]).
-    MemoHit {
-        /// Stable hash of the `(algorithm, k)` memo key.
-        key: u64,
-    },
-    /// The class keyed by `key` was built and inserted (cache fill).
-    MemoFill {
-        /// Stable hash of the `(algorithm, k)` memo key.
-        key: u64,
-    },
-    /// The routing-memo mutex was released.
-    MemoUnlock,
 }
 
 /// One recorded event: which trace-local thread emitted what.
@@ -96,17 +81,6 @@ impl SyncTrace {
     pub fn n_threads(&self) -> usize {
         self.events.iter().map(|e| e.thread + 1).max().unwrap_or(0) as usize
     }
-}
-
-/// Stable FNV-1a hash of a routing-memo key, so memo events carry a
-/// compact identifier instead of an owned string.
-pub fn memo_key(name: &str, k: u32) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in name.bytes().chain(k.to_le_bytes()) {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(feature = "trace")]
@@ -206,17 +180,25 @@ mod tests {
     #[test]
     fn record_captures_events_in_order() {
         let ((), trace) = record(|| {
-            emit(SyncEvent::MemoLock);
-            emit(SyncEvent::MemoFill { key: 7 });
-            emit(SyncEvent::MemoUnlock);
+            emit(SyncEvent::CursorFetchAdd {
+                range: 0,
+                claimed: 0,
+                hit: true,
+            });
+            emit(SyncEvent::WorkerDone { worker: 0 });
+            emit(SyncEvent::WorkerJoin { worker: 0 });
         });
         let events: Vec<SyncEvent> = trace.events.iter().map(|e| e.event).collect();
         assert_eq!(
             events,
             vec![
-                SyncEvent::MemoLock,
-                SyncEvent::MemoFill { key: 7 },
-                SyncEvent::MemoUnlock
+                SyncEvent::CursorFetchAdd {
+                    range: 0,
+                    claimed: 0,
+                    hit: true
+                },
+                SyncEvent::WorkerDone { worker: 0 },
+                SyncEvent::WorkerJoin { worker: 0 }
             ]
         );
         assert_eq!(trace.n_threads(), 1);
@@ -224,7 +206,7 @@ mod tests {
 
     #[test]
     fn nothing_recorded_outside_sessions() {
-        emit(SyncEvent::MemoLock); // dropped silently
+        emit(SyncEvent::WorkerDone { worker: 0 }); // dropped silently
         let ((), trace) = record(|| {});
         assert!(trace.is_empty());
     }
@@ -233,8 +215,8 @@ mod tests {
     fn threads_get_session_local_indices() {
         let ((), trace) = record(|| {
             std::thread::scope(|s| {
-                for _ in 0..2 {
-                    s.spawn(|| emit(SyncEvent::MemoLock));
+                for w in 0..2 {
+                    s.spawn(move || emit(SyncEvent::WorkerDone { worker: w }));
                 }
             });
         });
@@ -242,12 +224,5 @@ mod tests {
         let mut threads: Vec<u32> = trace.events.iter().map(|e| e.thread).collect();
         threads.sort_unstable();
         assert_eq!(threads, vec![0, 1]);
-    }
-
-    #[test]
-    fn memo_key_is_stable_and_distinguishes() {
-        assert_eq!(memo_key("strassen", 2), memo_key("strassen", 2));
-        assert_ne!(memo_key("strassen", 2), memo_key("strassen", 3));
-        assert_ne!(memo_key("strassen", 2), memo_key("winograd", 2));
     }
 }

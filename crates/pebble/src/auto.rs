@@ -413,7 +413,7 @@ impl<'g, G: PebbleGraph> AutoScheduler<'g, G> {
     }
 
     /// Like [`AutoScheduler::run`], additionally returning the explicit
-    /// schedule (for validation against [`crate::sim::simulate`]).
+    /// schedule (for validation against a schedule checker).
     pub fn run_recorded(&self, order: &[VertexId], policy: &PolicySpec) -> (IoStats, Schedule) {
         let uses = UseLists::new(self.g, order);
         let out = self.run_prepared(

@@ -110,7 +110,7 @@ impl<'g> ReferenceScheduler<'g> {
     }
 
     /// Like [`ReferenceScheduler::run`], additionally returning the explicit
-    /// schedule (for validation against [`crate::sim::simulate`]).
+    /// schedule (for validation against the test-only `sim` replay).
     pub fn run_recorded(&self, order: &[VertexId], policy: &PolicySpec) -> (IoStats, Schedule) {
         let (stats, sched, _) = self.run_detailed(order, policy, true);
         (stats, sched.expect("recording was requested"))

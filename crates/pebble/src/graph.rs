@@ -1,8 +1,8 @@
 //! The scheduler's minimal graph interface, and a compact materialization
 //! of any [`CdagView`] behind it.
 //!
-//! The pebble engines ([`crate::AutoScheduler`], [`crate::sim::simulate`],
-//! the order validators) consume exactly four things: the vertex count,
+//! The pebble engines ([`crate::AutoScheduler`], the test-only `sim`
+//! replay, the order validators) consume exactly four things: the vertex count,
 //! predecessor lists, and the input/output predicates. [`PebbleGraph`] pins
 //! that surface so the engines run against either a full [`Cdag`] or a
 //! [`ViewGraph`] — a predecessors-only CSR materialized from a closed-form

@@ -19,7 +19,6 @@
 //! The *I/O-complexity* of an algorithm is the minimum number of I/Os over
 //! all valid schedules. This crate provides:
 //!
-//! - [`sim`]: a strict validator/counter for explicit schedules;
 //! - [`auto`]: a scheduler that turns a *compute order* into a valid
 //!   schedule under a [`PolicySpec`] (LRU, Belady's MIN, seeded random, see
 //!   [`policy`]) and counts its I/O — the workhorse of every upper-bound
@@ -41,6 +40,11 @@
 //! in test builds only as `auto::reference`, and every release is held to
 //! an exact equivalence contract between the two (same stats, same
 //! schedules, same eviction sequences — see `src/auto/equivalence.rs`).
+//! The strict replay of explicit schedules against the model rules,
+//! `sim`, is likewise a test-only oracle: both engines' recorded schedules
+//! are replayed through it. Release builds check schedule legality with
+//! `mmio_analyze::audit_schedule` (`mmio analyze`) and the `mmio-cert`
+//! replay (`mmio cert verify`), which share no code with `sim`.
 //!
 //! ```
 //! use mmio_algos::strassen::strassen;
@@ -70,7 +74,8 @@ pub mod mutate;
 pub mod orders;
 pub mod policy;
 pub mod schedule;
-pub mod sim;
+#[cfg(test)]
+mod sim;
 pub mod stats;
 pub mod sweep;
 

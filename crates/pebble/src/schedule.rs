@@ -20,7 +20,7 @@ pub enum Action {
 }
 
 /// An explicit schedule: the exhaustive record of a run, checkable by
-/// [`crate::sim::simulate`].
+/// `mmio_analyze::audit_schedule` and the `mmio-cert` replay.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Schedule {
     /// The actions, in execution order.

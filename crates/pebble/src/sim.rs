@@ -1,4 +1,7 @@
-//! Strict simulation of explicit schedules against the model rules.
+//! Strict simulation of explicit schedules against the model rules: the
+//! test-only oracle the engines' recorded schedules are replayed through
+//! (release builds check schedules with `mmio_analyze::audit_schedule` and
+//! the `mmio-cert` replay).
 //!
 //! Cache state is a membership bitmap (`Vec<bool>`) plus an occupancy
 //! counter — the simulator only ever asks "is v cached?" and "how many are

@@ -491,13 +491,17 @@ fn compute(shared: &Shared, op: &Op) -> Result<String, ComputeError> {
         code: codes::SERVE_BAD_REQUEST,
         detail,
     };
-    let resolve = |algo: &str| {
-        ops::resolve_registry(algo)
-            .ok_or_else(|| bad(format!("unknown algorithm {algo:?} (registry names only)")))
+    // Resolves the registry algorithm and rejects a depth whose `G_r`
+    // exceeds u32 vertex ids, as the CLI does.
+    let resolve = |algo: &str, r: u32| {
+        let base = ops::resolve_registry(algo)
+            .ok_or_else(|| bad(format!("unknown algorithm {algo:?} (registry names only)")))?;
+        ops::check_depth(&base, r).map_err(bad)?;
+        Ok(base)
     };
     match op {
         Op::Certify { algo, r, m } => {
-            let base = resolve(algo)?;
+            let base = resolve(algo, *r)?;
             Ok(ops::certify_text(
                 &base,
                 *r,
@@ -507,15 +511,16 @@ fn compute(shared: &Shared, op: &Op) -> Result<String, ComputeError> {
             ))
         }
         Op::Analyze { algo, r } => {
-            let base = resolve(algo)?;
+            let base = resolve(algo, *r)?;
             Ok(ops::analyze_json(&base, *r).0)
         }
         Op::Sweep { algo, r, ms } => {
-            let base = resolve(algo)?;
+            let base = resolve(algo, *r)?;
             Ok(ops::sweep_json(&base, *r, ms, &shared.pool))
         }
         Op::RoutingCert { algo, k, r } => {
-            let base = resolve(algo)?;
+            // `k ≤ r` (checked at parse time), so `G_k` fits when `G_r` does.
+            let base = resolve(algo, *r)?;
             ops::routing_cert_json(&base, *k, *r, &shared.pool).ok_or_else(|| ComputeError {
                 status: Status::Error,
                 code: codes::SERVE_BAD_REQUEST,
@@ -597,6 +602,61 @@ mod tests {
             },
         });
         assert_eq!(resp.status, Status::BadRequest);
+        assert_eq!(resp.code, Some(codes::SERVE_BAD_REQUEST));
+        assert!(e.shutdown(Duration::from_secs(5)));
+    }
+
+    #[test]
+    fn too_deep_r_is_bad_request_not_panic() {
+        let e = engine(None);
+        let algo = || "strassen".to_string();
+        let ops = [
+            Op::Certify {
+                algo: algo(),
+                r: 40,
+                m: 64,
+            },
+            Op::Analyze {
+                algo: algo(),
+                r: 40,
+            },
+            Op::Sweep {
+                algo: algo(),
+                r: 40,
+                ms: vec![64],
+            },
+            Op::RoutingCert {
+                algo: algo(),
+                k: 1,
+                r: 40,
+            },
+        ];
+        for (id, op) in ops.into_iter().enumerate() {
+            let kind = op.kind();
+            let resp = e.submit(Request {
+                id: id as u64,
+                deadline_ms: None,
+                op,
+            });
+            assert_eq!(resp.status, Status::BadRequest, "{kind}: {resp:?}");
+            assert_eq!(resp.code, Some(codes::SERVE_BAD_REQUEST), "{kind}");
+            assert_eq!(
+                resp.error.as_deref(),
+                Some("strassen: r = 40 is too deep (G_r exceeds u32 vertex ids)"),
+                "{kind}"
+            );
+        }
+        assert_eq!(e.counters().panics.load(Ordering::Relaxed), 0);
+        assert!(e.shutdown(Duration::from_secs(5)));
+    }
+
+    #[test]
+    fn routing_cert_with_k_zero_is_bad_request() {
+        let e = engine(None);
+        let (resp, shutdown) =
+            e.handle_line(r#"{"id":3,"op":"routing_cert","algo":"strassen","k":0,"r":2}"#);
+        assert!(!shutdown);
+        assert_eq!(resp.status, Status::BadRequest, "{resp:?}");
         assert_eq!(resp.code, Some(codes::SERVE_BAD_REQUEST));
         assert!(e.shutdown(Duration::from_secs(5)));
     }

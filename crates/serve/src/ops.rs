@@ -63,6 +63,20 @@ pub fn use_implicit(mode: ViewMode, base: &BaseGraph, r: u32) -> bool {
     }
 }
 
+/// Passes the depth `r` of `base` through, or rejects it with a one-line
+/// message when `G_r` exceeds the dense `u32` vertex-id space that
+/// `IndexView::new` and `build_cdag` enforce, so no CLI command or serve
+/// request reaches a constructor that panics.
+pub fn check_depth(base: &BaseGraph, r: u32) -> Result<u32, String> {
+    match count_vertices(base.a() as u64, base.b() as u64, r) {
+        Some(n) if n <= u64::from(u32::MAX) => Ok(r),
+        _ => Err(format!(
+            "{}: r = {r} is too deep (G_r exceeds u32 vertex ids)",
+            base.name()
+        )),
+    }
+}
+
 /// Looks up a *registry* algorithm by name. The serve tier resolves
 /// through this only — a network request never names a filesystem path.
 pub fn resolve_registry(name: &str) -> Option<BaseGraph> {

@@ -366,6 +366,9 @@ impl Request {
             "routing_cert" => {
                 let k = get_u32(&v, "k")?;
                 let r = get_u32(&v, "r")?;
+                if k == 0 {
+                    return Err(ParseError("routing_cert requires k ≥ 1".to_string()));
+                }
                 if k > r {
                     return Err(ParseError(format!(
                         "routing_cert requires k ≤ r ({k} > {r})"
@@ -496,6 +499,7 @@ mod tests {
             r#"{"id":1,"op":"sweep","algo":"strassen","r":1,"ms":[]}"#,
             r#"{"id":1,"op":"sweep","algo":"strassen","r":1,"ms":"all"}"#,
             r#"{"id":1,"op":"routing_cert","algo":"strassen","k":3,"r":1}"#,
+            r#"{"id":1,"op":"routing_cert","algo":"strassen","k":0,"r":1}"#,
         ] {
             assert!(Request::from_line(bad).is_err(), "{bad:?} must not parse");
         }
