@@ -1,17 +1,17 @@
 //! Materialization of the recursive CDAG `G_r` from its closed form.
 
 use crate::base::BaseGraph;
-use crate::graph::{Cdag, Layer, VertexId, VertexRef};
+use crate::graph::{Cdag, Layer};
 use crate::index;
 use crate::view::IndexView;
 
 /// Builds the CDAG `G_r` of `base` applied recursively `r` times
 /// (multiplying `n₀^r × n₀^r` matrices).
 ///
-/// The graph is the one [`IndexView`] defines; this walks every segment in
-/// dense order, collects the view's predecessor lists into CSR, and
-/// derives the successor CSR by a counting-sort inversion. Edge rules
-/// (coefficients are the base-graph coefficients):
+/// The graph is the one [`IndexView`] defines; this fills both CSR halves
+/// from the view's block rules, segment by segment in dense order, into
+/// vectors sized by the closed-form edge count. Edge rules (coefficients
+/// are the base-graph coefficients):
 ///
 /// - encoding rank `t-1 → t`: vertex `(m; x_t, xs)` feeds `(m·b+τ; xs)`
 ///   whenever `enc[τ][x_t] ≠ 0`;
@@ -27,50 +27,8 @@ pub fn build_cdag(base: &BaseGraph, r: u32) -> Cdag {
         Ok(view) => view,
         Err(e) => panic!("CDAG too large for u32 vertex ids: {e}"),
     };
-    let n = view.n_vertices() as usize;
-
-    // Predecessor CSR, vertex by vertex in dense order.
-    let mut pred_off = Vec::with_capacity(n + 1);
-    let mut pred_tgt: Vec<VertexId> = Vec::new();
-    pred_off.push(0u32);
-    for layer in [Layer::EncA, Layer::EncB, Layer::Dec] {
-        for level in 0..=r {
-            let width = view.entry_width(layer, level);
-            let seg = view.segment(layer, level);
-            for mul in 0..(seg.end - seg.start) / width {
-                for entry in 0..width {
-                    let v = VertexRef {
-                        layer,
-                        level,
-                        mul,
-                        entry,
-                    };
-                    view.preds_of(v, &mut |p| pred_tgt.push(VertexId(p)));
-                    pred_off.push(pred_tgt.len() as u32);
-                }
-            }
-        }
-    }
-
-    // Successor CSR by counting sort: count into the shifted offsets,
-    // prefix-sum, then scatter in dense order, so every successor list is
-    // ascending.
-    let mut succ_off = vec![0u32; n + 1];
-    for p in &pred_tgt {
-        succ_off[p.idx() + 1] += 1;
-    }
-    for i in 0..n {
-        succ_off[i + 1] += succ_off[i];
-    }
-    let mut succ_tgt = vec![VertexId(0); pred_tgt.len()];
-    let mut cursor = succ_off.clone();
-    for v in 0..n {
-        for p in &pred_tgt[pred_off[v] as usize..pred_off[v + 1] as usize] {
-            succ_tgt[cursor[p.idx()] as usize] = VertexId(v as u32);
-            cursor[p.idx()] += 1;
-        }
-    }
-
+    let (pred_off, pred_tgt) = view.csr(false);
+    let (succ_off, succ_tgt) = view.csr(true);
     Cdag::from_parts(base.clone(), view, pred_off, pred_tgt, succ_off, succ_tgt)
 }
 
@@ -92,36 +50,77 @@ pub fn build_checked(base: &BaseGraph, r: u32) -> Cdag {
     g
 }
 
+/// The per-vertex build the block rules replaced: predecessors vertex by
+/// vertex through [`IndexView::preds_of`], successors by a counting-sort
+/// inversion of the predecessor CSR. The test oracle of [`build_cdag`].
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use mmio_matrix::{Matrix, Rational};
-
-    fn r_(n: i64) -> Rational {
-        Rational::integer(n)
-    }
-
-    /// Classical 2×2 multiplication as a base graph: b = 8 products
-    /// `a_{ik}·b_{kj}`, outputs `c_{ij} = Σ_k`.
-    fn classical2() -> BaseGraph {
-        let n0 = 2;
-        let a = 4;
-        let b = 8;
-        let mut enc_a = Matrix::zeros(b, a);
-        let mut enc_b = Matrix::zeros(b, a);
-        let mut dec = Matrix::zeros(a, b);
-        let mut m = 0;
-        for i in 0..n0 {
-            for j in 0..n0 {
-                for k in 0..n0 {
-                    enc_a[(m, i * n0 + k)] = r_(1);
-                    enc_b[(m, k * n0 + j)] = r_(1);
-                    dec[(i * n0 + j, m)] = r_(1);
-                    m += 1;
+pub(crate) fn build_per_vertex(base: &BaseGraph, r: u32) -> Cdag {
+    use crate::graph::{VertexId, VertexRef};
+    let view = IndexView::of_base(base, r).expect("test graphs fit u32 ids");
+    let n = view.n_vertices() as usize;
+    let mut pred_off = vec![0u32];
+    let mut pred_tgt: Vec<VertexId> = Vec::new();
+    for layer in [Layer::EncA, Layer::EncB, Layer::Dec] {
+        for level in 0..=r {
+            let width = view.entry_width(layer, level);
+            let seg = view.segment(layer, level);
+            for mul in 0..(seg.end - seg.start) / width {
+                for entry in 0..width {
+                    let v = VertexRef {
+                        layer,
+                        level,
+                        mul,
+                        entry,
+                    };
+                    view.preds_of(v, &mut |p| pred_tgt.push(VertexId(p)));
+                    pred_off.push(pred_tgt.len() as u32);
                 }
             }
         }
-        BaseGraph::new("classical2", n0, enc_a, enc_b, dec)
+    }
+    // Count into the shifted offsets, prefix-sum, then scatter in dense
+    // order, so every successor list is ascending.
+    let mut succ_off = vec![0u32; n + 1];
+    for p in &pred_tgt {
+        succ_off[p.idx() + 1] += 1;
+    }
+    for i in 0..n {
+        succ_off[i + 1] += succ_off[i];
+    }
+    let mut succ_tgt = vec![VertexId(0); pred_tgt.len()];
+    let mut cursor = succ_off.clone();
+    for v in 0..n {
+        for p in &pred_tgt[pred_off[v] as usize..pred_off[v + 1] as usize] {
+            succ_tgt[cursor[p.idx()] as usize] = VertexId(v as u32);
+            cursor[p.idx()] += 1;
+        }
+    }
+    Cdag::from_parts(base.clone(), view, pred_off, pred_tgt, succ_off, succ_tgt)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fixtures::{classical2, decoding_copy, no_copy};
+
+    /// The block-built CSR equals the per-vertex build's, vertex by vertex
+    /// in both directions: the predecessors against the per-vertex rule,
+    /// the successors against the counting-sort inversion.
+    #[test]
+    fn block_build_matches_per_vertex_oracle() {
+        for (base, max_r) in [(classical2(), 3), (no_copy(), 4), (decoding_copy(), 5)] {
+            for r in 0..=max_r {
+                let (got, want) = (build_cdag(&base, r), build_per_vertex(&base, r));
+                assert_eq!(got.n_vertices(), want.n_vertices());
+                assert_eq!(got.n_edges() as u64, got.view().n_edges());
+                for v in want.vertices() {
+                    let at = format!("{} r={r} v={}", base.name(), v.0);
+                    assert_eq!(got.preds(v), want.preds(v), "preds of {at}");
+                    assert_eq!(got.succs(v), want.succs(v), "succs of {at}");
+                }
+                assert_eq!(got.n_edges(), want.n_edges());
+            }
+        }
     }
 
     #[test]

@@ -105,28 +105,10 @@ pub fn classify(base: &BaseGraph) -> BaseGraphProperties {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::classical2;
 
     fn r(n: i64) -> Rational {
         Rational::integer(n)
-    }
-
-    fn classical2() -> BaseGraph {
-        let n0 = 2;
-        let mut enc_a = Matrix::zeros(8, 4);
-        let mut enc_b = Matrix::zeros(8, 4);
-        let mut dec = Matrix::zeros(4, 8);
-        let mut m = 0;
-        for i in 0..n0 {
-            for j in 0..n0 {
-                for k in 0..n0 {
-                    enc_a[(m, i * n0 + k)] = r(1);
-                    enc_b[(m, k * n0 + j)] = r(1);
-                    dec[(i * n0 + j, m)] = r(1);
-                    m += 1;
-                }
-            }
-        }
-        BaseGraph::new("classical2", n0, enc_a, enc_b, dec)
     }
 
     #[test]

@@ -66,27 +66,8 @@ pub fn verify_embedding(src: &Cdag, dst: &Cdag, map: &[VertexId]) -> Result<(), 
 mod tests {
     use super::*;
     use crate::build::build_cdag;
+    use crate::fixtures::classical2;
     use crate::view::CdagView;
-    use mmio_matrix::{Matrix, Rational};
-
-    fn classical2() -> crate::BaseGraph {
-        let n0 = 2;
-        let mut enc_a = Matrix::zeros(8, 4);
-        let mut enc_b = Matrix::zeros(8, 4);
-        let mut dec = Matrix::zeros(4, 8);
-        let mut m = 0;
-        for i in 0..n0 {
-            for j in 0..n0 {
-                for k in 0..n0 {
-                    enc_a[(m, i * n0 + k)] = Rational::ONE;
-                    enc_b[(m, k * n0 + j)] = Rational::ONE;
-                    dec[(i * n0 + j, m)] = Rational::ONE;
-                    m += 1;
-                }
-            }
-        }
-        crate::BaseGraph::new("classical2", n0, enc_a, enc_b, dec)
-    }
 
     /// Every Fact-1 lift is an induced, edge- and coefficient-preserving
     /// embedding of `G_k` into `G_r`, at every depth `k ≤ r`.

@@ -55,6 +55,8 @@ pub mod build;
 pub mod connectivity;
 pub mod csr;
 pub mod dot;
+#[cfg(test)]
+mod fixtures;
 pub mod graph;
 pub mod hits;
 pub mod index;
@@ -78,30 +80,11 @@ pub use view::{CdagView, IndexView, ViewError};
 mod fact1 {
     mod tests {
         use crate::build::build_cdag;
+        use crate::fixtures::classical2;
         use crate::index;
         use crate::iso::verify_embedding;
-        use crate::{BaseGraph, Cdag, CdagView, Layer, VertexId, VertexRef};
-        use mmio_matrix::{Matrix, Rational};
+        use crate::{Cdag, CdagView, Layer, VertexId, VertexRef};
         use std::collections::HashSet;
-
-        fn classical2() -> BaseGraph {
-            let n0 = 2;
-            let mut enc_a = Matrix::zeros(8, 4);
-            let mut enc_b = Matrix::zeros(8, 4);
-            let mut dec = Matrix::zeros(4, 8);
-            let mut m = 0;
-            for i in 0..n0 {
-                for j in 0..n0 {
-                    for k in 0..n0 {
-                        enc_a[(m, i * n0 + k)] = Rational::ONE;
-                        enc_b[(m, k * n0 + j)] = Rational::ONE;
-                        dec[(i * n0 + j, m)] = Rational::ONE;
-                        m += 1;
-                    }
-                }
-            }
-            BaseGraph::new("classical2", n0, enc_a, enc_b, dec)
-        }
 
         /// Inverse of the lift: the `G_k` vertex that `v` is in copy
         /// `prefix`, or `None` when `v` lies outside that copy. Strips the

@@ -150,8 +150,7 @@ impl MetaVertices {
         for i in 0..closure.members().len() {
             let v = closure.members()[i];
             adj.clear();
-            g.preds_into(v, &mut adj);
-            g.succs_into(v, &mut adj);
+            g.adj_into(v, &mut adj);
             for &w in &adj {
                 if closure.includes(w) {
                     continue;
@@ -262,46 +261,9 @@ impl MetaClosure {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::base::BaseGraph;
     use crate::build::build_cdag;
+    use crate::fixtures::{classical2, decoding_copy, no_copy};
     use crate::graph::Layer;
-    use mmio_matrix::{Matrix, Rational};
-
-    fn r_(n: i64) -> Rational {
-        Rational::integer(n)
-    }
-
-    fn classical2() -> BaseGraph {
-        let n0 = 2;
-        let mut enc_a = Matrix::zeros(8, 4);
-        let mut enc_b = Matrix::zeros(8, 4);
-        let mut dec = Matrix::zeros(4, 8);
-        let mut m = 0;
-        for i in 0..n0 {
-            for j in 0..n0 {
-                for k in 0..n0 {
-                    enc_a[(m, i * n0 + k)] = r_(1);
-                    enc_b[(m, k * n0 + j)] = r_(1);
-                    dec[(i * n0 + j, m)] = r_(1);
-                    m += 1;
-                }
-            }
-        }
-        BaseGraph::new("classical2", n0, enc_a, enc_b, dec)
-    }
-
-    /// A 1×1 base graph with no copying at all: every row is nontrivial
-    /// (scaled), kept correct by compensating in the decoder:
-    /// c = (2a)(3b)·(1/6).
-    fn no_copy() -> BaseGraph {
-        BaseGraph::new(
-            "scaled",
-            1,
-            Matrix::from_vec(1, 1, vec![r_(2)]),
-            Matrix::from_vec(1, 1, vec![r_(3)]),
-            Matrix::from_vec(1, 1, vec![Rational::new(1, 6)]),
-        )
-    }
 
     #[test]
     fn classical_has_full_copying() {
@@ -437,20 +399,6 @@ mod tests {
             );
             assert_eq!(closure.flag(outside, 1), 0);
         }
-    }
-
-    /// `c = a·b` over a 1×1 base with three products, one decoding row
-    /// copying product 1, and a mix of trivial and scaled encoding rows:
-    /// the only shape with a trivial decoding row (for `n₀ ≥ 2` no single
-    /// product equals an output).
-    fn decoding_copy() -> BaseGraph {
-        BaseGraph::new(
-            "decoding-copy",
-            1,
-            Matrix::from_vec(3, 1, vec![r_(2), r_(1), r_(1)]),
-            Matrix::from_vec(3, 1, vec![r_(1), r_(1), r_(5)]),
-            Matrix::from_vec(1, 3, vec![r_(0), r_(1), r_(0)]),
-        )
     }
 
     /// The segment walk's roots against the per-vertex `copy_parent`

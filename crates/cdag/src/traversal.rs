@@ -127,33 +127,10 @@ pub fn eval_outputs<T: Scalar>(g: &Cdag, a: &Matrix<T>, b: &Matrix<T>) -> Matrix
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::base::BaseGraph;
     use crate::build::build_cdag;
+    use crate::fixtures::classical2;
     use mmio_matrix::classical::multiply_naive;
-    use mmio_matrix::{Matrix, Rational};
-
-    fn r_(n: i64) -> Rational {
-        Rational::integer(n)
-    }
-
-    fn classical2() -> BaseGraph {
-        let n0 = 2;
-        let mut enc_a = Matrix::zeros(8, 4);
-        let mut enc_b = Matrix::zeros(8, 4);
-        let mut dec = Matrix::zeros(4, 8);
-        let mut m = 0;
-        for i in 0..n0 {
-            for j in 0..n0 {
-                for k in 0..n0 {
-                    enc_a[(m, i * n0 + k)] = r_(1);
-                    enc_b[(m, k * n0 + j)] = r_(1);
-                    dec[(i * n0 + j, m)] = r_(1);
-                    m += 1;
-                }
-            }
-        }
-        BaseGraph::new("classical2", n0, enc_a, enc_b, dec)
-    }
+    use mmio_matrix::Matrix;
 
     #[test]
     fn dense_order_is_topological_order() {

@@ -13,9 +13,10 @@
 //!   generic over, with the Fact-1 lift as [`CdagView::lift_from`];
 //! - [`IndexView`], the closed form: `O(a·b)` memory regardless of `r`,
 //!   every query answered by arithmetic. It is the *only* place `G_r` is
-//!   defined — [`crate::build::build_cdag`] materializes a [`Cdag`] by
-//!   collecting the view's predecessor lists into CSR, and the `Cdag` reads
-//!   its layout, addressing and coefficients back from the view. The
+//!   defined — its edges are one block rule per segment and direction,
+//!   [`crate::build::build_cdag`] materializes a [`Cdag`] by filling both
+//!   CSR halves from those rules, and the `Cdag` reads its layout,
+//!   addressing and coefficients back from the view. The
 //!   certificate verifier consumes the same implementation through a
 //!   re-export in `mmio-cert::view`, so its trust base is `mmio-cdag`.
 //!
@@ -117,6 +118,17 @@ pub trait CdagView {
     /// Appends `v`'s successors (in dense-id order) to `out`; `false` if
     /// `v` is out of range. Does not clear `out`.
     fn succs_into(&self, v: VertexId, out: &mut Vec<VertexId>) -> bool;
+    /// Appends `v`'s predecessors and then its successors to `out`, as
+    /// [`CdagView::preds_into`] and [`CdagView::succs_into`] would, and
+    /// returns the number of predecessors. An out-of-range `v` appends
+    /// nothing and returns 0. Does not clear `out`.
+    fn adj_into(&self, v: VertexId, out: &mut Vec<VertexId>) -> usize {
+        let before = out.len();
+        self.preds_into(v, out);
+        let n_preds = out.len() - before;
+        self.succs_into(v, out);
+        n_preds
+    }
     /// Whether `v` is an input (encoding level 0 of either side).
     fn is_input(&self, v: VertexId) -> bool;
     /// Whether `v` is an output (decoding level `r`).
@@ -243,6 +255,15 @@ impl CdagView for Cdag {
         out.extend_from_slice(self.succs(v));
         true
     }
+    fn adj_into(&self, v: VertexId, out: &mut Vec<VertexId>) -> usize {
+        if v.idx() >= Cdag::n_vertices(self) {
+            return 0;
+        }
+        let preds = self.preds(v);
+        out.extend_from_slice(preds);
+        out.extend_from_slice(self.succs(v));
+        preds.len()
+    }
     fn is_input(&self, v: VertexId) -> bool {
         Cdag::is_input(self, v)
     }
@@ -312,6 +333,108 @@ impl RowTable {
 /// The coefficients a product vertex applies to its two operands.
 static PRODUCT_COEFFS: [Rational; 2] = [Rational::ONE, Rational::ONE];
 
+/// Index of the predecessor [`Rule`] in [`IndexView::rules`].
+const PRED: usize = 0;
+/// Index of the successor [`Rule`] in [`IndexView::rules`].
+const SUCC: usize = 1;
+
+/// Every base-row list the rules read, flattened: list `i` is
+/// `items[starts[i]..starts[i + 1]]`, ascending.
+#[derive(Clone)]
+struct RowLists {
+    starts: Vec<u32>,
+    items: Vec<u32>,
+}
+
+impl RowLists {
+    fn new() -> RowLists {
+        RowLists {
+            starts: vec![0],
+            items: Vec::new(),
+        }
+    }
+
+    /// Appends `rows` as consecutive lists and returns the first one's
+    /// index. Entries are base-matrix indices, below `a` or `b`.
+    fn push<'a>(&mut self, rows: impl IntoIterator<Item = &'a [usize]>) -> u32 {
+        let first = self.starts.len() as u32 - 1; // audit: safe — starts begins with one entry
+        for row in rows {
+            self.items.extend(row.iter().map(|&x| x as u32));
+            self.starts.push(self.items.len() as u32);
+        }
+        first
+    }
+
+    /// List `i`.
+    fn get(&self, i: u32) -> &[u32] {
+        let i = i as usize;
+        // audit: safe — rules index lists below their family's length, checked at layout
+        let (start, end) = (self.starts[i], self.starts[i + 1]);
+        &self.items[start as usize..end as usize] // audit: safe — starts ascend within items
+    }
+}
+
+/// The edges of one segment in one direction, as block arithmetic. The
+/// segment's ids fall into blocks of `run` consecutive vertices that share
+/// one base row: block `j` reads list `rows + (j mod q)`, and its vertex
+/// at offset `e` has the neighbours `target + (j div q)·span + e +
+/// x·stride` for the `x` of that list, ascending. The layout checks once
+/// per rule that every neighbour lies in the target segment, so a fetch
+/// is `u32` arithmetic without further checks.
+#[derive(Clone, Copy)]
+struct Rule {
+    target: u32,
+    run: u32,
+    q: u32,
+    span: u32,
+    stride: u32,
+    rows: u32,
+}
+
+impl Rule {
+    /// The rule of a segment of `len` vertices into the segment `to`, or
+    /// `None` if its blocks do not tile the segment or some neighbour
+    /// would leave `to`.
+    fn checked(
+        lists: &RowLists,
+        len: u64,
+        to: Range<u64>,
+        [run, q, span, stride]: [u64; 4],
+        rows: u32,
+    ) -> Option<Rule> {
+        let cycles = len.checked_div(run)?.checked_div(q)?;
+        if cycles.checked_mul(q)?.checked_mul(run)? != len {
+            return None;
+        }
+        let rows_end = u64::from(rows).checked_add(q)?;
+        if rows_end >= lists.starts.len() as u64 {
+            return None;
+        }
+        let max_x = (u64::from(rows)..rows_end)
+            .filter_map(|i| lists.get(i as u32).last())
+            .max();
+        if let (Some(&x), Some(last_cycle)) = (max_x, cycles.checked_sub(1)) {
+            let last = to
+                .start
+                .checked_add(last_cycle.checked_mul(span)?)?
+                .checked_add(run.checked_sub(1)?)?
+                .checked_add(u64::from(x).checked_mul(stride)?)?;
+            if last >= to.end {
+                return None;
+            }
+        }
+        let fit = |x: u64| u32::try_from(x).ok();
+        Some(Rule {
+            target: fit(to.start)?,
+            run: fit(run)?,
+            q: fit(q)?,
+            span: fit(span)?,
+            stride: fit(stride)?,
+            rows,
+        })
+    }
+}
+
 /// The closed-form view of `G_r` for one base algorithm: `O(a·b)` memory
 /// regardless of `r`. See the module docs for what it derives and why.
 ///
@@ -330,6 +453,11 @@ pub struct IndexView {
     /// every routing construction and verification — never evaluate a
     /// power.
     seg_width: Vec<u64>,
+    /// Per segment, its predecessor and successor [`Rule`] (`None` for
+    /// the inputs' predecessors and the outputs' successors).
+    rules: Vec<[Option<Rule>; 2]>,
+    /// The base-row lists the rules read.
+    lists: RowLists,
     enc_a: RowTable,
     enc_b: RowTable,
     dec: RowTable,
@@ -396,6 +524,15 @@ impl IndexView {
         dec: RowTable,
     ) -> Result<IndexView, ViewError> {
         let b = enc_a.cols.len();
+        // Every base with a·b ≥ 2 runs out of u32 ids before r = 32. Only
+        // the 1×1 one-product base goes on, as a chain of 3(r+1) vertices
+        // with one table row per segment; an untrusted r must not grow
+        // the tables with it.
+        if a == 1 && b == 1 && r > 32 {
+            return Err(ViewError::Params(format!(
+                "a 1×1 base with one product is viewable up to r = 32, not r = {r}"
+            )));
+        }
         let mut seg_offsets = vec![0u64];
         let mut seg_width = Vec::new();
         let mut total: u64 = 0;
@@ -406,8 +543,8 @@ impl IndexView {
                 .checked_add(size)
                 .ok_or_else(|| ViewError::Params("vertex count overflows u64".into()))?;
             // Past u32 ids the view is rejected below, but the scan goes on
-            // (a later segment may overflow u64 instead); an untrusted
-            // huge r must not grow the tables with it.
+            // (a later segment may overflow u64 instead); the tables stop
+            // growing there.
             if total <= u32::MAX as u64 {
                 seg_offsets.push(total);
                 seg_width.push(width);
@@ -418,16 +555,99 @@ impl IndexView {
                 "G_r has {total} vertices, exceeding u32 ids"
             )));
         }
-        Ok(IndexView {
+        let mut view = IndexView {
             r,
             a,
             b,
             seg_offsets,
             seg_width,
+            rules: Vec::new(),
+            lists: RowLists::new(),
             enc_a,
             enc_b,
             dec,
-        })
+        };
+        view.lay_rules()?;
+        Ok(view)
+    }
+
+    /// Lays out the predecessor and successor [`Rule`] of every segment,
+    /// with the base-row lists they read. Predecessors: an encoding child
+    /// drops its last multiplication digit τ and reads the columns of
+    /// row τ; a decoding child drops its leading entry digit υ and reads
+    /// the columns of decoding row υ; a product reads the rank-`r`
+    /// combinations of its own `mul` on both sides. Successors invert
+    /// these through the column→row transposes. `Err` only if a rule
+    /// fails its range check.
+    fn lay_rules(&mut self) -> Result<(), ViewError> {
+        let mut lists = RowLists::new();
+        let tables = [&self.enc_a, &self.enc_b, &self.dec];
+        let cols = tables.map(|t| lists.push(t.cols.iter().map(Vec::as_slice)));
+        let rows_of_col = tables.map(|t| lists.push(t.rows_of_col.iter().map(Vec::as_slice)));
+        let operands = lists.push([[0, 1].as_slice()]);
+        let product = lists.push([[0].as_slice()]);
+        let (a, b, r) = (self.a as u64, self.b as u64, self.r);
+        let (enc_a_r, enc_b_r) = (self.segment(Layer::EncA, r), self.segment(Layer::EncB, r));
+        let mut rules = Vec::new();
+        for (t, layer) in [Layer::EncA, Layer::EncB, Layer::Dec]
+            .into_iter()
+            .enumerate()
+        {
+            let width = |level| self.entry_width(layer, level);
+            for level in 0..=r {
+                let seg = self.segment(layer, level);
+                let rule = |to: Range<u64>, shape: [u64; 4], rows: u32| {
+                    // audit: safe — offsets ascend
+                    Rule::checked(&lists, seg.end - seg.start, to, shape, rows).ok_or_else(|| {
+                        ViewError::Params(format!("the {layer:?} {level} rule leaves its target"))
+                    })
+                };
+                // Below, levels stay in 0..=r, and b·w is at most the size
+                // of the segment whose width is w (so below 2^32).
+                let pred = match layer {
+                    Layer::Dec if level == 0 => {
+                        let stride = enc_b_r.start - enc_a_r.start; // audit: safe — offsets ascend
+                        Some(rule(
+                            enc_a_r.start..enc_b_r.end,
+                            [1, 1, 1, stride],
+                            operands,
+                        )?)
+                    }
+                    _ if level == 0 => None,
+                    // Block `mul·a + υ` reads row υ over parents `mul·b + τ`.
+                    Layer::Dec => {
+                        let w = width(level - 1); // audit: safe — see above
+                        let to = self.segment(layer, level - 1); // audit: safe — see above
+                        Some(rule(to, [w, a, b * w, w], cols[t])?) // audit: safe — see above
+                    }
+                    // Block `mul` reads row `mul mod b` over parent `mul div b`.
+                    _ => {
+                        let (w, span) = (width(level), width(level - 1)); // audit: safe — see above
+                        let to = self.segment(layer, level - 1); // audit: safe — see above
+                        Some(rule(to, [w, b, span, w], cols[t])?)
+                    }
+                };
+                let succ = match layer {
+                    Layer::Dec if level == r => None,
+                    _ if level == r => Some(rule(self.segment(Layer::Dec, 0), [1; 4], product)?),
+                    // Block `mul` reads column `mul mod b` over child `mul div b`.
+                    Layer::Dec => {
+                        let (w, span) = (width(level), width(level + 1)); // audit: safe — see above
+                        let to = self.segment(layer, level + 1); // audit: safe — see above
+                        Some(rule(to, [w, b, span, w], rows_of_col[t])?)
+                    }
+                    // Block `mul·a + x` reads column x over children `mul·b + τ`.
+                    _ => {
+                        let w = width(level + 1); // audit: safe — see above
+                        let to = self.segment(layer, level + 1); // audit: safe — see above
+                        Some(rule(to, [w, a, b * w, w], rows_of_col[t])?) // audit: safe — see above
+                    }
+                };
+                rules.push([pred, succ]);
+            }
+        }
+        (self.lists, self.rules) = (lists, rules);
+        Ok(())
     }
 
     /// The view of `G_r` for a trusted [`BaseGraph`] at any depth,
@@ -541,35 +761,68 @@ impl IndexView {
         (local < end - start).then(|| (start + local) as u32)
     }
 
+    /// The segment holding `id` and `id`'s offset in it, or `None` if `id`
+    /// is out of range.
+    fn locate(&self, id: u32) -> Option<(usize, u32)> {
+        let id = id as u64;
+        // The offsets start at 0, so some offset is at most `id`.
+        let si = self
+            .seg_offsets
+            .partition_point(|&off| off <= id)
+            .checked_sub(1)?;
+        // Past the last segment (id ≥ n_vertices) there is no width.
+        self.seg_width.get(si)?;
+        let start = self.seg_offsets[si]; // audit: safe — si < 3(r+1), checked by the width lookup
+        Some((si, (id - start) as u32)) // audit: safe — start ≤ id by the partition point
+    }
+
     /// The structured address of a dense id, or `None` if out of range.
     pub fn vref(&self, id: u32) -> Option<VertexRef> {
-        let id = id as u64;
-        // Segments are few (3(r+1)); scan their starts from the top.
-        let si = self.seg_offsets.iter().rposition(|&off| off <= id)?;
-        // Past the last segment (id ≥ n_vertices) there is no width.
-        let width = *self.seg_width.get(si)?;
+        let (si, local) = self.locate(id)?;
+        // audit: safe — locate returns si < 3(r+1)
+        let (local, width) = (local as u64, self.seg_width[si]);
+        // audit: safe — r < 2^32, so r + 1 fits usize on 64-bit hosts
         let levels = self.r as usize + 1;
+        // audit: safe — levels ≥ 1
         let layer = match si / levels {
             0 => Layer::EncA,
             1 => Layer::EncB,
             _ => Layer::Dec,
         };
-        let local = id - self.seg_offsets[si]; // audit: safe — si < 3(r+1), checked by the width lookup
         Some(VertexRef {
             layer,
-            level: (si % levels) as u32,
-            mul: local / width,
-            entry: local % width,
+            level: (si % levels) as u32, // audit: safe — levels ≥ 1
+            mul: local / width,          // audit: safe — widths are at least 1
+            entry: local % width,        // audit: safe — widths are at least 1
         })
     }
 
-    fn enc_rows(&self, layer: Layer) -> &RowTable {
+    /// The coefficient rows of `layer`'s base matrix.
+    fn table(&self, layer: Layer) -> &RowTable {
         match layer {
             Layer::EncA => &self.enc_a,
             Layer::EncB => &self.enc_b,
-            // audit: safe — callers match on the encoding layers before calling
-            Layer::Dec => unreachable!("enc_rows is only called for encoding layers"),
+            Layer::Dec => &self.dec,
         }
+    }
+
+    /// The neighbours of the vertex at `(segment, offset)` under its
+    /// `dir` rule ([`PRED`] or [`SUCC`]), in dense-id order.
+    fn neighbours(&self, (si, local): (usize, u32), dir: usize) -> impl Iterator<Item = u32> + '_ {
+        // Rule::checked admitted only rules whose every neighbour is in
+        // its target segment, with run and q at least 1, so none of the
+        // arithmetic below overflows or divides by zero.
+        // audit: safe — si comes from locate, and dir is PRED or SUCC
+        let (list, base, stride): (&[u32], u32, u32) = match self.rules[si][dir] {
+            Some(rule) => {
+                let (j, e) = (local / rule.run, local % rule.run); // audit: safe — see above
+                let (c, i) = (j / rule.q, j % rule.q); // audit: safe — see above
+                let list = self.lists.get(rule.rows + i); // audit: safe — see above
+                (list, rule.target + c * rule.span + e, rule.stride) // audit: safe — see above
+            }
+            None => (&[], 0, 0),
+        };
+        list.iter().map(move |&x| base + x * stride) // audit: safe — see above
     }
 
     /// The base row generating a combination vertex (encoding level `> 0`:
@@ -581,7 +834,7 @@ impl IndexView {
             _ if v.level == 0 => None,
             Layer::EncA | Layer::EncB => {
                 let row = v.mul % self.b as u64; // audit: safe — b ≥ 1 by construction
-                Some((self.enc_rows(v.layer), row as usize))
+                Some((self.table(v.layer), row as usize))
             }
             Layer::Dec => {
                 // audit: safe — level > 0 past the first arm; widths are at least 1
@@ -591,7 +844,9 @@ impl IndexView {
         }
     }
 
-    /// Predecessors of a structured address, pushed in dense-id order.
+    /// Predecessors of a structured address, pushed in dense-id order, one
+    /// neighbour address at a time: the per-vertex oracle of the rules.
+    #[cfg(test)]
     pub(crate) fn preds_of(&self, v: VertexRef, push: &mut impl FnMut(u32)) {
         match v.layer {
             Layer::EncA | Layer::EncB => {
@@ -604,8 +859,7 @@ impl IndexView {
                 let tau = (v.mul % self.b as u64) as usize;
                 let m_parent = v.mul / self.b as u64;
                 let width = self.entry_width(v.layer, v.level);
-                // audit: safe — tau = mul % b < b, the encoding matrices' row count
-                for &x in &self.enc_rows(v.layer).cols[tau] {
+                for &x in &self.table(v.layer).cols[tau] {
                     let e_parent = (x as u64) * width + v.entry;
                     push(
                         self.id(VertexRef {
@@ -614,7 +868,6 @@ impl IndexView {
                             mul: m_parent,
                             entry: e_parent,
                         })
-                        // audit: safe — parent address is derived from a valid child address
                         .expect("derived parent address is in range"),
                     );
                 }
@@ -630,7 +883,6 @@ impl IndexView {
                                 mul: v.mul,
                                 entry: 0,
                             })
-                            // audit: safe — (level r, mul, entry 0) exists for every product vertex
                             .expect("rank-r encoding address is in range"),
                         );
                     }
@@ -638,7 +890,6 @@ impl IndexView {
                     let width = self.entry_width(Layer::Dec, v.level - 1);
                     let upsilon = (v.entry / width) as usize;
                     let e_rest = v.entry % width;
-                    // audit: safe — upsilon = entry / width < a, the dec row count
                     for &tau in &self.dec.cols[upsilon] {
                         let m_parent = v.mul * self.b as u64 + tau as u64;
                         push(
@@ -648,7 +899,6 @@ impl IndexView {
                                 mul: m_parent,
                                 entry: e_rest,
                             })
-                            // audit: safe — parent address is derived from a valid child address
                             .expect("derived parent address is in range"),
                         );
                     }
@@ -668,88 +918,74 @@ impl IndexView {
         }
     }
 
-    /// Successors of a structured address, pushed in dense-id order —
-    /// the inverse of [`IndexView::preds_of`] through the column→row
-    /// transposes. Within one target segment, ascending `τ`/`υ` means
-    /// ascending dense id.
-    fn succs_of(&self, v: VertexRef, push: &mut dyn FnMut(u32)) {
-        match v.layer {
-            Layer::EncA | Layer::EncB => {
-                if v.level == self.r {
-                    // Rank-r combination feeds exactly its product vertex.
-                    push(
-                        self.id(VertexRef {
-                            layer: Layer::Dec,
-                            level: 0,
-                            mul: v.mul,
-                            entry: 0,
-                        })
-                        .expect("product address is in range"),
-                    );
-                    return;
-                }
-                // Child at level t+1 consumes this vertex as encoded column
-                // x (the entry's most-significant digit) of every row τ
-                // whose encoding touches x.
-                let width = self.entry_width(v.layer, v.level + 1);
-                let x = (v.entry / width) as usize;
-                let e_rest = v.entry % width;
-                for &tau in &self.enc_rows(v.layer).rows_of_col[x] {
-                    push(
-                        self.id(VertexRef {
-                            layer: v.layer,
-                            level: v.level + 1,
-                            mul: v.mul * self.b as u64 + tau as u64,
-                            entry: e_rest,
-                        })
-                        .expect("derived child address is in range"),
-                    );
-                }
-            }
-            Layer::Dec => {
-                if v.level == self.r {
-                    return; // outputs have no successors
-                }
-                // Child at level k+1 drops the mul's least-significant digit
-                // τ and gains decode row υ as the entry's most-significant
-                // digit, for every υ whose decode row reads column τ.
-                let tau = (v.mul % self.b as u64) as usize;
-                let m_child = v.mul / self.b as u64;
-                let width = self.entry_width(Layer::Dec, v.level);
-                for &upsilon in &self.dec.rows_of_col[tau] {
-                    push(
-                        self.id(VertexRef {
-                            layer: Layer::Dec,
-                            level: v.level + 1,
-                            mul: m_child,
-                            entry: (upsilon as u64) * width + v.entry,
-                        })
-                        .expect("derived child address is in range"),
-                    );
-                }
-            }
-        }
-    }
-
     /// Appends the predecessors of `id` (dense ids) to `out`. Returns
     /// `false` if `id` is out of range. Encoding level-0 vertices (the
     /// inputs) have no predecessors.
     pub fn preds_into(&self, id: u32, out: &mut Vec<u32>) -> bool {
-        let Some(v) = self.vref(id) else {
+        let Some(at) = self.locate(id) else {
             return false;
         };
-        self.preds_of(v, &mut |p| out.push(p));
+        out.extend(self.neighbours(at, PRED));
         true
     }
 
     /// Appends the successors of `id` (dense ids) to `out`. Returns `false`
     /// if `id` is out of range. Outputs have no successors.
     pub fn succs_into(&self, id: u32, out: &mut Vec<u32>) -> bool {
-        let Some(v) = self.vref(id) else {
+        let Some(at) = self.locate(id) else {
             return false;
         };
-        self.succs_of(v, &mut |s| out.push(s));
+        out.extend(self.neighbours(at, SUCC));
         true
+    }
+
+    /// Closed-form edge count of `G_r`: a segment's blocks cycle through
+    /// the `q` lists of its predecessor rule, and a block contributes its
+    /// list's length `run` times.
+    pub(crate) fn n_edges(&self) -> u64 {
+        let lens = self.seg_offsets.windows(2).map(|w| w[1] - w[0]);
+        self.rules
+            .iter()
+            .zip(lens)
+            .filter_map(|(rules, len)| {
+                let rule = rules[PRED]?;
+                let cycle: u64 = (rule.rows..rule.rows + rule.q)
+                    .map(|i| self.lists.get(i).len() as u64)
+                    .sum();
+                Some(len / u64::from(rule.q) * cycle)
+            })
+            .sum()
+    }
+
+    /// One half of `G_r`'s CSR adjacency as `(offsets, targets)`: every
+    /// vertex's predecessors, or its successors if `succs`, in dense
+    /// order. Filled rule by rule into vectors of exact capacity.
+    pub(crate) fn csr(&self, succs: bool) -> (Vec<u32>, Vec<VertexId>) {
+        let dir = if succs { SUCC } else { PRED };
+        let mut off = Vec::with_capacity(self.n_vertices() as usize + 1);
+        let mut tgt = Vec::with_capacity(self.n_edges() as usize);
+        off.push(0u32);
+        let lens = self.seg_offsets.windows(2).map(|w| w[1] - w[0]);
+        for (rules, len) in self.rules.iter().zip(lens) {
+            let Some(rule) = rules[dir] else {
+                off.resize(off.len() + len as usize, tgt.len() as u32);
+                continue;
+            };
+            // The blocks tile the segment in `cycles` runs of q lists.
+            let cycles = len as u32 / (rule.run * rule.q);
+            for c in 0..cycles {
+                let cycle = rule.target + c * rule.span;
+                for list in rule.rows..rule.rows + rule.q {
+                    let list = self.lists.get(list);
+                    for base in cycle..cycle + rule.run {
+                        tgt.extend(list.iter().map(|&x| VertexId(base + x * rule.stride)));
+                        off.push(tgt.len() as u32);
+                    }
+                }
+            }
+        }
+        debug_assert_eq!(tgt.len() as u64, self.n_edges());
+        (off, tgt)
     }
 
     /// Whether `(u, v)` is an edge of `G_r` in either direction.
@@ -768,8 +1004,8 @@ impl IndexView {
         (self.id(v).is_some() && self.is_pred(u, v)) || (self.id(u).is_some() && self.is_pred(v, u))
     }
 
-    /// Whether `p` is one of the predecessors [`IndexView::preds_of`]
-    /// derives for `c`, tested on the two addresses directly: the parent
+    /// Whether `p` is one of `c`'s predecessors, tested on the two
+    /// addresses directly instead of through `c`'s rule: the parent
     /// fields must be the child's with one digit moved, and the moved
     /// digit must be a nonzero column of the child's generating row.
     /// `c` must be in range; `p` need not be.
@@ -785,7 +1021,7 @@ impl IndexView {
                     && p.mul == c.mul / b // audit: safe — b ≥ 1 by construction
                     && p.entry % width == c.entry // audit: safe — widths are at least 1
                     // audit: safe — mul % b < b, the row count
-                    && self.enc_rows(c.layer).cols[(c.mul % b) as usize]
+                    && self.table(c.layer).cols[(c.mul % b) as usize]
                         .contains(&((p.entry / width) as usize)) // audit: safe — widths are at least 1
             }
             // A product reads the two rank-r encoding combinations.
@@ -873,16 +1109,10 @@ impl IndexView {
     /// If `id` is a copy (its generating row is trivial), its single
     /// predecessor; `None` otherwise (including out of range).
     pub fn copy_parent_of(&self, id: u32) -> Option<u32> {
-        let v = self.vref(id)?;
-        let (rows, row) = self.row_of(v)?;
+        let (rows, row) = self.row_of(self.vref(id)?)?;
         // audit: safe — row_of returns a row index below the table's row count
         rows.copy_col[row]?; // only a trivial row makes a copy
-        let mut parent = None;
-        self.preds_of(v, &mut |p| {
-            debug_assert!(parent.is_none(), "a trivial row has exactly one nonzero");
-            parent = Some(p);
-        });
-        parent
+        self.neighbours(self.locate(id)?, PRED).next()
     }
 
     /// The copy grouping as a flat root table (`roots[v]` = representative
@@ -915,7 +1145,7 @@ impl IndexView {
         let mut roots: Vec<u32> = (0..self.n_vertices()).collect();
         let (a, b) = (self.a as u64, self.b as u64);
         for layer in [Layer::EncA, Layer::EncB] {
-            let rows = self.enc_rows(layer);
+            let rows = self.table(layer);
             for t in 1..=self.r {
                 let parent = self.segment(layer, t - 1);
                 let width = self.entry_width(layer, t);
@@ -976,18 +1206,28 @@ impl CdagView for IndexView {
         IndexView::entry_width(self, layer, level)
     }
     fn preds_into(&self, v: VertexId, out: &mut Vec<VertexId>) -> bool {
-        let Some(vr) = IndexView::vref(self, v.0) else {
+        let Some(at) = self.locate(v.0) else {
             return false;
         };
-        self.preds_of(vr, &mut |p| out.push(VertexId(p)));
+        out.extend(self.neighbours(at, PRED).map(VertexId));
         true
     }
     fn succs_into(&self, v: VertexId, out: &mut Vec<VertexId>) -> bool {
-        let Some(vr) = IndexView::vref(self, v.0) else {
+        let Some(at) = self.locate(v.0) else {
             return false;
         };
-        self.succs_of(vr, &mut |s| out.push(VertexId(s)));
+        out.extend(self.neighbours(at, SUCC).map(VertexId));
         true
+    }
+    fn adj_into(&self, v: VertexId, out: &mut Vec<VertexId>) -> usize {
+        let Some(at) = self.locate(v.0) else {
+            return 0;
+        };
+        let before = out.len();
+        out.extend(self.neighbours(at, PRED).map(VertexId));
+        let n_preds = out.len() - before;
+        out.extend(self.neighbours(at, SUCC).map(VertexId));
+        n_preds
     }
     fn is_input(&self, v: VertexId) -> bool {
         IndexView::is_input(self, v.0)
@@ -1061,29 +1301,51 @@ pub fn check_tensor(
 mod tests {
     use super::*;
     use crate::build::build_cdag;
+    use crate::fixtures::classical2;
 
     fn view_of(g: &BaseGraph, r: u32) -> IndexView {
         IndexView::from_base(g, r)
     }
 
+    /// Predecessors and successors of `v` by the fused fetch, and the
+    /// split it returned, appended after a marker the fetch must keep.
+    fn fused<V: CdagView>(g: &V, v: VertexId) -> (Vec<VertexId>, usize) {
+        let mut out = vec![VertexId(u32::MAX)];
+        let n_preds = g.adj_into(v, &mut out);
+        assert_eq!(
+            out.remove(0),
+            VertexId(u32::MAX),
+            "adj_into cleared its buffer"
+        );
+        (out, n_preds)
+    }
+
+    /// The view and the block-built `Cdag` against the per-vertex build
+    /// (per-vertex predecessor rule, counting-sort successors) on every
+    /// vertex, the fused fetch included.
     fn check_against_builder(g: &BaseGraph, r: u32) {
         let view = view_of(g, r);
         let cdag = build_cdag(g, r);
-        assert_eq!(view.n_vertices() as usize, Cdag::n_vertices(&cdag));
+        let oracle = crate::build::build_per_vertex(g, r);
+        assert_eq!(view.n_vertices() as usize, Cdag::n_vertices(&oracle));
+        let ids = |vs: &[VertexId]| vs.iter().map(|v| v.0).collect::<Vec<u32>>();
         let mut preds = Vec::new();
         let mut succs = Vec::new();
-        for v in cdag.vertices() {
+        for v in oracle.vertices() {
+            let at = format!("{} in {} at r={r}", v.0, g.name());
             preds.clear();
             succs.clear();
             assert!(view.preds_into(v.0, &mut preds));
             assert!(view.succs_into(v.0, &mut succs));
-            let want: Vec<u32> = cdag.preds(v).iter().map(|p| p.0).collect();
-            assert_eq!(preds, want, "preds of {} in {} at r={r}", v.0, g.name());
-            let want_s: Vec<u32> = cdag.succs(v).iter().map(|s| s.0).collect();
-            assert_eq!(succs, want_s, "succs of {} in {} at r={r}", v.0, g.name());
+            assert_eq!(preds, ids(oracle.preds(v)), "preds of {at}");
+            assert_eq!(succs, ids(oracle.succs(v)), "succs of {at}");
+            let both = [oracle.preds(v), oracle.succs(v)].concat();
+            let want = (both, oracle.preds(v).len());
+            assert_eq!(fused(&view, v), want, "view adjacency of {at}");
+            assert_eq!(fused(&cdag, v), want, "Cdag adjacency of {at}");
             assert_eq!(
                 view.is_input(v.0),
-                cdag.preds(v).is_empty(),
+                oracle.preds(v).is_empty(),
                 "input status of {}",
                 v.0
             );
@@ -1099,54 +1361,33 @@ mod tests {
         );
         let max_in = cdag.vertices().map(|v| cdag.preds(v).len()).max().unwrap();
         assert_eq!(view.max_indegree(), max_in);
-        // The Cdag's own trait impl agrees with the closed form.
-        let mut tp = Vec::new();
-        for v in cdag.vertices() {
-            tp.clear();
-            assert!(CdagView::succs_into(&cdag, v, &mut tp));
-            let got: Vec<u32> = tp.iter().map(|s| s.0).collect();
-            succs.clear();
-            view.succs_into(v.0, &mut succs);
-            assert_eq!(got, succs);
-            assert_eq!(
-                CdagView::copy_parent(&cdag, v).map(|p| p.0),
-                view.copy_parent_of(v.0),
-                "copy parent of {}",
-                v.0
-            );
+        // A copy is a vertex whose one predecessor has coefficient 1.
+        for v in oracle.vertices() {
+            let copy = oracle.pred_coeffs(v) == [Rational::ONE];
+            let want = copy.then(|| oracle.preds(v)[0].0);
+            assert_eq!(view.copy_parent_of(v.0), want, "copy parent of {}", v.0);
         }
-    }
-
-    fn tiny_base(name: &str) -> BaseGraph {
-        // classical 2×2: every row trivial, dense copy structure.
-        let n0 = 2;
-        let mut enc_a = Matrix::zeros(8, 4);
-        let mut enc_b = Matrix::zeros(8, 4);
-        let mut dec = Matrix::zeros(4, 8);
-        let mut m = 0;
-        for i in 0..n0 {
-            for j in 0..n0 {
-                for k in 0..n0 {
-                    enc_a[(m, i * n0 + k)] = Rational::ONE;
-                    enc_b[(m, k * n0 + j)] = Rational::ONE;
-                    dec[(i * n0 + j, m)] = Rational::ONE;
-                    m += 1;
-                }
-            }
-        }
-        BaseGraph::new(name, n0, enc_a, enc_b, dec)
     }
 
     #[test]
     fn matches_builder_classical2() {
-        let g = tiny_base("classical2");
+        let g = classical2();
         check_against_builder(&g, 1);
         check_against_builder(&g, 2);
     }
 
     #[test]
+    fn matches_builder_without_and_with_decoding_copies() {
+        use crate::fixtures::{decoding_copy, no_copy};
+        for r in 1..=4 {
+            check_against_builder(&no_copy(), r);
+            check_against_builder(&decoding_copy(), r);
+        }
+    }
+
+    #[test]
     fn count_vertices_matches_view() {
-        let g = tiny_base("classical2");
+        let g = classical2();
         for r in 1..=3 {
             let view = view_of(&g, r);
             assert_eq!(
@@ -1158,7 +1399,7 @@ mod tests {
 
     #[test]
     fn rejects_bad_shapes_and_zero_r() {
-        let g = tiny_base("classical2");
+        let g = classical2();
         assert!(IndexView::new(g.n0(), g.enc(Side::A), g.enc(Side::B), g.dec(), 0).is_err());
         // enc shapes no longer match n0².
         assert!(IndexView::new(3, g.enc(Side::A), g.enc(Side::B), g.dec(), 2).is_err());
@@ -1166,7 +1407,7 @@ mod tests {
 
     #[test]
     fn oversized_r_is_a_typed_error() {
-        let g = tiny_base("classical2");
+        let g = classical2();
         let (ea, eb, d) = (g.enc(Side::A), g.enc(Side::B), g.dec());
         let err = IndexView::new(g.n0(), ea, eb, d, 40).err().unwrap();
         assert_eq!(err.to_string(), "segment size overflows u64");
@@ -1178,8 +1419,21 @@ mod tests {
     }
 
     #[test]
+    fn trivial_base_is_refused_past_depth_32() {
+        let g = crate::fixtures::no_copy();
+        let (ea, eb, d) = (g.enc(Side::A), g.enc(Side::B), g.dec());
+        assert_eq!(IndexView::new(1, ea, eb, d, 32).unwrap().n_vertices(), 99);
+        let err = IndexView::new(1, ea, eb, d, 33).err().unwrap();
+        assert_eq!(
+            err.to_string(),
+            "a 1×1 base with one product is viewable up to r = 32, not r = 33"
+        );
+        assert!(IndexView::new(1, ea, eb, d, u32::MAX).is_err());
+    }
+
+    #[test]
     fn out_of_range_ids_are_none_not_panics() {
-        let g = tiny_base("classical2");
+        let g = classical2();
         let view = view_of(&g, 2);
         let n = view.n_vertices();
         assert!(view.vref(n).is_none());
@@ -1187,6 +1441,12 @@ mod tests {
         let mut preds = Vec::new();
         assert!(!view.preds_into(n, &mut preds));
         assert!(!view.succs_into(n, &mut preds));
+        assert!(preds.is_empty());
+        let cdag = build_cdag(&g, 2);
+        for id in [n, u32::MAX] {
+            assert_eq!(fused(&view, VertexId(id)), (Vec::new(), 0));
+            assert_eq!(fused(&cdag, VertexId(id)), (Vec::new(), 0));
+        }
         assert!(!view.is_edge(n, 0));
         assert!(view.copy_parent_of(n).is_none());
     }
@@ -1211,7 +1471,7 @@ mod tests {
 
     #[test]
     fn lift_lands_in_subcomputation_copies() {
-        let g = tiny_base("classical2");
+        let g = classical2();
         let (r, k) = (3u32, 1u32);
         let rv = view_of(&g, r);
         let kv = view_of(&g, k);
@@ -1233,7 +1493,7 @@ mod tests {
 
     #[test]
     fn subview_matches_fresh_view() {
-        let g = tiny_base("classical2");
+        let g = classical2();
         let rv = view_of(&g, 3);
         let sub = rv.subview(2);
         let fresh = view_of(&g, 2);
@@ -1251,7 +1511,7 @@ mod tests {
 
     #[test]
     fn copy_roots_match_materialized_meta_grouping() {
-        let g = tiny_base("classical2");
+        let g = classical2();
         let r = 2;
         let view = view_of(&g, r);
         let roots = view.copy_roots();
@@ -1271,7 +1531,7 @@ mod tests {
 
     #[test]
     fn used_inputs_counts_columns_with_successors() {
-        let g = tiny_base("classical2");
+        let g = classical2();
         let view = view_of(&g, 2);
         let cdag = build_cdag(&g, 2);
         let used = cdag
@@ -1283,7 +1543,7 @@ mod tests {
 
     #[test]
     fn tensor_check_accepts_real_and_rejects_corrupt() {
-        let g = tiny_base("classical2");
+        let g = classical2();
         assert!(check_tensor(g.n0(), g.enc(Side::A), g.enc(Side::B), g.dec()).is_ok());
         let mut dec = g.dec().clone();
         let flipped = if dec[(0, 0)].is_zero() {

@@ -15,6 +15,7 @@ use mmio_cdag::meta::MetaId;
 use mmio_cdag::{index, Cdag, CdagView, Layer, MetaClosure, MetaVertices, VertexId, VertexRef};
 use mmio_parallel::Pool;
 use serde::Serialize;
+use std::sync::{Mutex, PoisonError};
 
 /// The paper's choice of subcomputation depth for cache size `m`
 /// (Section 6): smallest `k` with `a^k ≥ multiplier·m`, clamped into
@@ -194,10 +195,10 @@ impl Scratch {
 
 /// One segment's boundary and I/O quantities, in one walk over its
 /// meta-closure: each member's predecessors and successors are fetched
-/// once, and all three counts are read off that fetch. Distinct outside
-/// meta-vertices are counted by flags the closure stamps on their roots
-/// ([`BOUNDARY`], [`READ`]). `pos` maps every vertex to its position in
-/// `order` ([`NOT_COMPUTED`] for inputs).
+/// once, by one [`CdagView::adj_into`], and all three counts are read off
+/// that fetch. Distinct outside meta-vertices are counted by flags the
+/// closure stamps on their roots ([`BOUNDARY`], [`READ`]). `pos` maps
+/// every vertex to its position in `order` ([`NOT_COMPUTED`] for inputs).
 fn segment_report<V: CdagView>(
     g: &V,
     meta: &MetaVertices,
@@ -234,9 +235,7 @@ fn segment_report<V: CdagView>(
             (created, needed_later) = (computed_here, false);
         }
         adj.clear();
-        g.preds_into(w, adj);
-        let n_preds = adj.len();
-        g.succs_into(w, adj);
+        let n_preds = g.adj_into(w, adj);
         // R'(S'): outside metas feeding vertices *computed in this
         // segment*. (Not the whole closure: a closure member computed in
         // an earlier segment needed its operands then, not now — charging
@@ -290,12 +289,12 @@ fn segment_report<V: CdagView>(
 /// Two phases: the segment *boundaries* come from a serial scan of the
 /// order, and then each segment's report — sparse meta-closure, `δ'(S')`,
 /// `R'(S')`, `W°(S')`, the expensive part — is computed independently.
-/// Segments are split into a few contiguous chunks per worker; each chunk
-/// allocates one `Scratch` (a `|V|`-sized stamp array) and reuses it
-/// across its segments, so the pass is `O(|V| + Σ closure sizes)` per
-/// chunk rather than `O(segments · |V|)`. [`Pool::map`] returns chunks in
-/// order, so the analysis is byte-identical to the serial path at any
-/// thread count.
+/// Segments are split into a few contiguous chunks per worker. One
+/// `Scratch` (a `|V|`-sized stamp array) per worker is allocated up front
+/// and handed from chunk to chunk, so the pass is `O(|V| + Σ closure
+/// sizes)` per worker rather than `O(segments · |V|)`. [`Pool::map`]
+/// returns chunks in order, so the analysis is byte-identical to the
+/// serial path at any thread count.
 #[allow(clippy::too_many_arguments)]
 pub fn analyze_with<V: CdagView + Sync>(
     g: &V,
@@ -311,13 +310,25 @@ pub fn analyze_with<V: CdagView + Sync>(
     let pos = positions(n, order);
     let bounds = segment_bounds(meta, order, counted, threshold);
     let chunks = (pool.threads() * 4).min(bounds.len()).max(1);
+    // One scratch per worker, allocated here and passed from chunk to
+    // chunk: a closure's result does not depend on its stamp generation.
+    let new_scratch = || Scratch::new(MetaClosure::new(n));
+    let spare = Mutex::new(Vec::from_iter(
+        (0..pool.threads().min(chunks)).map(|_| new_scratch()),
+    ));
     let per_chunk: Vec<Vec<SegmentReport>> = pool.map(chunks, |c| {
         let (lo, hi) = (bounds.len() * c / chunks, bounds.len() * (c + 1) / chunks);
-        let mut scratch = Scratch::new(MetaClosure::new(n));
-        bounds[lo..hi]
+        let taken = spare.lock().unwrap_or_else(PoisonError::into_inner).pop();
+        let mut scratch = taken.unwrap_or_else(new_scratch);
+        let reports = bounds[lo..hi]
             .iter()
             .map(|&b| segment_report(g, meta, &pos, order, b, &mut scratch))
-            .collect()
+            .collect();
+        spare
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(scratch);
+        reports
     });
     let segments: Vec<SegmentReport> = per_chunk.into_iter().flatten().collect();
 

@@ -1,9 +1,9 @@
 //! Property-based equivalence of the two [`CdagView`] implementations:
 //! random probes must see the identical graph through a materialized
-//! `Cdag` and [`IndexView`] (closed-form). The `Cdag` is collected from
-//! `IndexView`'s predecessor lists, but its successor lists come from the
-//! builder's counting-sort inversion, so comparing `succs_into` here checks
-//! that the closed-form `preds_of` and `succs_of` are inverses.
+//! `Cdag` and [`IndexView`] (closed-form). Both CSR halves of the `Cdag`
+//! are filled from `IndexView`'s block rules, so the successor rule is
+//! checked separately, against a counting-sort inversion of the
+//! predecessor CSR (`successors_are_the_inverted_predecessors`).
 //!
 //! The probes exercise every trait method the generic engines consume —
 //! id/address round-trips, adjacency, input/output/rank classification,
@@ -23,8 +23,9 @@ use mmio_cdag::base::Side;
 use mmio_cdag::build::build_cdag;
 use mmio_cdag::view::count_vertices;
 use mmio_cdag::{
-    BaseGraph, CdagView, IndexView, Layer, MetaVertices, VertexId, VertexRef, ViewError,
+    BaseGraph, Cdag, CdagView, IndexView, Layer, MetaVertices, VertexId, VertexRef, ViewError,
 };
+use mmio_matrix::{Matrix, Rational};
 use proptest::prelude::*;
 
 /// Registry bases with a depth cap keeping `G_r` small enough to
@@ -59,6 +60,8 @@ struct VertexObs {
     entry_width: u64,
     preds: Vec<VertexId>,
     succs: Vec<VertexId>,
+    /// `adj_into`'s list and split: checked against `preds ++ succs`.
+    fused: (Vec<VertexId>, usize),
     is_input: bool,
     is_output: bool,
     rank: Option<u32>,
@@ -70,17 +73,28 @@ fn observe<V: CdagView>(g: &V, v: VertexId) -> VertexObs {
     let (mut preds, mut succs) = (Vec::new(), Vec::new());
     assert!(g.preds_into(v, &mut preds));
     assert!(g.succs_into(v, &mut succs));
+    let fused = fused(g, v);
+    assert_eq!(fused, ([&preds[..], &succs[..]].concat(), preds.len()));
     VertexObs {
         vref: vr,
         roundtrip: g.try_id(vr),
         entry_width: g.entry_width(vr.layer, vr.level),
         preds,
         succs,
+        fused,
         is_input: g.is_input(v),
         is_output: g.is_output(v),
         rank: g.rank_of(v),
         copy_parent: g.copy_parent(v),
     }
+}
+
+/// `v`'s neighbours by the fused fetch, and the predecessor count it
+/// returned.
+fn fused<V: CdagView>(g: &V, v: VertexId) -> (Vec<VertexId>, usize) {
+    let mut out = Vec::new();
+    let n_preds = g.adj_into(v, &mut out);
+    (out, n_preds)
 }
 
 fn shape<V: CdagView>(g: &V) -> (u32, usize, usize, usize) {
@@ -272,5 +286,83 @@ fn overflow_frontier_round_trips_and_beyond_is_typed() {
             base.name(),
             r + 1
         );
+    }
+}
+
+/// `c = a·b` over a 1×1 base with three products, one decoding row
+/// copying product 1: the only shape with a trivial decoding row (for
+/// `n₀ ≥ 2` no single product equals an output).
+fn decoding_copy() -> BaseGraph {
+    let r_ = Rational::integer;
+    BaseGraph::new(
+        "decoding-copy",
+        1,
+        Matrix::from_vec(3, 1, vec![r_(2), r_(1), r_(1)]),
+        Matrix::from_vec(3, 1, vec![r_(1), r_(1), r_(5)]),
+        Matrix::from_vec(1, 3, vec![r_(0), r_(1), r_(0)]),
+    )
+}
+
+/// The successor CSR of `g` by counting sort over its predecessor CSR:
+/// count into the shifted offsets, prefix-sum, then scatter in dense
+/// order, so every list is ascending.
+fn inverted_preds(g: &Cdag) -> (Vec<usize>, Vec<VertexId>) {
+    let n = g.n_vertices();
+    let mut off = vec![0usize; n + 1];
+    for v in g.vertices() {
+        for p in g.preds(v) {
+            off[p.idx() + 1] += 1;
+        }
+    }
+    for i in 0..n {
+        off[i + 1] += off[i];
+    }
+    let mut tgt = vec![VertexId(0); off[n]];
+    let mut cursor = off.clone();
+    for v in g.vertices() {
+        for p in g.preds(v) {
+            tgt[cursor[p.idx()]] = v;
+            cursor[p.idx()] += 1;
+        }
+    }
+    (off, tgt)
+}
+
+/// Both CSR halves of `build_cdag` come from the closed form's block
+/// rules, one rule per direction, so the successor rule is checked here
+/// against a counting-sort inversion of the predecessor CSR: every
+/// registry base with `a = 4` through `G_4`, the `a ≥ 9` bases through
+/// `G_2`, and the 1×1 base with a trivial decoding row through `G_5`
+/// (`classical(2)` and Strassen without copies are registry bases). On
+/// the same graphs, the fused fetch of both views is `preds ++ succs`
+/// with the predecessor count as its split, and an out-of-range id
+/// appends nothing.
+#[test]
+fn successors_are_the_inverted_predecessors() {
+    let mut bases = all_base_graphs();
+    bases.push(decoding_copy());
+    for base in &bases {
+        let max_r = match base.a() {
+            1 => 5,
+            4 => 4,
+            _ => 2,
+        };
+        for r in 1..=max_r {
+            let at = format!("{} r={r}", base.name());
+            let g = build_cdag(base, r);
+            let iv = IndexView::from_base(base, r);
+            let (off, tgt) = inverted_preds(&g);
+            for v in g.vertices() {
+                let want = &tgt[off[v.idx()]..off[v.idx() + 1]];
+                assert_eq!(g.succs(v), want, "{at}: succs of {}", v.0);
+                let want = ([g.preds(v), want].concat(), g.preds(v).len());
+                assert_eq!(fused(&g, v), want, "{at}: Cdag fused fetch of {}", v.0);
+                assert_eq!(fused(&iv, v), want, "{at}: view fused fetch of {}", v.0);
+            }
+            for id in [n_of(&g) as u32, u32::MAX] {
+                assert_eq!(fused(&g, VertexId(id)), (Vec::new(), 0), "{at}");
+                assert_eq!(fused(&iv, VertexId(id)), (Vec::new(), 0), "{at}");
+            }
+        }
     }
 }

@@ -155,14 +155,14 @@ impl Engine {
     /// whether the line was a well-formed `shutdown` request, so the
     /// connection loop never parses a line twice.
     pub fn handle_line(&self, line: &str) -> (Response, bool) {
-        match Request::from_line(line) {
+        match Request::parse(line) {
             Ok(req) => {
                 let shutdown = req.op == Op::Shutdown;
                 (self.submit(req), shutdown)
             }
-            Err(e) => (
+            Err((id, e)) => (
                 Response::fail(
-                    0,
+                    id,
                     Status::BadRequest,
                     codes::SERVE_BAD_REQUEST,
                     e.to_string(),
@@ -668,6 +668,37 @@ mod tests {
         assert!(!shutdown);
         assert_eq!(resp.status, Status::BadRequest);
         assert_eq!(resp.code, Some(codes::SERVE_BAD_REQUEST));
+        assert!(e.shutdown(Duration::from_secs(5)));
+    }
+
+    #[test]
+    fn validation_errors_echo_the_request_id() {
+        let e = engine(None);
+        for id in [5, 6, 7] {
+            let line =
+                format!(r#"{{"id":{id},"op":"routing_cert","algo":"strassen","k":0,"r":2}}"#);
+            let (resp, _) = e.handle_line(&line);
+            assert_eq!(resp.id, id, "{resp:?}");
+            assert_eq!(resp.status, Status::BadRequest);
+            assert_eq!(resp.code, Some(codes::SERVE_BAD_REQUEST));
+        }
+        // A bad field type and an empty grid keep the id; a line whose id
+        // cannot be read is answered with id 0.
+        for (line, id) in [
+            (
+                r#"{"id":8,"op":"certify","algo":"strassen","r":"2","m":4}"#,
+                8,
+            ),
+            (
+                r#"{"id":9,"op":"sweep","algo":"strassen","r":2,"ms":[]}"#,
+                9,
+            ),
+            (r#"{"id":-1,"op":"stats"}"#, 0),
+            (r#"[10]"#, 0),
+        ] {
+            let (resp, _) = e.handle_line(line);
+            assert_eq!((resp.id, resp.status), (id, Status::BadRequest), "{line}");
+        }
         assert!(e.shutdown(Duration::from_secs(5)));
     }
 

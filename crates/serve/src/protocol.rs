@@ -307,24 +307,36 @@ impl Request {
     /// non-JSON, wrong field types, unknown ops, oversized numbers —
     /// is a [`ParseError`].
     pub fn from_line(line: &str) -> Result<Request, ParseError> {
-        let v: Value = serde_json::from_str(line).map_err(|e| ParseError(e.to_string()))?;
+        Request::parse(line).map_err(|(_, e)| e)
+    }
+
+    /// [`Request::from_line`], with a failure paired with the request's
+    /// own `id`: the id of an object that carries a valid one, else 0. A
+    /// client that pipelines requests can then tell which one failed.
+    pub fn parse(line: &str) -> Result<Request, (u64, ParseError)> {
+        let v: Value = serde_json::from_str(line).map_err(|e| (0, ParseError(e.to_string())))?;
         if !matches!(v, Value::Object(_)) {
-            return Err(ParseError(format!(
-                "request must be an object, got {}",
-                v.kind()
-            )));
+            return Err((
+                0,
+                ParseError(format!("request must be an object, got {}", v.kind())),
+            ));
         }
-        let id = get_u64(&v, "id")?;
-        let deadline_ms = opt_u64(&v, "deadline_ms")?;
-        let op = match get_str(&v, "op")?.as_str() {
+        let id = get_u64(&v, "id").map_err(|e| (0, e))?;
+        Request::with_id(&v, id).map_err(|e| (id, e))
+    }
+
+    /// The fields of a request object after its `id`.
+    fn with_id(v: &Value, id: u64) -> Result<Request, ParseError> {
+        let deadline_ms = opt_u64(v, "deadline_ms")?;
+        let op = match get_str(v, "op")?.as_str() {
             "certify" => Op::Certify {
-                algo: get_str(&v, "algo")?,
-                r: get_u32(&v, "r")?,
-                m: get_u64(&v, "m")?,
+                algo: get_str(v, "algo")?,
+                r: get_u32(v, "r")?,
+                m: get_u64(v, "m")?,
             },
             "analyze" => Op::Analyze {
-                algo: get_str(&v, "algo")?,
-                r: get_u32(&v, "r")?,
+                algo: get_str(v, "algo")?,
+                r: get_u32(v, "r")?,
             },
             "sweep" => {
                 let ms = match v.get("ms") {
@@ -358,14 +370,14 @@ impl Request {
                     )));
                 }
                 Op::Sweep {
-                    algo: get_str(&v, "algo")?,
-                    r: get_u32(&v, "r")?,
+                    algo: get_str(v, "algo")?,
+                    r: get_u32(v, "r")?,
                     ms,
                 }
             }
             "routing_cert" => {
-                let k = get_u32(&v, "k")?;
-                let r = get_u32(&v, "r")?;
+                let k = get_u32(v, "k")?;
+                let r = get_u32(v, "r")?;
                 if k == 0 {
                     return Err(ParseError("routing_cert requires k ≥ 1".to_string()));
                 }
@@ -375,7 +387,7 @@ impl Request {
                     )));
                 }
                 Op::RoutingCert {
-                    algo: get_str(&v, "algo")?,
+                    algo: get_str(v, "algo")?,
                     k,
                     r,
                 }
