@@ -4,7 +4,7 @@
 //! generality is about: every encoding row is trivial (all inputs are
 //! multiply copied, paper Figure 2) and the decoding graph splits into `n₀²`
 //! components (one star per output) — both of which defeat the
-//! edge-expansion technique of [6] while the path-routing machinery applies
+//! edge-expansion technique of \[6\] while the path-routing machinery applies
 //! unchanged.
 
 use mmio_cdag::BaseGraph;

@@ -2,7 +2,7 @@
 //!
 //! The paper's Previous Work section contrasts its square-only setting
 //! with the rectangular algorithms of Bini et al. and Hopcroft–Kerr,
-//! handled by the edge-expansion extension [4]. This module provides the
+//! handled by the edge-expansion extension \[4\]. This module provides the
 //! rectangular substrate those references live in:
 //!
 //! - general `⟨m,k,n;b⟩` algorithms with exact tensor verification;
@@ -368,7 +368,7 @@ pub fn classical_rect(m: usize, k: usize, n: usize) -> RectAlgorithm {
 
 /// An optimal `⟨2,2,3;11⟩` algorithm: Strassen on the first two columns of
 /// `B`, classical `⟨2,2,1;4⟩` on the third — 11 products, the rank
-/// Hopcroft–Kerr [11] proved minimal for this shape.
+/// Hopcroft–Kerr \[11\] proved minimal for this shape.
 pub fn rect_2x2x3() -> RectAlgorithm {
     let strassen = RectAlgorithm::from_square(&crate::strassen::strassen());
     let col = classical_rect(2, 2, 1);

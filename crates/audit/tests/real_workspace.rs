@@ -35,7 +35,7 @@ fn model_size_snapshot() {
     let s = outcome().stats;
     assert_eq!(
         (s.files, s.fns, s.edges, s.sites),
-        (175, 1895, 4372, 2540),
+        (176, 1913, 4442, 2523),
         "model/graph size drifted: files={}, fns={}, edges={}, sites={}",
         s.files,
         s.fns,

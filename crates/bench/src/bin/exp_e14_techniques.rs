@@ -5,7 +5,7 @@
 //! | technique | applies to | fails on |
 //! |---|---|---|
 //! | Loomis–Whitney [12, 5] | classical (monomial products) | any Strassen-like algorithm |
-//! | edge expansion [6] | connected decoding, no multiple copying | classical, dummy-product |
+//! | edge expansion \[6\] | connected decoding, no multiple copying | classical, dummy-product |
 //! | path routing (this paper) | every Strassen-like algorithm under single-use | — |
 
 use mmio_algos::classical::classical;

@@ -1,4 +1,4 @@
-//! E15 — the Hopcroft–Kerr family (paper's reference [11]): rectangular
+//! E15 — the Hopcroft–Kerr family (paper's reference \[11\]): rectangular
 //! rank, square-ization, and the full routing pipeline on the resulting
 //! ⟨12,12,12;1331⟩ base graph.
 

@@ -3,7 +3,7 @@
 //! `n` and `M`.
 //!
 //! Expected shape: the measured/bound ratio is bounded above and below by
-//! constants across the sweep (the bound is tight, attained by [3]'s
+//! constants across the sweep (the bound is tight, attained by \[3\]'s
 //! schedule), and for fixed `M` the measured I/O grows like `n^{ω₀}`.
 //!
 //! The grid runs on `mmio_pebble::sweep` over the shared thread pool

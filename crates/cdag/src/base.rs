@@ -62,12 +62,57 @@ impl fmt::Display for CorrectnessError {
     }
 }
 
+/// Checks that three coefficient matrices shape a base graph with block
+/// side `n0`: `n0 ≥ 1` with `a = n0²` in range, at least one product, `enc_a`
+/// and `enc_b` of shape `b × a`, and `dec` of shape `a × b`. Returns `a`.
+/// The one shape rule of [`BaseGraph::new`], JSON import and
+/// [`crate::IndexView::new`].
+pub fn check_shape(
+    n0: usize,
+    enc_a: &Matrix<Rational>,
+    enc_b: &Matrix<Rational>,
+    dec: &Matrix<Rational>,
+) -> Result<usize, String> {
+    if n0 < 1 {
+        return Err("n0 must be at least 1".into());
+    }
+    let a = n0.checked_mul(n0).ok_or("n0² overflows")?;
+    let b = enc_a.rows();
+    if b < 1 {
+        return Err("enc_a must have at least one row".into());
+    }
+    let rules = [
+        (enc_a.cols() == a, "enc_a must have a = n0² columns"),
+        (enc_b.rows() == b, "enc_b must have b rows"),
+        (enc_b.cols() == a, "enc_b must have a = n0² columns"),
+        (dec.rows() == a, "dec must have a = n0² rows"),
+        (dec.cols() == b, "dec must have b columns"),
+    ];
+    match rules.into_iter().find(|&(holds, _)| !holds) {
+        Some((_, rule)) => Err(format!("{rule} (n0 = {n0}, b = {b})")),
+        None => Ok(a),
+    }
+}
+
+/// The largest in-degree of `G_r` over a base whose widest coefficient row
+/// has `widest_row` nonzeros. Every product reads its two operands; at
+/// `r ≥ 1` every base row also generates combination vertices that read
+/// its nonzeros, while `G_0` applies no row. A cache holds an operand set
+/// of `G_r` iff it has `max_indegree + 1` slots: the one operand floor
+/// that the views, the schedulers and `mmio_core::Instance` read.
+pub fn max_indegree(r: u32, widest_row: usize) -> usize {
+    if r == 0 {
+        2
+    } else {
+        widest_row.max(2)
+    }
+}
+
 impl BaseGraph {
     /// Creates a base graph from its three coefficient matrices.
     ///
     /// # Panics
-    /// Panics if the dimensions are inconsistent: `enc_a` and `enc_b` must be
-    /// `b × n₀²` and `dec` must be `n₀² × b`.
+    /// Panics if [`check_shape`] rejects the dimensions.
     pub fn new(
         name: impl Into<String>,
         n0: usize,
@@ -75,14 +120,9 @@ impl BaseGraph {
         enc_b: Matrix<Rational>,
         dec: Matrix<Rational>,
     ) -> BaseGraph {
-        let a = n0 * n0;
-        let b = enc_a.rows();
-        assert!(n0 >= 1, "n0 must be at least 1");
-        assert_eq!(enc_a.cols(), a, "enc_a must have a = n0² columns");
-        assert_eq!(enc_b.rows(), b, "enc_b must have b rows");
-        assert_eq!(enc_b.cols(), a, "enc_b must have a = n0² columns");
-        assert_eq!(dec.rows(), a, "dec must have a = n0² rows");
-        assert_eq!(dec.cols(), b, "dec must have b columns");
+        if let Err(e) = check_shape(n0, &enc_a, &enc_b, &dec) {
+            panic!("invalid base graph: {e}");
+        }
         BaseGraph {
             name: name.into(),
             n0,
@@ -105,12 +145,24 @@ impl BaseGraph {
     /// `a = n₀²`: the number of inputs per matrix (the paper's `a`, so the
     /// base graph has `2a` inputs).
     pub fn a(&self) -> usize {
-        self.n0 * self.n0
+        self.enc_a.cols() // n₀², by `check_shape`
     }
 
     /// `b`: the number of multiplications per recursion step.
     pub fn b(&self) -> usize {
         self.enc_a.rows()
+    }
+
+    /// The operand floor of `G_r` over this base, in closed form: the
+    /// smallest cache that holds an operand set plus its result,
+    /// [`max_indegree`]` + 1`.
+    pub fn operand_floor(&self, r: u32) -> usize {
+        let widest = [&self.enc_a, &self.enc_b, &self.dec]
+            .into_iter()
+            .flat_map(|m| (0..m.rows()).map(|i| m.row(i).iter().filter(|c| !c.is_zero()).count()))
+            .max()
+            .unwrap_or(0);
+        max_indegree(r, widest) + 1
     }
 
     /// The encoding matrix for the given side.

@@ -41,7 +41,7 @@ pub struct BaseGraphProperties {
     pub single_use_assumption: bool,
     /// Lemma 1's hypothesis (both encodings contain a nontrivial row).
     pub lemma1_condition: bool,
-    /// Whether the edge-expansion technique of [6] applies: both encoding
+    /// Whether the edge-expansion technique of \[6\] applies: both encoding
     /// graphs and the decoding graph connected, and no multiple copying.
     pub edge_expansion_applies: bool,
 }

@@ -6,7 +6,7 @@
 //! tensor: a coefficient file that does not multiply matrices is rejected,
 //! not silently analyzed.
 
-use crate::base::BaseGraph;
+use crate::base::{check_shape, BaseGraph};
 use mmio_matrix::{Matrix, Rational};
 use serde::{Deserialize, Serialize};
 
@@ -62,15 +62,7 @@ pub fn to_json(base: &BaseGraph) -> String {
 pub fn from_json(json: &str) -> Result<BaseGraph, ImportError> {
     let file: BaseGraphFile =
         serde_json::from_str(json).map_err(|e| ImportError::Parse(e.to_string()))?;
-    let a = file.n0 * file.n0;
-    if file.enc_a.cols() != a
-        || file.enc_b.cols() != a
-        || file.enc_a.rows() != file.enc_b.rows()
-        || file.dec.rows() != a
-        || file.dec.cols() != file.enc_a.rows()
-    {
-        return Err(ImportError::Parse("inconsistent matrix shapes".into()));
-    }
+    check_shape(file.n0, &file.enc_a, &file.enc_b, &file.dec).map_err(ImportError::Parse)?;
     let base = BaseGraph::new(file.name, file.n0, file.enc_a, file.enc_b, file.dec);
     base.verify_correctness()
         .map_err(|errs| ImportError::Incorrect(errs.len()))?;

@@ -24,7 +24,7 @@
 //! overflows surface as `Err`/`None`, never as panics, because certificate
 //! input is untrusted.
 
-use crate::base::{BaseGraph, Side};
+use crate::base::{check_shape, max_indegree, BaseGraph, Side};
 use crate::graph::{Cdag, Layer, VertexId, VertexRef};
 use crate::hits::UnionFind;
 use mmio_matrix::{Matrix, Rational};
@@ -83,6 +83,19 @@ fn segments(a: u64, b: u64, r: u32) -> impl Iterator<Item = Option<(u64, u64)>> 
 /// caller should treat that as "too big for any budget".
 pub fn count_vertices(a: u64, b: u64, r: u32) -> Option<u64> {
     segments(a, b, r).try_fold(0u64, |total, seg| total.checked_add(seg?.1))
+}
+
+/// The deepest `G_r` of the 1×1 one-product base, a chain of `3(r+1)`
+/// vertices that never outgrows `u32` ids.
+const UNIT_MAX_DEPTH: u32 = 32;
+
+/// Whether `G_r` of a base with parameters `(a, b)` can be laid out: its
+/// vertices fit dense `u32` ids, and the 1×1 one-product base stays within
+/// `r = 32`. The depth rule of [`IndexView::new`] and `build_cdag`, checked
+/// without building anything.
+pub fn fits_ids(a: u64, b: u64, r: u32) -> bool {
+    !(a == 1 && b == 1 && r > UNIT_MAX_DEPTH)
+        && count_vertices(a, b, r).is_some_and(|n| n <= u64::from(u32::MAX))
 }
 
 /// Uniform lazy access to the structure of `G_r`.
@@ -474,33 +487,7 @@ impl IndexView {
         dec: &Matrix<Rational>,
         r: u32,
     ) -> Result<IndexView, ViewError> {
-        if n0 < 1 {
-            return Err(ViewError::Shape("n0 must be at least 1".into()));
-        }
-        let a = n0
-            .checked_mul(n0)
-            .ok_or_else(|| ViewError::Shape("n0² overflows".into()))?;
-        let b = enc_a.rows();
-        if b < 1 {
-            return Err(ViewError::Shape("enc_a must have at least one row".into()));
-        }
-        if enc_a.cols() != a
-            || enc_b.rows() != b
-            || enc_b.cols() != a
-            || dec.rows() != a
-            || dec.cols() != b
-        {
-            return Err(ViewError::Shape(format!(
-                "inconsistent shapes: enc_a {}x{}, enc_b {}x{}, dec {}x{} for n0 = {}",
-                enc_a.rows(),
-                enc_a.cols(),
-                enc_b.rows(),
-                enc_b.cols(),
-                dec.rows(),
-                dec.cols(),
-                n0
-            )));
-        }
+        let a = check_shape(n0, enc_a, enc_b, dec).map_err(ViewError::Shape)?;
         if r == 0 {
             return Err(ViewError::Params(
                 "recursion depth r must be at least 1".into(),
@@ -528,9 +515,9 @@ impl IndexView {
         // the 1×1 one-product base goes on, as a chain of 3(r+1) vertices
         // with one table row per segment; an untrusted r must not grow
         // the tables with it.
-        if a == 1 && b == 1 && r > 32 {
+        if a == 1 && b == 1 && r > UNIT_MAX_DEPTH {
             return Err(ViewError::Params(format!(
-                "a 1×1 base with one product is viewable up to r = 32, not r = {r}"
+                "a 1×1 base with one product is viewable up to r = {UNIT_MAX_DEPTH}, not r = {r}"
             )));
         }
         let mut seg_offsets = vec![0u64];
@@ -1092,18 +1079,14 @@ impl IndexView {
         (self.enc_a.used_cols() + self.enc_b.used_cols()) * per_entry
     }
 
-    /// Maximum in-degree over `G_r` (products always have 2; combination
-    /// vertices have their row's nonzero count).
+    /// Maximum in-degree over `G_r`, in closed form
+    /// ([`crate::base::max_indegree`]).
     pub fn max_indegree(&self) -> usize {
-        [
-            2,
-            self.enc_a.max_row_len(),
-            self.enc_b.max_row_len(),
-            self.dec.max_row_len(),
-        ]
-        .into_iter()
-        .max()
-        .unwrap() // audit: safe — max of a nonempty array literal
+        let widest = [&self.enc_a, &self.enc_b, &self.dec]
+            .map(RowTable::max_row_len)
+            .into_iter()
+            .max();
+        max_indegree(self.r, widest.unwrap_or(0))
     }
 
     /// If `id` is a copy (its generating row is trivial), its single

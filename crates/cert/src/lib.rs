@@ -11,7 +11,7 @@
 //! routings was the same workspace that produced them. This crate turns
 //! results into portable proof objects:
 //!
-//! - [`format`] — the certificate types and their JSON encoding. Every
+//! - [`format`](mod@format) — the certificate types and their JSON encoding. Every
 //!   certificate embeds the base-graph coefficients, so a certificate is
 //!   self-contained: no registry lookup, no shared state.
 //! - [`view`] — [`view::IndexView`], the verifier's closed-form model of
@@ -20,7 +20,7 @@
 //!   pure mixed-radix index arithmetic over the embedded coefficients.
 //!   **No materialized graph is ever built** — this is the first concrete
 //!   step toward the implicit `CdagView` of the roadmap.
-//! - [`verify`] — the verifier: parses, re-derives, recounts, and replays;
+//! - [`verify`](mod@verify) — the verifier: parses, re-derives, recounts, and replays;
 //!   rejects with structured `MMIO-V0xx` codes ([`codes`]) in a
 //!   machine-readable [`verify::Verdict`]. It never panics on untrusted
 //!   input.

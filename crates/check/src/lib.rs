@@ -7,12 +7,12 @@
 //! not just on the runs CI happened to observe. Three layers, stacked
 //! from observation to proof:
 //!
-//! 1. **Recorded traces** ([`lower`], backed by `mmio-parallel`'s
+//! 1. **Recorded traces** ([`lower`](mod@lower), backed by `mmio-parallel`'s
 //!    feature-gated sync-event instrumentation): real executions of the
 //!    pool, replayed through a vector-clock happens-before race detector
 //!    ([`hb`]) and a direct claim-uniqueness scan. Witnesses one legal
 //!    execution each.
-//! 2. **Bounded model checking** ([`explore`], [`models`]): a virtual
+//! 2. **Bounded model checking** ([`explore`](mod@explore), [`models`]): a virtual
 //!    replica of `Pool::map` (own range first, then every other range in
 //!    turn, split by the *production* `split_ranges`), explored over every
 //!    reachable state at small bounds, proving byte-identical output to

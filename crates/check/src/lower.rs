@@ -1,7 +1,7 @@
 //! Lowering recorded sync traces to the race detector's op language, plus
 //! direct semantic checks on the trace itself.
 //!
-//! A [`SyncTrace`](mmio_parallel::events::SyncTrace) records what the
+//! A [`SyncTrace`] records what the
 //! instrumented pool *did*; the happens-before detector wants an
 //! abstract sequence of acquires, releases, atomic RMWs, and plain shared
 //! accesses. The mapping mirrors the real synchronization:

@@ -1,28 +1,5 @@
-//! `mmio` — the command-line front door to the workspace.
-//!
-//! ```text
-//! mmio list                         all built-in algorithms
-//! mmio info <algo>                  parameters + structural classification
-//! mmio verify <algo|file.json>      exact tensor check
-//! mmio export <algo>                base graph as JSON (stdout)
-//! mmio simulate <algo> <r> <M>      I/O of the recursive schedule
-//! mmio certify <algo> <r> <M>       machine-checked lower-bound certificate
-//! mmio routing <algo> <k> [r]       construct + verify the 6a^k-routing
-//!                                   (with r: transport into all copies in G_r)
-//! mmio report <algo> <r> <M>        full JSON analysis report
-//! mmio analyze <algo|all> [r] [--json]   static analysis & certification
-//! mmio check [--json]               concurrency soundness suite
-//! mmio cert emit <algo|all> [r] [--out DIR] [--json]
-//!                                   emit proof-carrying certificates
-//! mmio cert verify <files|DIR...> [--json]
-//!                                   verify certificates (standalone verifier)
-//! mmio audit [--json] [--baseline FILE]
-//!                                   whole-workspace static soundness audit
-//! mmio distsim <algo> <k> [--procs P] [--mem M] [--assign S] [--topo T] [--json]
-//!                                   P-processor distributed simulation
-//!                                   (optionally α-β-γ contended on T)
-//! mmio codes                        merged diagnostic-code registry
-//! ```
+//! `mmio` — the command-line front door to the workspace. `mmio` with no
+//! command prints the command list ([`print_usage`]).
 //!
 //! `<algo>` is a built-in name (`mmio list`) or a path to a JSON base-graph
 //! file (see `mmio export`). The flags `--json` and `--out DIR` may stand
@@ -52,10 +29,11 @@ use mmio_algos::registry::all_base_graphs;
 use mmio_cdag::build::build_cdag;
 use mmio_cdag::connectivity::classify;
 use mmio_cdag::serialize;
-use mmio_cdag::{BaseGraph, IndexView};
+use mmio_cdag::{BaseGraph, CdagView, IndexView};
 use mmio_core::theorem1::LowerBound;
 use mmio_core::theorem2::InOutRouting;
 use mmio_core::transport::{verify_transported, RoutingClass};
+use mmio_core::{Instance, InstanceError};
 use mmio_parallel::Pool;
 use mmio_pebble::orders::recursive_order;
 use mmio_pebble::policy::Belady;
@@ -96,7 +74,8 @@ fn print_usage() {
 /// | 1    | verification/analysis rejected the input (work ran)    |
 /// | 2    | usage error: bad flags, missing or invalid arguments   |
 /// | 3    | I/O error: unreadable input, unwritable output         |
-/// | 4    | malformed input: unknown algorithm, bad JSON           |
+/// | 4    | malformed input: unknown algorithm, bad JSON, or an    |
+/// |      | `(algo, r, M, P)` that is no [`Instance`]              |
 #[derive(Debug, PartialEq, Eq)]
 enum CliError {
     /// The command line itself is wrong (exit 2; usage is printed).
@@ -157,6 +136,13 @@ impl From<&str> for CliError {
 impl From<String> for CliError {
     fn from(m: String) -> CliError {
         CliError::Usage(m)
+    }
+}
+
+// `(algo, r, M, P)` that is no instance is malformed input.
+impl From<InstanceError> for CliError {
+    fn from(e: InstanceError) -> CliError {
+        CliError::BadInput(e.to_string())
     }
 }
 
@@ -231,77 +217,81 @@ fn resolve(name: &str) -> Result<BaseGraph, CliError> {
     )))
 }
 
+/// The registry for `all`, else the one resolved algorithm.
+fn resolve_targets(target: &str) -> Result<Vec<BaseGraph>, CliError> {
+    if target == "all" {
+        Ok(all_base_graphs())
+    } else {
+        Ok(vec![resolve(target)?])
+    }
+}
+
 fn parse<T: std::str::FromStr>(arg: Option<&String>, what: &str) -> Result<T, CliError> {
     arg.ok_or_else(|| CliError::Usage(format!("missing {what}")))?
         .parse()
         .map_err(|_| CliError::Usage(format!("invalid {what}")))
 }
 
-/// Emits the certificate suite for one algorithm at depth `r ≥ 1`: a routing
-/// certificate (Theorem 2 paths + Fact-1 transport), a schedule-legality
-/// witness, and an LRU sweep witness. Depths are capped exactly like
-/// `mmio analyze` so path enumeration and graph size stay tractable.
-/// Bases without a Hall matching simply skip the routing certificate.
+/// Emits the certificate suite of one instance at depth `r ≥ 1`, as
+/// `(file name, JSON)`: a routing certificate (Theorem 2 paths + Fact-1
+/// transport), a schedule-legality witness, and an LRU sweep witness.
+/// Depths are capped exactly like `mmio analyze` ([`ops::routing_depth`],
+/// [`ops::witness_depth`]) so path enumeration and graph size stay
+/// tractable. Bases without a Hall matching simply skip the routing
+/// certificate.
 ///
 /// The routing certificate only ever builds `G_k` (the transport into `G_r`
 /// is symbolic), so it is cheap at any `r`. The schedule and sweep witnesses
 /// replay explicit schedules, so under the implicit view their depth is
 /// additionally capped at 4 — the routing certificate is the scaling story.
-fn emit_certs_for(
-    base: &BaseGraph,
-    r: u32,
-    pool: &Pool,
-    implicit: bool,
-) -> Vec<(String, mmio_cert::Certificate)> {
+fn emit_certs_for(inst: &Instance, pool: &Pool, implicit: bool) -> Vec<(String, String)> {
     use mmio_pebble::cert::{emit_schedule_certificate, emit_sweep_certificate};
     use mmio_pebble::sweep::{sweep, PolicySpec};
 
+    let (base, r) = (inst.base(), inst.r());
     let name = base.name();
     let mut out = Vec::new();
 
-    let routing_k = r.min(if base.a() >= 16 { 1 } else { 2 });
-    if let Some(class) = RoutingClass::build(base, routing_k, pool) {
-        out.push((
-            format!("{name}__routing_k{routing_k}_r{r}.json"),
-            mmio_core::transport::emit_certificate(&class, r),
-        ));
+    let routing_k = ops::routing_depth(base, r);
+    if let Some(json) = ops::routing_cert_json(base, routing_k, r, pool) {
+        out.push((format!("{name}__routing_k{routing_k}_r{r}.json"), json));
     }
 
-    let mut sched_r = if base.b() > 30 { r.min(2) } else { r };
+    let mut sched_r = ops::witness_depth(base, r);
     if implicit {
         sched_r = sched_r.min(4);
     }
     let g = build_cdag(base, sched_r);
-    let need = g.vertices().map(|v| g.preds(v).len()).max().unwrap_or(1) + 1;
+    let need = g.max_indegree() + 1;
     let m = need + 4;
     let order = recursive_order(&g);
     let (_, sched) = AutoScheduler::new(&g, m).run_recorded(&order, &Belady);
     out.push((
         format!("{name}__schedule_r{sched_r}_m{m}.json"),
-        emit_schedule_certificate(&g, m, &sched),
+        emit_schedule_certificate(&g, m, &sched).to_json(),
     ));
 
     let ms = [2, need, 4 * need];
     let points = sweep(&g, &[&order], &[PolicySpec::Lru], &ms, pool);
     out.push((
         format!("{name}__sweep_r{sched_r}.json"),
-        emit_sweep_certificate(&g, &PolicySpec::Lru, &points),
+        emit_sweep_certificate(&g, &PolicySpec::Lru, &points).to_json(),
     ));
     out
 }
 
 /// Builds the named assignment strategy and runs the distributed
 /// simulation on `g` — generic over the view so `mmio distsim` scales to
-/// implicit instances whose `G_r` never fits in memory. Returns the
-/// outcome together with the resolved cache size.
-fn run_distsim<V: mmio_cdag::CdagView + Sync>(
+/// implicit instances whose `G_r` never fits in memory. The cache `m` is
+/// at or above the operand floor (checked by [`Instance`]).
+fn run_distsim<V: CdagView + Sync>(
     g: &V,
     p: u32,
-    mem: Option<usize>,
+    m: usize,
     assign: &str,
     machine: Option<mmio_parallel::distsim::MachineModel>,
     pool: &Pool,
-) -> Result<(mmio_parallel::distsim::DistOutcome, usize), CliError> {
+) -> Result<mmio_parallel::distsim::DistOutcome, CliError> {
     use mmio_parallel::assign;
     let a = match assign {
         "cyclic" => assign::cyclic_per_rank(g, p),
@@ -314,16 +304,15 @@ fn run_distsim<V: mmio_cdag::CdagView + Sync>(
             )))
         }
     };
-    let need = g.max_indegree() + 1;
-    let m = mem.unwrap_or_else(|| need.max(16));
-    if m < need {
-        return Err(CliError::BadInput(
-            mmio_pebble::CacheTooSmall { m, need }.to_string(),
-        ));
-    }
     let order = recursive_order(g);
-    let outcome = mmio_parallel::distsim::simulate_on(g, &a, &order, m, machine, pool);
-    Ok((outcome, m))
+    Ok(mmio_parallel::distsim::simulate_on(
+        g, &a, &order, m, machine, pool,
+    ))
+}
+
+/// Prints `v` as pretty JSON on its own line.
+fn print_json<T: serde::Serialize + ?Sized>(v: &T) {
+    println!("{}", serde_json::to_string_pretty(v).expect("serializable"));
 }
 
 /// Expands `mmio cert verify` operands: directories become their sorted
@@ -385,10 +374,7 @@ fn run() -> Result<ExitCode, CliError> {
             reject_unread(&args, 1, &given, &[])?;
             let base = resolve(args.get(1).ok_or("missing algorithm")?)?;
             let props = classify(&base);
-            println!(
-                "{}",
-                serde_json::to_string_pretty(&props).expect("serializable")
-            );
+            print_json(&props);
         }
         "verify" => {
             reject_unread(&args, 1, &given, &[])?;
@@ -421,24 +407,22 @@ fn run() -> Result<ExitCode, CliError> {
         "simulate" => {
             reject_unread(&args, 3, &given, &[])?;
             let base = resolve(args.get(1).ok_or("missing algorithm")?)?;
-            let r =
-                ops::check_depth(&base, parse(args.get(2), "r")?).map_err(CliError::BadInput)?;
-            let m: usize = parse(args.get(3), "M")?;
+            let (r, m): (u32, usize) = (parse(args.get(2), "r")?, parse(args.get(3), "M")?);
+            let inst = Instance::try_new(base, r, Some(m as u64), None)?;
+            let base = inst.base();
             // Both paths run the identical engine on identical (preds,
             // order) data, so the stats — and this line — are byte-equal.
-            let stats = if use_implicit(view, &base, r) {
-                let v = IndexView::from_base(&base, r);
+            let stats = if use_implicit(view, base, r) {
+                let v = IndexView::from_base(base, r);
                 let order = recursive_order(&v);
-                let vg = ViewGraph::from_view(&v);
-                AutoScheduler::try_new(&vg, m).map(|s| s.run(&order, &Belady))
+                AutoScheduler::new(&ViewGraph::from_view(&v), m).run(&order, &Belady)
             } else {
-                let g = build_cdag(&base, r);
+                let g = build_cdag(base, r);
                 let order = recursive_order(&g);
-                AutoScheduler::try_new(&g, m).map(|s| s.run(&order, &Belady))
-            }
-            .map_err(|e| CliError::BadInput(e.to_string()))?;
+                AutoScheduler::new(&g, m).run(&order, &Belady)
+            };
             let n = mmio_cdag::index::pow(base.n0(), r);
-            let bound = LowerBound::new(&base).sequential_io(n, m as u64);
+            let bound = LowerBound::new(base).sequential_io(n, m as u64);
             println!(
                 "n = {n}, M = {m}: {} loads + {} stores = {} I/Os (Ω bound {:.0}, ratio {:.2})",
                 stats.loads,
@@ -451,32 +435,28 @@ fn run() -> Result<ExitCode, CliError> {
         "certify" => {
             reject_unread(&args, 3, &given, &[])?;
             let base = resolve(args.get(1).ok_or("missing algorithm")?)?;
-            let r =
-                ops::check_depth(&base, parse(args.get(2), "r")?).map_err(CliError::BadInput)?;
-            let m: u64 = parse(args.get(3), "M")?;
+            let (r, m) = (parse(args.get(2), "r")?, parse(args.get(3), "M")?);
+            let inst = Instance::try_new(base, r, Some(m), None)?;
             // Rendered by the same function the serve tier uses, so a serve
             // `certify` response is byte-identical to this output.
-            print!("{}", ops::certify_text(&base, r, m, view, &pool));
+            print!("{}", ops::certify_text(inst.base(), r, m, view, &pool));
         }
         "routing" => {
             reject_unread(&args, 3, &given, &[])?;
             let base = resolve(args.get(1).ok_or("missing algorithm")?)?;
-            let k =
-                ops::check_depth(&base, parse(args.get(2), "k")?).map_err(CliError::BadInput)?;
+            let k: u32 = parse(args.get(2), "k")?;
             // Optional third argument r: transport into G_r, checked here
             // so a bad r fails before any output.
-            let transport_r = match args.get(3) {
-                Some(rarg) => {
-                    let r = ops::check_depth(&base, rarg.parse().map_err(|_| "invalid r")?)
-                        .map_err(CliError::BadInput)?;
-                    if r < k {
-                        return Err(CliError::Usage(format!("r = {r} must be ≥ k = {k}")));
-                    }
-                    Some(r)
-                }
-                None => None,
-            };
-            let g = build_cdag(&base, k);
+            let transport_r: Option<u32> = args
+                .get(3)
+                .map(|r| r.parse().map_err(|_| "invalid r"))
+                .transpose()?;
+            if let Some(r) = transport_r.filter(|&r| r < k) {
+                return Err(CliError::Usage(format!("r = {r} must be ≥ k = {k}")));
+            }
+            let inst = Instance::try_new(base, transport_r.unwrap_or(k), None, None)?;
+            let base = inst.base();
+            let g = build_cdag(base, k);
             let routing = InOutRouting::new(&g).ok_or_else(|| {
                 CliError::Verification(
                     "no n₀-capacity Hall matching (paper hypotheses fail)".to_string(),
@@ -499,13 +479,13 @@ fn run() -> Result<ExitCode, CliError> {
             // every copy of G_k inside G_r (Fact 1), re-verifying each copy
             // against the real G_r edges.
             if let Some(r) = transport_r {
-                let class = RoutingClass::build(&base, k, &pool)
+                let class = RoutingClass::build(base, k, &pool)
                     .expect("Hall matching exists (verified above)");
-                let tr = if use_implicit(view, &base, r) {
-                    let gr = IndexView::from_base(&base, r);
+                let tr = if use_implicit(view, base, r) {
+                    let gr = IndexView::from_base(base, r);
                     verify_transported(&gr, &class, &pool)
                 } else {
-                    let gr = build_cdag(&base, r);
+                    let gr = build_cdag(base, r);
                     verify_transported(&gr, &class, &pool)
                 };
                 println!(
@@ -529,16 +509,10 @@ fn run() -> Result<ExitCode, CliError> {
         "report" => {
             reject_unread(&args, 3, &given, &[])?;
             let base = resolve(args.get(1).ok_or("missing algorithm")?)?;
-            let r =
-                ops::check_depth(&base, parse(args.get(2), "r")?).map_err(CliError::BadInput)?;
-            let m: u64 = parse(args.get(3), "M")?;
-            let routing_k = if base.a() >= 16 { 1 } else { 2 };
-            let report = mmio_core::report::analyze(&base, r, m, routing_k)
-                .map_err(|e| CliError::BadInput(e.to_string()))?;
-            println!(
-                "{}",
-                serde_json::to_string_pretty(&report).expect("serializable")
-            );
+            let (r, m) = (parse(args.get(2), "r")?, parse(args.get(3), "M")?);
+            let inst = Instance::try_new(base, r, Some(m), None)?;
+            let report = mmio_core::report::analyze(&inst, ops::routing_depth(inst.base(), r));
+            print_json(&report);
         }
         "analyze" => {
             reject_unread(&args, 2, &given, &["--json"])?;
@@ -547,45 +521,36 @@ fn run() -> Result<ExitCode, CliError> {
                 Some(a) => Some(a.parse().map_err(|_| "invalid r")?),
                 None => None,
             };
-            let bases = if target == "all" {
-                all_base_graphs()
-            } else {
-                vec![resolve(target)?]
-            };
-            if let Some(r) = explicit_r {
-                for base in &bases {
-                    ops::check_depth(base, r).map_err(CliError::BadInput)?;
-                }
-            }
-            // Flatten the (algorithm, r) targets, fan the analyses out over
+            // Flatten the (algorithm, r) instances, fan the analyses out over
             // the pool, and consume results in target order — so the output
             // is byte-identical to the serial loop at any thread count.
-            let mut work: Vec<(usize, u32)> = Vec::new();
-            for (bi, base) in bases.iter().enumerate() {
-                let ranks: Vec<u32> = match explicit_r {
-                    Some(r) => vec![r],
-                    // Default sweep; G_3 of the tensor-square bases is too
-                    // large to lint interactively.
-                    None => (1..=if base.b() > 30 { 2 } else { 3 }).collect(),
+            let mut work = Vec::new();
+            for base in resolve_targets(target)? {
+                // The default sweep is r = 1..=3, capped like the witnesses.
+                let ranks = match explicit_r {
+                    Some(r) => r..=r,
+                    None => 1..=ops::witness_depth(&base, 3),
                 };
-                work.extend(ranks.into_iter().map(|r| (bi, r)));
+                for r in ranks {
+                    work.push(Instance::try_new(base.clone(), r, None, None)?);
+                }
             }
             let results = pool.map(work.len(), |i| {
-                let (bi, r) = work[i];
-                ops::analyze_target(&bases[bi], r)
+                ops::analyze_target(work[i].base(), work[i].r())
             });
             let mut summaries = Vec::new();
             let mut total_errors = 0usize;
             let mut total_warnings = 0usize;
-            for (&(bi, r), (report, summary)) in work.iter().zip(results) {
+            for (inst, (report, summary)) in work.iter().zip(results) {
                 total_errors += report.error_count();
                 total_warnings += report.warning_count();
                 if json {
                     summaries.push(summary);
                 } else {
                     println!(
-                        "{:<22} r={r}: {} error(s), {} warning(s)",
-                        bases[bi].name(),
+                        "{:<22} r={}: {} error(s), {} warning(s)",
+                        inst.base().name(),
+                        inst.r(),
                         report.error_count(),
                         report.warning_count()
                     );
@@ -595,11 +560,7 @@ fn run() -> Result<ExitCode, CliError> {
                 }
             }
             if json {
-                println!(
-                    "{}",
-                    serde_json::to_string_pretty(&serde::Value::Array(summaries))
-                        .expect("serializable")
-                );
+                print_json(&serde::Value::Array(summaries));
             } else {
                 println!("total: {total_errors} error(s), {total_warnings} warning(s)");
             }
@@ -614,11 +575,7 @@ fn run() -> Result<ExitCode, CliError> {
             // `--threads` value (golden-tested).
             let outcome = mmio_check::run_suite();
             if json {
-                println!(
-                    "{}",
-                    serde_json::to_string_pretty(&serde::Serialize::to_value(&outcome))
-                        .expect("serializable")
-                );
+                print_json(&serde::Serialize::to_value(&outcome));
             } else {
                 println!("recorded traces:");
                 for t in &outcome.traces {
@@ -686,22 +643,18 @@ fn run() -> Result<ExitCode, CliError> {
                         ));
                     }
                     let out_dir = std::path::PathBuf::from(out_dir.as_deref().unwrap_or("certs"));
-                    let bases = if target == "all" {
-                        all_base_graphs()
-                    } else {
-                        vec![resolve(target)?]
-                    };
-                    for base in &bases {
-                        ops::check_depth(base, r).map_err(CliError::BadInput)?;
-                    }
+                    let insts = resolve_targets(target)?
+                        .into_iter()
+                        .map(|base| Instance::try_new(base, r, None, None))
+                        .collect::<Result<Vec<_>, _>>()?;
                     std::fs::create_dir_all(&out_dir)
                         .map_err(|e| CliError::io(out_dir.display(), e))?;
                     let mut written = Vec::new();
-                    for base in &bases {
-                        let implicit = use_implicit(view, base, r);
-                        for (file, cert) in emit_certs_for(base, r, &pool, implicit) {
+                    for inst in &insts {
+                        let implicit = use_implicit(view, inst.base(), r);
+                        for (file, json) in emit_certs_for(inst, &pool, implicit) {
                             let path = out_dir.join(file);
-                            std::fs::write(&path, cert.to_json())
+                            std::fs::write(&path, json)
                                 .map_err(|e| CliError::io(path.display(), e))?;
                             written.push(path);
                         }
@@ -713,10 +666,7 @@ fn run() -> Result<ExitCode, CliError> {
                                 .map(|p| serde::Value::Str(p.display().to_string()))
                                 .collect(),
                         );
-                        println!(
-                            "{}",
-                            serde_json::to_string_pretty(&v).expect("serializable")
-                        );
+                        print_json(&v);
                     } else {
                         for p in &written {
                             println!("wrote {}", p.display());
@@ -764,11 +714,7 @@ fn run() -> Result<ExitCode, CliError> {
                         }
                     }
                     if json {
-                        println!(
-                            "{}",
-                            serde_json::to_string_pretty(&serde::Value::Array(entries))
-                                .expect("serializable")
-                        );
+                        print_json(&serde::Value::Array(entries));
                     } else {
                         println!(
                             "cert verify: {}/{} accepted",
@@ -838,10 +784,7 @@ fn run() -> Result<ExitCode, CliError> {
             let outcome = mmio_audit::audit_workspace(&root, &opts)
                 .map_err(|e| CliError::io(root.display(), e))?;
             if json {
-                println!(
-                    "{}",
-                    serde_json::to_string_pretty(&outcome).expect("serializable")
-                );
+                print_json(&outcome);
             } else {
                 print!("{}", outcome.to_text());
             }
@@ -857,20 +800,19 @@ fn run() -> Result<ExitCode, CliError> {
             let topo = extract_value(&mut args, "--topo")?;
             reject_unread(&args, 2, &given, &["--json"])?;
             let base = resolve(args.get(1).ok_or("missing algorithm")?)?;
-            let k =
-                ops::check_depth(&base, parse(args.get(2), "k")?).map_err(CliError::BadInput)?;
+            let k: u32 = parse(args.get(2), "k")?;
             let p: u32 = match procs {
                 Some(v) => v
                     .parse()
                     .map_err(|_| format!("invalid --procs value '{v}'"))?,
                 None => 4,
             };
-            if p == 0 {
-                return Err("--procs must be ≥ 1".into());
-            }
             let mem: Option<usize> = mem
                 .map(|v| v.parse().map_err(|_| format!("invalid --mem value '{v}'")))
                 .transpose()?;
+            let inst = Instance::try_new(base, k, mem.map(|m| m as u64), Some(p))?;
+            let base = inst.base();
+            let m = mem.unwrap_or(inst.floor().max(16));
             let assign_name = assign.as_deref().unwrap_or("cyclic");
             let machine = match topo {
                 None => None,
@@ -883,12 +825,12 @@ fn run() -> Result<ExitCode, CliError> {
             };
             // Both views run the identical SoA engine on identical
             // (preds, order) data, so the output is byte-equal.
-            let (outcome, m) = if use_implicit(view, &base, k) {
-                let v = IndexView::from_base(&base, k);
-                run_distsim(&v, p, mem, assign_name, machine, &pool)?
+            let outcome = if use_implicit(view, base, k) {
+                let v = IndexView::from_base(base, k);
+                run_distsim(&v, p, m, assign_name, machine, &pool)?
             } else {
-                let g = build_cdag(&base, k);
-                run_distsim(&g, p, mem, assign_name, machine, &pool)?
+                let g = build_cdag(base, k);
+                run_distsim(&g, p, m, assign_name, machine, &pool)?
             };
             if json {
                 let v = serde::Value::Object(vec![
@@ -905,10 +847,7 @@ fn run() -> Result<ExitCode, CliError> {
                     ),
                     ("outcome".to_string(), serde::Serialize::to_value(&outcome)),
                 ]);
-                println!(
-                    "{}",
-                    serde_json::to_string_pretty(&v).expect("serializable")
-                );
+                print_json(&v);
             } else {
                 println!(
                     "{} r={k} P={p} M={m} assign={assign_name}: {} words moved, \

@@ -313,7 +313,8 @@ fn certify_golden_across_views_and_threads() {
     // implicit` (and `auto`, which resolves to one of them) produce
     // byte-identical certify output at every thread count. The expected
     // bytes are pinned so a drift in either path fails loudly.
-    let golden = "n = 8, M = 4: 36 complete segments, certified I/O ≥ 1422\n\
+    // M = 5 is Strassen's operand floor, the smallest valid cache.
+    let golden = "n = 8, M = 5: 29 complete segments, certified I/O ≥ 1336\n\
                   (k = 1, feasible = false, disjoint subcomputations = 49 ≥ target 1)\n";
     for view in ["explicit", "implicit", "auto"] {
         for threads in ["1", "2", "8"] {
@@ -325,7 +326,7 @@ fn certify_golden_across_views_and_threads() {
                 "certify",
                 "strassen",
                 "3",
-                "4",
+                "5",
             ]);
             assert!(out.status.success(), "view={view} threads={threads}");
             assert_eq!(
@@ -394,13 +395,16 @@ fn bad_view_value_fails() {
 #[test]
 fn degenerate_r0_legal_under_every_view() {
     // r = 0 (n = 1) has no closed-form view; the CLI must fall back to
-    // the explicit graph rather than panic, whatever `--view` says.
+    // the explicit graph rather than panic, whatever `--view` says. G_0's
+    // one product reads two operands, so M = 3 is its operand floor.
     let golden = mmio(&["simulate", "strassen", "0", "4"]);
     assert!(golden.status.success());
     for view in ["explicit", "implicit", "auto"] {
         let out = mmio(&["--view", view, "simulate", "strassen", "0", "4"]);
         assert!(out.status.success(), "view={view} at r=0");
         assert_eq!(out.stdout, golden.stdout, "view={view} at r=0");
+        let out = mmio(&["--view", view, "distsim", "strassen", "0", "--mem", "3"]);
+        assert!(out.status.success(), "distsim view={view} at r=0, M=3");
     }
 }
 
@@ -453,21 +457,37 @@ fn cert_emit_witness_depth_depends_on_view() {
     }
 }
 
+/// Asserts that `mmio args` rejects its instance as malformed input: exit
+/// 4, no stdout and the one stderr line `error: {err}`.
+fn assert_bad_input(args: &[&str], err: &str) {
+    let o = mmio(args);
+    assert_eq!(o.status.code(), Some(4), "{args:?}");
+    assert!(o.stdout.is_empty(), "{args:?}");
+    assert_eq!(
+        String::from_utf8(o.stderr).unwrap(),
+        format!("error: {err}\n"),
+        "{args:?}"
+    );
+}
+
+/// The operand-floor message for cache size `m` against a floor of `need`.
+fn floor_err(m: u32, need: u32) -> String {
+    format!("cache size {m} cannot hold an operand set ({need} needed)")
+}
+
 #[test]
 fn simulate_below_operand_floor_is_bad_input() {
-    // Strassen needs 5 slots to hold an operand set plus its result; a
-    // smaller M is malformed input (exit 4), not a panic, under both views.
+    // Strassen needs 5 slots to hold an operand set plus its result at
+    // r ≥ 1, and G_0's one product needs 3; a smaller M is malformed input
+    // (exit 4), not a panic, under both views.
     for view in ["explicit", "implicit"] {
-        for m in ["2", "0"] {
-            let out = mmio(&["--view", view, "simulate", "strassen", "2", m]);
-            assert_eq!(out.status.code(), Some(4), "view={view} M={m}");
-            assert!(out.stdout.is_empty(), "view={view} M={m}");
-            assert_eq!(
-                String::from_utf8(out.stderr).unwrap(),
-                format!("error: cache size {m} cannot hold an operand set (5 needed)\n"),
-                "view={view} M={m}"
-            );
+        for m in [2, 0] {
+            let m_arg = m.to_string();
+            let args = ["--view", view, "simulate", "strassen", "2", &m_arg];
+            assert_bad_input(&args, &floor_err(m, 5));
         }
+        let args = ["--view", view, "simulate", "strassen", "0", "2"];
+        assert_bad_input(&args, &floor_err(2, 3));
     }
 }
 
@@ -475,36 +495,26 @@ fn simulate_below_operand_floor_is_bad_input() {
 fn report_below_operand_floor_is_bad_input() {
     // `report` times the recursive schedule at M: below the operand floor
     // it exits 4 with `simulate`'s message, before any output.
-    let out = mmio(&["report", "strassen", "2", "1"]);
-    assert_eq!(out.status.code(), Some(4));
-    assert!(out.stdout.is_empty());
-    assert_eq!(
-        String::from_utf8(out.stderr).unwrap(),
-        "error: cache size 1 cannot hold an operand set (5 needed)\n"
-    );
+    assert_bad_input(&["report", "strassen", "2", "1"], &floor_err(1, 5));
 }
 
 #[test]
 fn distsim_mem_below_operand_floor_is_bad_input() {
     // An out-of-range `--mem` is malformed input like `simulate`'s M (exit
-    // 4, one line, no usage text), under both views.
+    // 4, one line, no usage text), under both views and at both floors.
     for view in ["explicit", "implicit"] {
-        let out = mmio(&["--view", view, "distsim", "strassen", "2", "--mem", "1"]);
-        assert_eq!(out.status.code(), Some(4), "view={view}");
-        assert!(out.stdout.is_empty(), "view={view}");
-        assert_eq!(
-            String::from_utf8(out.stderr).unwrap(),
-            "error: cache size 1 cannot hold an operand set (5 needed)\n",
-            "view={view}"
-        );
+        let args = ["--view", view, "distsim", "strassen", "2", "--mem", "1"];
+        assert_bad_input(&args, &floor_err(1, 5));
+        let args = ["--view", view, "distsim", "strassen", "0", "--mem", "2"];
+        assert_bad_input(&args, &floor_err(2, 3));
     }
 }
 
 #[test]
 fn too_deep_r_is_bad_input() {
     // Strassen G_40 overflows dense u32 vertex ids. Every command that
-    // takes a depth rejects it where it parses it: exit 4, one line, no
-    // partial output, nothing written.
+    // takes a depth rejects it before it builds anything: exit 4, one
+    // line, no partial output, nothing written.
     let dir = std::env::temp_dir().join(format!("mmio_cli_deep_{}", std::process::id()));
     let out_dir = dir.to_str().unwrap();
     for args in [
@@ -517,16 +527,84 @@ fn too_deep_r_is_bad_input() {
         &["routing", "strassen", "40"],
         &["analyze", "strassen", "40"],
     ] {
-        let out = mmio(args);
-        assert_eq!(out.status.code(), Some(4), "{args:?}");
-        assert!(out.stdout.is_empty(), "{args:?}");
-        assert_eq!(
-            String::from_utf8(out.stderr).unwrap(),
-            "error: strassen: r = 40 is too deep (G_r exceeds u32 vertex ids)\n",
-            "{args:?}"
+        assert_bad_input(
+            args,
+            "strassen: r = 40 is too deep (G_r exceeds u32 vertex ids)",
         );
     }
     assert!(!dir.exists(), "cert emit wrote before rejecting r");
+}
+
+#[test]
+fn invalid_instances_are_bad_input() {
+    // The instance rules not covered by the tests above: `certify` below
+    // the operand floor, P = 0, the 1×1 base past r = 32, and a base-graph
+    // file whose n0 is 0 or squares past usize, for every command that
+    // reads an algorithm. Each exits 4 with one stderr line, no stdout and
+    // nothing written. `FILE` and `OUT` stand for a file and for an output
+    // directory under a scratch directory.
+    let dir = std::env::temp_dir().join(format!("mmio_cli_invalid_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = dir.join("certs");
+    let base = |n0: &str, cols: u32| {
+        let path = dir.join(format!("n0_{n0}.json"));
+        let m = |rows, cols, data| format!(r#"{{"rows":{rows},"cols":{cols},"data":[{data}]}}"#);
+        let data = if cols == 1 { r#""1""# } else { "" };
+        let (enc, dec) = (m(1, cols, data), m(cols, 1, data));
+        let json =
+            format!(r#"{{"name":"n0_{n0}","n0":{n0},"enc_a":{enc},"enc_b":{enc},"dec":{dec}}}"#);
+        std::fs::write(&path, json).unwrap();
+        path
+    };
+    let mut rows: Vec<(String, Option<std::path::PathBuf>, String)> = Vec::new();
+    for view in ["explicit", "implicit"] {
+        let cmd = format!("--view {view} certify strassen 2 0");
+        rows.push((cmd, None, floor_err(0, 5)));
+    }
+    let p0 = "the processor count P must be at least 1".to_string();
+    rows.push(("distsim strassen 2 --procs 0".into(), None, p0));
+    rows.push((
+        "simulate FILE 33 4".into(),
+        Some(base("1", 1)),
+        "n0_1: r = 33 is too deep (G_r exceeds u32 vertex ids)".into(),
+    ));
+    for (n0, err) in [
+        ("0", "n0 must be at least 1"),
+        ("4294967296", "n0² overflows"),
+    ] {
+        let file = base(n0, 0);
+        let err = format!("{}: parse error: {err}", file.display());
+        for cmd in [
+            "info FILE",
+            "verify FILE",
+            "export FILE",
+            "simulate FILE 2 64",
+            "certify FILE 2 64",
+            "routing FILE 1",
+            "report FILE 2 64",
+            "analyze FILE",
+            "cert emit FILE 2 --out OUT",
+            "distsim FILE 2",
+        ] {
+            rows.push((cmd.into(), Some(file.clone()), err.clone()));
+        }
+    }
+    for (cmd, file, err) in &rows {
+        let args: Vec<&str> = cmd
+            .split_whitespace()
+            .map(|t| match t {
+                "FILE" => file.as_ref().unwrap().to_str().unwrap(),
+                "OUT" => out.to_str().unwrap(),
+                t => t,
+            })
+            .collect();
+        assert_bad_input(&args, err);
+    }
+    assert!(
+        !out.exists(),
+        "cert emit wrote before rejecting its instance"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -1,5 +1,5 @@
-//! Dominator sets — the Hong–Kung S-partition machinery ([10], also
-//! Savage [14] and Bilardi et al. [7]), the oldest of the prior techniques
+//! Dominator sets — the Hong–Kung S-partition machinery (\[10\], also
+//! Savage \[14\] and Bilardi et al. \[7\]), the oldest of the prior techniques
 //! the paper's Section 2 lists.
 //!
 //! A *dominator* of a vertex set `T` is a set `D` such that every path

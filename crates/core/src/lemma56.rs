@@ -5,7 +5,7 @@
 //! guaranteed dependencies, the chains realizing them collectively pass
 //! through at least `|D|/n₀` middle-rank vertices. Its proof constructs,
 //! from any violating `D_i`, a vector–matrix multiplication algorithm with
-//! fewer than `n₀²` multiplications, contradicting Winograd [15].
+//! fewer than `n₀²` multiplications, contradicting Winograd \[15\].
 //!
 //! Lemma 6 (checked exhaustively for small `b`): if a computation graph of
 //! products of linear combinations sets `d` coefficients of `c_{ij}` in

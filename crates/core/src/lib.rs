@@ -30,8 +30,9 @@
 //! | `R(S)`, `W(S)`, `δ(S)`, `δ'(S')` (Definition 1) | [`boundary`] |
 //! | segment argument (Sections 5–6, Equations 1–2) | [`segments`] |
 //! | Lemma 1 (input-disjoint subcomputations) | [`lemma1`] |
-//! | Lemma 6 (matrix–vector reduction, Winograd [15]) | [`lemma56`] |
+//! | Lemma 6 (matrix–vector reduction, Winograd \[15\]) | [`lemma56`] |
 //! | Theorem 1 (closed-form bounds, certificates) | [`theorem1`] |
+//! | a validated instance `(G_r, M, P)` | [`instance`] |
 //! | prior techniques, for contrast (Section 2) | [`dominator`], [`expansion`], [`loomis_whitney`] |
 //! | Section 8 extension (single-use lifted) | [`extension`] |
 //!
@@ -61,6 +62,7 @@ pub mod dominator;
 pub mod expansion;
 pub mod extension;
 pub mod hall;
+pub mod instance;
 pub mod lemma1;
 pub mod lemma4;
 pub mod lemma56;
@@ -74,6 +76,7 @@ pub mod theorem1;
 pub mod theorem2;
 pub mod transport;
 
+pub use instance::{Instance, InstanceError};
 pub use routing::{RoutingStats, VertexHitCounter};
 pub use theorem1::LowerBound;
 pub use theorem2::InOutRouting;

@@ -1,5 +1,5 @@
-//! The Loomis–Whitney segment argument (Irony–Toledo–Tiskin [12],
-//! generalized in [5]) — the classical-algorithm technique the paper's
+//! The Loomis–Whitney segment argument (Irony–Toledo–Tiskin \[12\],
+//! generalized in \[5\]) — the classical-algorithm technique the paper's
 //! Section 2 contrasts with, made executable.
 //!
 //! For the classical algorithm, the products computed in a segment form a

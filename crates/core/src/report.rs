@@ -4,15 +4,16 @@
 //! upper-bound measurement.
 
 use crate::claim1::DecodingRouting;
+use crate::instance::Instance;
 use crate::theorem1::{certify_with, Certificate, CertifyParams, LowerBound};
 use crate::theorem2::InOutRouting;
+use crate::RoutingStats;
 use mmio_cdag::build::build_cdag;
 use mmio_cdag::connectivity::{classify, BaseGraphProperties};
 use mmio_cdag::stats::{profile, CdagProfile};
-use mmio_cdag::BaseGraph;
 use mmio_pebble::orders::recursive_order;
 use mmio_pebble::policy::Belady;
-use mmio_pebble::{AutoScheduler, CacheTooSmall};
+use mmio_pebble::AutoScheduler;
 use serde::Serialize;
 
 /// Verification outcome of one routing construction.
@@ -49,47 +50,32 @@ pub struct AlgorithmReport {
     pub formula: f64,
 }
 
-/// Runs the full pipeline on `base` at recursion depth `r` and cache size
-/// `m`, with [`CertifyParams::SMALL`] constants (laptop scale).
+/// Runs the full pipeline on `inst` with [`CertifyParams::SMALL`]
+/// constants (laptop scale), at the instance's cache size, or at its
+/// operand floor when it names none.
 ///
 /// `routing_k` bounds the depth at which routings are *constructed and
 /// verified* (path counts grow as `a^{2k}`); pass 1 or 2.
-///
-/// Fails, before any analysis runs, when `m` cannot hold an operand set
-/// of `G_r`.
-pub fn analyze(
-    base: &BaseGraph,
-    r: u32,
-    m: u64,
-    routing_k: u32,
-) -> Result<AlgorithmReport, CacheTooSmall> {
+pub fn analyze(inst: &Instance, routing_k: u32) -> AlgorithmReport {
+    let (base, r) = (inst.base(), inst.r());
+    let m = inst.m().unwrap_or(inst.floor() as u64);
     let g = build_cdag(base, r);
-    let scheduler = AutoScheduler::try_new(&g, usize::try_from(m).unwrap_or(usize::MAX))?;
+    let scheduler = AutoScheduler::new(&g, usize::try_from(m).unwrap_or(usize::MAX));
     let gk = build_cdag(base, routing_k.min(r));
     let order = recursive_order(&g);
 
-    let claim1 = DecodingRouting::new(&gk).map(|routing| {
-        let stats = routing.verify();
-        RoutingReport {
-            bound: routing.claim1_bound(),
-            max_vertex_hits: stats.max_vertex_hits,
-            max_meta_hits: stats.max_meta_hits,
-            verified: stats.is_m_routing(routing.claim1_bound()),
-        }
-    });
-    let theorem2 = InOutRouting::new(&gk).map(|routing| {
-        let stats = routing.verify();
-        RoutingReport {
-            bound: routing.theorem2_bound(),
-            max_vertex_hits: stats.max_vertex_hits,
-            max_meta_hits: stats.max_meta_hits,
-            verified: stats.is_m_routing(routing.theorem2_bound()),
-        }
-    });
+    let report = |bound: u64, stats: RoutingStats| RoutingReport {
+        bound,
+        max_vertex_hits: stats.max_vertex_hits,
+        max_meta_hits: stats.max_meta_hits,
+        verified: stats.is_m_routing(bound),
+    };
+    let claim1 = DecodingRouting::new(&gk).map(|rt| report(rt.claim1_bound(), rt.verify()));
+    let theorem2 = InOutRouting::new(&gk).map(|rt| report(rt.theorem2_bound(), rt.verify()));
 
     let certificate = certify_with(&g, m, &order, CertifyParams::SMALL);
     let measured_io = scheduler.run(&order, &Belady).io();
-    Ok(AlgorithmReport {
+    AlgorithmReport {
         properties: classify(base),
         profile: profile(&g),
         claim1,
@@ -97,7 +83,7 @@ pub fn analyze(
         certificate,
         measured_io,
         formula: LowerBound::new(base).sequential_io(g.n(), m),
-    })
+    }
 }
 
 #[cfg(test)]
@@ -105,10 +91,18 @@ mod tests {
     use super::*;
     use mmio_algos::classical::classical;
     use mmio_algos::strassen::strassen;
+    use mmio_cdag::BaseGraph;
+
+    fn report(base: BaseGraph, r: u32, m: u64, routing_k: u32) -> AlgorithmReport {
+        analyze(
+            &Instance::try_new(base, r, Some(m), None).unwrap(),
+            routing_k,
+        )
+    }
 
     #[test]
     fn strassen_report_is_fully_verified() {
-        let report = analyze(&strassen(), 4, 8, 2).unwrap();
+        let report = report(strassen(), 4, 8, 2);
         assert!(report.properties.is_fast);
         assert!(report.claim1.as_ref().unwrap().verified);
         assert!(report.theorem2.as_ref().unwrap().verified);
@@ -118,25 +112,16 @@ mod tests {
 
     #[test]
     fn classical_report_flags_disconnection() {
-        let report = analyze(&classical(2), 3, 8, 1).unwrap();
+        let report = report(classical(2), 3, 8, 1);
         assert!(report.claim1.is_none(), "disconnected decoding graph");
         assert!(!report.properties.is_fast);
     }
 
     #[test]
     fn report_serializes() {
-        let report = analyze(&strassen(), 3, 8, 1).unwrap();
+        let report = report(strassen(), 3, 8, 1);
         let json = serde_json::to_string(&report).unwrap();
         assert!(json.contains("\"certified_io\""));
         assert!(json.contains("\"omega0\""));
-    }
-
-    #[test]
-    fn cache_below_operand_floor_is_an_error() {
-        let err = analyze(&strassen(), 2, 1, 1).unwrap_err();
-        assert_eq!(
-            err.to_string(),
-            "cache size 1 cannot hold an operand set (5 needed)"
-        );
     }
 }

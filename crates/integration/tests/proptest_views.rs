@@ -178,6 +178,27 @@ fn full_sweep_small_depth() {
     }
 }
 
+/// The closed-form maximum in-degree, the one definition of the operand
+/// floor, equals a scan of every vertex's predecessors for every registry
+/// base at `r = 0..3`: through the base, the `Cdag`'s view, and both pebble
+/// graphs. At `r = 0` only the product has predecessors (two).
+#[test]
+fn closed_form_max_indegree_equals_scan() {
+    use mmio_pebble::{PebbleGraph, ViewGraph};
+    for base in all_base_graphs() {
+        for r in 0..=3 {
+            let g = build_cdag(&base, r);
+            let scan = g.vertices().map(|v| g.preds(v).len()).max().unwrap();
+            let at = format!("{} r={r}", base.name());
+            assert_eq!(base.operand_floor(r), scan + 1, "{at}");
+            assert_eq!(CdagView::max_indegree(&g), scan, "{at}");
+            assert_eq!(PebbleGraph::max_indegree(&g), scan, "{at}");
+            let vg = ViewGraph::from_view(&g);
+            assert_eq!(PebbleGraph::max_indegree(&vg), scan, "{at}");
+        }
+    }
+}
+
 /// The meta-vertex root walk against the per-vertex `copy_parent`
 /// union-find it replaced (`CdagView::copy_roots_table`, whose roots are
 /// the smallest id of each group), on both views: the same root for every

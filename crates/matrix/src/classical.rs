@@ -2,7 +2,7 @@
 //!
 //! These are the ground-truth oracles every fast algorithm in the workspace
 //! is tested against, and the "classical" side of the paper's motivating
-//! comparison: Hong–Kung [10] proved the classical algorithm needs
+//! comparison: Hong–Kung \[10\] proved the classical algorithm needs
 //! `Θ(n³/√M)` I/Os, attained by the blocked variant implemented here.
 
 use crate::dense::Matrix;

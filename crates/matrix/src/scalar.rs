@@ -2,7 +2,7 @@
 //!
 //! The paper works over ℝ or ℂ; for reproducibility we run algorithms over
 //! `f64` (performance benches), `i64` (exact, overflow-checked in debug) and
-//! [`Rational`](crate::Rational) (fully exact, used by correctness proofs).
+//! [`Rational`] (fully exact, used by correctness proofs).
 
 use crate::rational::Rational;
 use std::fmt::Debug;

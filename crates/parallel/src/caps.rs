@@ -1,5 +1,5 @@
 //! Step-level simulator of CAPS-style parallel Strassen-like execution
-//! ([3]: Ballard, Demmel, Holtz, Lipshitz, Schwartz — the algorithm that
+//! (\[3\]: Ballard, Demmel, Holtz, Lipshitz, Schwartz — the algorithm that
 //! attains the Theorem 1 bounds).
 //!
 //! The scheme is a recursion over the base graph: a **BFS step** encodes
@@ -32,7 +32,7 @@ fn step_words(base: &BaseGraph, n: f64, p: f64) -> f64 {
 
 /// Simulates the CAPS schedule for an `n×n` problem on `p` processors with
 /// local memories of `m` words. Requires `p` to be a power of `b` for clean
-/// BFS steps (as in [3]); other values fall back to DFS until `p`
+/// BFS steps (as in \[3\]); other values fall back to DFS until `p`
 /// divides.
 pub fn simulate(base: &BaseGraph, n: u64, p: u64, m: u64) -> CapsRun {
     let mut steps = String::new();

@@ -20,7 +20,7 @@
 //!
 //! Two engines implement this model:
 //!
-//! - the default flat structure-of-arrays engine ([`soa`], reached via
+//! - the default flat structure-of-arrays engine (`soa`, reached via
 //!   every public `simulate*` function): O(threads·min(M, work) + V)
 //!   state, `Pool`-parallel rank stepping, optional per-link contention
 //!   timing under a [`MachineModel`] — built for thousands of ranks;

@@ -16,7 +16,7 @@
 //!   memory-independent bound) is checked, not assumed.
 //! - [`caps`]: a step-level simulator of the Communication-Avoiding
 //!   Parallel Strassen scheme of Ballard–Demmel–Holtz–Lipshitz–Schwartz
-//!   ([3]): BFS steps split the `b` subproblems over `P/b` processor
+//!   (\[3\]): BFS steps split the `b` subproblems over `P/b` processor
 //!   groups, DFS steps recurse with all processors; the simulator counts
 //!   the words each step redistributes and shows the bounds are attained.
 //! - [`executor`]: a real multi-threaded executor (`std` channels,

@@ -59,6 +59,7 @@ use crate::stats::{EngineCounters, IoStats};
 use mmio_cdag::{Cdag, Csr, VertexId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use serde::{Serialize, Value};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
@@ -72,18 +73,6 @@ pub struct CacheTooSmall {
     pub need: usize,
 }
 
-impl CacheTooSmall {
-    /// `Ok` iff a cache of `m` slots holds an operand set of a graph whose
-    /// largest in-degree is `max_indegree`, plus its result.
-    fn check(m: usize, max_indegree: usize) -> Result<(), CacheTooSmall> {
-        let need = max_indegree.saturating_add(1);
-        if m < need {
-            return Err(CacheTooSmall { m, need });
-        }
-        Ok(())
-    }
-}
-
 impl fmt::Display for CacheTooSmall {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -95,6 +84,20 @@ impl fmt::Display for CacheTooSmall {
 }
 
 impl std::error::Error for CacheTooSmall {}
+
+/// The in-band form a sweep reports for an infeasible grid point.
+impl Serialize for CacheTooSmall {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            (
+                "error".to_string(),
+                Value::Str("cache_too_small".to_string()),
+            ),
+            ("m".to_string(), Value::UInt(self.m as u64)),
+            ("need".to_string(), Value::UInt(self.need as u64)),
+        ])
+    }
+}
 
 /// What [`AutoScheduler::run_prepared`] should collect beyond [`IoStats`].
 #[derive(Clone, Copy, Debug, Default)]
@@ -119,12 +122,10 @@ pub struct RunOutput {
 }
 
 /// The immutable per-`(graph, order)` input of a run: every vertex's
-/// sorted use positions, each row closed by a `u64::MAX` sentinel, and the
-/// graph's largest in-degree. Built once and shared, read-only, by any
-/// number of concurrent runs.
+/// sorted use positions, each row closed by a `u64::MAX` sentinel. Built
+/// once and shared, read-only, by any number of concurrent runs.
 pub struct UseLists {
     uses: Csr,
-    max_indegree: usize,
 }
 
 impl UseLists {
@@ -145,10 +146,7 @@ impl UseLists {
                 sink(k, u64::MAX);
             }
         });
-        UseLists {
-            uses,
-            max_indegree: g.max_indegree(),
-        }
+        UseLists { uses }
     }
 
     /// Every vertex's cursor before its first use: the start of its row.
@@ -371,18 +369,10 @@ impl<'g, G: PebbleGraph> AutoScheduler<'g, G> {
     /// Creates a scheduler with cache size `m`, or reports why it cannot
     /// schedule anything (`m < max_indegree + 1`).
     pub fn try_new(g: &'g G, m: usize) -> Result<AutoScheduler<'g, G>, CacheTooSmall> {
-        CacheTooSmall::check(m, g.max_indegree())?;
-        Ok(AutoScheduler { g, m })
-    }
-
-    /// Like [`AutoScheduler::try_new`], reading the in-degree off `uses`
-    /// (built for `g`) instead of rescanning the graph.
-    pub fn try_with_uses(
-        g: &'g G,
-        m: usize,
-        uses: &UseLists,
-    ) -> Result<AutoScheduler<'g, G>, CacheTooSmall> {
-        CacheTooSmall::check(m, uses.max_indegree)?;
+        let need = g.max_indegree().saturating_add(1);
+        if m < need {
+            return Err(CacheTooSmall { m, need });
+        }
         Ok(AutoScheduler { g, m })
     }
 

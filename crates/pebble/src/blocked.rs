@@ -1,6 +1,6 @@
 //! Classical blocked matrix multiplication I/O: the Hong–Kung baseline.
 //!
-//! Hong and Kung [10] proved the classical algorithm needs `Θ(n³/√M)` I/Os,
+//! Hong and Kung \[10\] proved the classical algorithm needs `Θ(n³/√M)` I/Os,
 //! attained by multiplying in `s×s` tiles with `3s² ≤ M`. This module
 //! provides both the closed-form tile-level count and the corresponding
 //! lower-bound formula, used as the classical side of the crossover
@@ -32,7 +32,7 @@ pub fn blocked_io(n: u64, m: u64) -> u64 {
 }
 
 /// The Hong–Kung lower bound in its usual explicit form:
-/// `n³ / (2√2 · √M) − M` (see [5] for the constant).
+/// `n³ / (2√2 · √M) − M` (see \[5\] for the constant).
 pub fn hong_kung_lower_bound(n: u64, m: u64) -> f64 {
     let n = n as f64;
     let m = m as f64;

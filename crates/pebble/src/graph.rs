@@ -2,8 +2,9 @@
 //! of any [`CdagView`] behind it.
 //!
 //! The pebble engines ([`crate::AutoScheduler`], the test-only `sim`
-//! replay, the order validators) consume exactly four things: the vertex count,
-//! predecessor lists, and the input/output predicates. [`PebbleGraph`] pins
+//! replay, the order validators) consume exactly five things: the vertex
+//! count, predecessor lists, the input/output predicates, and the maximum
+//! in-degree (the operand floor's closed form). [`PebbleGraph`] pins
 //! that surface so the engines run against either a full [`Cdag`] or a
 //! [`ViewGraph`] — a predecessors-only CSR materialized from a closed-form
 //! [`mmio_cdag::IndexView`] without ever allocating successor lists,
@@ -25,13 +26,9 @@ pub trait PebbleGraph {
     fn is_input(&self, v: VertexId) -> bool;
     /// Whether `v` is an output (must be stored by every schedule).
     fn is_output(&self, v: VertexId) -> bool;
-    /// The largest predecessor count (sets the minimum feasible cache).
-    fn max_indegree(&self) -> usize {
-        (0..self.n_vertices() as u32)
-            .map(|i| self.preds(VertexId(i)).len())
-            .max()
-            .unwrap_or(0)
-    }
+    /// The largest predecessor count (sets the minimum feasible cache):
+    /// the closed form of [`CdagView::max_indegree`].
+    fn max_indegree(&self) -> usize;
 }
 
 impl PebbleGraph for Cdag {
@@ -47,18 +44,22 @@ impl PebbleGraph for Cdag {
     fn is_output(&self, v: VertexId) -> bool {
         Cdag::is_output(self, v)
     }
+    fn max_indegree(&self) -> usize {
+        CdagView::max_indegree(self)
+    }
 }
 
 /// A predecessors-only CSR built from any [`CdagView`]: the cheapest
 /// structure the scheduler can run on. Compared to a materialized [`Cdag`]
 /// it stores no successor lists, no edge coefficients, and no segment
 /// tables — one `u64` offset and the flat predecessor ids per vertex, plus
-/// two bitmaps.
+/// two bitmaps and the view's maximum in-degree.
 pub struct ViewGraph {
     offsets: Vec<u64>,
     preds: Vec<VertexId>,
     is_input: Vec<bool>,
     is_output: Vec<bool>,
+    max_indegree: usize,
 }
 
 impl ViewGraph {
@@ -85,6 +86,7 @@ impl ViewGraph {
             preds,
             is_input,
             is_output,
+            max_indegree: g.max_indegree(),
         }
     }
 }
@@ -102,6 +104,9 @@ impl PebbleGraph for ViewGraph {
     }
     fn is_output(&self, v: VertexId) -> bool {
         self.is_output[v.idx()]
+    }
+    fn max_indegree(&self) -> usize {
+        self.max_indegree
     }
 }
 

@@ -9,7 +9,7 @@
 //! memory of size `M_i`, everything below as slow memory). Theorem 1
 //! therefore applies *per boundary*: traffic across boundary `i` is
 //! `Ω((n/√M_i)^{ω₀}·M_i)`. [`Hierarchy::measure`] runs the boundaries as
-//! one pooled [`sweep`](crate::sweep) over the level sizes.
+//! one pooled [`sweep`] over the level sizes.
 
 use crate::policy::PolicySpec;
 use crate::sweep;
@@ -53,7 +53,7 @@ impl Hierarchy {
     }
 
     /// Measures per-boundary traffic for `order` under `policy`, running
-    /// the boundaries as a pooled [`sweep`](crate::sweep) over the level
+    /// the boundaries as a pooled [`sweep`] over the level
     /// sizes. Every boundary starts a fresh run of the same spec, so the
     /// result is identical at any thread count.
     pub fn measure(

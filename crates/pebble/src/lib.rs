@@ -3,7 +3,7 @@
 //! The paper's machine model, executable: a two-level memory hierarchy
 //! (unbounded slow memory + cache of size `M`) in which CDAG computations
 //! are scheduled and their I/O counted — the red–blue pebble game of Hong
-//! and Kung [10], which the paper adopts verbatim (Section 1, "Machine
+//! and Kung \[10\], which the paper adopts verbatim (Section 1, "Machine
 //! model").
 //!
 //! Model rules:
@@ -25,7 +25,7 @@
 //!   measurement;
 //! - [`orders`]: compute orders — rank-by-rank (pessimal locality), the
 //!   recursive depth-first order of the actual Strassen-like algorithm
-//!   (which attains the Theorem 1 lower bound, cf. [3]), and random
+//!   (which attains the Theorem 1 lower bound, cf. \[3\]), and random
 //!   topological orders;
 //! - [`game`]: exact minimum-I/O search for tiny CDAGs (0-1 Dijkstra over
 //!   pebbling states), used to validate the scheduler against ground truth;
@@ -84,7 +84,7 @@ pub use graph::{PebbleGraph, ViewGraph};
 pub use policy::PolicySpec;
 pub use schedule::{Action, Schedule};
 pub use stats::{EngineCounters, IoStats};
-pub use sweep::{GridPoint, SweepError, SweepPoint, SweepRun};
+pub use sweep::{GridPoint, SweepPoint, SweepRun};
 
 #[cfg(test)]
 pub(crate) mod testutil {

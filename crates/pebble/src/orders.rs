@@ -20,7 +20,7 @@ pub fn rank_order<G: PebbleGraph>(g: &G) -> Vec<VertexId> {
 /// The recursive depth-first order of the actual Strassen-like algorithm:
 /// subproblems are completed one at a time, so the working set at recursion
 /// depth `d` is `O(a^{r-d})` — the cache-oblivious schedule that attains the
-/// Theorem 1 lower bound (cf. [3]).
+/// Theorem 1 lower bound (cf. \[3\]).
 ///
 /// Emission for a subproblem with multiplication prefix `p` at depth `d`:
 /// for each child `m`: emit the child's encoded inputs (both sides), recurse;

@@ -16,10 +16,10 @@
 //!   `min(M, n)` and by the vertex count, never by `M` alone.
 //!
 //! Infeasible grid points (`M < max_indegree + 1`) report a typed
-//! [`SweepError`] in their slot instead of aborting the sweep — the
-//! scheduler is constructed with [`AutoScheduler::try_with_uses`].
+//! [`CacheTooSmall`] in their slot instead of aborting the sweep — the
+//! scheduler is constructed with [`AutoScheduler::try_new`].
 
-use crate::auto::{AutoScheduler, RunOptions, SchedScratch, UseLists};
+use crate::auto::{AutoScheduler, CacheTooSmall, RunOptions, SchedScratch, UseLists};
 pub use crate::policy::PolicySpec;
 use crate::stats::{EngineCounters, IoStats};
 use mmio_cdag::{Cdag, VertexId};
@@ -35,48 +35,6 @@ pub struct GridPoint {
     pub policy: PolicySpec,
     /// Cache size.
     pub m: usize,
-}
-
-/// Why a grid point could not run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SweepError {
-    /// `M` cannot hold an operand set: the scheduler needs `need` slots.
-    CacheTooSmall {
-        /// The requested cache size.
-        m: usize,
-        /// The minimum feasible cache size.
-        need: usize,
-    },
-}
-
-impl std::fmt::Display for SweepError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match *self {
-            SweepError::CacheTooSmall { m, need } => {
-                write!(
-                    f,
-                    "cache size {m} cannot hold an operand set ({need} needed)"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for SweepError {}
-
-impl Serialize for SweepError {
-    fn to_value(&self) -> Value {
-        match *self {
-            SweepError::CacheTooSmall { m, need } => Value::Object(vec![
-                (
-                    "error".to_string(),
-                    Value::Str("cache_too_small".to_string()),
-                ),
-                ("m".to_string(), Value::UInt(m as u64)),
-                ("need".to_string(), Value::UInt(need as u64)),
-            ]),
-        }
-    }
 }
 
 /// The measurements of one successful grid point.
@@ -102,7 +60,7 @@ pub struct SweepPoint {
     /// The grid cell this result belongs to.
     pub point: GridPoint,
     /// The run's measurements, or why it could not run.
-    pub result: Result<SweepRun, SweepError>,
+    pub result: Result<SweepRun, CacheTooSmall>,
 }
 
 impl Serialize for SweepPoint {
@@ -153,11 +111,8 @@ pub fn sweep(
     pool.map(grid.len(), |i| {
         let point = grid[i];
         let (order, uses) = (orders[point.order], &uses[point.order]);
-        let result = match AutoScheduler::try_with_uses(g, point.m, uses) {
-            Err(e) => Err(SweepError::CacheTooSmall {
-                m: e.m,
-                need: e.need,
-            }),
+        let result = match AutoScheduler::try_new(g, point.m) {
+            Err(e) => Err(e),
             Ok(sched) => {
                 let out = sched.run_prepared(
                     order,
@@ -221,10 +176,7 @@ mod tests {
             &[2, 64],
             &Pool::serial(),
         );
-        assert!(matches!(
-            pts[0].result,
-            Err(SweepError::CacheTooSmall { m: 2, .. })
-        ));
+        assert!(matches!(pts[0].result, Err(CacheTooSmall { m: 2, .. })));
         assert!(pts[1].result.is_ok());
     }
 

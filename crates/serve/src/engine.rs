@@ -22,6 +22,7 @@ use crate::faults::FaultHook;
 use crate::ops;
 use crate::protocol::{Op, Request, Response, Status};
 use crate::queue::{JobQueue, JobToken, PushError, WorkerSet};
+use mmio_core::Instance;
 use mmio_parallel::Pool;
 use serde::Value;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -491,19 +492,18 @@ fn compute(shared: &Shared, op: &Op) -> Result<String, ComputeError> {
         code: codes::SERVE_BAD_REQUEST,
         detail,
     };
-    // Resolves the registry algorithm and rejects a depth whose `G_r`
-    // exceeds u32 vertex ids, as the CLI does.
-    let resolve = |algo: &str, r: u32| {
+    // Resolves the registry algorithm into a validated instance, as the
+    // CLI does.
+    let resolve = |algo: &str, r: u32, m: Option<u64>| {
         let base = ops::resolve_registry(algo)
             .ok_or_else(|| bad(format!("unknown algorithm {algo:?} (registry names only)")))?;
-        ops::check_depth(&base, r).map_err(bad)?;
-        Ok(base)
+        Instance::try_new(base, r, m, None).map_err(|e| bad(e.to_string()))
     };
     match op {
         Op::Certify { algo, r, m } => {
-            let base = resolve(algo, *r)?;
+            let inst = resolve(algo, *r, Some(*m))?;
             Ok(ops::certify_text(
-                &base,
+                inst.base(),
                 *r,
                 *m,
                 ops::ViewMode::Auto,
@@ -511,17 +511,17 @@ fn compute(shared: &Shared, op: &Op) -> Result<String, ComputeError> {
             ))
         }
         Op::Analyze { algo, r } => {
-            let base = resolve(algo, *r)?;
-            Ok(ops::analyze_json(&base, *r).0)
+            let inst = resolve(algo, *r, None)?;
+            Ok(ops::analyze_json(inst.base(), *r).0)
         }
         Op::Sweep { algo, r, ms } => {
-            let base = resolve(algo, *r)?;
-            Ok(ops::sweep_json(&base, *r, ms, &shared.pool))
+            let inst = resolve(algo, *r, None)?;
+            Ok(ops::sweep_json(inst.base(), *r, ms, &shared.pool))
         }
         Op::RoutingCert { algo, k, r } => {
             // `k ≤ r` (checked at parse time), so `G_k` fits when `G_r` does.
-            let base = resolve(algo, *r)?;
-            ops::routing_cert_json(&base, *k, *r, &shared.pool).ok_or_else(|| ComputeError {
+            let inst = resolve(algo, *r, None)?;
+            ops::routing_cert_json(inst.base(), *k, *r, &shared.pool).ok_or_else(|| ComputeError {
                 status: Status::Error,
                 code: codes::SERVE_BAD_REQUEST,
                 detail: format!(
@@ -609,41 +609,19 @@ mod tests {
     #[test]
     fn too_deep_r_is_bad_request_not_panic() {
         let e = engine(None);
-        let algo = || "strassen".to_string();
-        let ops = [
-            Op::Certify {
-                algo: algo(),
-                r: 40,
-                m: 64,
-            },
-            Op::Analyze {
-                algo: algo(),
-                r: 40,
-            },
-            Op::Sweep {
-                algo: algo(),
-                r: 40,
-                ms: vec![64],
-            },
-            Op::RoutingCert {
-                algo: algo(),
-                k: 1,
-                r: 40,
-            },
-        ];
-        for (id, op) in ops.into_iter().enumerate() {
-            let kind = op.kind();
-            let resp = e.submit(Request {
-                id: id as u64,
-                deadline_ms: None,
-                op,
-            });
-            assert_eq!(resp.status, Status::BadRequest, "{kind}: {resp:?}");
-            assert_eq!(resp.code, Some(codes::SERVE_BAD_REQUEST), "{kind}");
+        for (id, op) in [
+            (1, r#""certify","algo":"strassen","r":40,"m":64"#),
+            (2, r#""analyze","algo":"strassen","r":40"#),
+            (3, r#""sweep","algo":"strassen","r":40,"ms":[64]"#),
+            (4, r#""routing_cert","algo":"strassen","k":1,"r":40"#),
+        ] {
+            let (resp, _) = e.handle_line(&format!(r#"{{"id":{id},"op":{op}}}"#));
+            assert_eq!((resp.id, resp.status), (id, Status::BadRequest), "{op}");
+            assert_eq!(resp.code, Some(codes::SERVE_BAD_REQUEST), "{op}");
             assert_eq!(
                 resp.error.as_deref(),
                 Some("strassen: r = 40 is too deep (G_r exceeds u32 vertex ids)"),
-                "{kind}"
+                "{op}"
             );
         }
         assert_eq!(e.counters().panics.load(Ordering::Relaxed), 0);
@@ -682,9 +660,18 @@ mod tests {
             assert_eq!(resp.status, Status::BadRequest);
             assert_eq!(resp.code, Some(codes::SERVE_BAD_REQUEST));
         }
-        // A bad field type and an empty grid keep the id; a line whose id
-        // cannot be read is answered with id 0.
+        // A bad field type, an empty grid and an invalid instance (M below
+        // the operand floor, G_r beyond u32 ids) keep the id; a line whose
+        // id cannot be read is answered with id 0.
         for (line, id) in [
+            (
+                r#"{"id":11,"op":"certify","algo":"strassen","r":2,"m":2}"#,
+                11,
+            ),
+            (
+                r#"{"id":12,"op":"certify","algo":"strassen","r":40,"m":64}"#,
+                12,
+            ),
             (
                 r#"{"id":8,"op":"certify","algo":"strassen","r":"2","m":4}"#,
                 8,
@@ -698,6 +685,7 @@ mod tests {
         ] {
             let (resp, _) = e.handle_line(line);
             assert_eq!((resp.id, resp.status), (id, Status::BadRequest), "{line}");
+            assert_eq!(resp.code, Some(codes::SERVE_BAD_REQUEST), "{line}");
         }
         assert!(e.shutdown(Duration::from_secs(5)));
     }

@@ -63,17 +63,21 @@ pub fn use_implicit(mode: ViewMode, base: &BaseGraph, r: u32) -> bool {
     }
 }
 
-/// Passes the depth `r` of `base` through, or rejects it with a one-line
-/// message when `G_r` exceeds the dense `u32` vertex-id space that
-/// `IndexView::new` and `build_cdag` enforce, so no CLI command or serve
-/// request reaches a constructor that panics.
-pub fn check_depth(base: &BaseGraph, r: u32) -> Result<u32, String> {
-    match count_vertices(base.a() as u64, base.b() as u64, r) {
-        Some(n) if n <= u64::from(u32::MAX) => Ok(r),
-        _ => Err(format!(
-            "{}: r = {r} is too deep (G_r exceeds u32 vertex ids)",
-            base.name()
-        )),
+/// The depth at which routings are enumerated for an instance at depth
+/// `r`: the Theorem-2 path count is `2a^{2k}`, so wide encoders (`a ≥ 16`)
+/// stop at 1 and the others at 2.
+pub fn routing_depth(base: &BaseGraph, r: u32) -> u32 {
+    r.min(if base.a() >= 16 { 1 } else { 2 })
+}
+
+/// The depth at which explicit schedule witnesses are built and replayed
+/// for an instance at depth `r`: `G_3` of the tensor-square bases
+/// (`b > 30`) is too large to replay interactively, so they stop at 2.
+pub fn witness_depth(base: &BaseGraph, r: u32) -> u32 {
+    if base.b() > 30 {
+        r.min(2)
+    } else {
+        r
     }
 }
 
@@ -115,17 +119,15 @@ pub fn analyze_target(base: &BaseGraph, r: u32) -> (mmio_analyze::Report, serde_
     let mut report = mmio_analyze::analyze_base_at(base, r);
 
     // Schedule legality: audit an auto-generated recursive schedule.
-    let sched_r = if base.b() > 30 { r.min(2) } else { r };
-    let g = build_cdag(base, sched_r);
+    let g = build_cdag(base, witness_depth(base, r));
     let m = (3 * base.a()).max(8);
     let order = recursive_order(&g);
     let (_, sched) = AutoScheduler::new(&g, m).run_recorded(&order, &Belady);
     let audit = mmio_analyze::audit_schedule(&g, &sched, m, &mut report);
 
     // Routing certificate: enumerate the Theorem 2 paths explicitly and
-    // re-verify them. Path count is 2a^{2k}, so cap k for wide encoders.
-    let routing_k = r.min(if base.a() >= 16 { 1 } else { 2 });
-    let gk = build_cdag(base, routing_k);
+    // re-verify them.
+    let gk = build_cdag(base, routing_depth(base, r));
     let routing_audit = match InOutRouting::new(&gk) {
         None => {
             mmio_analyze::report_routing_infeasible(&mut report);
@@ -193,7 +195,7 @@ pub fn analyze_json(base: &BaseGraph, r: u32) -> (String, usize) {
 
 /// An LRU sweep of the auto-scheduler over the `ms` grid at depth `r`,
 /// rendered as pretty JSON (one object per grid point, grid order,
-/// trailing newline). Infeasible points carry their typed `SweepError`
+/// trailing newline). Infeasible points carry their typed `CacheTooSmall`
 /// in-band — a serve request for a too-small `M` is an answer, not a
 /// failure.
 pub fn sweep_json(base: &BaseGraph, r: u32, ms: &[usize], pool: &Pool) -> String {

@@ -15,7 +15,7 @@
 //! The wedge state machine: a submitter whose deadline expires checks the
 //! job's [`JobToken`] — if the job *started* but never finished, its
 //! worker is presumed wedged and [`WorkerSet::replace_wedged`] spawns a
-//! replacement (bounded by [`WorkerSet::max_spawns`], so a pathological
+//! replacement (bounded by `WorkerSet::max_spawns`, so a pathological
 //! workload cannot fork-bomb the host). The wedged worker, whenever it
 //! eventually finishes, notices the surplus and retires instead of
 //! double-serving. Every transition is counted, surfaced as a

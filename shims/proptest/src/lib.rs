@@ -145,7 +145,7 @@ pub mod collection {
         VecStrategy { element, len }
     }
 
-    /// The strategy returned by [`vec`].
+    /// The strategy returned by [`vec`](fn@vec).
     pub struct VecStrategy<S, L> {
         element: S,
         len: L,
