@@ -53,7 +53,6 @@
 pub mod base;
 pub mod build;
 pub mod connectivity;
-pub mod csr;
 pub mod dot;
 #[cfg(test)]
 mod fixtures;
@@ -69,10 +68,9 @@ pub mod values;
 pub mod view;
 
 pub use base::BaseGraph;
-pub use csr::Csr;
 pub use graph::{Cdag, Layer, VertexId, VertexRef};
 pub use meta::{MetaClosure, MetaVertices};
-pub use view::{CdagView, IndexView, ViewError};
+pub use view::{CdagView, IndexView, Segment, ViewError};
 
 /// Fact 1 through [`CdagView::lift_from`]: the middle `2(k+1)` ranks of
 /// `G_r` are `b^{r-k}` vertex-disjoint copies of `G_k`.

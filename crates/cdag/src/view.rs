@@ -448,6 +448,23 @@ impl Rule {
     }
 }
 
+/// One segment of `G_r`, as [`IndexView::segments`] yields it: the
+/// vertices of one `(layer, level)`, a contiguous range of dense ids.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Segment {
+    /// The segment's layer.
+    pub layer: Layer,
+    /// Its level within the layer, `0..=r`.
+    pub level: u32,
+    /// The paper's global rank of every vertex in it, `0..=2r+1`.
+    pub rank: u32,
+    /// Its dense ids.
+    pub ids: Range<u32>,
+    /// `a^{entry_len}`, the entry-suffix width: each run of `width`
+    /// consecutive ids shares one multiplication index `mul`.
+    pub width: u64,
+}
+
 /// The closed-form view of `G_r` for one base algorithm: `O(a·b)` memory
 /// regardless of `r`. See the module docs for what it derives and why.
 ///
@@ -729,6 +746,31 @@ impl IndexView {
     /// `level ≤ r`.
     pub fn entry_width(&self, layer: Layer, level: u32) -> u64 {
         self.seg_width[self.seg_index(layer, level)] // audit: safe — seg_index < 3(r+1) for level ≤ r
+    }
+
+    /// Every segment of `G_r` in dense id order: EncA levels `0..=r`,
+    /// then EncB, then Dec. The one walk by which hot paths turn ids into
+    /// ranks, a range at a time instead of one [`IndexView::vref`] per id.
+    /// It decodes each segment itself: [`IndexView::vref`] and
+    /// [`CdagView::rank_of`] stay the per-vertex rules it is tested against.
+    pub fn segments(&self) -> impl Iterator<Item = Segment> + '_ {
+        let levels = self.r as usize + 1;
+        // A view holds all 3(r+1) segments, each ending at most u32::MAX.
+        (0..self.seg_width.len()).map(move |si| {
+            let (side, level) = (si / levels, (si % levels) as u32);
+            let (layer, rank) = match side {
+                0 => (Layer::EncA, level),
+                1 => (Layer::EncB, level),
+                _ => (Layer::Dec, self.r + 1 + level),
+            };
+            Segment {
+                layer,
+                level,
+                rank,
+                ids: self.seg_offsets[si] as u32..self.seg_offsets[si + 1] as u32,
+                width: self.seg_width[si],
+            }
+        })
     }
 
     /// The dense id of a structured address, or `None` if out of range.
@@ -1365,6 +1407,37 @@ mod tests {
         for r in 1..=4 {
             check_against_builder(&no_copy(), r);
             check_against_builder(&decoding_copy(), r);
+        }
+    }
+
+    /// The segment walk tiles `0..n` in dense order, and every id of a
+    /// segment has the segment's layer, level, rank and `mul` run width by
+    /// the per-vertex rules; also on the 1×1 one-product chain at r = 32.
+    #[test]
+    fn segment_walk_matches_per_vertex_rules() {
+        use crate::fixtures::{decoding_copy, no_copy};
+        let one = || Matrix::from_vec(1, 1, vec![Rational::ONE]);
+        let unit = BaseGraph::new("unit", 1, one(), one(), one());
+        let mut cases: Vec<(BaseGraph, u32)> = [classical2(), no_copy(), decoding_copy()]
+            .into_iter()
+            .flat_map(|g| (0..=4).map(move |r| (g.clone(), r)))
+            .collect();
+        cases.push((unit, 32));
+        for (g, r) in &cases {
+            let view = IndexView::of_base(g, *r).unwrap();
+            let mut next = 0;
+            for seg in view.segments() {
+                assert_eq!(seg.ids.start, next, "{} r={r}", g.name());
+                next = seg.ids.end;
+                for id in seg.ids.clone() {
+                    let vr = view.vref(id).unwrap();
+                    let local = u64::from(id - seg.ids.start);
+                    assert_eq!((vr.layer, vr.level), (seg.layer, seg.level));
+                    assert_eq!((vr.mul, vr.entry), (local / seg.width, local % seg.width));
+                    assert_eq!(view.rank_of(VertexId(id)), Some(seg.rank));
+                }
+            }
+            assert_eq!(next, view.n_vertices(), "{} r={r}", g.name());
         }
     }
 

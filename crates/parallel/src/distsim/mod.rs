@@ -426,6 +426,40 @@ mod tests {
         }
     }
 
+    /// The contended run's round table holds every vertex's `rank_of`,
+    /// up to the 1×1 one-product chain at r = 32, whose top round 65 is
+    /// the table's largest.
+    #[test]
+    fn round_table_matches_rank_of() {
+        use crate::assign::oracle::{fixture_bases, ORACLE_VERTICES};
+        let mut cases: Vec<(mmio_cdag::BaseGraph, u32)> = Vec::new();
+        for base in all_base_graphs().into_iter().chain(fixture_bases()) {
+            for r in 1..=4 {
+                let n = mmio_cdag::view::count_vertices(base.a() as u64, base.b() as u64, r);
+                if n.is_some_and(|n| n <= ORACLE_VERTICES) {
+                    cases.push((base.clone(), r));
+                }
+            }
+        }
+        cases.push((mmio_algos::classical::classical(1), 32));
+        for (base, r) in &cases {
+            let view = mmio_cdag::IndexView::from_base(base, *r);
+            let table = soa::round_table(&view);
+            assert_eq!(table.len(), view.n_vertices() as usize);
+            for (id, &round) in table.iter().enumerate() {
+                let rank = view.rank_of(VertexId(id as u32));
+                assert_eq!(
+                    rank,
+                    Some(u32::from(round)),
+                    "{} r={r} id {id}",
+                    base.name()
+                );
+            }
+        }
+        let chain = mmio_cdag::IndexView::from_base(&mmio_algos::classical::classical(1), 32);
+        assert_eq!(soa::round_table(&chain).last(), Some(&65));
+    }
+
     proptest! {
         #[test]
         fn soa_matches_reference_on_random_instances(

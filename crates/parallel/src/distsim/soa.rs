@@ -30,13 +30,14 @@
 //! M) and one chained-hash residency table (cleared per rank). With a
 //! machine model, the run adds one contention accumulator of
 //! `rounds·(2P + links)` words, which the shards fill through bounded
-//! send buffers (see [`ShardLoads`]).
+//! send buffers (see [`ShardLoads`]), and one round byte per vertex
+//! ([`round_table`]).
 
 use super::topo::{ContAcc, ContentionReport, MachineModel};
 use super::{DistEvent, DistOutcome, DistRun, DistTrace};
 use crate::assign::Assignment;
 use crate::pool::Pool;
-use mmio_cdag::{CdagView, VertexId};
+use mmio_cdag::{CdagView, IndexView, VertexId};
 use std::sync::Mutex;
 
 const NONE: u32 = u32::MAX;
@@ -197,9 +198,11 @@ const SEND_BATCH: usize = 4096;
 /// `(round, from, to)`, folded in batches of [`SEND_BATCH`], and its
 /// ranks' executions per round (`execs[(rank − lo)·rounds + round]`),
 /// folded when the shard ends. Every load is a sum or a maximum, so the
-/// fold order — which depends on thread timing — never shows.
+/// fold order — which depends on thread timing — never shows. A vertex's
+/// round is its entry in the run's [`round_table`].
 struct ShardLoads<'a> {
     acc: &'a Mutex<ContAcc>,
+    round_of: &'a [u8],
     lo: u32,
     rounds: usize,
     sends: Vec<(u32, u32, u32)>,
@@ -207,14 +210,18 @@ struct ShardLoads<'a> {
 }
 
 impl ShardLoads<'_> {
-    fn push_send(&mut self, round: usize, from: u32, to: u32) {
-        self.sends.push((round as u32, from, to));
+    /// One word of `v` sent `from → to`.
+    fn push_send(&mut self, v: u32, from: u32, to: u32) {
+        self.sends
+            .push((u32::from(self.round_of[v as usize]), from, to));
         if self.sends.len() == SEND_BATCH {
             self.fold_sends();
         }
     }
 
-    fn push_exec(&mut self, round: usize, proc: u32) {
+    /// `proc` executed `v`.
+    fn push_exec(&mut self, v: u32, proc: u32) {
+        let round = usize::from(self.round_of[v as usize]);
         self.execs[(proc - self.lo) as usize * self.rounds + round] += 1;
     }
 
@@ -285,7 +292,7 @@ fn run_shard<V: CdagView>(
     lo: usize,
     hi: usize,
     m: usize,
-    cont: Option<(&Mutex<ContAcc>, usize)>,
+    cont: Option<(&Mutex<ContAcc>, &[u8], usize)>,
     traced: bool,
 ) -> ShardOut {
     let p = a.p as usize;
@@ -297,8 +304,9 @@ fn run_shard<V: CdagView>(
         total_words: 0,
         events: traced.then(|| (Vec::new(), Vec::new())),
     };
-    let mut loads = cont.map(|(acc, rounds)| ShardLoads {
+    let mut loads = cont.map(|(acc, round_of, rounds)| ShardLoads {
         acc,
+        round_of,
         lo: lo as u32,
         rounds,
         sends: Vec::with_capacity(SEND_BATCH),
@@ -327,7 +335,6 @@ fn run_shard<V: CdagView>(
             for &op in &preds {
                 let owner = a.of(op);
                 touch(
-                    g,
                     &mut cache,
                     &mut out,
                     &mut loads,
@@ -343,11 +350,11 @@ fn run_shard<V: CdagView>(
                     ev.push(DistEvent::Exec { proc: me, v: vu });
                 }
                 if let Some(c) = &mut loads {
-                    c.push_exec(round_of(g, vu), me);
+                    c.push_exec(vu, me);
                 }
             }
             // The result occupies a slot; computing into cache is free.
-            touch(g, &mut cache, &mut out, &mut loads, lo, me, vu, false, None);
+            touch(&mut cache, &mut out, &mut loads, lo, me, vu, false, None);
             if let Some((ev, counts)) = &mut out.events {
                 counts.push((ev.len() - events_before) as u32);
             }
@@ -359,9 +366,15 @@ fn run_shard<V: CdagView>(
     out
 }
 
-#[inline]
-fn round_of<V: CdagView>(g: &V, v: u32) -> usize {
-    g.rank_of(VertexId(v)).expect("vertex has a rank") as usize
+/// Every vertex's round, its global rank `0..=2r+1`, filled one segment
+/// at a time. Ranks fit a byte: `G_r` fits `u32` ids only for r ≤ 32.
+pub(super) fn round_table(g: &IndexView) -> Vec<u8> {
+    let mut rounds = Vec::with_capacity(g.n_vertices() as usize);
+    for seg in g.segments() {
+        let round = u8::try_from(seg.rank).expect("2r + 1 ≤ 65 rounds for r ≤ 32");
+        rounds.resize(rounds.len() + seg.ids.len(), round);
+    }
+    rounds
 }
 
 /// The SoA counterpart of the reference engine's `touch`, operating on
@@ -369,8 +382,7 @@ fn round_of<V: CdagView>(g: &V, v: u32) -> usize {
 /// `Evict?`, `Send`+`Recv` (remote only), `Insert`.
 #[allow(clippy::too_many_arguments)]
 #[inline]
-fn touch<V: CdagView>(
-    g: &V,
+fn touch(
     cache: &mut RankCache,
     out: &mut ShardOut,
     loads: &mut Option<ShardLoads>,
@@ -416,7 +428,7 @@ fn touch<V: CdagView>(
                 });
             }
             if let Some(c) = loads {
-                c.push_send(round_of(g, v), owner, me);
+                c.push_send(v, owner, me);
             }
         }
     }
@@ -457,10 +469,15 @@ pub(super) fn run_soa<V: CdagView + Sync>(
         .map(|s| (p * s / shards, p * (s + 1) / shards))
         .collect();
 
-    let cont = machine.map(|mm| Mutex::new(ContAcc::new(mm, a.p, rounds)));
+    let cont = machine.map(|mm| {
+        let acc = Mutex::new(ContAcc::new(mm, a.p, rounds));
+        (acc, round_table(g.closed_form()))
+    });
     let outs: Vec<ShardOut> = pool.map(shards, |s| {
         let (lo, hi) = bounds[s];
-        let shard_cont = cont.as_ref().map(|acc| (acc, rounds));
+        let shard_cont = cont
+            .as_ref()
+            .map(|(acc, round_of)| (acc, &round_of[..], rounds));
         run_shard(g, a, &rs, lo, hi, m, shard_cont, traced)
     });
 
@@ -491,7 +508,7 @@ pub(super) fn run_soa<V: CdagView + Sync>(
         total_local_io: local_io.iter().sum(),
     };
     let contention: Option<ContentionReport> =
-        cont.map(|acc| acc.into_inner().expect("contention accumulator").report());
+        cont.map(|(acc, _)| acc.into_inner().expect("contention accumulator").report());
     let outcome = DistOutcome {
         run: run.clone(),
         contention: contention.clone(),

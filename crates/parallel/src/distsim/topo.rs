@@ -34,10 +34,11 @@
 //! its hop count: +1 at the arc's first link and −1 just past its last,
 //! in a per-round difference array indexed by link id, with a wrapping
 //! arc split in two. The report takes one prefix sum per line to get
-//! every link's load. [`Topology::route_into`] and [`Topology::hops`] stay the
-//! hop-by-hop definition, which the analyzer's recount and the tests use
-//! as the oracle. One accumulator serves a whole run: `rounds · (2P +
-//! links)` words.
+//! every link's load. A send derives its route's arcs once and takes its
+//! hop count from them. [`Topology::route_into`] and [`Topology::hops`]
+//! stay the hop-by-hop definition, which the analyzer's recount and the
+//! tests use as the oracle. One accumulator serves a whole run:
+//! `rounds · (2P + links)` words.
 //!
 //! Offsets `(to − from) mod p` are computed without intermediate
 //! overflow and link ids are `u64`, so every `p ≥ 1` up to `u32::MAX`
@@ -234,6 +235,16 @@ impl Topology {
                     Arc::shortest(col(2), col(3), y, ty),
                 ]
             }
+        }
+    }
+
+    /// The hop count of a route from its [`Topology::arcs`]: 1 on `Full`,
+    /// which tracks no links, else the sum of the arcs' hops — what
+    /// [`Topology::hops`] derives from the coordinates again.
+    fn arc_hops(&self, arcs: &[Option<Arc>; 2]) -> u64 {
+        match self {
+            Topology::Full => 1,
+            _ => arcs.iter().flatten().map(|a| u64::from(a.hops)).sum(),
         }
     }
 }
@@ -443,11 +454,12 @@ impl ContAcc {
         self.words[round] += 1;
         self.rank_words[round * p + from as usize] += 1;
         self.rank_words[round * p + to as usize] += 1;
-        let h = self.machine.topo.hops(self.p, from, to);
+        let topo = self.machine.topo;
+        let arcs = topo.arcs(self.p, from, to);
+        let h = topo.arc_hops(&arcs);
         self.hop_words[round] += h;
         self.max_hops[round] = self.max_hops[round].max(h);
         let diff = &mut self.link_diff[round * self.n_links..(round + 1) * self.n_links];
-        let arcs = self.machine.topo.arcs(self.p, from, to);
         for arc in arcs.into_iter().flatten() {
             arc.add_to(diff);
         }
@@ -620,17 +632,6 @@ mod tests {
                 acc.record_send(0, from, to);
                 let expect = routed_loads(topo, p, &[(from, to)]);
                 assert_eq!(acc.link_loads(0), expect, "{topo:?} {from}->{to}");
-                let hops: u32 = topo
-                    .arcs(p, from, to)
-                    .iter()
-                    .flatten()
-                    .map(|a| a.hops)
-                    .sum();
-                assert_eq!(
-                    u64::from(hops),
-                    topo.hops(p, from, to),
-                    "{topo:?} {from}->{to}"
-                );
             }
             let mut acc = ContAcc::new(machine, p, 3);
             for (i, &(from, to)) in pairs.iter().enumerate() {
@@ -647,6 +648,25 @@ mod tests {
                     expect.iter().copied().max().unwrap_or(0)
                 );
                 assert_eq!(load.hop_words, expect.iter().sum::<u64>(), "{topo:?}");
+            }
+        }
+    }
+
+    /// On every small ring and torus and on `Full`, the hop count a send
+    /// takes from its arcs is the coordinate definition's, for every pair.
+    #[test]
+    fn arc_hops_equal_coordinate_hops() {
+        let full = [(Topology::Full, 1), (Topology::Full, 7)];
+        for (topo, p) in small_topologies().into_iter().chain(full) {
+            for from in 0..p {
+                for to in 0..p {
+                    let arcs = topo.arcs(p, from, to);
+                    assert_eq!(
+                        topo.arc_hops(&arcs),
+                        topo.hops(p, from, to),
+                        "{topo:?} p={p} {from}->{to}"
+                    );
+                }
             }
         }
     }

@@ -25,10 +25,11 @@
 //! - **An exact structure per policy.** For [`PolicySpec::Lru`] an
 //!   intrusive recency list: a touch moves the vertex to the hot end in
 //!   O(1), and the victim is the first unpinned vertex from the cold end.
-//!   For [`PolicySpec::Belady`] an indexed binary max-heap of
-//!   `(next_use, Reverse(id))` entries, key inline: a key changes in place
-//!   and an eviction removes its entry, so the heap holds exactly the
-//!   cached vertices. Its top is never pinned: an operand's next use is the
+//!   For [`PolicySpec::Belady`] an indexed binary max-heap of packed
+//!   `next_use << 32 | !id` keys, one `u64` per entry, which order exactly
+//!   like `(next_use, Reverse(id))`: a key changes in place and an
+//!   eviction removes its entry, so the heap holds exactly the cached
+//!   vertices. Its top is never pinned: an operand's next use is the
 //!   current step, every other cached vertex's is later. Both tie-breaks
 //!   are those of the reference scan, so the victim is identical, not
 //!   merely equally good. [`PolicySpec::Random`] keeps the cache in
@@ -40,12 +41,13 @@
 //!   die while pinned as operands (or as just-stored outputs) and are
 //!   dropped eagerly at that point, so the free-list is exactly the set of
 //!   dead values in cache — no lazy validation needed.
-//! - **Flat CSR use-lists.** Per-vertex sorted use positions, each row
-//!   closed by a `u64::MAX` sentinel, live in one [`Csr`] built once per
-//!   `(graph, order)` by [`UseLists::new`] and shared, read-only, by every
-//!   `(policy, M)` run of a sweep. A per-vertex cursor into it advances
-//!   eagerly as uses are consumed, so "next use" is one load, and "no uses
-//!   left" is that load returning the sentinel.
+//! - **Flat use-lists.** Per-vertex sorted `u32` use positions, each row
+//!   closed by a `u32::MAX` sentinel, live in one array built once per
+//!   `(graph, order)` by [`UseLists::new`] (a two-pass counting sort over
+//!   `order`) and shared, read-only, by every `(policy, M)` run of a
+//!   sweep. A per-vertex cursor into it advances eagerly as uses are
+//!   consumed, so "next use" is one load, and "no uses left" is that load
+//!   returning the sentinel.
 
 #[cfg(test)]
 mod equivalence;
@@ -56,7 +58,7 @@ use crate::graph::PebbleGraph;
 use crate::policy::PolicySpec;
 use crate::schedule::{Action, Schedule};
 use crate::stats::{EngineCounters, IoStats};
-use mmio_cdag::{Cdag, Csr, VertexId};
+use mmio_cdag::{Cdag, VertexId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Serialize, Value};
@@ -121,45 +123,57 @@ pub struct RunOutput {
     pub counters: EngineCounters,
 }
 
+/// A use-list entry past a vertex's last use. Order positions stay below
+/// it: an order has fewer than `u32::MAX` steps.
+const NO_USE: u32 = u32::MAX;
+
 /// The immutable per-`(graph, order)` input of a run: every vertex's
-/// sorted use positions, each row closed by a `u64::MAX` sentinel. Built
+/// sorted use positions, each row closed by a `u32::MAX` sentinel. Built
 /// once and shared, read-only, by any number of concurrent runs.
 pub struct UseLists {
-    uses: Csr,
+    /// Where each vertex's row starts in `items`.
+    first: Vec<u32>,
+    /// Every row, in vertex order.
+    items: Vec<u32>,
 }
 
 impl UseLists {
     /// Builds the use-lists of `g` under `order` (every non-input vertex,
     /// topologically sorted).
+    ///
+    /// # Panics
+    /// Panics if the rows do not fit `u32` positions.
     pub fn new<G: PebbleGraph>(g: &G, order: &[VertexId]) -> UseLists {
-        let n = g.n_vertices();
-        let mut uses = Csr::new();
-        // Emitting in ascending order position keeps every row sorted, and
-        // the sentinels come last.
-        uses.rebuild(n, |sink| {
-            for (pos, &v) in order.iter().enumerate() {
-                for &p in g.preds(v) {
-                    sink(p.0, pos as u64);
-                }
+        // Count each vertex's uses, then lay the rows out, each one slot
+        // longer for its sentinel: `end[v]` is where `v`'s sentinel goes.
+        let mut end = vec![0u32; g.n_vertices()];
+        for &v in order {
+            for &p in g.preds(v) {
+                end[p.idx()] += 1;
             }
-            for k in 0..n as u32 {
-                sink(k, u64::MAX);
+        }
+        let mut total = 0u64;
+        for e in &mut end {
+            total += u64::from(*e) + 1;
+            *e = u32::try_from(total - 1).expect("use-lists fit u32 positions");
+        }
+        // Filling from the last step back leaves every row ascending and
+        // every `end` at its row's start.
+        let mut items = vec![NO_USE; total as usize];
+        for (pos, &v) in order.iter().enumerate().rev() {
+            for &p in g.preds(v) {
+                end[p.idx()] -= 1;
+                items[end[p.idx()] as usize] = pos as u32;
             }
-        });
-        UseLists { uses }
+        }
+        UseLists { first: end, items }
     }
 
-    /// Every vertex's cursor before its first use: the start of its row.
-    fn first_cursors(&self) -> &[u32] {
-        let offsets = self.uses.offsets();
-        &offsets[..offsets.len() - 1]
-    }
-
-    /// The use position under `cursor`: a vertex's next use, or `u64::MAX`
-    /// once all of its uses are consumed.
+    /// The use position under `cursor`: a vertex's next use, or
+    /// [`NO_USE`] once all of its uses are consumed.
     #[inline]
-    fn at(&self, cursor: u32) -> u64 {
-        self.uses.items()[cursor as usize]
+    fn at(&self, cursor: u32) -> u32 {
+        self.items[cursor as usize]
     }
 }
 
@@ -233,12 +247,27 @@ impl RecencyList {
     }
 }
 
-/// An indexed binary max-heap of `(next_use, Reverse(id))` over the cached
-/// vertices: `pos[v]` is `v`'s slot in `entries`, so a key changes in place
-/// and a removal takes the entry out, and the top is Belady's victim.
+/// The heap key of `v` with next use `next_use`: `next_use << 32 | !v`.
+/// Keys compare exactly like `(next_use, Reverse(v))`, so the largest is
+/// the farthest next use, smallest id on ties.
+#[inline]
+fn pack(next_use: u32, v: VertexId) -> u64 {
+    u64::from(next_use) << 32 | u64::from(!v.0)
+}
+
+/// The vertex of a [`pack`]ed key.
+#[inline]
+fn unpack(key: u64) -> VertexId {
+    VertexId(!(key as u32))
+}
+
+/// An indexed binary max-heap of [`pack`]ed `(next_use, v)` keys over the
+/// cached vertices: `pos[v]` is `v`'s slot in `entries`, so a key changes
+/// in place and a removal takes the entry out, and the top is Belady's
+/// victim.
 #[derive(Default)]
 struct NextUseHeap {
-    entries: Vec<(u64, Reverse<VertexId>)>,
+    entries: Vec<u64>,
     pos: Vec<u32>,
 }
 
@@ -250,17 +279,18 @@ impl NextUseHeap {
         self.pos.resize(n, NIL);
     }
 
-    /// Inserts `v` with `key`, or moves it to `key` if present.
-    fn set(&mut self, v: VertexId, key: u64) {
+    /// Inserts `v` with next use `next_use`, or moves it there if present.
+    fn set(&mut self, v: VertexId, next_use: u32) {
+        let key = pack(next_use, v);
         match self.pos[v.idx()] {
             NIL => {
-                self.entries.push((key, Reverse(v)));
+                self.entries.push(key);
                 self.sift_up(self.entries.len() - 1);
             }
             i => {
                 let i = i as usize;
-                let old = self.entries[i].0;
-                self.entries[i].0 = key;
+                let old = self.entries[i];
+                self.entries[i] = key;
                 if key > old {
                     self.sift_up(i);
                 } else {
@@ -278,19 +308,19 @@ impl NextUseHeap {
         if i < self.entries.len() {
             self.entries[i] = last;
             self.sift_up(i);
-            self.sift_down(self.pos[last.1 .0.idx()] as usize);
+            self.sift_down(self.pos[unpack(last).idx()] as usize);
         }
     }
 
     /// The vertex with the farthest next use, smallest id on ties.
     fn top(&self) -> Option<VertexId> {
-        self.entries.first().map(|&(_, Reverse(v))| v)
+        self.entries.first().map(|&key| unpack(key))
     }
 
     /// Writes `e` into slot `i` and records the slot.
-    fn place(&mut self, i: usize, e: (u64, Reverse<VertexId>)) {
+    fn place(&mut self, i: usize, e: u64) {
         self.entries[i] = e;
-        self.pos[e.1 .0.idx()] = i as u32;
+        self.pos[unpack(e).idx()] = i as u32;
     }
 
     fn sift_up(&mut self, mut i: usize) {
@@ -439,7 +469,7 @@ impl<'g, G: PebbleGraph> AutoScheduler<'g, G> {
             "order must cover every non-input vertex exactly once"
         );
         debug_assert_eq!(
-            uses.uses.n_keys(),
+            uses.first.len(),
             n,
             "use-lists must be built for this graph and order"
         );
@@ -459,7 +489,7 @@ impl<'g, G: PebbleGraph> AutoScheduler<'g, G> {
         // The cache never holds more than every vertex.
         let cap = m.min(n);
         cursor.clear();
-        cursor.extend_from_slice(uses.first_cursors());
+        cursor.extend_from_slice(&uses.first);
         flags.clear();
         flags.resize(n, 0);
         dead_heap.clear();
@@ -635,7 +665,7 @@ impl<'g, G: PebbleGraph> AutoScheduler<'g, G> {
             }
             refresh_next_use!(v);
             touch!(v);
-            if !g.is_output(v) && uses.at(cursor[v.idx()]) == u64::MAX {
+            if !g.is_output(v) && uses.at(cursor[v.idx()]) == NO_USE {
                 // Dead at birth: the only way a dead value stays in cache.
                 dead_heap.push(Reverse(v));
             }
@@ -644,7 +674,7 @@ impl<'g, G: PebbleGraph> AutoScheduler<'g, G> {
             for &p in g.preds(v) {
                 cursor[p.idx()] += 1;
                 if flags[p.idx()] & IN_CACHE != 0 && p != v {
-                    if uses.at(cursor[p.idx()]) == u64::MAX
+                    if uses.at(cursor[p.idx()]) == NO_USE
                         && (!g.is_output(p) || flags[p.idx()] & STORED != 0)
                     {
                         cache_remove!(p);
@@ -664,7 +694,7 @@ impl<'g, G: PebbleGraph> AutoScheduler<'g, G> {
                 if record {
                     actions.push(Action::Store(v));
                 }
-                if uses.at(cursor[v.idx()]) == u64::MAX {
+                if uses.at(cursor[v.idx()]) == NO_USE {
                     cache_remove!(v);
                     if record {
                         actions.push(Action::Drop(v));
@@ -842,6 +872,51 @@ mod tests {
                         "{which} m={m}: victim sequences diverge"
                     );
                 }
+            }
+        }
+    }
+
+    /// Every row holds the vertex's use positions in ascending order, then
+    /// the sentinel; a vertex without uses has the sentinel alone.
+    #[test]
+    fn use_lists_are_sorted_rows_closed_by_the_sentinel() {
+        let g = build_cdag(&classical2_base(), 2);
+        for order in [orders::rank_order(&g), orders::recursive_order(&g)] {
+            let uses = UseLists::new(&g, &order);
+            let mut want = vec![Vec::new(); g.n_vertices()];
+            for (pos, &v) in order.iter().enumerate() {
+                for &p in g.preds(v) {
+                    want[p.idx()].push(pos as u32);
+                }
+            }
+            for (v, row) in want.iter().enumerate() {
+                let start = uses.first[v] as usize;
+                let got = &uses.items[start..start + row.len() + 1];
+                assert_eq!(&got[..row.len()], &row[..], "vertex {v}");
+                assert_eq!(got[row.len()], NO_USE, "vertex {v}");
+            }
+            assert_eq!(uses.items.len(), g.n_vertices() + g.n_edges());
+        }
+    }
+
+    /// Packed heap keys sort exactly like `(next_use, Reverse(id))`, at
+    /// the extreme ids and next uses and at the no-use sentinel.
+    #[test]
+    fn packed_keys_order_like_next_use_then_reverse_id() {
+        let mut keys = Vec::new();
+        for next_use in [0, 1, u32::MAX - 1, NO_USE] {
+            for id in [0, 1, u32::MAX - 1] {
+                keys.push((next_use, VertexId(id)));
+            }
+        }
+        for &(u, v) in &keys {
+            assert_eq!(unpack(pack(u, v)), v);
+            for &(w, x) in &keys {
+                assert_eq!(
+                    pack(u, v).cmp(&pack(w, x)),
+                    (u, Reverse(v)).cmp(&(w, Reverse(x))),
+                    "({u}, {v:?}) against ({w}, {x:?})"
+                );
             }
         }
     }
