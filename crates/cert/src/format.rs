@@ -20,10 +20,12 @@
 //! JSON via the workspace shims, with insertion-ordered object fields —
 //! serialization is deterministic, so byte-stability across thread counts
 //! reduces to value-stability of the emitting engines (which the
-//! round-trip tests pin). Schedules are encoded as one action-kind
-//! character per step (`L`oad/`S`tore/`C`ompute/`D`rop) plus a parallel
-//! vertex array: compact, diffable, and free of nested enums the offline
-//! serde shim cannot derive.
+//! round-trip tests pin). The verifier reads that canonical text typed
+//! (`Certificate`'s `read_json`: fields in wire order, no `Value` tree)
+//! and leaves any other text to the tree decode. Schedules are encoded as
+//! one action-kind character per step (`L`oad/`S`tore/`C`ompute/`D`rop)
+//! plus a parallel vertex array: compact, diffable, and free of nested
+//! enums the offline serde shim cannot derive.
 
 use serde::{de, ser, Deserialize, Serialize, Value};
 
@@ -246,6 +248,57 @@ impl Deserialize for Certificate {
             base,
             payload,
         })
+    }
+
+    /// Reads the certificate object with its fields in wire order, as
+    /// [`Certificate::to_json`] writes them, each payload read by kind with
+    /// no tree. Stricter than [`Certificate::from_value`]: a version other
+    /// than [`FORMAT_VERSION`], a field out of order (a payload before its
+    /// kind), or an extra field is an error, which the verifier answers
+    /// through the tree path.
+    fn read_json(r: &mut dyn de::JsonReader) -> Result<Certificate, de::Error> {
+        r.begin_object()?;
+        expect_key(r, "version")?;
+        let version = u32::read_json(r)?;
+        if version != FORMAT_VERSION {
+            return Err(de::Error::custom(format!(
+                "format version {version} is not {FORMAT_VERSION}"
+            )));
+        }
+        expect_key(r, "kind")?;
+        let kind = String::read_json(r)?;
+        expect_key(r, "base")?;
+        let base = BaseSpec::read_json(r)?;
+        expect_key(r, "payload")?;
+        let payload = match kind.as_str() {
+            "routing" => Payload::Routing(RoutingPayload::read_json(r)?),
+            "schedule" => Payload::Schedule(SchedulePayload::read_json(r)?),
+            "sweep" => Payload::Sweep(SweepPayload::read_json(r)?),
+            other => {
+                return Err(de::Error::custom(format!(
+                    "unknown certificate kind `{other}`"
+                )))
+            }
+        };
+        if let Some(key) = r.next_key()? {
+            return Err(de::unknown_field(&key));
+        }
+        Ok(Certificate {
+            version,
+            base,
+            payload,
+        })
+    }
+}
+
+/// Reads the key of the next object field and checks that it is `key`.
+fn expect_key(r: &mut dyn de::JsonReader, key: &str) -> Result<(), de::Error> {
+    match r.next_key()? {
+        Some(k) if k == key => Ok(()),
+        Some(k) => Err(de::Error::custom(format!(
+            "expected field `{key}`, got `{k}`"
+        ))),
+        None => Err(de::Error::custom(format!("missing field `{key}`"))),
     }
 }
 

@@ -97,6 +97,7 @@ impl Ctx {
 
     fn reject(&mut self, code: &str, detail: impl Into<String>) {
         let n = self.counts.entry(code.to_string()).or_insert(0);
+        // audit: safe — one increment per call, and a u64 count of calls cannot wrap
         *n += 1;
         if *n <= MAX_DETAILS_PER_CODE {
             self.rejections.push(Rejection {
@@ -111,6 +112,7 @@ impl Ctx {
             if *n > MAX_DETAILS_PER_CODE {
                 self.rejections.push(Rejection {
                     code: code.clone(),
+                    // audit: safe — n > MAX_DETAILS_PER_CODE on this branch
                     detail: format!("… and {} more", n - MAX_DETAILS_PER_CODE),
                 });
             }
@@ -125,9 +127,27 @@ impl Ctx {
     }
 }
 
-/// Verifies a serialized certificate. Parse failures and stale versions are
-/// rejected without attempting a full decode.
+/// Verifies a serialized certificate.
+///
+/// The certificate is read typed, straight from the text
+/// ([`serde_json::read_json`]), and verified. Text the typed read does not
+/// take (a parse or decode failure, a stale version, fields out of wire
+/// order, unknown or repeated keys) goes to [`verify_json_tree`], whose
+/// verdict is returned. Whenever the typed read succeeds, the tree path
+/// decodes an equal certificate, so both paths give the same verdict on
+/// every input.
 pub fn verify_json(s: &str) -> Verdict {
+    match serde_json::read_json::<Certificate>(s) {
+        Ok(cert) => verify(&cert),
+        Err(_) => verify_json_tree(s),
+    }
+}
+
+/// Verifies a serialized certificate through its [`serde::Value`] tree:
+/// the path for every input [`verify_json`]'s typed read rejects, and the
+/// oracle it is tested against. Parse failures and stale versions are
+/// rejected without attempting a full decode.
+pub fn verify_json_tree(s: &str) -> Verdict {
     let value: serde::Value = match serde_json::from_str(s) {
         Ok(v) => v,
         Err(e) => {
@@ -250,7 +270,8 @@ fn verify_routing(cert: &Certificate, p: &RoutingPayload, ctx: &mut Ctx) {
         return;
     }
 
-    let true_bound = 6 * ak; // cannot overflow: ak ≤ MAX_PATHS
+    // audit: safe — ak ≤ MAX_PATHS = 2^24 here, so 6·ak < 2^27
+    let true_bound = 6 * ak;
     if p.bound != true_bound {
         ctx.reject(
             codes::V_ROUTE_BOUND,
@@ -323,6 +344,7 @@ fn verify_routing(cert: &Certificate, p: &RoutingPayload, ctx: &mut Ctx) {
             },
         };
         if let Some((iord, oord)) = pair {
+            // audit: safe — iord < 2a^k inputs and oord < a^k outputs of G_k, so the slot is below 2a^{2k} ≤ MAX_PATHS
             let slot = (iord * outputs + oord) as usize;
             match pair_seen.get_mut(slot) {
                 Some(true) => {
@@ -400,6 +422,7 @@ fn verify_routing(cert: &Certificate, p: &RoutingPayload, ctx: &mut Ctx) {
 /// failing hop that walk meets, so each copy reports the same hop with the
 /// same code and message.
 fn verify_transport(p: &RoutingPayload, kview: &IndexView, rview: &IndexView, ctx: &mut Ctx) {
+    // audit: safe — verify_routing returns before calling this unless k ≤ r
     let Some(copies) = checked_pow(kview.b() as u64, p.r - p.k) else {
         ctx.reject(codes::V_PARAMS, "b^{r-k} overflows the id space");
         return;
@@ -593,7 +616,9 @@ fn verify_schedule(cert: &Certificate, p: &SchedulePayload, ctx: &mut Ctx) {
                 } else {
                     in_cache.set(vi, true);
                     open.set(vi, i as u64);
+                    // audit: safe — occupancy < p.m on this branch
                     occupancy += 1;
+                    // audit: safe — at most one load per action, and the action index fits usize
                     loads += 1;
                 }
             }
@@ -606,6 +631,7 @@ fn verify_schedule(cert: &Certificate, p: &SchedulePayload, ctx: &mut Ctx) {
                     legal = false;
                 } else {
                     stored.set(vi, true);
+                    // audit: safe — at most one store per action, and the action index fits usize
                     stores += 1;
                 }
             }
@@ -619,6 +645,7 @@ fn verify_schedule(cert: &Certificate, p: &SchedulePayload, ctx: &mut Ctx) {
                 } else {
                     in_cache.set(vi, false);
                     intervals.push((v, open.get(vi), i as u64));
+                    // audit: safe — v is cached, so its load or compute counted it in occupancy
                     occupancy -= 1;
                 }
             }
@@ -652,8 +679,10 @@ fn verify_schedule(cert: &Certificate, p: &SchedulePayload, ctx: &mut Ctx) {
                 } else {
                     in_cache.set(vi, true);
                     open.set(vi, i as u64);
+                    // audit: safe — occupancy < p.m on this branch
                     occupancy += 1;
                     computed.set(vi, true);
+                    // audit: safe — at most one compute per action, and the action index fits usize
                     computes += 1;
                 }
             }
@@ -761,9 +790,11 @@ fn verify_sweep(cert: &Certificate, p: &SweepPayload, ctx: &mut Ctx) {
     let Some(view) = build_view(cert, p.r, false, ctx) else {
         return;
     };
+    // audit: safe — an in-degree is below the view's u32 vertex count
     let need = view.max_indegree() as u64 + 1;
     let used_inputs = view.used_inputs();
     let outputs = view.outputs_count();
+    // audit: safe — the inputs are vertices of the view, so inputs_count ≤ n_vertices
     let work = view.n_vertices() as u64 - view.inputs_count();
     let rows =
         p.ms.iter()

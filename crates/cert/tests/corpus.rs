@@ -92,6 +92,14 @@ fn clean_registry_certs_accepted() {
     }
 }
 
+/// Base coefficients with an `i64::MIN` numerator or denominator, named.
+const COEF_EDGES: [(&str, &str); 4] = [
+    ("max-over-min", "9223372036854775807/-9223372036854775808"),
+    ("one-over-min", "1/-9223372036854775808"),
+    ("min", "-9223372036854775808"),
+    ("min-over-min", "-9223372036854775808/-9223372036854775808"),
+];
+
 fn record(dir: &Path, manifest: &mut Vec<Entry>, name: String, json: String) -> Vec<String> {
     let (accepted, codes) = observed(&json);
     fs::write(dir.join(&name), json).unwrap();
@@ -133,6 +141,22 @@ fn regenerate_corpus() {
                 m.expected
             );
         }
+    }
+    // Coefficients with an `i64::MIN` part, in place of the clean routing
+    // certificate's one `enc_a` entry. Each once panicked the verifier or
+    // was accepted with a negative denominator; now each is a decode
+    // failure.
+    let routing = fixtures::all()
+        .into_iter()
+        .find(|c| c.payload.kind() == "routing")
+        .expect("routing fixture")
+        .to_json();
+    let enc_a = r#""enc_a":{"rows":1,"cols":1,"data":["1"]}"#;
+    assert!(routing.contains(enc_a));
+    for (name, coef) in COEF_EDGES {
+        let json = routing.replace(enc_a, &enc_a.replace("\"1\"", &format!("\"{coef}\"")));
+        let codes = record(&dir, &mut manifest, format!("coef__{name}.json"), json);
+        assert_eq!(codes, ["MMIO-V002"], "{name}");
     }
     record(
         &dir,

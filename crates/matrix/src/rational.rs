@@ -13,17 +13,19 @@ use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 
 /// An exact rational number `num/den`, always kept in canonical form:
-/// `den > 0` and `gcd(|num|, den) == 1`; zero is `0/1`.
+/// `den > 0` and `gcd(|num|, den) == 1`; zero is `0/1`. Construction,
+/// arithmetic and decoding keep both parts within `±(2⁶³ − 1)`, so
+/// negating their results never overflows.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Rational {
     num: i64,
     den: i64,
 }
 
-/// Greatest common divisor of two non-negative integers.
-fn gcd(mut a: i64, mut b: i64) -> i64 {
-    while b != 0 {
-        let t = a % b;
+/// Greatest common divisor of two magnitudes; `gcd(a, 0) == a`.
+fn gcd(mut a: u64, mut b: u64) -> u64 {
+    // `checked_rem` is `None` exactly when `b == 0`.
+    while let Some(t) = a.checked_rem(b) {
         a = b;
         b = t;
     }
@@ -39,20 +41,30 @@ impl Rational {
     /// Creates `num/den` in canonical form.
     ///
     /// # Panics
-    /// Panics if `den == 0`.
+    /// Panics if `den == 0`, or if the reduced fraction does not fit
+    /// `±(2⁶³ − 1)`.
     pub fn new(num: i64, den: i64) -> Rational {
-        // audit: safe — documented programming-error guard; verify-path callers (checked_add/checked_mul) derive denominators from canonical rationals, which keep den > 0 as a type invariant
         assert!(den != 0, "rational with zero denominator");
+        Rational::checked_new(num, den).expect("rational out of range")
+    }
+
+    /// `num/den` in canonical form, or `None` if `den == 0` or the reduced
+    /// numerator or denominator does not fit `±(2⁶³ − 1)`.
+    fn checked_new(num: i64, den: i64) -> Option<Rational> {
+        if den == 0 {
+            return None;
+        }
         if num == 0 {
-            return Rational::ZERO;
+            return Some(Rational::ZERO);
         }
-        let sign = if (num < 0) ^ (den < 0) { -1 } else { 1 };
-        let (num, den) = (num.abs(), den.abs());
-        let g = gcd(num, den);
-        Rational {
-            num: sign * (num / g),
-            den: den / g,
-        }
+        let (n, d) = (num.unsigned_abs(), den.unsigned_abs());
+        let g = gcd(n, d);
+        let n = i64::try_from(n.checked_div(g)?).ok()?;
+        let d = i64::try_from(d.checked_div(g)?).ok()?;
+        Some(Rational {
+            num: if (num < 0) != (den < 0) { -n } else { n },
+            den: d,
+        })
     }
 
     /// Creates the integer `n` as a rational.
@@ -107,22 +119,34 @@ impl Rational {
         self.num as f64 / self.den as f64
     }
 
+    /// The gcd of two parts of canonical rationals, at least 1 when `b` is
+    /// a denominator.
+    fn gcd_of(a: i64, b: i64) -> Option<i64> {
+        i64::try_from(gcd(a.unsigned_abs(), b.unsigned_abs())).ok()
+    }
+
     fn checked_add(self, rhs: Rational) -> Option<Rational> {
         // a/b + c/d = (a·(l/b) + c·(l/d)) / l with l = lcm(b, d).
-        let g = gcd(self.den, rhs.den);
-        let l = (self.den / g).checked_mul(rhs.den)?;
-        let x = self.num.checked_mul(l / self.den)?;
-        let y = rhs.num.checked_mul(l / rhs.den)?;
-        Some(Rational::new(x.checked_add(y)?, l))
+        let g = Rational::gcd_of(self.den, rhs.den)?;
+        let l = self.den.checked_div(g)?.checked_mul(rhs.den)?;
+        let x = self.num.checked_mul(l.checked_div(self.den)?)?;
+        let y = rhs.num.checked_mul(l.checked_div(rhs.den)?)?;
+        Rational::checked_new(x.checked_add(y)?, l)
     }
 
     fn checked_mul(self, rhs: Rational) -> Option<Rational> {
         // Cross-reduce first so intermediate products stay small.
-        let g1 = gcd(self.num.abs(), rhs.den);
-        let g2 = gcd(rhs.num.abs(), self.den);
-        let num = (self.num / g1).checked_mul(rhs.num / g2)?;
-        let den = (self.den / g2).checked_mul(rhs.den / g1)?;
-        Some(Rational::new(num, den))
+        let g1 = Rational::gcd_of(self.num, rhs.den)?;
+        let g2 = Rational::gcd_of(rhs.num, self.den)?;
+        let num = self
+            .num
+            .checked_div(g1)?
+            .checked_mul(rhs.num.checked_div(g2)?)?;
+        let den = self
+            .den
+            .checked_div(g2)?
+            .checked_mul(rhs.den.checked_div(g1)?)?;
+        Rational::checked_new(num, den)
     }
 }
 
@@ -314,6 +338,19 @@ mod tests {
     }
 
     #[test]
+    fn extreme_parts_reduce_or_overflow_without_wrapping() {
+        assert_eq!(Rational::new(i64::MIN, 2), Rational::integer(-(1 << 62)));
+        assert_eq!(Rational::new(i64::MIN, i64::MIN), Rational::ONE);
+        assert_eq!(Rational::checked_new(i64::MIN, 1), None);
+        assert_eq!(Rational::checked_new(1, i64::MIN), None);
+        let max = Rational::integer(i64::MAX);
+        assert_eq!(max.checked_add(Rational::ONE), None);
+        assert_eq!(max.checked_mul(Rational::integer(2)), None);
+        assert_eq!((-max).checked_add(-Rational::ONE), None);
+        assert_eq!(max * Rational::new(1, i64::MAX), Rational::ONE);
+    }
+
+    #[test]
     fn to_f64() {
         assert_eq!(Rational::new(1, 2).to_f64(), 0.5);
         assert_eq!(Rational::integer(-3).to_f64(), -3.0);
@@ -340,7 +377,11 @@ impl serde::Deserialize for Rational {
         if den == 0 {
             return Err(serde::de::Error::custom("zero denominator"));
         }
-        Ok(Rational::new(num, den))
+        // `i64::MIN` has no negation: a part equal to it is out of range
+        // even where the fraction reduces.
+        Rational::checked_new(num, den)
+            .filter(|_| num != i64::MIN && den != i64::MIN)
+            .ok_or_else(|| serde::de::Error::custom(format!("rational `{s}` out of range")))
     }
 }
 
@@ -366,5 +407,22 @@ mod serde_tests {
     fn rejects_zero_denominator() {
         assert!(serde_json::from_str::<Rational>("\"1/0\"").is_err());
         assert!(serde_json::from_str::<Rational>("\"x\"").is_err());
+    }
+
+    #[test]
+    fn rejects_i64_min_parts() {
+        // Each once overflowed `abs` or the reduction (a panic, or a
+        // negative denominator in release builds).
+        for s in [
+            "9223372036854775807/-9223372036854775808",
+            "1/-9223372036854775808",
+            "-9223372036854775808",
+            "-9223372036854775808/-9223372036854775808",
+        ] {
+            let err = serde_json::from_str::<Rational>(&format!("\"{s}\"")).unwrap_err();
+            assert_eq!(err.to_string(), format!("rational `{s}` out of range"));
+        }
+        let max = serde_json::from_str::<Rational>("\"-9223372036854775807/9223372036854775807\"");
+        assert_eq!(max.unwrap(), -Rational::ONE);
     }
 }

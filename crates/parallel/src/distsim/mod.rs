@@ -351,6 +351,20 @@ mod tests {
             assert_eq!(par.events, serial.events, "threads={threads}");
             assert_eq!(par.contention, serial.contention, "threads={threads}");
         }
+        // At P = 1024 the seven busy ranks are shards of their own, beside
+        // one shard of idle ranks.
+        let a = by_top_subproblem(&g, 1024);
+        let mm = Some(MachineModel::new(Topology::Torus2d { q: 32 }, 2, 1, 1));
+        let serial = simulate_traced_on(&g, &a, &order, 16, mm, &Pool::serial());
+        for threads in [2usize, 3] {
+            let par = simulate_traced_on(&g, &a, &order, 16, mm, &Pool::new(threads));
+            assert_eq!(par.claimed, serial.claimed, "P=1024 threads={threads}");
+            assert_eq!(par.events, serial.events, "P=1024 threads={threads}");
+            assert_eq!(
+                par.contention, serial.contention,
+                "P=1024 threads={threads}"
+            );
+        }
     }
 
     #[test]

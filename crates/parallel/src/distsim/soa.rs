@@ -278,10 +278,34 @@ fn bucket_by_rank(a: &Assignment, order: &[VertexId]) -> RankSteps {
     }
 }
 
-/// Number of shards: a fixed function of `p` only, so the work split —
-/// and hence every merged artifact — is independent of thread count.
-fn shard_count(p: usize) -> usize {
-    p.clamp(1, 64)
+/// Most shards a run is cut into.
+const MAX_SHARDS: usize = 64;
+
+/// The shards' rank ranges: at most `min(p, MAX_SHARDS)` contiguous ranges
+/// tiling `0..p`, cut where the running step count crosses an equal share
+/// of the total, never inside a rank. A rank holding more than one share
+/// closes its shard, so a few busy ranks (`by_top_subproblem` at large P)
+/// each get a shard of their own instead of all landing in the first. The
+/// cut is a function of the assignment only, so the work split — and hence
+/// every merged artifact — is independent of thread count.
+fn shard_bounds(count: &[u32]) -> Vec<(usize, usize)> {
+    let p = count.len();
+    let shards = p.clamp(1, MAX_SHARDS) as u64;
+    let total: u64 = count.iter().map(|&c| u64::from(c)).sum();
+    let mut bounds = Vec::new();
+    let (mut lo, mut done, mut cuts) = (0, 0u64, 0u64);
+    for (r, &c) in count.iter().enumerate().take(p.saturating_sub(1)) {
+        done += u64::from(c);
+        // Shares reached so far; each one reached closes a shard.
+        let reached = (done * shards / total.max(1)).min(shards - 1);
+        if reached > cuts {
+            bounds.push((lo, r + 1));
+            lo = r + 1;
+            cuts = reached;
+        }
+    }
+    bounds.push((lo, p));
+    bounds
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -464,10 +488,8 @@ pub(super) fn run_soa<V: CdagView + Sync>(
     let p = a.p as usize;
     let rounds = 2 * g.r() as usize + 2;
     let rs = bucket_by_rank(a, order);
-    let shards = shard_count(p);
-    let bounds: Vec<(usize, usize)> = (0..shards)
-        .map(|s| (p * s / shards, p * (s + 1) / shards))
-        .collect();
+    let bounds = shard_bounds(&rs.count);
+    let shards = bounds.len();
 
     let cont = machine.map(|mm| {
         let acc = Mutex::new(ContAcc::new(mm, a.p, rounds));
@@ -572,4 +594,44 @@ pub(super) fn run_soa<V: CdagView + Sync>(
         contention,
     };
     (outcome, Some(trace))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::assign::{all_on_one, block_per_rank, by_top_subproblem, cyclic_per_rank};
+    use mmio_algos::strassen::strassen;
+    use mmio_cdag::build::build_cdag;
+    use mmio_pebble::orders::recursive_order;
+
+    #[test]
+    fn shard_bounds_tile_the_ranks_and_isolate_busy_ones() {
+        let g = build_cdag(&strassen(), 3);
+        let order = recursive_order(&g);
+        for p in [1u32, 7, 13, 64, 100, 1024] {
+            for a in [
+                cyclic_per_rank(&g, p),
+                block_per_rank(&g, p),
+                by_top_subproblem(&g, p),
+                all_on_one(&g, p),
+            ] {
+                let rs = bucket_by_rank(&a, &order);
+                let bounds = shard_bounds(&rs.count);
+                assert!(bounds.len() <= (p as usize).min(MAX_SHARDS), "p={p}");
+                let mut next = 0;
+                for &(lo, hi) in &bounds {
+                    assert!(lo == next && lo < hi, "p={p}: {bounds:?}");
+                    next = hi;
+                }
+                assert_eq!(next, p as usize, "p={p}");
+            }
+        }
+        // The b = 7 top subproblems hold almost every step; at P = 1024 each
+        // of their ranks is a shard of its own.
+        let a = by_top_subproblem(&g, 1024);
+        let bounds = shard_bounds(&bucket_by_rank(&a, &order).count);
+        for r in 0..7 {
+            assert!(bounds.contains(&(r, r + 1)), "rank {r}: {bounds:?}");
+        }
+    }
 }

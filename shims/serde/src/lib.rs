@@ -13,8 +13,11 @@
 //!   impls and the derive write their fields directly, byte-identical);
 //! - [`Deserialize`] reconstructs a value from a [`Value`], borrowed
 //!   ([`Deserialize::from_value`]) or owned ([`Deserialize::from_owned`],
-//!   which `serde_json::from_str` calls, so parsing into a [`Value`] moves
-//!   the parsed tree instead of copying it);
+//!   so parsing into a [`Value`] moves the parsed tree instead of copying
+//!   it), or reads it straight from JSON tokens through a
+//!   [`de::JsonReader`] ([`Deserialize::read_json`]; the default reads the
+//!   tree, the std impls and the derive read their fields directly, so a
+//!   large integer array is never held as one [`Value`] per element);
 //! - the `derive` feature re-exports `#[derive(Serialize, Deserialize)]`
 //!   macros (from the sibling `serde_derive` shim) for non-generic structs
 //!   with named fields — the only shape this workspace derives.
@@ -85,7 +88,7 @@ pub trait Serialize {
     }
 }
 
-/// Deserialization out of a [`Value`] tree.
+/// Deserialization out of a [`Value`] tree, or straight from JSON tokens.
 pub trait Deserialize: Sized {
     /// Reconstructs `Self` from a [`Value`].
     fn from_value(v: &Value) -> Result<Self, de::Error>;
@@ -95,6 +98,28 @@ pub trait Deserialize: Sized {
     /// itself returns the tree unchanged instead of copying it.
     fn from_owned(v: Value) -> Result<Self, de::Error> {
         Self::from_value(&v)
+    }
+
+    /// Reads `Self` from the next JSON value of `r`. The default reads that
+    /// value as a tree and hands it to [`Deserialize::from_owned`]. The std
+    /// impls and the derive read tokens directly instead, and are stricter
+    /// than the tree: a derived struct rejects a missing, unknown or
+    /// repeated key. Whenever this returns `Ok`, the value equals what
+    /// [`Deserialize::from_owned`] makes of the same text's tree.
+    fn read_json(r: &mut dyn de::JsonReader) -> Result<Self, de::Error> {
+        Self::from_owned(r.value()?)
+    }
+
+    /// Reads a JSON array of `Self`: [`Deserialize::read_json`] per item.
+    /// The integer impls read the whole array through
+    /// [`de::JsonReader::ints`] instead.
+    fn read_json_array(r: &mut dyn de::JsonReader) -> Result<Vec<Self>, de::Error> {
+        let mut items = Vec::new();
+        r.begin_array()?;
+        while r.next_item()? {
+            items.push(Self::read_json(r)?);
+        }
+        Ok(items)
     }
 }
 
@@ -144,8 +169,65 @@ pub mod ser {
 }
 
 pub mod de {
-    //! Deserialization-side error type, mirroring `serde::de::Error::custom`.
+    //! Deserialization-side helpers: the error type (mirroring
+    //! `serde::de::Error::custom`), the JSON token source that
+    //! [`Deserialize::read_json`] reads from, and the field bookkeeping the
+    //! derive and hand-written impls share.
+    pub use super::Deserialize;
+    use super::Value;
     use std::fmt;
+
+    /// A source of JSON tokens; `serde_json` supplies the one reader. Every
+    /// method skips the whitespace before its token, and fails on any token
+    /// other than the one it reads.
+    pub trait JsonReader {
+        /// Reads the next value whole, as a tree.
+        fn value(&mut self) -> Result<Value, Error>;
+        /// Reads `true` or `false`.
+        fn bool(&mut self) -> Result<bool, Error>;
+        /// Reads a number the tree holds as [`Value::Int`] or
+        /// [`Value::UInt`]; any other number is an error.
+        fn int(&mut self) -> Result<i128, Error>;
+        /// Reads a string, escapes decoded.
+        fn str(&mut self) -> Result<String, Error>;
+        /// Reads the `[` that opens an array.
+        fn begin_array(&mut self) -> Result<(), Error>;
+        /// Moves to the next array item: `true` when one follows (its `,`
+        /// read), `false` once the closing `]` is read.
+        fn next_item(&mut self) -> Result<bool, Error>;
+        /// Reads a whole array of integers (as [`JsonReader::int`] reads
+        /// each), handing each to `each` in order.
+        fn ints(&mut self, each: &mut dyn FnMut(i128) -> Result<(), Error>) -> Result<(), Error>;
+        /// Reads the `{` that opens an object.
+        fn begin_object(&mut self) -> Result<(), Error>;
+        /// Moves to the next object field: its key (the `,` before it and
+        /// the `:` after it read), or `None` once the closing `}` is read.
+        fn next_key(&mut self) -> Result<Option<String>, Error>;
+    }
+
+    /// Reads the value of field `key` into `slot`; a repeated key is an
+    /// error.
+    pub fn read_field<T: Deserialize>(
+        slot: &mut Option<T>,
+        key: &str,
+        r: &mut dyn JsonReader,
+    ) -> Result<(), Error> {
+        if slot.is_some() {
+            return Err(Error::custom(format!("duplicate field `{key}`")));
+        }
+        *slot = Some(T::read_json(r)?);
+        Ok(())
+    }
+
+    /// The value read for field `key`; a missing key is an error.
+    pub fn required<T>(slot: Option<T>, key: &str) -> Result<T, Error> {
+        slot.ok_or_else(|| Error::custom(format!("missing field `{key}`")))
+    }
+
+    /// The error for a key the type does not have.
+    pub fn unknown_field(key: &str) -> Error {
+        Error::custom(format!("unknown field `{key}`"))
+    }
 
     /// A deserialization failure.
     #[derive(Clone, Debug, PartialEq, Eq)]
@@ -194,6 +276,12 @@ macro_rules! impl_serialize_unsigned {
                 };
                 <$t>::try_from(raw).map_err(|_| de::Error::custom("integer out of range"))
             }
+            fn read_json(r: &mut dyn de::JsonReader) -> Result<Self, de::Error> {
+                int_as(r.int()?)
+            }
+            fn read_json_array(r: &mut dyn de::JsonReader) -> Result<Vec<Self>, de::Error> {
+                read_int_array(r)
+            }
         }
     )*};
 }
@@ -219,8 +307,31 @@ macro_rules! impl_serialize_signed {
                 };
                 <$t>::try_from(raw).map_err(|_| de::Error::custom("integer out of range"))
             }
+            fn read_json(r: &mut dyn de::JsonReader) -> Result<Self, de::Error> {
+                int_as(r.int()?)
+            }
+            fn read_json_array(r: &mut dyn de::JsonReader) -> Result<Vec<Self>, de::Error> {
+                read_int_array(r)
+            }
         }
     )*};
+}
+
+/// `n` as `T`: what `from_value` makes of the [`Value::Int`] or
+/// [`Value::UInt`] that holds `n`.
+fn int_as<T: TryFrom<i128>>(n: i128) -> Result<T, de::Error> {
+    T::try_from(n).map_err(|_| de::Error::custom("integer out of range"))
+}
+
+/// An array of integers, read with the reader's integer-run path: no
+/// [`Value`] per item.
+fn read_int_array<T: TryFrom<i128>>(r: &mut dyn de::JsonReader) -> Result<Vec<T>, de::Error> {
+    let mut items = Vec::new();
+    r.ints(&mut |n| {
+        items.push(int_as(n)?);
+        Ok(())
+    })?;
+    Ok(items)
 }
 
 impl_serialize_unsigned!(u8, u16, u32, u64, usize);
@@ -259,6 +370,9 @@ impl Deserialize for bool {
             ref other => type_error("bool", other),
         }
     }
+    fn read_json(r: &mut dyn de::JsonReader) -> Result<Self, de::Error> {
+        r.bool()
+    }
 }
 
 impl Serialize for String {
@@ -276,6 +390,9 @@ impl Deserialize for String {
             Value::Str(s) => Ok(s.clone()),
             other => type_error("string", other),
         }
+    }
+    fn read_json(r: &mut dyn de::JsonReader) -> Result<Self, de::Error> {
+        r.str()
     }
 }
 
@@ -331,6 +448,9 @@ impl<T: Deserialize> Deserialize for Vec<T> {
             Value::Array(items) => items.iter().map(T::from_value).collect(),
             other => type_error("array", other),
         }
+    }
+    fn read_json(r: &mut dyn de::JsonReader) -> Result<Self, de::Error> {
+        T::read_json_array(r)
     }
 }
 

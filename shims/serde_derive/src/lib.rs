@@ -135,7 +135,9 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     .expect("generated Serialize impl parses")
 }
 
-/// Derives the shimmed `serde::Deserialize` (value-tree reconstruction).
+/// Derives the shimmed `serde::Deserialize`: value-tree reconstruction,
+/// and the same struct read straight from JSON tokens, field by field in
+/// any order. The token read rejects a missing, unknown or repeated key.
 #[proc_macro_derive(Deserialize)]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let shape = match parse_struct(input, "Deserialize") {
@@ -143,10 +145,24 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
         Err(e) => return compile_error(&e),
     };
     let mut inits = String::new();
+    let mut slots = String::new();
+    let mut arms = String::new();
+    let mut takes = String::new();
     for f in &shape.fields {
         inits.push_str(&format!(
             "{f}: ::serde::Deserialize::from_value(v.get(\"{f}\").ok_or_else(|| \
                  ::serde::de::Error::custom(\"missing field `{f}`\"))?)?,"
+        ));
+        // The slots, the key and the reader have distinct `__` names, so no
+        // field name shadows them.
+        slots.push_str(&format!(
+            "let mut __field_{f} = ::std::option::Option::None;"
+        ));
+        arms.push_str(&format!(
+            "\"{f}\" => ::serde::de::read_field(&mut __field_{f}, \"{f}\", __reader)?,"
+        ));
+        takes.push_str(&format!(
+            "{f}: ::serde::de::required(__field_{f}, \"{f}\")?,"
         ));
     }
     format!(
@@ -157,6 +173,17 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
                      other => ::std::result::Result::Err(::serde::de::Error::custom(\
                          ::std::format!(\"expected object, got {{}}\", other.kind()))),\n\
                  }}\n\
+             }}\n\
+             fn read_json(__reader: &mut dyn ::serde::de::JsonReader) -> ::std::result::Result<Self, ::serde::de::Error> {{\n\
+                 {slots}\n\
+                 __reader.begin_object()?;\n\
+                 while let ::std::option::Option::Some(__key) = __reader.next_key()? {{\n\
+                     match __key.as_str() {{\n\
+                         {arms}\n\
+                         __other => return ::std::result::Result::Err(::serde::de::unknown_field(__other)),\n\
+                     }}\n\
+                 }}\n\
+                 ::std::result::Result::Ok({name} {{ {takes} }})\n\
              }}\n\
          }}",
         name = shape.name,

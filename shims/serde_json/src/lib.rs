@@ -2,9 +2,9 @@
 //! JSON text format on top of the shimmed `serde` [`Value`] tree.
 //!
 //! Provides exactly what this workspace calls: [`to_string`],
-//! [`to_string_pretty`], and [`from_str`], plus [`Value`] re-exported for
-//! ad-hoc inspection. See `docs/offline-build.md` for why the workspace
-//! vendors its dependencies.
+//! [`to_string_pretty`], [`from_str`] and [`read_json`], plus [`Value`]
+//! re-exported for ad-hoc inspection. See `docs/offline-build.md` for why
+//! the workspace vendors its dependencies.
 //!
 //! The codec works in runs, not per value:
 //!
@@ -14,11 +14,15 @@
 //!   formatted in a stack buffer, strings are copied a run of unescaped
 //!   bytes at a time, and compact output has no indent calls.
 //!   [`to_string_pretty`] writes the tree with two-space indents.
-//! - [`from_str`] copies string runs between `"` and `\` whole (the input
-//!   is a `&str`, so every run is valid UTF-8), reads plain integers of up
-//!   to 18 digits in one pass (every other number goes through `str::parse`
+//! - The parser copies string runs between `"` and `\` whole (the input is
+//!   a `&str`, so every run is valid UTF-8), reads plain integers of up to
+//!   18 digits in one pass (every other number goes through `str::parse`
 //!   as before), and reads runs of integers inside arrays with its cursor
-//!   alone. The parsed tree is moved into the result through
+//!   alone.
+//! - [`read_json`] reads typed data through [`Deserialize::read_json`], with
+//!   that parser as the token source: derived structs, vectors, strings and
+//!   integers are read without a [`Value`] per element.
+//! - [`from_str`] parses the text as a tree and moves it into
 //!   [`Deserialize::from_owned`], never copied.
 //!
 //! The per-character writer and parser the codec replaced are kept in
@@ -66,12 +70,20 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Erro
     Ok(out)
 }
 
-/// Parses JSON text into any [`Deserialize`] type. The parsed tree is
-/// handed to [`Deserialize::from_owned`], so `from_str::<Value>` returns it
-/// without a copy.
+/// Parses JSON text into any [`Deserialize`] type: the text's tree, moved
+/// into [`Deserialize::from_owned`].
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     let value = parse_value(s)?;
     Ok(T::from_owned(value)?)
+}
+
+/// Reads JSON text into `T` through [`Deserialize::read_json`], with no
+/// tree for the types that read tokens directly. Whenever it returns `Ok`,
+/// [`from_str`] returns the same value; its errors are the typed reader's,
+/// and it fails on some text [`from_str`] accepts (unknown or repeated keys
+/// of a derived struct).
+pub fn read_json<T: Deserialize>(s: &str) -> Result<T, Error> {
+    Reader::new(s).read()
 }
 
 /// The compact writer behind [`to_string`].
@@ -228,16 +240,9 @@ struct Parser<'a> {
 }
 
 fn parse_value(s: &str) -> Result<Value, Error> {
-    let mut p = Parser {
-        src: s,
-        bytes: s.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Parser::new(s);
     let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(Error(format!("trailing characters at byte {}", p.pos)));
-    }
+    p.end()?;
     Ok(v)
 }
 
@@ -263,7 +268,24 @@ fn plain_int(bytes: &[u8], pos: usize) -> Option<(i64, usize)> {
     Some((if neg { -n } else { n }, end))
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    fn new(s: &'a str) -> Parser<'a> {
+        Parser {
+            src: s,
+            bytes: s.as_bytes(),
+            pos: 0,
+        }
+    }
+
+    /// Checks that only whitespace follows the value just read.
+    fn end(&mut self) -> Result<(), Error> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(Error(format!("trailing characters at byte {}", self.pos)));
+        }
+        Ok(())
+    }
+
     fn skip_ws(&mut self) {
         while self.pos < self.bytes.len()
             && matches!(self.bytes[self.pos], b' ' | b'\t' | b'\n' | b'\r')
@@ -469,6 +491,172 @@ impl Parser<'_> {
     }
 }
 
+/// The token source behind [`read_json`]: the tree [`Parser`]'s own
+/// string, number, literal and integer-run code, driven one token at a time
+/// by [`Deserialize::read_json`].
+struct Reader<'a> {
+    p: Parser<'a>,
+    /// Set by `begin_array`/`begin_object`: the next item or key is the
+    /// first, so no `,` comes before it. The first `next_item`/`next_key`
+    /// clears it before any nested value is read, so one flag serves every
+    /// depth.
+    first: bool,
+}
+
+impl From<Error> for serde::de::Error {
+    fn from(e: Error) -> serde::de::Error {
+        serde::de::Error::custom(e.0)
+    }
+}
+
+impl<'a> Reader<'a> {
+    fn new(s: &'a str) -> Reader<'a> {
+        Reader {
+            p: Parser::new(s),
+            first: false,
+        }
+    }
+
+    /// Reads the whole text as one `T`.
+    fn read<T: Deserialize>(&mut self) -> Result<T, Error> {
+        let v = T::read_json(self)?;
+        self.p.end()?;
+        Ok(v)
+    }
+
+    /// Reads the `,` before the next item, or the closing byte `close`
+    /// (returning `false`).
+    fn next(&mut self, close: u8) -> Result<bool, Error> {
+        let b = self.p.peek()?;
+        if std::mem::take(&mut self.first) {
+            if b == close {
+                self.p.pos += 1;
+                return Ok(false);
+            }
+            return Ok(true);
+        }
+        match b {
+            b',' => {
+                self.p.pos += 1;
+                Ok(true)
+            }
+            _ if b == close => {
+                self.p.pos += 1;
+                Ok(false)
+            }
+            _ => Err(Error(format!(
+                "expected ',' or '{}' at byte {}",
+                close as char, self.p.pos
+            ))),
+        }
+    }
+}
+
+/// An integer as the tree holds it, or `None` for a float.
+fn int_of(v: &Value) -> Option<i128> {
+    match *v {
+        Value::Int(i) => Some(i.into()),
+        Value::UInt(u) => Some(u.into()),
+        _ => None,
+    }
+}
+
+impl serde::de::JsonReader for Reader<'_> {
+    fn value(&mut self) -> Result<Value, serde::de::Error> {
+        Ok(self.p.value()?)
+    }
+
+    fn bool(&mut self) -> Result<bool, serde::de::Error> {
+        let b = match self.p.peek()? {
+            b't' => true,
+            b'f' => false,
+            _ => return Err(Error(format!("expected bool at byte {}", self.p.pos)).into()),
+        };
+        self.p
+            .literal(if b { "true" } else { "false" }, Value::Bool(b))?;
+        Ok(b)
+    }
+
+    fn int(&mut self) -> Result<i128, serde::de::Error> {
+        let b = self.p.peek()?;
+        let at = self.p.pos;
+        match b {
+            b'-' | b'0'..=b'9' => int_of(&self.p.number()?)
+                .ok_or_else(|| Error(format!("expected integer at byte {at}")).into()),
+            _ => Err(Error(format!("expected integer at byte {at}")).into()),
+        }
+    }
+
+    fn str(&mut self) -> Result<String, serde::de::Error> {
+        Ok(self.p.string()?)
+    }
+
+    fn begin_array(&mut self) -> Result<(), serde::de::Error> {
+        self.p.expect(b'[')?;
+        self.first = true;
+        Ok(())
+    }
+
+    fn next_item(&mut self) -> Result<bool, serde::de::Error> {
+        Ok(self.next(b']')?)
+    }
+
+    fn ints(
+        &mut self,
+        each: &mut dyn FnMut(i128) -> Result<(), serde::de::Error>,
+    ) -> Result<(), serde::de::Error> {
+        self.p.expect(b'[')?;
+        if self.p.peek()? == b']' {
+            self.p.pos += 1;
+            return Ok(());
+        }
+        loop {
+            // The integer run of `Parser::array`: plain integers directly
+            // followed by ',' or ']' are read with the cursor alone.
+            while let Some((i, end)) = plain_int(self.p.bytes, self.p.pos) {
+                match self.p.bytes.get(end) {
+                    Some(b',') => {
+                        each(i.into())?;
+                        self.p.pos = end + 1;
+                    }
+                    Some(b']') => {
+                        each(i.into())?;
+                        self.p.pos = end + 1;
+                        return Ok(());
+                    }
+                    _ => break,
+                }
+            }
+            each(self.int()?)?;
+            match self.p.peek()? {
+                b',' => self.p.pos += 1,
+                b']' => {
+                    self.p.pos += 1;
+                    return Ok(());
+                }
+                _ => {
+                    return Err(Error(format!("expected ',' or ']' at byte {}", self.p.pos)).into())
+                }
+            }
+        }
+    }
+
+    fn begin_object(&mut self) -> Result<(), serde::de::Error> {
+        self.p.expect(b'{')?;
+        self.first = true;
+        Ok(())
+    }
+
+    fn next_key(&mut self) -> Result<Option<String>, serde::de::Error> {
+        if !self.next(b'}')? {
+            return Ok(None);
+        }
+        let key = self.p.string()?;
+        self.p.expect(b':')?;
+        Ok(Some(key))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -552,44 +740,46 @@ mod tests {
         new
     }
 
+    /// Malformed inputs, with the messages and byte offsets the per-byte
+    /// parser reported for them.
+    const MALFORMED: &[(&str, &str)] = &[
+        ("", "unexpected end of input"),
+        ("   ", "unexpected end of input"),
+        ("{", "unexpected end of input"),
+        ("[1,2", "unexpected end of input"),
+        ("{\"a\":1,", "unexpected end of input"),
+        ("cert", "unexpected character 'c' at byte 0"),
+        ("[1,]", "unexpected character ']' at byte 3"),
+        ("\u{fc}", "unexpected character '\u{c3}' at byte 0"),
+        (" [1, 2,, 3]", "unexpected character ',' at byte 7"),
+        ("nul", "invalid literal at byte 0"),
+        ("[true, fals]", "invalid literal at byte 7"),
+        ("1 2", "trailing characters at byte 2"),
+        ("[1]x", "trailing characters at byte 3"),
+        ("01x", "trailing characters at byte 2"),
+        ("[1 2]", "expected ',' or ']' at byte 3"),
+        ("[1\n,2 3]", "expected ',' or ']' at byte 6"),
+        ("{\"a\" 1}", "expected ':' at byte 5"),
+        ("{\"a\":1 \"b\":2}", "expected ',' or '}' at byte 7"),
+        ("{1:2}", "expected '\"' at byte 1"),
+        ("\"abc", "unterminated string"),
+        ("[\"a\\\"]", "unterminated string"),
+        ("\"abc\\", "unterminated escape"),
+        ("\"\\q\"", "invalid escape"),
+        ("\"\\u12\"", "truncated \\u escape"),
+        ("\"\\u12G4\"", "invalid \\u escape"),
+        ("\"\\u1\u{e9}\"", "invalid \\u escape"),
+        ("-", "invalid number '-'"),
+        ("[-]", "invalid number '-'"),
+        ("1.2.3", "invalid number '1.2.3'"),
+        ("1e", "invalid number '1e'"),
+        ("--1", "invalid number '--1'"),
+        ("[7,1-]", "invalid number '1-'"),
+    ];
+
     #[test]
     fn malformed_inputs_keep_their_messages() {
-        // Messages and byte offsets as the per-byte parser reported them.
-        let table: &[(&str, &str)] = &[
-            ("", "unexpected end of input"),
-            ("   ", "unexpected end of input"),
-            ("{", "unexpected end of input"),
-            ("[1,2", "unexpected end of input"),
-            ("{\"a\":1,", "unexpected end of input"),
-            ("cert", "unexpected character 'c' at byte 0"),
-            ("[1,]", "unexpected character ']' at byte 3"),
-            ("\u{fc}", "unexpected character '\u{c3}' at byte 0"),
-            (" [1, 2,, 3]", "unexpected character ',' at byte 7"),
-            ("nul", "invalid literal at byte 0"),
-            ("[true, fals]", "invalid literal at byte 7"),
-            ("1 2", "trailing characters at byte 2"),
-            ("[1]x", "trailing characters at byte 3"),
-            ("01x", "trailing characters at byte 2"),
-            ("[1 2]", "expected ',' or ']' at byte 3"),
-            ("[1\n,2 3]", "expected ',' or ']' at byte 6"),
-            ("{\"a\" 1}", "expected ':' at byte 5"),
-            ("{\"a\":1 \"b\":2}", "expected ',' or '}' at byte 7"),
-            ("{1:2}", "expected '\"' at byte 1"),
-            ("\"abc", "unterminated string"),
-            ("[\"a\\\"]", "unterminated string"),
-            ("\"abc\\", "unterminated escape"),
-            ("\"\\q\"", "invalid escape"),
-            ("\"\\u12\"", "truncated \\u escape"),
-            ("\"\\u12G4\"", "invalid \\u escape"),
-            ("\"\\u1\u{e9}\"", "invalid \\u escape"),
-            ("-", "invalid number '-'"),
-            ("[-]", "invalid number '-'"),
-            ("1.2.3", "invalid number '1.2.3'"),
-            ("1e", "invalid number '1e'"),
-            ("--1", "invalid number '--1'"),
-            ("[7,1-]", "invalid number '1-'"),
-        ];
-        for &(input, want) in table {
+        for &(input, want) in MALFORMED {
             assert_eq!(
                 same_as_oracle(input),
                 Err(want.to_string()),
@@ -696,6 +886,182 @@ mod tests {
         assert_eq!(Value::from_owned(v.clone()), Ok(v.clone()));
         let xs: Vec<u32> = from_str("[1,2,3]").unwrap();
         assert_eq!(xs, [1, 2, 3]);
+    }
+
+    /// The typed read of `input` either fails or returns what the tree
+    /// path ([`from_str`]: parse, then `from_owned`) returns. Returns the
+    /// tree path's answer.
+    fn same_as_tree<T>(input: &str) -> Result<T, String>
+    where
+        T: Deserialize + PartialEq + fmt::Debug,
+    {
+        let tree = from_str::<T>(input).map_err(|e| e.to_string());
+        if let Ok(typed) = read_json::<T>(input) {
+            assert_eq!(Ok(&typed), tree.as_ref(), "read_json, input {input:?}");
+        }
+        tree
+    }
+
+    /// Every std impl with a read of its own, and the tree-reading ones.
+    fn every_std_impl(input: &str) {
+        same_as_tree::<u8>(input).ok();
+        same_as_tree::<u16>(input).ok();
+        same_as_tree::<u32>(input).ok();
+        same_as_tree::<u64>(input).ok();
+        same_as_tree::<usize>(input).ok();
+        same_as_tree::<i8>(input).ok();
+        same_as_tree::<i16>(input).ok();
+        same_as_tree::<i32>(input).ok();
+        same_as_tree::<i64>(input).ok();
+        same_as_tree::<isize>(input).ok();
+        same_as_tree::<bool>(input).ok();
+        same_as_tree::<String>(input).ok();
+        same_as_tree::<f64>(input).ok();
+        same_as_tree::<Value>(input).ok();
+        same_as_tree::<Option<u32>>(input).ok();
+        same_as_tree::<Option<String>>(input).ok();
+        same_as_tree::<Vec<u32>>(input).ok();
+        same_as_tree::<Vec<u64>>(input).ok();
+        same_as_tree::<Vec<i64>>(input).ok();
+        same_as_tree::<Vec<bool>>(input).ok();
+        same_as_tree::<Vec<String>>(input).ok();
+        same_as_tree::<Vec<Vec<u32>>>(input).ok();
+        same_as_tree::<Vec<Option<u8>>>(input).ok();
+        same_as_tree::<Read>(input).ok();
+    }
+
+    /// A derived struct with every field shape the typed read handles, and
+    /// fields named like the derive's own locals.
+    #[derive(serde::Serialize, serde::Deserialize, PartialEq, Debug)]
+    struct Read {
+        r: u32,
+        key: u64,
+        reader: Vec<i64>,
+        rows: Vec<Vec<u32>>,
+        name: String,
+        maybe: Option<String>,
+        flag: bool,
+        ratio: f64,
+        tree: Value,
+    }
+
+    #[test]
+    fn typed_reads_match_the_tree() {
+        let mut inputs: Vec<String> = MALFORMED.iter().map(|&(s, _)| s.to_string()).collect();
+        for token in [
+            "0",
+            "-0",
+            "1",
+            "-1",
+            "01",
+            "255",
+            "256",
+            "-128",
+            "-129",
+            "65536",
+            "4294967295",
+            "4294967296",
+            "9223372036854775807",
+            "9223372036854775808",
+            "-9223372036854775808",
+            "-9223372036854775809",
+            "18446744073709551615",
+            "18446744073709551616",
+            "999999999999999999",
+            "1.0",
+            "1e0",
+            "-0.0",
+            "2.5",
+            "1E5",
+        ] {
+            inputs.push(token.to_string());
+            inputs.push(format!("[{token}]"));
+            inputs.push(format!("[1,{token}, {token} ,{token}]"));
+            inputs.push(format!("[[{token}],[],[ 1 ,{token}]]"));
+        }
+        for other in [
+            "true",
+            "false",
+            "null",
+            " null ",
+            "\"s\"",
+            r#""\u0041\n""#,
+            "[]",
+            "[ ]",
+            "[true,false]",
+            r#"["a","\u00e9",""]"#,
+            "[null,1]",
+            "[1,\"a\"]",
+            "{}",
+            "[1,2]x",
+            "[1,2",
+            "[1 ,]",
+            "[,1]",
+            r#"{"a":1}"#,
+        ] {
+            inputs.push(other.to_string());
+        }
+        for input in &inputs {
+            every_std_impl(input);
+        }
+
+        let read = Read {
+            r: 3,
+            key: u64::MAX,
+            reader: vec![i64::MIN, -1, 0, 7],
+            rows: vec![vec![], vec![4294967295, 0]],
+            name: "n\"é\u{1}".into(),
+            maybe: None,
+            flag: true,
+            ratio: 0.5,
+            tree: Value::Array(vec![Value::Null, Value::Int(-3)]),
+        };
+        let json = to_string(&read).unwrap();
+        assert_eq!(read_json::<Read>(&json).unwrap(), read);
+        let v: Value = from_str(&json).unwrap();
+        let Value::Object(fields) = &v else { panic!() };
+        let object =
+            |fields: &[(String, Value)]| to_string(&Value::Object(fields.to_vec())).unwrap();
+        let mut variants = vec![json.clone(), to_string_pretty(&v).unwrap()];
+        let mut reversed = fields.clone();
+        reversed.reverse();
+        variants.push(object(&reversed));
+        for i in 0..fields.len() {
+            let mut repeated = fields.clone();
+            repeated.push(fields[i].clone());
+            variants.push(object(&repeated));
+            let mut missing = fields.clone();
+            missing.remove(i);
+            variants.push(object(&missing));
+            let mut unknown = fields.clone();
+            unknown.insert(i, ("extra".into(), Value::Int(i as i64)));
+            variants.push(object(&unknown));
+        }
+        variants.push(json.replace("\"name\":\"n", "\"name\":\"\\u006e"));
+        variants.push(json.replace("\"r\":3", "\"r\":3.0"));
+        variants.push(json.replace("\"r\":3", "\"r\":-0"));
+        for end in 0..json.len() {
+            if json.is_char_boundary(end) {
+                variants.push(json[..end].to_string());
+            }
+        }
+        for input in &variants {
+            same_as_tree::<Read>(input).ok();
+        }
+        // In order, once each: the typed read takes it. Out of order: the
+        // typed read takes it too. Repeated or unknown keys: only the tree.
+        assert!(read_json::<Read>(&variants[0]).is_ok());
+        assert!(read_json::<Read>(&variants[2]).is_ok());
+        assert!(read_json::<Read>(&variants[3])
+            .unwrap_err()
+            .to_string()
+            .contains("duplicate"));
+        assert!(same_as_tree::<Read>(&variants[3]).is_ok());
+        assert!(read_json::<Read>(&variants[5])
+            .unwrap_err()
+            .to_string()
+            .contains("unknown"));
+        assert!(same_as_tree::<Read>(&variants[5]).is_ok());
     }
 
     /// Random JSON trees, shaped like what the workspace writes: integers
