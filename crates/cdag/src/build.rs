@@ -1,7 +1,7 @@
 //! Materialization of the recursive CDAG `G_r` from its closed form.
 
 use crate::base::BaseGraph;
-use crate::graph::{Cdag, Layer};
+use crate::graph::{Cdag, Layer, VertexId};
 use crate::index;
 use crate::view::IndexView;
 
@@ -23,13 +23,53 @@ use crate::view::IndexView;
 /// # Panics
 /// Panics if the graph would exceed `u32` vertex ids.
 pub fn build_cdag(base: &BaseGraph, r: u32) -> Cdag {
-    let view = match IndexView::of_base(base, r) {
-        Ok(view) => view,
-        Err(e) => panic!("CDAG too large for u32 vertex ids: {e}"),
-    };
-    let (pred_off, pred_tgt) = view.csr(false);
-    let (succ_off, succ_tgt) = view.csr(true);
-    Cdag::from_parts(base.clone(), view, pred_off, pred_tgt, succ_off, succ_tgt)
+    CdagBuild::new(base, r).fill()
+}
+
+/// [`build_cdag`] in two steps: [`CdagBuild::new`] allocates both CSR
+/// halves at their closed-form sizes, and [`CdagBuild::fill`] fills them
+/// without allocating. The steps may run on different threads, so a
+/// caller can keep the graph in its own malloc arena while a worker fills
+/// it (see `mmio_parallel::Pool::join`).
+pub struct CdagBuild {
+    base: BaseGraph,
+    view: IndexView,
+    pred: (Vec<u32>, Vec<VertexId>),
+    succ: (Vec<u32>, Vec<VertexId>),
+}
+
+impl CdagBuild {
+    /// Allocates the CSR of `G_r` for `base`, unfilled.
+    ///
+    /// # Panics
+    /// Panics if the graph would exceed `u32` vertex ids.
+    pub fn new(base: &BaseGraph, r: u32) -> CdagBuild {
+        let view = match IndexView::of_base(base, r) {
+            Ok(view) => view,
+            Err(e) => panic!("CDAG too large for u32 vertex ids: {e}"),
+        };
+        let (n, e) = (view.n_vertices() as usize + 1, view.n_edges() as usize);
+        let half = || (Vec::with_capacity(n), Vec::with_capacity(e));
+        CdagBuild {
+            base: base.clone(),
+            pred: half(),
+            succ: half(),
+            view,
+        }
+    }
+
+    /// Fills both halves from the view's block rules and returns the graph.
+    pub fn fill(self) -> Cdag {
+        let CdagBuild {
+            base,
+            view,
+            mut pred,
+            mut succ,
+        } = self;
+        view.fill_csr(false, &mut pred.0, &mut pred.1);
+        view.fill_csr(true, &mut succ.0, &mut succ.1);
+        Cdag::from_parts(base, view, pred.0, pred.1, succ.0, succ.1)
+    }
 }
 
 /// Convenience: builds `G_r` and sanity-checks segment sizes against the
@@ -55,7 +95,7 @@ pub fn build_checked(base: &BaseGraph, r: u32) -> Cdag {
 /// inversion of the predecessor CSR. The test oracle of [`build_cdag`].
 #[cfg(test)]
 pub(crate) fn build_per_vertex(base: &BaseGraph, r: u32) -> Cdag {
-    use crate::graph::{VertexId, VertexRef};
+    use crate::graph::VertexRef;
     let view = IndexView::of_base(base, r).expect("test graphs fit u32 ids");
     let n = view.n_vertices() as usize;
     let mut pred_off = vec![0u32];

@@ -986,13 +986,12 @@ impl IndexView {
             .sum()
     }
 
-    /// One half of `G_r`'s CSR adjacency as `(offsets, targets)`: every
-    /// vertex's predecessors, or its successors if `succs`, in dense
-    /// order. Filled rule by rule into vectors of exact capacity.
-    pub(crate) fn csr(&self, succs: bool) -> (Vec<u32>, Vec<VertexId>) {
+    /// Appends one half of `G_r`'s CSR adjacency to the empty `off` and
+    /// `tgt`: every vertex's predecessors, or its successors if `succs`, in
+    /// dense order, rule by rule. Allocates nothing when their capacities
+    /// are `n_vertices + 1` and [`IndexView::n_edges`].
+    pub(crate) fn fill_csr(&self, succs: bool, off: &mut Vec<u32>, tgt: &mut Vec<VertexId>) {
         let dir = if succs { SUCC } else { PRED };
-        let mut off = Vec::with_capacity(self.n_vertices() as usize + 1);
-        let mut tgt = Vec::with_capacity(self.n_edges() as usize);
         off.push(0u32);
         let lens = self.seg_offsets.windows(2).map(|w| w[1] - w[0]);
         for (rules, len) in self.rules.iter().zip(lens) {
@@ -1014,7 +1013,6 @@ impl IndexView {
             }
         }
         debug_assert_eq!(tgt.len() as u64, self.n_edges());
-        (off, tgt)
     }
 
     /// Whether `(u, v)` is an edge of `G_r` in either direction.

@@ -130,17 +130,27 @@ impl Ctx {
 /// Verifies a serialized certificate.
 ///
 /// The certificate is read typed, straight from the text
-/// ([`serde_json::read_json`]), and verified. Text the typed read does not
-/// take (a parse or decode failure, a stale version, fields out of wire
-/// order, unknown or repeated keys) goes to [`verify_json_tree`], whose
-/// verdict is returned. Whenever the typed read succeeds, the tree path
-/// decodes an equal certificate, so both paths give the same verdict on
-/// every input.
+/// ([`serde_json::read_json`]), and verified. A typed read that ends at a
+/// syntax error is answered with the parse-failure verdict, since the tree
+/// parse fails on that text with the same message. Other text the typed
+/// read does not take (a decode failure, a stale version, fields out of
+/// wire order, unknown or repeated keys) goes to [`verify_json_tree`],
+/// whose verdict is returned. Whenever the typed read succeeds, the tree
+/// path decodes an equal certificate, so both paths give the same verdict
+/// on every input.
 pub fn verify_json(s: &str) -> Verdict {
     match serde_json::read_json::<Certificate>(s) {
         Ok(cert) => verify(&cert),
+        Err(e) if e.is_syntax() => parse_failure(&e),
         Err(_) => verify_json_tree(s),
     }
+}
+
+/// The verdict on text that is not JSON.
+fn parse_failure(e: &serde_json::Error) -> Verdict {
+    let mut ctx = Ctx::new();
+    ctx.reject(codes::V_MALFORMED, format!("JSON parse failure: {e}"));
+    ctx.finish(0, "", "")
 }
 
 /// Verifies a serialized certificate through its [`serde::Value`] tree:
@@ -150,11 +160,7 @@ pub fn verify_json(s: &str) -> Verdict {
 pub fn verify_json_tree(s: &str) -> Verdict {
     let value: serde::Value = match serde_json::from_str(s) {
         Ok(v) => v,
-        Err(e) => {
-            let mut ctx = Ctx::new();
-            ctx.reject(codes::V_MALFORMED, format!("JSON parse failure: {e}"));
-            return ctx.finish(0, "", "");
-        }
+        Err(e) => return parse_failure(&e),
     };
     let Some(version) = format::peek_version(&value) else {
         let mut ctx = Ctx::new();

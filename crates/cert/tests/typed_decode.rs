@@ -300,3 +300,31 @@ fn typed_decode_matches_tree_decode() {
         }
     }
 }
+
+#[test]
+fn syntax_errors_are_answered_from_the_typed_read() {
+    // A Strassen r = 2 schedule certificate, cut every 101st byte and at
+    // each of its last 64 bytes: the typed read stops at a syntax error,
+    // and its verdict is the tree path's.
+    let g = build_cdag(&mmio_algos::strassen::strassen(), 2);
+    let m = g.max_indegree() + 5;
+    let order = recursive_order(&g);
+    let (_, sched) = AutoScheduler::new(&g, m).run_recorded(&order, &Belady);
+    let json = emit_schedule_certificate(&g, m, &sched).to_json();
+    let tail = json.len().saturating_sub(64)..json.len();
+    for end in (0..json.len()).step_by(101).chain(tail) {
+        let cut = &json[..end];
+        let read = serde_json::read_json::<Certificate>(cut);
+        assert!(read.is_err_and(|e| e.is_syntax()), "first {end} bytes");
+        same_verdict(&format!("first {end} bytes"), cut);
+    }
+    // The corpus, whichever path each file takes.
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus");
+    for entry in fs::read_dir(&dir).expect("corpus directory") {
+        let path = entry.expect("corpus entry").path();
+        if path.extension().is_some_and(|x| x == "json") {
+            let json = fs::read_to_string(&path).expect("corpus file");
+            same_verdict(&path.display().to_string(), &json);
+        }
+    }
+}

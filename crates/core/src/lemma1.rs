@@ -23,36 +23,54 @@ pub fn input_metas<V: CdagView>(
     k: u32,
     prefix: u64,
 ) -> HashSet<MetaId> {
+    input_roots(g, meta, k, prefix).map(MetaId).collect()
+}
+
+/// The meta roots of subcomputation `prefix`'s inputs, one per input, in
+/// the order of [`input_metas`]' closed form.
+fn input_roots<'a, V: CdagView>(
+    g: &'a V,
+    meta: &'a MetaVertices,
+    k: u32,
+    prefix: u64,
+) -> impl Iterator<Item = u32> + 'a {
     let ak = index::pow(g.a(), k);
-    let mut out = HashSet::with_capacity(2 * ak as usize);
-    for layer in [Layer::EncA, Layer::EncB] {
-        for entry in 0..ak {
-            let v = g
-                .try_id(VertexRef {
-                    layer,
-                    level: g.r() - k,
-                    mul: prefix,
-                    entry,
-                })
-                .expect("subcomputation input in range");
-            out.insert(meta.meta_of(v));
-        }
-    }
-    out
+    [Layer::EncA, Layer::EncB]
+        .into_iter()
+        .flat_map(move |layer| {
+            (0..ak).map(move |entry| {
+                let v = g
+                    .try_id(VertexRef {
+                        layer,
+                        level: g.r() - k,
+                        mul: prefix,
+                        entry,
+                    })
+                    .expect("subcomputation input in range");
+                meta.meta_of(v).0
+            })
+        })
 }
 
 /// Greedily selects a maximal prefix-ordered collection of mutually
 /// input-disjoint subcomputations of depth `k`. Disjointness is *verified*,
-/// not assumed.
+/// not assumed: a subcomputation is kept iff none of its input
+/// meta-vertices is marked, and keeping it marks them all. The marks are
+/// one `|V|`-sized array indexed by meta root, and each prefix's input
+/// roots are gathered into one reused buffer.
 pub fn select_input_disjoint<V: CdagView>(g: &V, meta: &MetaVertices, k: u32) -> Vec<u64> {
     assert!(k <= g.r(), "k must be at most r");
     let count = index::pow(g.b(), g.r() - k);
-    let mut used: HashSet<MetaId> = HashSet::new();
+    let mut used = vec![false; g.n_vertices()];
+    let mut roots: Vec<usize> = Vec::new();
     let mut chosen = Vec::new();
     for prefix in 0..count {
-        let metas = input_metas(g, meta, k, prefix);
-        if metas.iter().all(|m| !used.contains(m)) {
-            used.extend(metas);
+        roots.clear();
+        roots.extend(input_roots(g, meta, k, prefix).map(|m| m as usize));
+        if roots.iter().all(|&m| !used[m]) {
+            for &m in &roots {
+                used[m] = true;
+            }
             chosen.push(prefix);
         }
     }
@@ -84,6 +102,49 @@ mod tests {
     use mmio_algos::classical::classical;
     use mmio_algos::strassen::{strassen, winograd};
     use mmio_cdag::build::build_cdag;
+
+    /// The `HashSet` greedy the mark array replaced: the oracle of
+    /// [`select_input_disjoint`].
+    fn select_by_hash_sets<V: CdagView>(g: &V, meta: &MetaVertices, k: u32) -> Vec<u64> {
+        let count = index::pow(g.b(), g.r() - k);
+        let mut used: HashSet<MetaId> = HashSet::new();
+        let mut chosen = Vec::new();
+        for prefix in 0..count {
+            let metas = input_metas(g, meta, k, prefix);
+            if metas.iter().all(|m| !used.contains(m)) {
+                used.extend(metas);
+                chosen.push(prefix);
+            }
+        }
+        chosen
+    }
+
+    /// Every registry base at every `r ≤ 4` whose `G_r` has at most 2²²
+    /// vertices (the tensor-square bases stop at `r = 3`), every `k ≤ r`.
+    #[test]
+    fn marks_select_what_hash_sets_select() {
+        use mmio_cdag::view::count_vertices;
+        for base in mmio_algos::registry::all_base_graphs() {
+            for r in 1..=4u32 {
+                let size = count_vertices(base.a() as u64, base.b() as u64, r);
+                if size.is_none_or(|n| n > 1 << 22) {
+                    continue;
+                }
+                let view = mmio_cdag::IndexView::from_base(&base, r);
+                let meta = MetaVertices::compute_view(&view);
+                for k in 1..=r {
+                    let chosen = select_input_disjoint(&view, &meta, k);
+                    assert_eq!(
+                        chosen,
+                        select_by_hash_sets(&view, &meta, k),
+                        "{} r={r} k={k}",
+                        base.name()
+                    );
+                    assert!(verify_disjoint(&view, &meta, k, &chosen));
+                }
+            }
+        }
+    }
 
     #[test]
     fn strassen_selection_meets_lemma1_bound() {

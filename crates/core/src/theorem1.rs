@@ -10,7 +10,7 @@
 
 use crate::lemma1;
 use crate::segments::{self, SegmentAnalysis};
-use mmio_cdag::{index, BaseGraph, Cdag, CdagView, MetaVertices, VertexId};
+use mmio_cdag::{index, BaseGraph, Cdag, CdagView, IndexView, MetaVertices, VertexId};
 use serde::Serialize;
 
 /// The Theorem 1 formulas for one algorithm family.
@@ -135,6 +135,9 @@ pub fn certify_pooled(
 /// its edge lists (equivalence pinned by `view_certificate_matches_explicit`
 /// below and the CLI golden test).
 ///
+/// It is the composition of [`prepare`] on the view's closed form and
+/// [`Prepared::certify`] on the view.
+///
 /// `base` must be the base graph the view was derived from (it supplies the
 /// name and the Theorem 1 formula constants).
 pub fn certify_pooled_view<V: CdagView + Sync>(
@@ -145,36 +148,90 @@ pub fn certify_pooled_view<V: CdagView + Sync>(
     params: CertifyParams,
     pool: &mmio_parallel::Pool,
 ) -> Certificate {
-    assert_eq!(
-        (base.a(), base.b()),
-        (g.a(), g.b()),
-        "view must come from this base graph"
-    );
-    let n = index::pow(base.n0(), g.r());
-    let meta = MetaVertices::compute_view(g);
-    let (k, k_feasible) = segments::choose_k(g, m, params.k_multiplier);
-    let chosen = lemma1::select_input_disjoint(g, &meta, k);
-    let counted = segments::counted_mask(g, k, &chosen);
-    // Saturating: a threshold past `u64::MAX` completes no segment.
-    let threshold = params.threshold_multiplier.saturating_mul(m);
-    let analysis = segments::analyze_with(g, &meta, order, &counted, m, threshold, k, pool);
-    let lemma1_target = if k + 2 <= g.r() {
-        index::pow(base.b(), g.r() - k - 2)
-    } else {
-        0
-    };
-    let bound = LowerBound::new(base);
-    Certificate {
-        base: base.name().to_string(),
-        r: g.r(),
-        n,
+    prepare(g.closed_form(), m, params).certify(base, g, order, pool)
+}
+
+/// What the certificate needs besides the order and the segment pass:
+/// the meta-vertices, `k`, Lemma 1's selection and the counted mask. The
+/// closed form decides all of them, so they can be prepared while the
+/// graph is still being built.
+pub struct Prepared {
+    meta: MetaVertices,
+    m: u64,
+    threshold: u64,
+    k: u32,
+    k_feasible: bool,
+    disjoint_subcomputations: u64,
+    counted: Vec<bool>,
+}
+
+/// The closed-form half of the certificate for cache size `m`:
+/// [`MetaVertices::compute_view`], [`segments::choose_k`],
+/// [`lemma1::select_input_disjoint`] and [`segments::counted_mask`], all
+/// read off `view`.
+pub fn prepare(view: &IndexView, m: u64, params: CertifyParams) -> Prepared {
+    let meta = MetaVertices::compute_view(view);
+    let (k, k_feasible) = segments::choose_k(view, m, params.k_multiplier);
+    let chosen = lemma1::select_input_disjoint(view, &meta, k);
+    let counted = segments::counted_mask(view, k, &chosen);
+    Prepared {
+        meta,
         m,
+        // Saturating: a threshold past `u64::MAX` completes no segment.
+        threshold: params.threshold_multiplier.saturating_mul(m),
         k,
         k_feasible,
         disjoint_subcomputations: chosen.len() as u64,
-        lemma1_target,
-        analysis,
-        formula_value: bound.sequential_io(n, m),
+        counted,
+    }
+}
+
+impl Prepared {
+    /// The segment analysis of `order` over `g`, and the certificate.
+    /// `g` must be a view of the graph this was prepared from, and `base`
+    /// the base graph it was derived from.
+    pub fn certify<V: CdagView + Sync>(
+        &self,
+        base: &BaseGraph,
+        g: &V,
+        order: &[VertexId],
+        pool: &mmio_parallel::Pool,
+    ) -> Certificate {
+        assert_eq!(
+            (base.a(), base.b(), self.counted.len()),
+            (g.a(), g.b(), g.n_vertices()),
+            "view must come from this base graph and preparation"
+        );
+        let (m, k) = (self.m, self.k);
+        let n = index::pow(base.n0(), g.r());
+        let analysis = segments::analyze_with(
+            g,
+            &self.meta,
+            order,
+            &self.counted,
+            m,
+            self.threshold,
+            k,
+            pool,
+        );
+        let lemma1_target = if k + 2 <= g.r() {
+            index::pow(base.b(), g.r() - k - 2)
+        } else {
+            0
+        };
+        let bound = LowerBound::new(base);
+        Certificate {
+            base: base.name().to_string(),
+            r: g.r(),
+            n,
+            m,
+            k,
+            k_feasible: self.k_feasible,
+            disjoint_subcomputations: self.disjoint_subcomputations,
+            lemma1_target,
+            analysis,
+            formula_value: bound.sequential_io(n, m),
+        }
     }
 }
 

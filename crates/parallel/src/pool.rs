@@ -182,6 +182,38 @@ impl Pool {
         tagged.sort_unstable_by_key(|&(i, _)| i);
         tagged.into_iter().map(|(_, v)| v).collect()
     }
+
+    /// Runs `a` on the calling thread while `b` runs on one scoped worker,
+    /// and returns both results. The serial pool runs `a`, then `b`.
+    ///
+    /// `a` stays on the caller so that what it allocates comes from the
+    /// caller's malloc arena, as in `segments::analyze_with`: glibc keeps
+    /// the blocks a worker thread frees resident in that worker's arena,
+    /// and successive joins land on different arenas. So `b` should fill
+    /// buffers the caller allocated rather than allocate `|V|`-sized ones
+    /// itself.
+    ///
+    /// A panic in either task panics the call with that task's own payload
+    /// (`a`'s if both panic), after the worker is joined.
+    pub fn join<A, B, FA, FB>(&self, a: FA, b: FB) -> (A, B)
+    where
+        B: Send,
+        FA: FnOnce() -> A,
+        FB: FnOnce() -> B + Send,
+    {
+        if self.threads == 1 {
+            let x = a();
+            return (x, b());
+        }
+        std::thread::scope(|s| {
+            let worker = s.spawn(b);
+            let x = a();
+            match worker.join() {
+                Ok(y) => (x, y),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        })
+    }
 }
 
 /// Claims and runs indices of `range` until a claim lands past its end.
@@ -262,6 +294,48 @@ mod tests {
             i
         });
         assert_eq!(out, (0..64).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn join_returns_both_results_in_place() {
+        for threads in [1, 2, 8] {
+            let pool = Pool::new(threads);
+            let buf = Vec::with_capacity(3);
+            let (a, b) = pool.join(
+                || vec![1u8, 2],
+                move || {
+                    let mut buf = buf;
+                    buf.extend("two".chars());
+                    buf
+                },
+            );
+            assert_eq!(
+                (a, b),
+                (vec![1, 2], vec!['t', 'w', 'o']),
+                "threads={threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn join_panics_with_the_task_payload() {
+        for threads in [1, 2] {
+            for side in 0..2 {
+                let outcome = std::panic::catch_unwind(|| {
+                    Pool::new(threads).join(
+                        || assert!(side != 0, "task a"),
+                        move || assert!(side != 1, "task b"),
+                    )
+                });
+                let payload = outcome.expect_err("the panic propagates");
+                let want = ["task a", "task b"][side];
+                assert_eq!(
+                    payload.downcast_ref::<&str>(),
+                    Some(&want),
+                    "threads={threads}"
+                );
+            }
+        }
     }
 
     #[test]

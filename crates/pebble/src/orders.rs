@@ -26,9 +26,17 @@ pub fn rank_order<G: PebbleGraph>(g: &G) -> Vec<VertexId> {
 /// for each child `m`: emit the child's encoded inputs (both sides), recurse;
 /// afterwards emit the decode of this subproblem's outputs.
 pub fn recursive_order<V: CdagView>(g: &V) -> Vec<VertexId> {
+    recursive_order_in(g, Vec::with_capacity(g.n_vertices()))
+}
+
+/// [`recursive_order`], written into `order` after clearing it. Nothing
+/// is allocated when `order` has room for `g.n_vertices()` ids, so a
+/// caller can allocate the order on its own thread and compute it on a
+/// worker (see `mmio_parallel::Pool::join`).
+pub fn recursive_order_in<V: CdagView>(g: &V, mut order: Vec<VertexId>) -> Vec<VertexId> {
     let r = g.r();
     let (a, b) = (g.a(), g.b());
-    let mut order = Vec::with_capacity(g.n_vertices());
+    order.clear();
 
     fn visit<V: CdagView>(
         g: &V,

@@ -15,14 +15,14 @@
 //! CLI would, or outputs could diverge at the auto threshold.
 
 use mmio_algos::registry::all_base_graphs;
-use mmio_cdag::build::build_cdag;
+use mmio_cdag::build::{build_cdag, CdagBuild};
 use mmio_cdag::view::count_vertices;
 use mmio_cdag::{BaseGraph, IndexView};
-use mmio_core::theorem1::{certify_pooled, certify_pooled_view, CertifyParams};
+use mmio_core::theorem1::{certify_pooled, prepare, Certificate, CertifyParams};
 use mmio_core::theorem2::InOutRouting;
 use mmio_core::transport::RoutingClass;
 use mmio_parallel::Pool;
-use mmio_pebble::orders::recursive_order;
+use mmio_pebble::orders::{recursive_order, recursive_order_in};
 use mmio_pebble::policy::Belady;
 use mmio_pebble::sweep::{sweep, PolicySpec};
 use mmio_pebble::AutoScheduler;
@@ -89,20 +89,44 @@ pub fn resolve_registry(name: &str) -> Option<BaseGraph> {
 
 /// The exact text `mmio certify <algo> <r> <M>` prints (two lines,
 /// trailing newline included).
+///
+/// The certificate's closed-form half ([`prepare`]: meta-vertices, `k`,
+/// Lemma 1, the counted mask) runs on the calling thread, beside the order
+/// when the view is explicit. Meanwhile a [`Pool::join`] worker fills the
+/// explicit graph's CSR, or computes the order on the implicit view, in
+/// vectors allocated here. The segment pass then runs over the whole pool.
 pub fn certify_text(base: &BaseGraph, r: u32, m: u64, view: ViewMode, pool: &Pool) -> String {
-    let cert = if use_implicit(view, base, r) {
-        let v = IndexView::from_base(base, r);
-        let order = recursive_order(&v);
-        certify_pooled_view(base, &v, m, &order, CertifyParams::SMALL, pool)
-    } else {
+    let params = CertifyParams::SMALL;
+    let cert = if r == 0 {
+        // `G_0` has no public closed-form view; its graph is a handful of
+        // vertices.
         let g = build_cdag(base, r);
-        let order = recursive_order(&g);
-        certify_pooled(&g, m, &order, CertifyParams::SMALL, pool)
+        certify_pooled(&g, m, &recursive_order(&g), params, pool)
+    } else if use_implicit(view, base, r) {
+        let v = IndexView::from_base(base, r);
+        let order = Vec::with_capacity(v.n_vertices() as usize);
+        let (prepared, order) =
+            pool.join(|| prepare(&v, m, params), || recursive_order_in(&v, order));
+        prepared.certify(base, &v, &order, pool)
+    } else {
+        let v = IndexView::from_base(base, r);
+        let csr = CdagBuild::new(base, r);
+        let ((prepared, order), g) = pool.join(
+            || (prepare(&v, m, params), recursive_order(&v)),
+            || csr.fill(),
+        );
+        prepared.certify(base, &g, &order, pool)
     };
+    render_certificate(&cert)
+}
+
+/// The two lines `mmio certify` prints for `cert`.
+fn render_certificate(cert: &Certificate) -> String {
     format!(
-        "n = {}, M = {m}: {} complete segments, certified I/O ≥ {}\n\
+        "n = {}, M = {}: {} complete segments, certified I/O ≥ {}\n\
          (k = {}, feasible = {}, disjoint subcomputations = {} ≥ target {})\n",
         cert.n,
+        cert.m,
         cert.analysis.complete_segments,
         cert.analysis.certified_io,
         cert.k,
@@ -220,7 +244,7 @@ pub fn routing_cert_json(base: &BaseGraph, k: u32, r: u32, pool: &Pool) -> Optio
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmio_algos::strassen::strassen;
+    use mmio_algos::strassen::{strassen, winograd};
 
     #[test]
     fn registry_resolution_is_name_exact() {
@@ -230,15 +254,49 @@ mod tests {
         assert!(resolve_registry("../../etc/passwd").is_none());
     }
 
+    /// The serial composition `certify_text` ran before its closed-form
+    /// half moved beside the graph build: `build_cdag`, `recursive_order`,
+    /// `certify_pooled`.
+    fn certify_text_serially(base: &BaseGraph, r: u32, m: u64) -> String {
+        let g = build_cdag(base, r);
+        let order = recursive_order(&g);
+        let cert = certify_pooled(&g, m, &order, CertifyParams::SMALL, &Pool::serial());
+        render_certificate(&cert)
+    }
+
     #[test]
     fn certify_text_is_thread_count_invariant() {
+        let views = [ViewMode::Explicit, ViewMode::Implicit, ViewMode::Auto];
+        for base in [strassen(), winograd()] {
+            // M = 8 keeps the paper's k; M = 256 is too large for r ≤ 5,
+            // so k falls back to 1.
+            for (r, m, feasible) in [(4, 8, true), (4, 256, false), (5, 8, true), (5, 256, false)] {
+                let want = certify_text_serially(&base, r, m);
+                assert!(want.contains(&format!("feasible = {feasible}")), "{want}");
+                for view in views {
+                    for threads in [1, 2, 8] {
+                        let got = certify_text(&base, r, m, view, &Pool::new(threads));
+                        assert_eq!(
+                            got,
+                            want,
+                            "{} r={r} M={m} {view:?} threads={threads}",
+                            base.name()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn certify_text_answers_r_0() {
         let base = strassen();
-        let serial = certify_text(&base, 2, 49, ViewMode::Auto, &Pool::serial());
-        assert!(serial.starts_with("n = "), "{serial}");
-        assert!(serial.ends_with('\n'));
-        for threads in [2, 8] {
-            let par = certify_text(&base, 2, 49, ViewMode::Auto, &Pool::new(threads));
-            assert_eq!(serial, par, "threads={threads}");
+        let want = certify_text_serially(&base, 0, 8);
+        assert!(want.contains("(k = 0, "), "{want}");
+        for view in [ViewMode::Explicit, ViewMode::Implicit, ViewMode::Auto] {
+            for threads in [1, 2] {
+                assert_eq!(certify_text(&base, 0, 8, view, &Pool::new(threads)), want);
+            }
         }
     }
 

@@ -39,11 +39,42 @@ mod oracle;
 
 /// A JSON serialization or parse failure.
 #[derive(Clone, Debug)]
-pub struct Error(String);
+pub struct Error {
+    msg: String,
+    /// See [`Error::is_syntax`].
+    syntax: bool,
+}
+
+impl Error {
+    /// A failure of the text itself: it is not JSON.
+    fn syntax(msg: impl Into<String>) -> Error {
+        Error {
+            msg: msg.into(),
+            syntax: true,
+        }
+    }
+
+    /// A failure to read the type asked for from the text.
+    fn data(msg: impl Into<String>) -> Error {
+        Error {
+            msg: msg.into(),
+            syntax: false,
+        }
+    }
+
+    /// Whether the text is not JSON. Then the tree parse fails on it with
+    /// this same message, so [`from_str`] returns this error for every
+    /// type. Only parse failures are syntax errors: a typed read that
+    /// fails for any other reason says `false`, even on text that is not
+    /// JSON further on.
+    pub fn is_syntax(&self) -> bool {
+        self.syntax
+    }
+}
 
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
+        f.write_str(&self.msg)
     }
 }
 
@@ -51,7 +82,7 @@ impl std::error::Error for Error {}
 
 impl From<serde::de::Error> for Error {
     fn from(e: serde::de::Error) -> Error {
-        Error(e.to_string())
+        Error::data(e.to_string())
     }
 }
 
@@ -81,7 +112,8 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
 /// tree for the types that read tokens directly. Whenever it returns `Ok`,
 /// [`from_str`] returns the same value; its errors are the typed reader's,
 /// and it fails on some text [`from_str`] accepts (unknown or repeated keys
-/// of a derived struct).
+/// of a derived struct). An error [`Error::is_syntax`] marks is the one
+/// [`from_str`] returns.
 pub fn read_json<T: Deserialize>(s: &str) -> Result<T, Error> {
     Reader::new(s).read()
 }
@@ -281,7 +313,10 @@ impl<'a> Parser<'a> {
     fn end(&mut self) -> Result<(), Error> {
         self.skip_ws();
         if self.pos != self.bytes.len() {
-            return Err(Error(format!("trailing characters at byte {}", self.pos)));
+            return Err(Error::syntax(format!(
+                "trailing characters at byte {}",
+                self.pos
+            )));
         }
         Ok(())
     }
@@ -299,7 +334,7 @@ impl<'a> Parser<'a> {
         self.bytes
             .get(self.pos)
             .copied()
-            .ok_or_else(|| Error("unexpected end of input".into()))
+            .ok_or_else(|| Error::syntax("unexpected end of input"))
     }
 
     fn expect(&mut self, b: u8) -> Result<(), Error> {
@@ -307,7 +342,7 @@ impl<'a> Parser<'a> {
             self.pos += 1;
             Ok(())
         } else {
-            Err(Error(format!(
+            Err(Error::syntax(format!(
                 "expected '{}' at byte {}",
                 b as char, self.pos
             )))
@@ -319,7 +354,10 @@ impl<'a> Parser<'a> {
             self.pos += word.len();
             Ok(v)
         } else {
-            Err(Error(format!("invalid literal at byte {}", self.pos)))
+            Err(Error::syntax(format!(
+                "invalid literal at byte {}",
+                self.pos
+            )))
         }
     }
 
@@ -332,7 +370,7 @@ impl<'a> Parser<'a> {
             b'[' => self.array(),
             b'{' => self.object(),
             b'-' | b'0'..=b'9' => self.number(),
-            c => Err(Error(format!(
+            c => Err(Error::syntax(format!(
                 "unexpected character '{}' at byte {}",
                 c as char, self.pos
             ))),
@@ -350,7 +388,7 @@ impl<'a> Parser<'a> {
                 .iter()
                 .position(|&b| b == b'"' || b == b'\\')
             else {
-                return Err(Error("unterminated string".into()));
+                return Err(Error::syntax("unterminated string"));
             };
             self.pos += len + 1;
             out.push_str(&self.src[start..start + len]);
@@ -358,7 +396,7 @@ impl<'a> Parser<'a> {
                 return Ok(out);
             }
             let Some(&esc) = self.bytes.get(self.pos) else {
-                return Err(Error("unterminated escape".into()));
+                return Err(Error::syntax("unterminated escape"));
             };
             self.pos += 1;
             match esc {
@@ -374,7 +412,7 @@ impl<'a> Parser<'a> {
                     let hex = self
                         .bytes
                         .get(self.pos..self.pos + 4)
-                        .ok_or_else(|| Error("truncated \\u escape".into()))?;
+                        .ok_or_else(|| Error::syntax("truncated \\u escape"))?;
                     // Exactly four hex digits: `u32::from_str_radix` would
                     // also take a leading `+`.
                     let code = hex
@@ -382,14 +420,14 @@ impl<'a> Parser<'a> {
                         .try_fold(0u32, |code, &d| {
                             Some(code << 4 | char::from(d).to_digit(16)?)
                         })
-                        .ok_or_else(|| Error("invalid \\u escape".into()))?;
+                        .ok_or_else(|| Error::syntax("invalid \\u escape"))?;
                     self.pos += 4;
                     // Surrogate pairs are not needed by this workspace's
                     // data; map lone surrogates to the replacement
                     // character.
                     out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
                 }
-                _ => return Err(Error("invalid escape".into())),
+                _ => return Err(Error::syntax("invalid escape")),
             }
         }
     }
@@ -426,7 +464,7 @@ impl<'a> Parser<'a> {
         }
         text.parse::<f64>()
             .map(Value::Float)
-            .map_err(|_| Error(format!("invalid number '{text}'")))
+            .map_err(|_| Error::syntax(format!("invalid number '{text}'")))
     }
 
     fn array(&mut self) -> Result<Value, Error> {
@@ -461,7 +499,12 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                     return Ok(Value::Array(items));
                 }
-                _ => return Err(Error(format!("expected ',' or ']' at byte {}", self.pos))),
+                _ => {
+                    return Err(Error::syntax(format!(
+                        "expected ',' or ']' at byte {}",
+                        self.pos
+                    )))
+                }
             }
         }
     }
@@ -485,7 +528,12 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                     return Ok(Value::Object(fields));
                 }
-                _ => return Err(Error(format!("expected ',' or '}}' at byte {}", self.pos))),
+                _ => {
+                    return Err(Error::syntax(format!(
+                        "expected ',' or '}}' at byte {}",
+                        self.pos
+                    )))
+                }
             }
         }
     }
@@ -494,6 +542,11 @@ impl<'a> Parser<'a> {
 /// The token source behind [`read_json`]: the tree [`Parser`]'s own
 /// string, number, literal and integer-run code, driven one token at a time
 /// by [`Deserialize::read_json`].
+///
+/// The reader consumes text exactly as the tree parse does, so where it
+/// meets a syntax error the tree parse meets the same one, with the same
+/// message. It notes each such error; a token of the wrong kind for the
+/// type read is not one.
 struct Reader<'a> {
     p: Parser<'a>,
     /// Set by `begin_array`/`begin_object`: the next item or key is the
@@ -501,11 +554,13 @@ struct Reader<'a> {
     /// clears it before any nested value is read, so one flag serves every
     /// depth.
     first: bool,
+    /// The message of the last syntax error met.
+    syntax: Option<String>,
 }
 
 impl From<Error> for serde::de::Error {
     fn from(e: Error) -> serde::de::Error {
-        serde::de::Error::custom(e.0)
+        serde::de::Error::custom(e.msg)
     }
 }
 
@@ -514,20 +569,51 @@ impl<'a> Reader<'a> {
         Reader {
             p: Parser::new(s),
             first: false,
+            syntax: None,
         }
     }
 
-    /// Reads the whole text as one `T`.
+    /// Reads the whole text as one `T`. The error is a syntax error when
+    /// the read ended at one.
     fn read<T: Deserialize>(&mut self) -> Result<T, Error> {
-        let v = T::read_json(self)?;
-        self.p.end()?;
-        Ok(v)
+        let read = T::read_json(self).map_err(Error::from).and_then(|v| {
+            let end = self.p.end();
+            self.syntax(end).map(|()| v)
+        });
+        read.map_err(|e| match self.syntax.take() {
+            Some(msg) if msg == e.msg => Error::syntax(msg),
+            _ => Error::data(e.msg),
+        })
+    }
+
+    /// Passes `r` on, noting its error as a syntax error.
+    fn syntax<T>(&mut self, r: Result<T, Error>) -> Result<T, Error> {
+        if let Err(e) = &r {
+            self.syntax = Some(e.msg.clone());
+        }
+        r
+    }
+
+    /// Checks, without consuming it, that the next token starts with
+    /// `byte`, as the type read needs. The end of input is a syntax error;
+    /// any other byte is not.
+    fn starts(&mut self, byte: u8) -> Result<(), Error> {
+        let peeked = self.p.peek();
+        if self.syntax(peeked)? == byte {
+            Ok(())
+        } else {
+            Err(Error::data(format!(
+                "expected '{}' at byte {}",
+                byte as char, self.p.pos
+            )))
+        }
     }
 
     /// Reads the `,` before the next item, or the closing byte `close`
     /// (returning `false`).
     fn next(&mut self, close: u8) -> Result<bool, Error> {
-        let b = self.p.peek()?;
+        let peeked = self.p.peek();
+        let b = self.syntax(peeked)?;
         if std::mem::take(&mut self.first) {
             if b == close {
                 self.p.pos += 1;
@@ -544,10 +630,13 @@ impl<'a> Reader<'a> {
                 self.p.pos += 1;
                 Ok(false)
             }
-            _ => Err(Error(format!(
-                "expected ',' or '{}' at byte {}",
-                close as char, self.p.pos
-            ))),
+            _ => {
+                let e = Error::syntax(format!(
+                    "expected ',' or '{}' at byte {}",
+                    close as char, self.p.pos
+                ));
+                self.syntax(Err(e))
+            }
         }
     }
 }
@@ -563,36 +652,47 @@ fn int_of(v: &Value) -> Option<i128> {
 
 impl serde::de::JsonReader for Reader<'_> {
     fn value(&mut self) -> Result<Value, serde::de::Error> {
-        Ok(self.p.value()?)
+        let value = self.p.value();
+        Ok(self.syntax(value)?)
     }
 
     fn bool(&mut self) -> Result<bool, serde::de::Error> {
-        let b = match self.p.peek()? {
+        let peeked = self.p.peek();
+        let b = match self.syntax(peeked)? {
             b't' => true,
             b'f' => false,
-            _ => return Err(Error(format!("expected bool at byte {}", self.p.pos)).into()),
+            _ => return Err(Error::data(format!("expected bool at byte {}", self.p.pos)).into()),
         };
-        self.p
-            .literal(if b { "true" } else { "false" }, Value::Bool(b))?;
+        let literal = self
+            .p
+            .literal(if b { "true" } else { "false" }, Value::Bool(b));
+        self.syntax(literal)?;
         Ok(b)
     }
 
     fn int(&mut self) -> Result<i128, serde::de::Error> {
-        let b = self.p.peek()?;
+        let peeked = self.p.peek();
+        let b = self.syntax(peeked)?;
         let at = self.p.pos;
+        let not_int = || Error::data(format!("expected integer at byte {at}")).into();
         match b {
-            b'-' | b'0'..=b'9' => int_of(&self.p.number()?)
-                .ok_or_else(|| Error(format!("expected integer at byte {at}")).into()),
-            _ => Err(Error(format!("expected integer at byte {at}")).into()),
+            b'-' | b'0'..=b'9' => {
+                let number = self.p.number();
+                int_of(&self.syntax(number)?).ok_or_else(not_int)
+            }
+            _ => Err(not_int()),
         }
     }
 
     fn str(&mut self) -> Result<String, serde::de::Error> {
-        Ok(self.p.string()?)
+        self.starts(b'"')?;
+        let string = self.p.string();
+        Ok(self.syntax(string)?)
     }
 
     fn begin_array(&mut self) -> Result<(), serde::de::Error> {
-        self.p.expect(b'[')?;
+        self.starts(b'[')?;
+        self.p.pos += 1;
         self.first = true;
         Ok(())
     }
@@ -605,12 +705,11 @@ impl serde::de::JsonReader for Reader<'_> {
         &mut self,
         each: &mut dyn FnMut(i128) -> Result<(), serde::de::Error>,
     ) -> Result<(), serde::de::Error> {
-        self.p.expect(b'[')?;
-        if self.p.peek()? == b']' {
-            self.p.pos += 1;
-            return Ok(());
-        }
+        self.begin_array()?;
         loop {
+            if !self.next(b']')? {
+                return Ok(());
+            }
             // The integer run of `Parser::array`: plain integers directly
             // followed by ',' or ']' are read with the cursor alone.
             while let Some((i, end)) = plain_int(self.p.bytes, self.p.pos) {
@@ -628,21 +727,12 @@ impl serde::de::JsonReader for Reader<'_> {
                 }
             }
             each(self.int()?)?;
-            match self.p.peek()? {
-                b',' => self.p.pos += 1,
-                b']' => {
-                    self.p.pos += 1;
-                    return Ok(());
-                }
-                _ => {
-                    return Err(Error(format!("expected ',' or ']' at byte {}", self.p.pos)).into())
-                }
-            }
         }
     }
 
     fn begin_object(&mut self) -> Result<(), serde::de::Error> {
-        self.p.expect(b'{')?;
+        self.starts(b'{')?;
+        self.p.pos += 1;
         self.first = true;
         Ok(())
     }
@@ -651,8 +741,10 @@ impl serde::de::JsonReader for Reader<'_> {
         if !self.next(b'}')? {
             return Ok(None);
         }
-        let key = self.p.string()?;
-        self.p.expect(b':')?;
+        let key = self.p.string();
+        let key = self.syntax(key)?;
+        let colon = self.p.expect(b':');
+        self.syntax(colon)?;
         Ok(Some(key))
     }
 }
@@ -896,8 +988,12 @@ mod tests {
         T: Deserialize + PartialEq + fmt::Debug,
     {
         let tree = from_str::<T>(input).map_err(|e| e.to_string());
-        if let Ok(typed) = read_json::<T>(input) {
-            assert_eq!(Ok(&typed), tree.as_ref(), "read_json, input {input:?}");
+        match read_json::<T>(input) {
+            Ok(typed) => assert_eq!(Ok(&typed), tree.as_ref(), "read_json, input {input:?}"),
+            Err(e) if e.is_syntax() => {
+                assert_eq!(tree.as_ref().err(), Some(&e.to_string()), "input {input:?}")
+            }
+            Err(_) => {}
         }
         tree
     }
@@ -1047,6 +1143,10 @@ mod tests {
         }
         for input in &variants {
             same_as_tree::<Read>(input).ok();
+        }
+        // A truncated text fails as a syntax error, at any cut.
+        for end in [0, 1, 2, json.len() - 1] {
+            assert!(read_json::<Read>(&json[..end]).unwrap_err().is_syntax());
         }
         // In order, once each: the typed read takes it. Out of order: the
         // typed read takes it too. Repeated or unknown keys: only the tree.

@@ -111,7 +111,10 @@ pub(crate) fn parse(s: &str) -> Result<Value, Error> {
     let v = p.value()?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
-        return Err(Error(format!("trailing characters at byte {}", p.pos)));
+        return Err(Error::syntax(format!(
+            "trailing characters at byte {}",
+            p.pos
+        )));
     }
     Ok(v)
 }
@@ -130,7 +133,7 @@ impl Parser<'_> {
         self.bytes
             .get(self.pos)
             .copied()
-            .ok_or_else(|| Error("unexpected end of input".into()))
+            .ok_or_else(|| Error::syntax("unexpected end of input"))
     }
 
     fn expect(&mut self, b: u8) -> Result<(), Error> {
@@ -138,7 +141,7 @@ impl Parser<'_> {
             self.pos += 1;
             Ok(())
         } else {
-            Err(Error(format!(
+            Err(Error::syntax(format!(
                 "expected '{}' at byte {}",
                 b as char, self.pos
             )))
@@ -150,7 +153,10 @@ impl Parser<'_> {
             self.pos += word.len();
             Ok(v)
         } else {
-            Err(Error(format!("invalid literal at byte {}", self.pos)))
+            Err(Error::syntax(format!(
+                "invalid literal at byte {}",
+                self.pos
+            )))
         }
     }
 
@@ -163,7 +169,7 @@ impl Parser<'_> {
             b'[' => self.array(),
             b'{' => self.object(),
             b'-' | b'0'..=b'9' => self.number(),
-            c => Err(Error(format!(
+            c => Err(Error::syntax(format!(
                 "unexpected character '{}' at byte {}",
                 c as char, self.pos
             ))),
@@ -175,14 +181,14 @@ impl Parser<'_> {
         let mut out = String::new();
         loop {
             let Some(&b) = self.bytes.get(self.pos) else {
-                return Err(Error("unterminated string".into()));
+                return Err(Error::syntax("unterminated string"));
             };
             self.pos += 1;
             match b {
                 b'"' => return Ok(out),
                 b'\\' => {
                     let Some(&esc) = self.bytes.get(self.pos) else {
-                        return Err(Error("unterminated escape".into()));
+                        return Err(Error::syntax("unterminated escape"));
                     };
                     self.pos += 1;
                     match esc {
@@ -198,17 +204,17 @@ impl Parser<'_> {
                             let hex = self
                                 .bytes
                                 .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| Error("truncated \\u escape".into()))?;
+                                .ok_or_else(|| Error::syntax("truncated \\u escape"))?;
                             let code = u32::from_str_radix(
                                 std::str::from_utf8(hex)
-                                    .map_err(|_| Error("invalid \\u escape".into()))?,
+                                    .map_err(|_| Error::syntax("invalid \\u escape"))?,
                                 16,
                             )
-                            .map_err(|_| Error("invalid \\u escape".into()))?;
+                            .map_err(|_| Error::syntax("invalid \\u escape"))?;
                             self.pos += 4;
                             out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
                         }
-                        _ => return Err(Error("invalid escape".into())),
+                        _ => return Err(Error::syntax("invalid escape")),
                     }
                 }
                 b if b < 0x80 => out.push(b as char),
@@ -222,7 +228,7 @@ impl Parser<'_> {
                             std::str::from_utf8(&window[..e.valid_up_to()])
                                 .expect("validated prefix")
                         }
-                        Err(_) => return Err(Error("invalid UTF-8".into())),
+                        Err(_) => return Err(Error::syntax("invalid UTF-8")),
                     };
                     let c = valid.chars().next().expect("nonempty");
                     out.push(c);
@@ -249,7 +255,7 @@ impl Parser<'_> {
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error("invalid number".into()))?;
+            .map_err(|_| Error::syntax("invalid number"))?;
         if !float {
             if let Ok(i) = text.parse::<i64>() {
                 return Ok(Value::Int(i));
@@ -260,7 +266,7 @@ impl Parser<'_> {
         }
         text.parse::<f64>()
             .map(Value::Float)
-            .map_err(|_| Error(format!("invalid number '{text}'")))
+            .map_err(|_| Error::syntax(format!("invalid number '{text}'")))
     }
 
     fn array(&mut self) -> Result<Value, Error> {
@@ -278,7 +284,12 @@ impl Parser<'_> {
                     self.pos += 1;
                     return Ok(Value::Array(items));
                 }
-                _ => return Err(Error(format!("expected ',' or ']' at byte {}", self.pos))),
+                _ => {
+                    return Err(Error::syntax(format!(
+                        "expected ',' or ']' at byte {}",
+                        self.pos
+                    )))
+                }
             }
         }
     }
@@ -302,7 +313,12 @@ impl Parser<'_> {
                     self.pos += 1;
                     return Ok(Value::Object(fields));
                 }
-                _ => return Err(Error(format!("expected ',' or '}}' at byte {}", self.pos))),
+                _ => {
+                    return Err(Error::syntax(format!(
+                        "expected ',' or '}}' at byte {}",
+                        self.pos
+                    )))
+                }
             }
         }
     }
