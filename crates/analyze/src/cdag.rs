@@ -8,7 +8,9 @@
 //! - [`lint_base`] runs on a [`BaseGraph`]: the tensor identity, the
 //!   single-use assumption, and the Lemma 1 hypothesis;
 //! - [`audit_fact1`] re-verifies the Fact 1 decomposition of a built `G_r`
-//!   against a claimed copy count.
+//!   against a claimed copy count;
+//! - [`report_routing_infeasible`] records that a base fails the Routing
+//!   Theorem's hypothesis, for callers that find no Hall matching.
 
 use crate::codes;
 use crate::diag::{Report, Severity, Span};
@@ -282,6 +284,20 @@ pub fn audit_fact1(g: &Cdag, k: u32, claimed_copies: u64, report: &mut Report) {
             format!("decomposition covers {total} vertices; b^(r-k)·|V(G_{k})| = {want_total}"),
         );
     }
+}
+
+/// Reports that the base graph fails the Routing Theorem's hypothesis: it
+/// admits no n₀-capacity Hall matching, so no `6a^k`-routing (and no
+/// routing certificate) exists at any depth. The caller finds this out
+/// (`RoutingClass::build` returns `None`); the code is emitted here so the
+/// `MMIO-Axxx` family keeps one emitting crate.
+pub fn report_routing_infeasible(report: &mut Report) {
+    report.push(
+        codes::CDAG_ROUTING_HYPOTHESIS,
+        Severity::Error,
+        Span::Global,
+        "no n₀-capacity Hall matching: the Routing Theorem's hypotheses fail",
+    );
 }
 
 /// Runs every CDAG pass on a base graph at recursion depth `r`:

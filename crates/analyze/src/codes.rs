@@ -4,8 +4,6 @@
 //! so a code is never reused for a different meaning. Families:
 //!
 //! - `MMIO-Axxx` — CDAG structure lints ([`crate::cdag`]);
-//! - `MMIO-Sxxx` — schedule legality ([`crate::schedule`]);
-//! - `MMIO-Rxxx` — routing certificates ([`crate::routing`]);
 //! - `MMIO-Cxxx` — concurrency soundness (sync traces and the `mmio-check`
 //!   model checker);
 //! - `MMIO-Dxxx` — distributed-run audits ([`crate::distsim`]);
@@ -17,8 +15,9 @@
 //!
 //! The `MMIO-Vxxx` family lives in `mmio-cert::codes` — the standalone
 //! verifier registers its own reject codes so its trust base stays free of
-//! the engine crates. [`all_tables`] merges every family into one
-//! machine-checkable registry.
+//! the engine crates. It is the one checker of schedule legality and of
+//! the routing bound: `mmio analyze` reports its rejections as they are.
+//! [`all_tables`] merges every family into one machine-checkable registry.
 
 /// Cycle detected: the vertex ordering admits no topological order.
 pub const CDAG_CYCLE: &str = "MMIO-A001";
@@ -42,30 +41,14 @@ pub const CDAG_MULTI_USE: &str = "MMIO-A007";
 pub const CDAG_INCORRECT: &str = "MMIO-A008";
 /// Lemma 1 hypothesis fails: one side's encoding has only trivial rows.
 pub const CDAG_LEMMA1: &str = "MMIO-A009";
+/// Routing Theorem hypothesis fails: the base admits no n₀-capacity Hall
+/// matching, so no routing exists to certify.
+pub const CDAG_ROUTING_HYPOTHESIS: &str = "MMIO-A010";
 
-/// Compute with an operand not resident in cache.
-pub const SCHED_MISSING_OPERAND: &str = "MMIO-S001";
-/// Cache occupancy would exceed `M`.
-pub const SCHED_CAPACITY: &str = "MMIO-S002";
-/// Schedule ended with an output never stored to slow memory.
-pub const SCHED_OUTPUT_NOT_STORED: &str = "MMIO-S003";
-/// Illegal load: value not in slow memory, or already resident.
-pub const SCHED_BAD_LOAD: &str = "MMIO-S004";
-/// Illegal compute: input vertex, or recomputation.
-pub const SCHED_BAD_COMPUTE: &str = "MMIO-S005";
-/// Store or drop of a value not resident in cache.
-pub const SCHED_NOT_RESIDENT: &str = "MMIO-S006";
-/// Schedule ended with a vertex never computed.
-pub const SCHED_NOT_COMPUTED: &str = "MMIO-S007";
-
-/// A vertex lies on more paths than the certificate's claimed bound.
-pub const ROUTE_VERTEX_OVERLOAD: &str = "MMIO-R001";
-/// A meta-vertex is hit by more paths than the claimed bound.
-pub const ROUTE_META_OVERLOAD: &str = "MMIO-R002";
-/// A certificate path traverses a non-edge (or is empty).
-pub const ROUTE_BAD_PATH: &str = "MMIO-R003";
-/// The certificate contains the wrong number of paths.
-pub const ROUTE_PATH_COUNT: &str = "MMIO-R004";
+// MMIO-S001–S007 (schedule legality) and MMIO-R001–R004 (routing paths)
+// are retired with the audits that emitted them: the certificate
+// verifier's MMIO-V010–V027 check the same claims. The ids are never
+// reused.
 
 /// Data race: two threads access the same location, at least one writes,
 /// and no happens-before edge orders them.
@@ -198,23 +181,10 @@ pub const TABLE: &[(&str, &str)] = &[
         CDAG_LEMMA1,
         "Lemma 1 hypothesis fails (all-trivial encoding)",
     ),
-    (SCHED_MISSING_OPERAND, "compute with non-resident operand"),
-    (SCHED_CAPACITY, "cache occupancy exceeds M"),
-    (SCHED_OUTPUT_NOT_STORED, "output never stored"),
-    (SCHED_BAD_LOAD, "illegal load"),
-    (SCHED_BAD_COMPUTE, "illegal compute"),
-    (SCHED_NOT_RESIDENT, "store/drop of non-resident value"),
-    (SCHED_NOT_COMPUTED, "vertex never computed"),
     (
-        ROUTE_VERTEX_OVERLOAD,
-        "vertex hit count exceeds claimed bound",
+        CDAG_ROUTING_HYPOTHESIS,
+        "Routing Theorem hypothesis fails (no Hall matching)",
     ),
-    (
-        ROUTE_META_OVERLOAD,
-        "meta-vertex hit count exceeds claimed bound",
-    ),
-    (ROUTE_BAD_PATH, "path traverses a non-edge or is empty"),
-    (ROUTE_PATH_COUNT, "wrong number of paths in certificate"),
     (CONC_DATA_RACE, "unordered conflicting accesses (data race)"),
     (
         CONC_LOST_UPDATE,
@@ -383,10 +353,17 @@ mod tests {
             }
         }
         // Spot-check the families the workspace relies on today.
-        for family in ['A', 'S', 'R', 'C', 'D', 'F', 'L', 'V'] {
+        for family in ['A', 'C', 'D', 'F', 'L', 'V'] {
             assert!(
                 family_owner.contains_key(&family),
                 "family {family} missing from the merged registry"
+            );
+        }
+        // Retired families stay retired: their ids are never reused.
+        for family in ['S', 'R'] {
+            assert!(
+                !family_owner.contains_key(&family),
+                "retired family {family} is registered again"
             );
         }
     }

@@ -1,11 +1,13 @@
 //! Structured diagnostics: the common currency of every analysis pass.
 //!
 //! A [`Diagnostic`] pairs a stable machine-readable code (`MMIO-Axxx` for
-//! CDAG lints, `MMIO-Sxxx` for schedule legality, `MMIO-Rxxx` for routing
-//! certificates) with a severity, a [`Span`] locating the finding, a
-//! human-readable message, and an optional suggestion. A [`Report`] collects
-//! diagnostics across passes and serializes to JSON for tooling.
+//! CDAG lints, `MMIO-Dxxx` for distributed runs, `MMIO-Vxxx` for the
+//! certificate verifier's rejections, …) with a severity, a [`Span`]
+//! locating the finding, a human-readable message, and an optional
+//! suggestion. A [`Report`] collects diagnostics across passes and
+//! serializes to JSON for tooling.
 
+use mmio_cert::Verdict;
 use serde::{Serialize, Value};
 use std::fmt;
 
@@ -42,10 +44,8 @@ impl fmt::Display for Severity {
 pub enum Span {
     /// A CDAG vertex (dense id).
     Vertex(u32),
-    /// A schedule step (0-based action index).
+    /// A step of a recorded run (0-based event index or round).
     Step(usize),
-    /// A routing path (0-based index into the certificate's path list).
-    Path(usize),
     /// A base-graph matrix row (`matrix` is `"enc_a"`, `"enc_b"`, or
     /// `"dec"`).
     Row {
@@ -70,7 +70,6 @@ impl fmt::Display for Span {
         match self {
             Span::Vertex(v) => write!(f, "v{v}"),
             Span::Step(s) => write!(f, "step {s}"),
-            Span::Path(p) => write!(f, "path {p}"),
             Span::Row { matrix, row } => write!(f, "{matrix}[{row}]"),
             Span::Thread(t) => write!(f, "thread {t}"),
             Span::Proc(p) => write!(f, "proc {p}"),
@@ -91,7 +90,6 @@ impl Serialize for Span {
         match *self {
             Span::Vertex(v) => kv("vertex", "id", u64::from(v)),
             Span::Step(s) => kv("step", "index", s as u64),
-            Span::Path(p) => kv("path", "index", p as u64),
             Span::Row { matrix, row } => Value::Object(vec![
                 ("kind".to_string(), Value::Str("row".to_string())),
                 ("matrix".to_string(), Value::Str(matrix.to_string())),
@@ -205,6 +203,29 @@ impl Report {
         });
     }
 
+    /// Appends one error per rejection of a certificate verdict, under the
+    /// verifier's own `MMIO-Vxxx` code, at [`Span::Global`]; the message is
+    /// the rejection's detail, which names the step or path. An accepted
+    /// verdict appends nothing.
+    ///
+    /// # Panics
+    /// Panics on a code missing from `mmio_cert::codes::TABLE`: the
+    /// verifier rejects only with registered codes (`MMIO-L010` checks it).
+    pub fn push_verdict(&mut self, verdict: &Verdict) {
+        for rejection in &verdict.rejections {
+            let &(code, _) = mmio_cert::codes::TABLE
+                .iter()
+                .find(|&&(code, _)| code == rejection.code)
+                .expect("the verifier rejects only with registered codes");
+            self.push(
+                code,
+                Severity::Error,
+                Span::Global,
+                rejection.detail.clone(),
+            );
+        }
+    }
+
     /// Findings at [`Severity::Error`].
     pub fn errors(&self) -> impl Iterator<Item = &Diagnostic> {
         self.diagnostics
@@ -277,21 +298,21 @@ mod tests {
         assert!(r.has_errors());
         assert_eq!(r.codes(), vec!["MMIO-A001", "MMIO-A003"]);
         assert!(r.has_code("MMIO-A003"));
-        assert!(!r.has_code("MMIO-S001"));
+        assert!(!r.has_code("MMIO-D001"));
     }
 
     #[test]
     fn json_shape() {
         let mut r = Report::new();
         r.push_with_hint(
-            "MMIO-S002",
+            "MMIO-D004",
             Severity::Error,
             Span::Step(7),
             "cache overflow",
             "raise M",
         );
         let json = serde_json::to_string(&r).unwrap();
-        assert!(json.contains("\"MMIO-S002\""));
+        assert!(json.contains("\"MMIO-D004\""));
         assert!(json.contains("\"step\""));
         assert!(json.contains("\"raise M\""));
         let v: Value = serde_json::from_str(&json).unwrap();
@@ -299,16 +320,40 @@ mod tests {
     }
 
     #[test]
+    fn verdicts_become_one_global_error_per_rejection() {
+        use mmio_cert::{fixtures, format::Payload, verify};
+
+        let mut r = Report::new();
+        r.push_verdict(&verify(&fixtures::unit_schedule()));
+        assert!(r.diagnostics.is_empty(), "an accepted verdict adds nothing");
+
+        // The unit schedule peaks at 5 cached values: M = 4 is overrun.
+        let mut cert = fixtures::unit_schedule();
+        if let Payload::Schedule(p) = &mut cert.payload {
+            p.m = 4;
+        }
+        let verdict = verify(&cert);
+        assert!(!verdict.accepted);
+        r.push_verdict(&verdict);
+        assert_eq!(r.error_count(), verdict.rejections.len());
+        for (d, rejection) in r.diagnostics.iter().zip(&verdict.rejections) {
+            assert_eq!(d.code, rejection.code);
+            assert_eq!(d.message, rejection.detail);
+            assert_eq!(d.span, Span::Global);
+        }
+    }
+
+    #[test]
     fn display_formats() {
         let d = Diagnostic {
-            code: "MMIO-R001",
+            code: "MMIO-D002",
             severity: Severity::Error,
-            span: Span::Path(2),
-            message: "hit count 9 exceeds bound 6".into(),
+            span: Span::Proc(2),
+            message: "value used before it was available".into(),
             suggestion: None,
         };
         let s = d.to_string();
-        assert!(s.contains("MMIO-R001"));
-        assert!(s.contains("path 2"));
+        assert!(s.contains("MMIO-D002"));
+        assert!(s.contains("proc 2"));
     }
 }

@@ -1,27 +1,31 @@
 //! # mmio-analyze
 //!
-//! Static analysis and certification for the workspace's three artifact
-//! kinds, reporting structured [`Diagnostic`]s with stable codes:
+//! Static analysis of CDAGs and distributed runs, reporting structured
+//! [`Diagnostic`]s with stable codes:
 //!
 //! | family | pass | module |
 //! |--------|------|--------|
-//! | `MMIO-Axxx` | CDAG structure lints (acyclicity witness, rank consistency, dangling/unreachable, copy rules, Fact 1, single-use, tensor identity) | [`cdag`] |
-//! | `MMIO-Sxxx` | schedule legality (operand residency, cache occupancy ≤ M, terminal conditions) | [`schedule`] |
-//! | `MMIO-Rxxx` | routing certificate auditing (path validity, per-vertex and per-meta hit bounds) | [`routing`] |
+//! | `MMIO-Axxx` | CDAG structure lints (acyclicity witness, rank consistency, dangling/unreachable, copy rules, Fact 1, single-use, tensor identity, Lemma 1 and Routing Theorem hypotheses) | [`cdag`] |
 //! | `MMIO-Dxxx` | distributed-run auditing (send/recv conservation, operand availability, assignment totality, cache occupancy ≤ M) | [`distsim`] |
 //!
-//! A fifth family, `MMIO-Cxxx` (concurrency soundness), shares this crate's
-//! diagnostic framework but is emitted by `mmio-check`'s happens-before
-//! race detector and bounded model checker.
+//! Schedule legality and the routing bound each have one checker, the
+//! certificate verifier (`mmio_cert::verify`). `mmio analyze` emits its
+//! schedule and routing witnesses as certificates, verifies them, and
+//! carries every `MMIO-Vxxx` rejection into its report with
+//! [`Report::push_verdict`].
+//!
+//! A further family, `MMIO-Cxxx` (concurrency soundness), shares this
+//! crate's diagnostic framework but is emitted by `mmio-check`'s
+//! happens-before race detector and bounded model checker.
 //!
 //! The passes are *re-verifiers*: they share no code with the constructors
-//! they audit (`mmio_cdag::MetaVertices`, the `mmio-pebble` scheduler,
-//! the `mmio-core` routing builders), so agreement between constructor and
-//! analyzer is genuine double-entry bookkeeping. Where a defect cannot occur
-//! in a correctly built artifact (a `Cdag` is topologically ordered by
-//! construction), the pass runs on an extracted [`facts::GraphFacts`] view
-//! that tests can fabricate — see the code table in `DESIGN.md` and the
-//! golden tests in `tests/golden.rs`.
+//! they audit (`mmio_cdag::MetaVertices`, the `mmio-parallel` distributed
+//! simulator), so agreement between constructor and analyzer is genuine
+//! double-entry bookkeeping. Where a defect cannot occur in a correctly
+//! built artifact (a `Cdag` is topologically ordered by construction), the
+//! pass runs on an extracted [`facts::GraphFacts`] view that tests can
+//! fabricate — see the code table in `DESIGN.md` and the golden tests in
+//! `tests/golden.rs`.
 //!
 //! ```
 //! use mmio_analyze::{analyze_base_at, codes};
@@ -48,12 +52,10 @@ pub mod codes;
 pub mod diag;
 pub mod distsim;
 pub mod facts;
-pub mod routing;
-pub mod schedule;
 
-pub use cdag::{analyze_base_at, audit_fact1, lint_base, lint_facts, CdagAudit};
+pub use cdag::{
+    analyze_base_at, audit_fact1, lint_base, lint_facts, report_routing_infeasible, CdagAudit,
+};
 pub use diag::{Diagnostic, Report, Severity, Span};
 pub use distsim::{audit_dist_trace, DistAudit};
 pub use facts::GraphFacts;
-pub use routing::{audit_routing_paths, report_routing_infeasible, RoutingAudit, RoutingAuditor};
-pub use schedule::{audit_schedule, ScheduleAudit};

@@ -1,23 +1,24 @@
 //! Golden tests: every seeded defect class must be caught with its exact
 //! diagnostic code, and the real algorithm registry must produce zero
 //! errors (no false positives).
+//!
+//! Schedule and routing defects are the certificate verifier's to catch;
+//! their planted twins live in `mmio-cert`'s `tests/reject_paths.rs`. The
+//! routing overload is also planted here, to pin that the verifier's
+//! verdict reaches a report with its codes.
 
 use mmio_algos::registry::all_base_graphs;
 use mmio_algos::strassen::strassen;
 use mmio_algos::synthetic::with_duplicated_combination;
 use mmio_analyze::{
-    analyze_base_at, audit_fact1, audit_routing_paths, audit_schedule, codes, lint_base,
-    lint_facts, GraphFacts, Report, Severity,
+    analyze_base_at, audit_fact1, codes, lint_base, lint_facts, report_routing_infeasible,
+    GraphFacts, Report, Severity,
 };
 use mmio_cdag::build::build_cdag;
-use mmio_cdag::{BaseGraph, Cdag};
+use mmio_cdag::BaseGraph;
+use mmio_core::transport::{emit_certificate, RoutingClass};
 use mmio_matrix::{Matrix, Rational};
-use mmio_pebble::{Action, Schedule};
-
-fn tiny() -> Cdag {
-    let one = Matrix::from_vec(1, 1, vec![Rational::ONE]);
-    build_cdag(&BaseGraph::new("tiny", 1, one.clone(), one.clone(), one), 1)
-}
+use mmio_parallel::Pool;
 
 /// A well-formed facts view of a 4-vertex diamond, mutated per defect.
 fn diamond() -> GraphFacts {
@@ -101,84 +102,59 @@ fn defect_multi_use_combination() {
     assert_only_error(&report, codes::CDAG_MULTI_USE);
 }
 
-// ---- Defect class 5: cache capacity overflow -------------------------------
-
-#[test]
-fn defect_capacity_overflow() {
-    let g = tiny();
-    let mut actions = vec![Action::Load(g.input_a(0, 0)), Action::Load(g.input_b(0, 0))];
-    actions.extend(
-        g.vertices()
-            .filter(|&v| !g.is_input(v))
-            .map(Action::Compute),
-    );
-    actions.push(Action::Store(g.outputs().next().unwrap()));
-    let s = Schedule { actions };
-    // The same schedule is legal at M=16 but overflows at M=3.
-    let mut clean = Report::new();
-    audit_schedule(&g, &s, 16, &mut clean);
-    assert!(!clean.has_errors());
-    let mut report = Report::new();
-    let audit = audit_schedule(&g, &s, 3, &mut report);
-    assert_only_error(&report, codes::SCHED_CAPACITY);
-    assert!(audit.first_violation.is_some());
-}
-
-// ---- Defect class 6: compute with missing operand --------------------------
-
-#[test]
-fn defect_missing_operand() {
-    let g = tiny();
-    let prod = g.products().next().unwrap();
-    let s = Schedule {
-        actions: vec![Action::Compute(prod)],
-    };
-    let mut report = Report::new();
-    let audit = audit_schedule(&g, &s, 16, &mut report);
-    assert!(report.has_code(codes::SCHED_MISSING_OPERAND));
-    assert_eq!(audit.first_violation, Some(0));
-}
-
-// ---- Defect class 7: output never written ----------------------------------
-
-#[test]
-fn defect_unwritten_output() {
-    let g = tiny();
-    let mut actions = vec![Action::Load(g.input_a(0, 0)), Action::Load(g.input_b(0, 0))];
-    actions.extend(
-        g.vertices()
-            .filter(|&v| !g.is_input(v))
-            .map(Action::Compute),
-    );
-    // No Store action at all.
-    let s = Schedule { actions };
-    let mut report = Report::new();
-    audit_schedule(&g, &s, 16, &mut report);
-    assert_only_error(&report, codes::SCHED_OUTPUT_NOT_STORED);
-}
-
-// ---- Defect class 8: inflated routing hit count ----------------------------
+// ---- Defect class 5: inflated routing hit count ----------------------------
 
 #[test]
 fn defect_inflated_hit_count() {
-    let g = build_cdag(&strassen(), 1);
-    let input = g.inputs().next().unwrap();
-    let combo = g.succs(input)[0];
-    // Seven paths through one vertex against a claimed 6-routing.
-    let path = [input, combo];
+    use mmio_cert::codes::{
+        V_ROUTE_META_OVERLOAD, V_ROUTE_PAIRS, V_ROUTE_PATH_COUNT, V_ROUTE_VERTEX_OVERLOAD,
+    };
+    use mmio_cert::format::Payload;
+    let class = RoutingClass::build(&strassen(), 1, &Pool::serial()).expect("Strassen is routable");
+    let mut cert = emit_certificate(&class, 1);
+    let Payload::Routing(p) = &mut cert.payload else {
+        panic!("expected a routing payload");
+    };
+    // One path repeated 6a^k + 1 times: every vertex on it, and its copy
+    // group, is hit more often than the Routing Theorem allows. The hit
+    // claims are the honest recount, so only the overload is a defect.
+    let path = p.paths[0].clone();
+    let copies = p.bound + 1;
+    let most = path
+        .iter()
+        .map(|v| path.iter().filter(|&w| w == v).count() as u64)
+        .max()
+        .expect("a routed path is non-empty");
+    (p.max_vertex_hits, p.max_meta_hits) = (most * copies, copies);
+    p.paths = vec![path; copies as usize];
     let mut report = Report::new();
-    let audit = audit_routing_paths(&g, 6, Some(7), [&path[..]; 7], &mut report);
-    assert!(report.has_code(codes::ROUTE_VERTEX_OVERLOAD));
-    assert_eq!(audit.max_vertex_hits, 7);
+    report.push_verdict(&mmio_cert::verify(&cert));
+    assert!(
+        report.has_code(V_ROUTE_VERTEX_OVERLOAD),
+        "{:?}",
+        report.diagnostics
+    );
+    assert!(
+        report.has_code(V_ROUTE_META_OVERLOAD),
+        "{:?}",
+        report.diagnostics
+    );
+    // The repeated pair and the path count are wrong too; nothing else is.
     for d in report.errors() {
         assert!(
-            d.code == codes::ROUTE_VERTEX_OVERLOAD || d.code == codes::ROUTE_META_OVERLOAD,
+            [
+                V_ROUTE_VERTEX_OVERLOAD,
+                V_ROUTE_META_OVERLOAD,
+                V_ROUTE_PAIRS,
+                V_ROUTE_PATH_COUNT
+            ]
+            .contains(&d.code),
             "unexpected error {d}"
         );
     }
 }
 
-// ---- Extra defect classes beyond the required eight ------------------------
+// ---- Further defect classes -----------------------------------------------
 
 #[test]
 fn defect_copy_rule_violation() {
@@ -204,47 +180,22 @@ fn defect_incorrect_tensor() {
 }
 
 #[test]
-fn defect_bad_load_and_recompute() {
-    let g = tiny();
-    let prod = g.products().next().unwrap();
-    let mut report = Report::new();
-    audit_schedule(
-        &g,
-        &Schedule {
-            actions: vec![Action::Load(prod)],
-        },
-        16,
-        &mut report,
+fn defect_no_hall_matching() {
+    // a_00 never reaches a multiplication: the one dependence of the 1×1
+    // base has no middle vertex, so no n₀-capacity Hall matching exists.
+    // The base is also incorrect, and the scheduler refuses its graph, so
+    // `analyze_target` cannot run on it: the pass is called directly.
+    let base = BaseGraph::new(
+        "unrouted",
+        1,
+        Matrix::from_vec(1, 1, vec![Rational::ZERO]),
+        Matrix::from_vec(1, 1, vec![Rational::ONE]),
+        Matrix::from_vec(1, 1, vec![Rational::ONE]),
     );
-    assert!(report.has_code(codes::SCHED_BAD_LOAD));
-
-    let a = g.input_a(0, 0);
-    let combo = g.succs(a)[0];
+    assert!(RoutingClass::build(&base, 1, &Pool::serial()).is_none());
     let mut report = Report::new();
-    audit_schedule(
-        &g,
-        &Schedule {
-            actions: vec![
-                Action::Load(a),
-                Action::Compute(combo),
-                Action::Compute(combo),
-            ],
-        },
-        16,
-        &mut report,
-    );
-    assert!(report.has_code(codes::SCHED_BAD_COMPUTE));
-}
-
-#[test]
-fn defect_wrong_path_count() {
-    let g = build_cdag(&strassen(), 1);
-    let input = g.inputs().next().unwrap();
-    let combo = g.succs(input)[0];
-    let mut report = Report::new();
-    // 2a^k·a^k = 512 paths expected for k=1; one given.
-    audit_routing_paths(&g, 100, Some(512), [&[input, combo][..]], &mut report);
-    assert_only_error(&report, codes::ROUTE_PATH_COUNT);
+    report_routing_infeasible(&mut report);
+    assert_only_error(&report, codes::CDAG_ROUTING_HYPOTHESIS);
 }
 
 // ---- Zero false positives on the registry ----------------------------------
@@ -281,11 +232,12 @@ fn dummy_product_is_warning_not_error() {
         .all(|d| d.code != codes::CDAG_DANGLING || d.severity == Severity::Warning));
 }
 
-/// Full-pipeline smoke: auto-generated schedule and Theorem 2 routing
-/// certificate for Strassen both audit clean.
+/// Full-pipeline smoke: the auto-generated schedule and the Theorem 2
+/// routing certificate for Strassen both verify, and their verdicts reach
+/// a report as no diagnostics at all.
 #[test]
 fn constructed_artifacts_audit_clean() {
-    use mmio_core::theorem2::InOutRouting;
+    use mmio_pebble::cert::emit_schedule_certificate;
     use mmio_pebble::orders::recursive_order;
     use mmio_pebble::policy::Belady;
     use mmio_pebble::AutoScheduler;
@@ -297,31 +249,12 @@ fn constructed_artifacts_audit_clean() {
     let order = recursive_order(&g);
     let (_, sched) = AutoScheduler::new(&g, m).run_recorded(&order, &Belady);
     let mut report = Report::new();
-    audit_schedule(&g, &sched, m, &mut report);
-    assert!(!report.has_errors(), "{:?}", report.diagnostics);
-
-    let routing = InOutRouting::new(&g).expect("Strassen satisfies the hypotheses");
-    let ak = 4u64.pow(2); // a^k with a = n0² = 4, k = 2
-    let mut paths = Vec::with_capacity((2 * ak * ak) as usize);
-    for side in [mmio_core::deps::DepSide::A, mmio_core::deps::DepSide::B] {
-        for in_e in 0..ak {
-            let (ir, ic) = mmio_core::deps::unpack_entry(in_e, 2, 2);
-            for out_e in 0..ak {
-                let (or_, oc) = mmio_core::deps::unpack_entry(out_e, 2, 2);
-                paths.push(routing.path(side, ir, ic, or_, oc));
-            }
-        }
-    }
-    let mut report = Report::new();
-    let audit = audit_routing_paths(
-        &g,
-        routing.theorem2_bound(),
-        Some(2 * ak * ak),
-        paths.iter().map(Vec::as_slice),
-        &mut report,
-    );
-    assert!(!report.has_errors(), "{:?}", report.diagnostics);
-    assert!(audit.max_vertex_hits <= routing.theorem2_bound());
+    report.push_verdict(&mmio_cert::verify(&emit_schedule_certificate(
+        &g, m, &sched,
+    )));
+    let class = RoutingClass::build(&base, 2, &Pool::serial()).expect("Strassen is routable");
+    report.push_verdict(&mmio_cert::verify(&emit_certificate(&class, 2)));
+    assert!(report.diagnostics.is_empty(), "{:?}", report.diagnostics);
 
     // Fact 1 with the honest count is clean at every depth.
     let mut report = Report::new();

@@ -1,15 +1,13 @@
 //! Shared hit-counting primitives: a union-find over dense vertex ids and a
 //! streaming per-vertex / per-group hit counter.
 //!
-//! Three independent verifiers count routing hits, one per production
-//! entry point: the routing engine's one sharded count
-//! (`mmio-core::routing::count_sharded`, behind `InOutRouting::verify_with`
-//! and `RoutingClass::build`), the analyzer's audit (`mmio-analyze`'s
-//! `audit_routing_paths`, behind `mmio analyze`), and the portable
-//! certificate verifier (`mmio-cert`, behind `mmio cert verify`). They deliberately *derive* their
-//! vertex groupings differently (library meta-vertices, edge-coefficient
-//! union-find over the materialized graph, closed-form index arithmetic) —
-//! that diversity is the point — but the mechanical bookkeeping (group roots,
+//! Two independent checkers count routing hits: the routing engine's one
+//! sharded count (`mmio-core::routing::count_sharded`, behind
+//! `InOutRouting::verify_with` and `RoutingClass::build`), and the portable
+//! certificate verifier (`mmio-cert`, behind `mmio cert verify` and
+//! `mmio analyze`). They deliberately *derive* their vertex groupings
+//! differently (library meta-vertices, closed-form index arithmetic) — that
+//! diversity is the point — but the mechanical bookkeeping (group roots,
 //! saturating per-path dedup, shard merging) is identical and lives here,
 //! once, unit-tested.
 
@@ -62,11 +60,6 @@ impl UnionFind {
         if ra != rb {
             self.parent[ra as usize] = rb; // audit: safe — ra is a root returned by find
         }
-    }
-
-    /// Whether `a` and `b` are in the same set.
-    pub fn same(&mut self, a: u32, b: u32) -> bool {
-        self.find(a) == self.find(b)
     }
 
     /// Flattens into a root table: `roots[v]` is the representative of `v`.
@@ -145,17 +138,18 @@ impl HitCounter {
     /// Records one path of dense vertex ids. Vertex hits count per
     /// occurrence; each touched group counts once per path.
     pub fn add_path(&mut self, path: impl IntoIterator<Item = u32>) {
-        self.paths += 1;
+        self.paths += 1; // audit: safe — one increment per call; a u64 count of calls cannot wrap
         let touched = &mut self.touched;
         touched.clear();
         let mut len = 0u64;
         for v in path {
             self.hits[v as usize] += 1; // audit: safe — contract: path ids are pre-validated < n
-            len += 1;
+            len += 1; // audit: safe — one increment per iterated vertex; cannot wrap a u64
             if let Some((roots, _)) = &self.groups {
                 touched.push(roots[v as usize]); // audit: safe — roots table is sized n
             }
         }
+        // audit: safe — the sum of every iterated vertex over all calls; cannot wrap a u64
         self.length_sum += len;
         if let Some((_, group_hits)) = &mut self.groups {
             touched.sort_unstable();
@@ -260,10 +254,6 @@ mod tests {
         uf.union(0, 1);
         uf.union(1, 2);
         uf.union(4, 5);
-        assert!(uf.same(0, 2));
-        assert!(uf.same(4, 5));
-        assert!(!uf.same(0, 3));
-        assert!(!uf.same(2, 4));
         let roots = uf.roots();
         assert_eq!(roots.len(), 6);
         assert_eq!(roots[0], roots[1]);

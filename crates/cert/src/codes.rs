@@ -3,9 +3,11 @@
 //! Codes are stable identifiers: the golden corrupted-certificate corpus,
 //! the mutation harness, and downstream tooling match on them, so a code is
 //! never reused for a different meaning. The family sits alongside the
-//! analyzer's `Axxx`/`Sxxx`/`Rxxx`/`Cxxx`/`Dxxx` families (see
-//! `mmio-analyze::codes`); `Vxxx` is reserved for the *standalone* verifier,
-//! which re-derives structure instead of linking against the engines.
+//! analyzer's `Axxx`/`Cxxx`/`Dxxx` families (see `mmio-analyze::codes`);
+//! `Vxxx` is reserved for the *standalone* verifier, which re-derives
+//! structure instead of linking against the engines. It is the one checker
+//! of schedule legality and of the routing bound: `mmio analyze` reports
+//! these rejections under their own codes.
 
 /// Unsupported certificate format version.
 pub const V_VERSION: &str = "MMIO-V001";

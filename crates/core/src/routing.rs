@@ -215,6 +215,29 @@ mod tests {
     use mmio_cdag::build::build_cdag;
 
     #[test]
+    fn copy_groups_match_meta_vertices() {
+        // A routing certificate claims the meta hits counted here, against
+        // `MetaVertices`; the verifier recounts them against the closed
+        // form's copy grouping (`IndexView::copy_roots`). The two groupings
+        // must be the same partition on every registry base.
+        use mmio_algos::registry::all_base_graphs;
+        use std::collections::HashMap;
+        for base in all_base_graphs() {
+            for k in 1..=(if base.a() >= 16 { 1 } else { 2 }) {
+                let g = build_cdag(&base, k);
+                let meta = MetaVertices::compute(&g);
+                let roots = mmio_cdag::IndexView::from_base(&base, k).copy_roots();
+                let (mut root_of, mut meta_of) = (HashMap::new(), HashMap::new());
+                for v in g.vertices() {
+                    let (m, r) = (meta.meta_of(v), roots[v.idx()]);
+                    assert_eq!(*root_of.entry(m).or_insert(r), r, "{} k={k}", base.name());
+                    assert_eq!(*meta_of.entry(r).or_insert(m), m, "{} k={k}", base.name());
+                }
+            }
+        }
+    }
+
+    #[test]
     fn counting_and_stats() {
         let g = build_cdag(&strassen(), 1);
         let mut counter = VertexHitCounter::new(&g, None);

@@ -30,8 +30,8 @@
 //! Meta-vertex hits are counted against the *standalone* `G_k`'s
 //! meta-vertices — the objects the Routing Theorem speaks about. (Inside
 //! `G_r`, a copy chain may continue past the copy's boundary rank; those
-//! longer global metas can only merge local ones and are audited
-//! independently by `mmio-analyze`'s union-find re-verification.)
+//! longer global metas can only merge local ones. The certificate verifier
+//! recounts the local ones from its own closed-form copy grouping.)
 
 use crate::routing::{count_sharded, PathArena, RoutingStats, VertexHitCounter};
 use crate::theorem2::InOutRouting;

@@ -4,15 +4,16 @@
 
 use mmio_algos::registry::{all_base_graphs, theorem1_base_graphs};
 use mmio_algos::Executor;
-use mmio_analyze::{audit_schedule, Report};
 use mmio_cdag::build::{build_cdag, build_checked};
 use mmio_cdag::traversal::eval_outputs;
 use mmio_cdag::{IndexView, MetaVertices};
+use mmio_cert::Payload;
 use mmio_core::theorem1::{certify_with, CertifyParams, LowerBound};
 use mmio_core::theorem2::InOutRouting;
 use mmio_matrix::classical::multiply_naive;
 use mmio_matrix::random::random_i64_matrix;
 use mmio_matrix::Rational;
+use mmio_pebble::cert::emit_schedule_certificate;
 use mmio_pebble::orders::{is_valid_compute_order, recursive_order};
 use mmio_pebble::policy::{Belady, Lru};
 use mmio_pebble::AutoScheduler;
@@ -90,11 +91,19 @@ fn scheduler_schedules_replay_exactly_for_every_graph() {
         let m = g.vertices().map(|v| g.preds(v).len()).max().unwrap().max(7) + 1;
         let sched = AutoScheduler::new(&g, m);
         let (stats, schedule) = sched.run_recorded(&order, &Lru);
-        let mut report = Report::new();
-        let audit = audit_schedule(&g, &schedule, m, &mut report);
-        assert!(!report.has_errors(), "{}: {report:?}", base.name());
+        let cert = emit_schedule_certificate(&g, m, &schedule);
+        let verdict = mmio_cert::verify(&cert);
+        assert!(
+            verdict.accepted,
+            "{}: {:?}",
+            base.name(),
+            verdict.rejections
+        );
+        let Payload::Schedule(p) = &cert.payload else {
+            panic!("a schedule certificate");
+        };
         assert_eq!(
-            (audit.loads, audit.stores, audit.computes),
+            (p.loads, p.stores, p.computes),
             (stats.loads, stats.stores, stats.computes),
             "{}",
             base.name()

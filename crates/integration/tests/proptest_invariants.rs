@@ -2,12 +2,13 @@
 
 use mmio_algos::strassen::strassen;
 use mmio_algos::Executor;
-use mmio_analyze::{audit_schedule, Report};
 use mmio_cdag::build::build_cdag;
 use mmio_cdag::index;
+use mmio_cert::Payload;
 use mmio_matrix::classical::{multiply_blocked, multiply_naive};
 use mmio_matrix::solve::{rank, solve};
 use mmio_matrix::{Matrix, Rational};
+use mmio_pebble::cert::emit_schedule_certificate;
 use mmio_pebble::orders::{is_valid_compute_order, random_topo_order};
 use mmio_pebble::policy::{Belady, Lru};
 use mmio_pebble::AutoScheduler;
@@ -79,11 +80,14 @@ proptest! {
         prop_assert!(is_valid_compute_order(&g, &order));
         let sched = AutoScheduler::new(&g, 8);
         let (stats, schedule) = sched.run_recorded(&order, &Lru);
-        let mut report = Report::new();
-        let audit = audit_schedule(&g, &schedule, 8, &mut report);
-        prop_assert!(!report.has_errors(), "recorded schedule invalid: {:?}", report);
+        let cert = emit_schedule_certificate(&g, 8, &schedule);
+        let verdict = mmio_cert::verify(&cert);
+        prop_assert!(verdict.accepted, "recorded schedule invalid: {:?}", verdict.rejections);
+        let Payload::Schedule(p) = &cert.payload else {
+            panic!("a schedule certificate");
+        };
         prop_assert_eq!(
-            (audit.loads, audit.stores, audit.computes),
+            (p.loads, p.stores, p.computes),
             (stats.loads, stats.stores, stats.computes)
         );
     }

@@ -93,12 +93,15 @@ fn traffic_matches_caps_simulation() {
     }
 }
 
-/// Cross-check with the static analyzer: a recorded sequential schedule of
-/// the same `G_r` must audit clean, and the analyzer's independently
-/// re-counted I/O must equal the pebble simulator's.
+/// Cross-check with the certificate verifier: a recorded sequential
+/// schedule of the same `G_r` must verify, and the I/O its certificate
+/// claims (which the verifier re-counts by replay) must equal the pebble
+/// simulator's.
 #[test]
 fn analyzer_certifies_matching_sequential_schedule() {
     use mmio_cdag::build::build_cdag;
+    use mmio_cert::Payload;
+    use mmio_pebble::cert::emit_schedule_certificate;
     use mmio_pebble::orders::recursive_order;
     use mmio_pebble::policy::Belady;
     use mmio_pebble::AutoScheduler;
@@ -109,17 +112,20 @@ fn analyzer_certifies_matching_sequential_schedule() {
     let order = recursive_order(&g);
     let (stats, sched) = AutoScheduler::new(&g, m).run_recorded(&order, &Belady);
 
-    let mut report = mmio_analyze::Report::new();
-    let audit = mmio_analyze::audit_schedule(&g, &sched, m, &mut report);
+    let cert = emit_schedule_certificate(&g, m, &sched);
+    let verdict = mmio_cert::verify(&cert);
     assert!(
-        !report.has_errors(),
-        "analyzer rejects the recorded schedule: {:?}",
-        report.diagnostics
+        verdict.accepted,
+        "the verifier rejects the recorded schedule: {:?}",
+        verdict.rejections
     );
-    assert_eq!(audit.loads, stats.loads, "load counts disagree");
-    assert_eq!(audit.stores, stats.stores, "store counts disagree");
-    assert_eq!(audit.computes, stats.computes, "compute counts disagree");
-    assert!(audit.peak_occupancy <= m);
+    let Payload::Schedule(p) = &cert.payload else {
+        panic!("a schedule certificate");
+    };
+    assert_eq!(p.loads, stats.loads, "load counts disagree");
+    assert_eq!(p.stores, stats.stores, "store counts disagree");
+    assert_eq!(p.computes, stats.computes, "compute counts disagree");
+    assert!(p.peak_occupancy <= m as u64);
 
     // Sanity link to the parallel world: the sequential schedule's I/O and
     // the parallel step volume measure the same computation at the same n,
@@ -130,5 +136,5 @@ fn analyzer_certifies_matching_sequential_schedule() {
     let b = random_i64_matrix(4, 4, &mut rng);
     let (_, t) = multiply_parallel(&base, &a, &b, 2);
     assert_eq!(t.total(), 3 * 7 * 4); // 3·b·(n/n₀)² at n = 4
-    assert!(audit.io() > 0);
+    assert!(stats.io() > 0);
 }

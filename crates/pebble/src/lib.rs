@@ -43,8 +43,8 @@
 //! The strict replay of explicit schedules against the model rules,
 //! `sim`, is likewise a test-only oracle: both engines' recorded schedules
 //! are replayed through it. Release builds check schedule legality with
-//! `mmio_analyze::audit_schedule` (`mmio analyze`) and the `mmio-cert`
-//! replay (`mmio cert verify`), which share no code with `sim`.
+//! one checker, the `mmio-cert` replay (`mmio cert verify`, `mmio
+//! analyze`), which shares no code with `sim`.
 //!
 //! ```
 //! use mmio_algos::strassen::strassen;

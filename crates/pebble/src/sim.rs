@@ -1,7 +1,7 @@
 //! Strict simulation of explicit schedules against the model rules: the
 //! test-only oracle the engines' recorded schedules are replayed through
-//! (release builds check schedules with `mmio_analyze::audit_schedule` and
-//! the `mmio-cert` replay).
+//! (release builds check schedules with the `mmio-cert` replay, behind
+//! `mmio cert verify` and `mmio analyze`).
 //!
 //! Cache state is a membership bitmap (`Vec<bool>`) plus an occupancy
 //! counter — the simulator only ever asks "is v cached?" and "how many are

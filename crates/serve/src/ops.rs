@@ -18,10 +18,11 @@ use mmio_algos::registry::all_base_graphs;
 use mmio_cdag::build::{build_cdag, CdagBuild};
 use mmio_cdag::view::count_vertices;
 use mmio_cdag::{BaseGraph, IndexView};
+use mmio_cert::Payload;
 use mmio_core::theorem1::{certify_pooled, prepare, Certificate, CertifyParams};
-use mmio_core::theorem2::InOutRouting;
-use mmio_core::transport::RoutingClass;
+use mmio_core::transport::{emit_certificate, RoutingClass};
 use mmio_parallel::Pool;
+use mmio_pebble::cert::emit_schedule_certificate;
 use mmio_pebble::orders::{recursive_order, recursive_order_in};
 use mmio_pebble::policy::Belady;
 use mmio_pebble::sweep::{sweep, PolicySpec};
@@ -137,69 +138,53 @@ fn render_certificate(cert: &Certificate) -> String {
 }
 
 /// One target of `mmio analyze`: an algorithm analyzed at recursion depth
-/// `r`, with the schedule and routing audits run at (possibly capped)
-/// depths chosen to keep path enumeration tractable.
+/// `r`. The CDAG passes run at `r`; the schedule and routing witnesses are
+/// built at (possibly capped) depths that keep them tractable, emitted as
+/// certificates, and checked by the certificate verifier, whose rejections
+/// join the report. The verifier needs depth ≥ 1, so the witnesses of the
+/// degenerate `G_0` are those of `G_1`.
+///
+/// The summary's witness fields are the certificates' claims. The
+/// verifier re-derives each one and rejects a claim that differs.
 pub fn analyze_target(base: &BaseGraph, r: u32) -> (mmio_analyze::Report, serde_json::Value) {
     let mut report = mmio_analyze::analyze_base_at(base, r);
+    let d = r.max(1);
 
-    // Schedule legality: audit an auto-generated recursive schedule.
-    let g = build_cdag(base, witness_depth(base, r));
+    // Schedule legality: a Belady run of the recursive order, replayed by
+    // the verifier.
+    let g = build_cdag(base, witness_depth(base, d));
     let m = (3 * base.a()).max(8);
     let order = recursive_order(&g);
     let (_, sched) = AutoScheduler::new(&g, m).run_recorded(&order, &Belady);
-    let audit = mmio_analyze::audit_schedule(&g, &sched, m, &mut report);
+    let sched_cert = emit_schedule_certificate(&g, m, &sched);
+    report.push_verdict(&mmio_cert::verify(&sched_cert));
 
-    // Routing certificate: enumerate the Theorem 2 paths explicitly and
-    // re-verify them.
-    let gk = build_cdag(base, routing_depth(base, r));
-    let routing_audit = match InOutRouting::new(&gk) {
-        None => {
-            mmio_analyze::report_routing_infeasible(&mut report);
-            None
-        }
-        Some(routing) => {
-            // Audit straight from the flat path arena (same enumeration
-            // order as the old explicit Vec<Vec<_>> certificate, without
-            // one heap block per path).
-            let arena = routing.collect_paths();
-            Some((
-                mmio_analyze::audit_routing_paths(
-                    &gk,
-                    routing.theorem2_bound(),
-                    Some(routing.n_paths()),
-                    arena.iter(),
-                    &mut report,
-                ),
-                routing.theorem2_bound(),
-            ))
-        }
-    };
+    // The Routing Theorem's bound: the certificate `cert emit` writes.
+    let routing = routing_cert(base, routing_depth(base, d), d, &Pool::serial());
+    match &routing {
+        Some(cert) => report.push_verdict(&mmio_cert::verify(cert)),
+        None => mmio_analyze::report_routing_infeasible(&mut report),
+    }
 
+    let int = |n: u64| serde::Value::Int(n as i64);
     let mut summary = vec![
         (
             "algorithm".to_string(),
             serde::Value::Str(base.name().to_string()),
         ),
         ("r".to_string(), serde::Value::Int(i64::from(r))),
-        (
-            "schedule_io".to_string(),
-            serde::Value::Int(audit.io() as i64),
-        ),
-        (
-            "schedule_peak_occupancy".to_string(),
-            serde::Value::Int(audit.peak_occupancy as i64),
-        ),
     ];
-    if let Some((ra, bound)) = routing_audit {
-        summary.push((
-            "routing_paths".to_string(),
-            serde::Value::Int(ra.paths as i64),
-        ));
+    if let Payload::Schedule(p) = &sched_cert.payload {
+        summary.push(("schedule_io".to_string(), int(p.loads + p.stores)));
+        summary.push(("schedule_peak_occupancy".to_string(), int(p.peak_occupancy)));
+    }
+    if let Some(Payload::Routing(p)) = routing.as_ref().map(|c| &c.payload) {
+        summary.push(("routing_paths".to_string(), int(p.paths.len() as u64)));
         summary.push((
             "routing_max_hits".to_string(),
-            serde::Value::Int(ra.max_vertex_hits.max(ra.max_meta_hits) as i64),
+            int(p.max_vertex_hits.max(p.max_meta_hits)),
         ));
-        summary.push(("routing_bound".to_string(), serde::Value::Int(bound as i64)));
+        summary.push(("routing_bound".to_string(), int(p.bound)));
     }
     summary.push(("report".to_string(), serde::Serialize::to_value(&report)));
     (report, serde::Value::Object(summary))
@@ -232,13 +217,23 @@ pub fn sweep_json(base: &BaseGraph, r: u32, ms: &[usize], pool: &Pool) -> String
     )
 }
 
-/// The routing certificate JSON `mmio cert emit` writes for `(algo, k)`
-/// transported into `G_r` (trailing newline not added — `Certificate::
-/// to_json` is the on-disk format already). `None` when the base graph
-/// admits no `n₀`-capacity Hall matching.
-pub fn routing_cert_json(base: &BaseGraph, k: u32, r: u32, pool: &Pool) -> Option<String> {
+/// The routing certificate `mmio cert emit` writes for `(algo, k)`: the
+/// Theorem 2 routing of `G_k`, transported into `G_r`. `None` when the
+/// base graph admits no `n₀`-capacity Hall matching.
+pub fn routing_cert(
+    base: &BaseGraph,
+    k: u32,
+    r: u32,
+    pool: &Pool,
+) -> Option<mmio_cert::Certificate> {
     let class = RoutingClass::build(base, k, pool)?;
-    Some(mmio_core::transport::emit_certificate(&class, r).to_json())
+    Some(emit_certificate(&class, r))
+}
+
+/// [`routing_cert`] as the JSON `mmio cert emit` writes (trailing newline
+/// not added — `Certificate::to_json` is the on-disk format already).
+pub fn routing_cert_json(base: &BaseGraph, k: u32, r: u32, pool: &Pool) -> Option<String> {
+    routing_cert(base, k, r, pool).map(|cert| cert.to_json())
 }
 
 #[cfg(test)]

@@ -191,6 +191,7 @@ impl<T: Send + 'static> WorkerSet<T> {
                 let n = live.load(Ordering::Relaxed);
                 if n > target
                     && live
+                        // audit: safe — `&&` evaluates `n - 1` only once n > target ≥ 0
                         .compare_exchange(n, n - 1, Ordering::Relaxed, Ordering::Relaxed)
                         .is_ok()
                 {
