@@ -23,12 +23,7 @@ pub struct OpCounts {
     pub scales: u64,
 }
 
-impl OpCounts {
-    /// Total scalar operations.
-    pub fn total(&self) -> u64 {
-        self.leaf_mults + self.adds + self.scales
-    }
-}
+impl OpCounts {}
 
 /// A recursive bilinear-algorithm executor for a fixed base graph.
 #[derive(Clone)]
@@ -152,12 +147,6 @@ impl Executor {
         }
         join_blocks(&out_blocks, n0)
     }
-
-    /// Closed-form leaf-multiplication count for a full recursion on side
-    /// `n₀^r` with cutoff 1: `b^r`.
-    pub fn full_recursion_mults(&self, r: u32) -> u64 {
-        (self.base.b() as u64).pow(r)
-    }
 }
 
 #[cfg(test)]
@@ -219,7 +208,6 @@ mod tests {
             let b = random_i64_matrix(n, n, &mut rng);
             let (_, counts) = exec.multiply_counted(&a, &b);
             assert_eq!(counts.leaf_mults, 7u64.pow(r), "r={r}");
-            assert_eq!(counts.leaf_mults, exec.full_recursion_mults(r));
         }
     }
 

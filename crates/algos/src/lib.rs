@@ -35,7 +35,8 @@
 //! assert!(base.is_fast()); // ω₀ = log₂7 < 3
 //! let exec = Executor::new(base, 1);
 //! let a = Matrix::from_fn(8, 8, |i, j| (i * 8 + j) as i64);
-//! let (c, counts) = exec.multiply_counted(&a, &Matrix::identity(8));
+//! let id = Matrix::from_fn(8, 8, |i, j| i64::from(i == j));
+//! let (c, counts) = exec.multiply_counted(&a, &id);
 //! assert!(c.exactly_equals(&a));
 //! assert_eq!(counts.leaf_mults, 343); // 7³ scalar multiplications
 //! ```
@@ -43,7 +44,8 @@
 #![forbid(unsafe_code)]
 
 pub mod classical;
-pub mod counts;
+#[cfg(test)]
+mod counts;
 pub mod executor;
 pub mod laderman;
 pub mod rect;

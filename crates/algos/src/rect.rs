@@ -157,6 +157,7 @@ impl RectAlgorithm {
 
     /// Applies the algorithm once to block matrices: `A` is `(m·s) × (k·s)`,
     /// `B` is `(k·s) × (n·s)`; inner `s×s` blocks multiply classically.
+    #[cfg(test)]
     pub fn apply(&self, a: &Matrix<Rational>, b: &Matrix<Rational>) -> Matrix<Rational> {
         let s = a.rows() / self.m;
         assert_eq!(a.rows(), self.m * s, "A row blocking");

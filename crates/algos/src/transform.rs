@@ -17,6 +17,7 @@ use mmio_matrix::{Matrix, Rational};
 ///
 /// # Panics
 /// Panics if `perm` is not a permutation of `0..b`.
+// audit: safe — the integration crate's tests/transform_pipeline.rs checks I/O and certification invariance under product permutation; mmio-algos cannot run it in its own tests without depending on mmio-pebble and mmio-core
 pub fn permute_products(base: &BaseGraph, perm: &[usize]) -> BaseGraph {
     let b = base.b();
     assert_eq!(perm.len(), b, "permutation length must equal b");
@@ -88,6 +89,7 @@ pub fn transpose_dual(base: &BaseGraph) -> BaseGraph {
 /// A deterministic family of transformed variants of `base`, all verified
 /// correct by construction (and re-verified in tests): useful as sweep
 /// subjects.
+// audit: safe — the integration crate's tests/transform_pipeline.rs routes and certifies every variant; mmio-algos cannot run it in its own tests without depending on mmio-pebble and mmio-core
 pub fn variant_family(base: &BaseGraph) -> Vec<BaseGraph> {
     let b = base.b();
     let rotate: Vec<usize> = (0..b).map(|i| (i + 1) % b).collect();

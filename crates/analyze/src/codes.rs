@@ -165,6 +165,9 @@ pub const AUDIT_MISSING_FORBID_UNSAFE: &str = "MMIO-L022";
 /// A `mutate`/`trace` feature-gated item is callable from a
 /// default-feature build (feature-gate hygiene).
 pub const AUDIT_FEATURE_LEAK: &str = "MMIO-L023";
+/// A non-test fn is reached from no root: no binary, example, benchmark,
+/// trait impl or audit root calls it (dead code).
+pub const AUDIT_UNREACHED_FN: &str = "MMIO-L024";
 
 /// `(code, one-line description)` for every registered code, in order —
 /// the source of the documentation table in `DESIGN.md`.
@@ -295,6 +298,7 @@ pub const TABLE: &[(&str, &str)] = &[
         AUDIT_FEATURE_LEAK,
         "mutate/trace feature item callable from default build",
     ),
+    (AUDIT_UNREACHED_FN, "non-test fn reached from no root"),
 ];
 
 /// The merged cross-crate code registry: every `(registering crate,

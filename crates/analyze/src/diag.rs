@@ -263,11 +263,6 @@ impl Report {
     pub fn has_code(&self, code: &str) -> bool {
         self.diagnostics.iter().any(|d| d.code == code)
     }
-
-    /// Merges another report's findings into this one.
-    pub fn merge(&mut self, other: Report) {
-        self.diagnostics.extend(other.diagnostics);
-    }
 }
 
 impl Serialize for Report {

@@ -1,7 +1,7 @@
-//! The auditor's finding record: a diagnostic plus source provenance,
-//! a call-chain witness, and a line-independent baseline key.
+//! The auditor's finding record: a diagnostic plus source provenance
+//! and a call-chain witness.
 
-use mmio_analyze::diag::{Severity, Span};
+use mmio_analyze::diag::Severity;
 use serde::{Serialize, Value};
 
 /// One audit finding.
@@ -20,27 +20,9 @@ pub struct Finding {
     /// only; empty for registry/hygiene findings). Each entry is
     /// `qualname (file:line)`.
     pub chain: Vec<String>,
-    /// Line-independent identity for baseline matching: unchanged code
-    /// that merely moves does not churn the baseline.
-    pub key: String,
 }
 
-impl Finding {
-    /// Renders through the shared diagnostics machinery.
-    pub fn to_diagnostic(&self) -> mmio_analyze::Diagnostic {
-        mmio_analyze::Diagnostic {
-            code: self.code,
-            severity: self.severity,
-            span: Span::Source(self.line),
-            message: format!("{}: {}", self.file, self.message),
-            suggestion: if self.chain.is_empty() {
-                None
-            } else {
-                Some(format!("witness: {}", self.chain.join(" -> ")))
-            },
-        }
-    }
-}
+impl Finding {}
 
 impl Serialize for Finding {
     fn to_value(&self) -> Value {
@@ -57,12 +39,6 @@ impl Serialize for Finding {
                 "chain".to_string(),
                 Value::Array(self.chain.iter().map(|c| Value::Str(c.clone())).collect()),
             ),
-            ("key".to_string(), Value::Str(self.key.clone())),
         ])
     }
-}
-
-/// Builds the stable baseline key. Deliberately excludes line numbers.
-pub fn key_of(code: &str, file: &str, qualname: &str, detail: &str) -> String {
-    format!("{code}|{file}|{qualname}|{detail}")
 }

@@ -111,6 +111,10 @@ pub struct CallGraph {
 struct Index<'m> {
     free: HashMap<&'m str, Vec<u32>>,
     methods: HashMap<&'m str, Vec<u32>>,
+    /// Trait methods with a default body, by name: what a method call
+    /// on a type without its own method of that name, or on a generic
+    /// `V: Trait`, can still run.
+    defaults: HashMap<&'m str, Vec<u32>>,
     typed: HashMap<(&'m str, &'m str), Vec<u32>>,
     type_names: std::collections::HashSet<&'m str>,
 }
@@ -120,6 +124,7 @@ impl<'m> Index<'m> {
         let mut ix = Index {
             free: HashMap::new(),
             methods: HashMap::new(),
+            defaults: HashMap::new(),
             typed: HashMap::new(),
             type_names: std::collections::HashSet::new(),
         };
@@ -133,9 +138,12 @@ impl<'m> Index<'m> {
                 (None, None) => ix.free.entry(&f.name).or_default().push(f.id),
                 _ => {
                     ix.methods.entry(&f.name).or_default().push(f.id);
-                    if let Some(ty) = &f.self_type {
-                        ix.typed.entry((ty, &f.name)).or_default().push(f.id);
-                        ix.type_names.insert(ty);
+                    match &f.self_type {
+                        Some(ty) => {
+                            ix.typed.entry((ty, &f.name)).or_default().push(f.id);
+                            ix.type_names.insert(ty);
+                        }
+                        None => ix.defaults.entry(&f.name).or_default().push(f.id),
                     }
                     if let Some(tr) = &f.trait_name {
                         ix.typed.entry((tr, &f.name)).or_default().push(f.id);
@@ -245,6 +253,17 @@ fn scan_file(
                     }
                 } else if next.is_some_and(|t| t.is_punct("(")) {
                     handle_call(model, ix, toks, i, name, owner, file_id, line, iso, g);
+                } else if i >= 2 && toks[i - 1].is_punct("::") {
+                    // `Type::name` as a value (`.map(RowTable::max_row_len)`)
+                    // may be called wherever the value goes.
+                    let ty = match toks[i - 2].ident() {
+                        Some("Self") => model.fns[owner as usize].self_type.as_deref(),
+                        q => q,
+                    };
+                    let to = ty.and_then(|ty| ix.typed.get(&(ty, name.as_str())));
+                    for &to in to.into_iter().flatten() {
+                        push_edge(g, owner, to, file_id, line, iso, false);
+                    }
                 }
             }
             Tok::Punct("[") if i > 0 && operand_like(&toks[i - 1].tok) => {
@@ -480,16 +499,28 @@ fn handle_call(
             // introduce new reachability, skip to keep the graph small.
             continue;
         }
-        g.adj[owner as usize].push(g.edges.len() as u32);
-        g.edges.push(Edge {
-            from: owner,
-            to,
-            file: file_id,
-            line,
-            isolated: iso,
-            methodish,
-        });
+        push_edge(g, owner, to, file_id, line, iso, methodish);
     }
+}
+
+fn push_edge(
+    g: &mut CallGraph,
+    from: u32,
+    to: u32,
+    file: u32,
+    line: u32,
+    iso: bool,
+    methodish: bool,
+) {
+    g.adj[from as usize].push(g.edges.len() as u32);
+    g.edges.push(Edge {
+        from,
+        to,
+        file,
+        line,
+        isolated: iso,
+        methodish,
+    });
 }
 
 /// Whether the `::` before a call closes a `<T as Tr>` qualifier.
@@ -583,15 +614,15 @@ fn resolve_method(
             }
         }
         Some(r) if bare_recv => match binding_type(model, toks, owner, r) {
-            Some(ty) if ix.type_names.contains(ty.as_str()) => {
-                // Known workspace type: its method or nothing (an empty
-                // result means a trait/std method on that type).
-                ix.typed
-                    .get(&(ty.as_str(), name))
-                    .cloned()
-                    .unwrap_or_default()
-            }
-            Some(_) => Vec::new(), // bound to a non-workspace type — external
+            // A workspace type runs its own method; otherwise, like a
+            // non-workspace or generic `V: Trait` binding, a trait's
+            // default body or a std method.
+            Some(ty) => ix
+                .typed
+                .get(&(ty.as_str(), name))
+                .or_else(|| ix.defaults.get(name))
+                .cloned()
+                .unwrap_or_default(),
             None => fallback(ix),
         },
         _ => fallback(ix),
@@ -651,9 +682,10 @@ fn binding_type(
 
 /// Filters out value-looking idents picked up by the `name: value`
 /// struct-literal ambiguity: a type name starts uppercase or is a
-/// primitive.
+/// primitive. A smart pointer is no type for method resolution: its
+/// methods are mostly its pointee's.
 fn plausible_type_name(s: &str) -> bool {
-    s.chars().next().is_some_and(|c| c.is_ascii_uppercase())
+    (s.chars().next().is_some_and(|c| c.is_ascii_uppercase()) && !matches!(s, "Arc" | "Rc" | "Box"))
         || matches!(
             s,
             "usize"

@@ -17,7 +17,7 @@
 //! over-approximation is sound, follows everything).
 
 use crate::config;
-use crate::finding::{key_of, Finding};
+use crate::finding::Finding;
 use crate::graph::CallGraph;
 use crate::lex::{Spanned, Tok};
 use crate::parse::{Model, NO_OWNER};
@@ -42,7 +42,7 @@ pub fn run(model: &Model, graph: &CallGraph) -> Vec<Finding> {
 /// level; the attribute makes the guarantee local and grep-able.
 fn forbid_unsafe(model: &Model, findings: &mut Vec<Finding>) {
     for file in &model.files {
-        if file.is_crate_root && !file.has_forbid_unsafe {
+        if file.is_crate_root && !file.has_forbid_unsafe && !file.root_only {
             findings.push(Finding {
                 code: codes::AUDIT_MISSING_FORBID_UNSAFE,
                 severity: Severity::Error,
@@ -53,12 +53,6 @@ fn forbid_unsafe(model: &Model, findings: &mut Vec<Finding>) {
                     file.crate_name
                 ),
                 chain: Vec::new(),
-                key: key_of(
-                    codes::AUDIT_MISSING_FORBID_UNSAFE,
-                    &file.rel_path,
-                    &file.crate_name,
-                    "forbid-unsafe",
-                ),
             });
         }
     }
@@ -145,12 +139,6 @@ fn hash_iteration(model: &Model, render: &HashSet<u32>, findings: &mut Vec<Findi
                         f.qualname
                     ),
                     chain: Vec::new(),
-                    key: key_of(
-                        codes::AUDIT_HASH_ITERATION,
-                        &file.rel_path,
-                        &f.qualname,
-                        name,
-                    ),
                 });
             }
         }
@@ -200,12 +188,6 @@ fn wallclock(model: &Model, payload: &HashSet<u32>, findings: &mut Vec<Finding>)
                         f.qualname
                     ),
                     chain: Vec::new(),
-                    key: key_of(
-                        codes::AUDIT_TIME_IN_PAYLOAD,
-                        &file.rel_path,
-                        &f.qualname,
-                        "wallclock",
-                    ),
                 });
             }
         }
@@ -223,7 +205,7 @@ fn feature_leaks(model: &Model, graph: &CallGraph, findings: &mut Vec<Finding>) 
         }
         let from = &model.fns[e.from as usize];
         let to = &model.fns[e.to as usize];
-        if from.is_test || to.is_test {
+        if from.is_test || to.is_test || model.files[from.file as usize].root_only {
             continue;
         }
         for feat in config::AUDITED_FEATURES {
@@ -255,12 +237,6 @@ fn feature_leaks(model: &Model, graph: &CallGraph, findings: &mut Vec<Finding>) 
                         to.qualname, from.qualname
                     ),
                     chain: Vec::new(),
-                    key: key_of(
-                        codes::AUDIT_FEATURE_LEAK,
-                        &file.rel_path,
-                        &from.qualname,
-                        &to.qualname,
-                    ),
                 });
             }
         }

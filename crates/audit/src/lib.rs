@@ -8,7 +8,7 @@
 //! run, with `MMIO-Lxxx` findings flowing through the same
 //! [`mmio_analyze`] diagnostics machinery as every other pass.
 //!
-//! Three pass families (see `DESIGN.md` §14):
+//! Four pass families (see `DESIGN.md` §14):
 //!
 //! 1. **Panic reachability** ([`panics`]) — a conservative call graph
 //!    ([`graph`]) over a hand-rolled token model ([`lex`], [`parse`];
@@ -25,13 +25,17 @@
 //!    iteration feeding rendered output, no wall-clock in certificate
 //!    payloads, `#![forbid(unsafe_code)]` in every crate root, and no
 //!    audited-feature leakage into default builds.
+//! 4. **Dead code** ([`dead`]) — every non-test fn is reached from a
+//!    root: a binary's `main`, a trait-impl method, an audit root, or
+//!    an example or benchmark file, which the loader reads as roots
+//!    only.
 //!
 //! Entry points: [`audit_workspace`] (filesystem) and [`audit_model`]
 //! (pre-built model — used by the fixture tests). The `mmio audit`
 //! subcommand and the blocking CI job sit on top of these.
 
-pub mod baseline;
 pub mod config;
+pub mod dead;
 pub mod finding;
 pub mod graph;
 pub mod hygiene;
@@ -41,8 +45,5 @@ pub mod parse;
 pub mod registry;
 pub mod run;
 
-pub use baseline::Baseline;
 pub use finding::Finding;
-pub use run::{
-    audit_model, audit_workspace, find_workspace_root, AuditOptions, AuditOutcome, Stats,
-};
+pub use run::{audit_model, audit_workspace, find_workspace_root, AuditOutcome, Stats};

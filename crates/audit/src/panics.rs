@@ -19,7 +19,7 @@
 //! [`crate::run`], not here.
 
 use crate::config::TrustRoot;
-use crate::finding::{key_of, Finding};
+use crate::finding::Finding;
 use crate::graph::{CallGraph, SiteKind};
 use crate::parse::Model;
 use mmio_analyze::codes;
@@ -98,12 +98,6 @@ pub fn reach(
                     spec.fn_name
                 ),
                 chain: Vec::new(),
-                key: key_of(
-                    codes::AUDIT_PANIC_REACHABLE,
-                    spec.crate_name,
-                    spec.fn_name,
-                    "unresolved-root",
-                ),
             });
         }
         root_ids.extend(matches);
@@ -156,7 +150,6 @@ pub fn run(model: &Model, graph: &CallGraph, roots: &[TrustRoot]) -> Vec<Finding
             continue;
         }
         let (code, severity) = classify(&site.kind);
-        let f = &model.fns[site.fn_id as usize];
         let file = &model.files[site.file as usize];
         let mut chain = r.chain_to(model, site.fn_id);
         chain.push(format!(
@@ -176,7 +169,6 @@ pub fn run(model: &Model, graph: &CallGraph, roots: &[TrustRoot]) -> Vec<Finding
                 model.fns[r.chain_root(site.fn_id).unwrap_or(site.fn_id) as usize].qualname
             ),
             chain,
-            key: key_of(code, &file.rel_path, &f.qualname, &site.kind.label()),
         });
     }
     findings

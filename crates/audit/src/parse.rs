@@ -13,7 +13,10 @@
 //!   is excluded from emission/panic accounting;
 //! - `// audit: safe — reason` justification comments, with their line
 //!   and reason text;
-//! - the crate root's `#![forbid(unsafe_code)]` inner attribute.
+//! - the crate root's `#![forbid(unsafe_code)]` inner attribute;
+//! - `#[cfg(test)] mod x;` declarations, which make the file of `x` test
+//!   code when it is parsed after the declaring file (the loader orders
+//!   files so).
 //!
 //! It is a *recognizer*, not a validator: token sequences it does not
 //! understand are skipped, and brace tracking keeps the scope stack
@@ -40,7 +43,7 @@ pub struct FnItem {
     pub self_type: Option<String>,
     /// The trait being implemented (or declared, for default methods).
     pub trait_name: Option<String>,
-    /// `#[test]`, inside `#[cfg(test)]`, or in a `tests/` file.
+    /// `#[test]`, inside `#[cfg(test)]`, or in a test file.
     pub is_test: bool,
     /// Feature gates in effect (own + inherited), e.g. `["mutate"]`.
     pub features: Vec<String>,
@@ -70,8 +73,14 @@ pub struct SourceFile {
     pub crate_name: String,
     /// Workspace-relative path (e.g. `crates/cert/src/verify.rs`).
     pub rel_path: String,
-    /// Whether the whole file is test code (`tests/`, `benches/`).
+    /// Whether the whole file is test code: under `tests/` or `benches/`,
+    /// or the file of a `#[cfg(test)] mod` declaration.
     pub is_test_file: bool,
+    /// Whether the file only roots reachability: an example under
+    /// `examples/` or the benchmark under `mmio_benchmark/`. Its edges
+    /// are followed, but no pass reports in it and [`crate::Stats`]
+    /// does not count it.
+    pub root_only: bool,
     /// Whether this file is a crate root (`lib.rs` / `main.rs`).
     pub is_crate_root: bool,
     /// Crate roots: whether `#![forbid(unsafe_code)]` is present.
@@ -97,6 +106,9 @@ pub struct Model {
     /// graph only admits cross-crate edges along these. Crates with no
     /// entry admit no cross-crate edges.
     pub deps: std::collections::HashMap<String, Vec<String>>,
+    /// Paths without extension (`crates/demo/src/x`) of the modules a
+    /// parsed file declared test-only, or declared inside test code.
+    test_mods: Vec<String>,
 }
 
 impl Model {
@@ -117,7 +129,13 @@ impl Model {
     /// Parses one file and appends it (and its items) to the model.
     pub fn add_file(&mut self, crate_name: &str, rel_path: &str, src: &str) {
         let file_id = self.files.len() as u32;
-        let is_test_file = rel_path.contains("/tests/") || rel_path.contains("/benches/");
+        let is_test_file = rel_path.contains("/tests/")
+            || rel_path.contains("/benches/")
+            || self.test_mods.iter().any(|m| {
+                let rest = rel_path.strip_prefix(m.as_str());
+                rest == Some(".rs") || rest == Some("/mod.rs")
+            });
+        let root_only = rel_path.contains("/examples/") || rel_path.starts_with("mmio_benchmark/");
         let file_name = rel_path.rsplit('/').next().unwrap_or(rel_path);
         let is_crate_root = file_name == "lib.rs" || file_name == "main.rs";
         let toks = lex(src);
@@ -135,6 +153,7 @@ impl Model {
             crate_name: crate_name.to_string(),
             rel_path: rel_path.to_string(),
             is_test_file,
+            root_only,
             is_crate_root,
             has_forbid_unsafe,
             toks,
@@ -258,6 +277,10 @@ impl Parser<'_> {
                             i += 2;
                             continue;
                         }
+                        let test = pending.is_test || in_test_here;
+                        if test && toks.get(i + 2).is_some_and(|t| t.is_punct(";")) {
+                            self.model.test_mods.push(module_path(rel_path, name));
+                        }
                     }
                     pending = Pending::default();
                     i += 1;
@@ -374,6 +397,18 @@ impl Parser<'_> {
         // innermost Fn scope wins at each token.
         has_forbid_unsafe
     }
+}
+
+/// The path, without extension, of the file that `mod name;` in
+/// `rel_path` loads: beside a crate root or `mod.rs`, else in the
+/// directory named after the declaring file.
+fn module_path(rel_path: &str, name: &str) -> String {
+    let stem = rel_path.strip_suffix(".rs").unwrap_or(rel_path);
+    let dir = ["/lib", "/main", "/mod"]
+        .iter()
+        .find_map(|s| stem.strip_suffix(s))
+        .unwrap_or(stem);
+    format!("{dir}/{name}")
 }
 
 /// `// audit: safe — reason` (also accepts `-` / `--` as the dash).
@@ -534,14 +569,15 @@ fn find_scope_open(toks: &[Spanned], mut i: usize) -> usize {
     toks.len()
 }
 
-/// The enclosing impl/trait context, innermost first.
+/// The enclosing impl/trait context, innermost first. A fn nested in
+/// another fn's body is a free fn, whatever impl the outer one is in.
 fn impl_context(scopes: &[Scope]) -> (Option<String>, Option<String>) {
     for s in scopes.iter().rev() {
         match &s.kind {
             ScopeKind::Impl { ty, tr } => return (ty.clone(), tr.clone()),
             ScopeKind::Trait(name) => return (None, Some(name.clone())),
-            ScopeKind::Fn(_) | ScopeKind::Block => continue,
-            ScopeKind::Mod(_) => return (None, None),
+            ScopeKind::Block => continue,
+            ScopeKind::Fn(_) | ScopeKind::Mod(_) => return (None, None),
         }
     }
     (None, None)
@@ -693,6 +729,8 @@ mod tests {
         };
         assert_eq!(find("inner_call"), m.fns[0].id, "closure → enclosing fn");
         assert_eq!(find("deep_call"), m.fns[1].id, "nested fn owns its body");
+        let m = model_of("struct S;\nimpl S { fn outer(&self) { fn helper() {} helper(); } }");
+        assert_eq!(m.fns[1].self_type, None, "a fn nested in a method is free");
     }
 
     #[test]
@@ -724,6 +762,29 @@ mod tests {
         assert_eq!(m.justifications.len(), 1);
         assert_eq!(m.justifications[0].line, 2);
         assert_eq!(m.justifications[0].reason, "probe");
+    }
+
+    #[test]
+    fn cfg_test_mod_declarations_make_their_file_test_code() {
+        let mut m = Model::default();
+        let lib = "#[cfg(test)]\nmod fixtures;\nmod live;\npub fn prod() {}\n";
+        m.add_file("demo", "crates/demo/src/lib.rs", lib);
+        m.add_file(
+            "demo",
+            "crates/demo/src/fixtures.rs",
+            "mod deep;\nfn oracle() {}",
+        );
+        m.add_file("demo", "crates/demo/src/fixtures/deep.rs", "fn deeper() {}");
+        m.add_file("demo", "crates/demo/src/live.rs", "pub fn used() {}");
+        let test: Vec<_> = m.fns.iter().map(|f| (f.name.as_str(), f.is_test)).collect();
+        let want = [
+            ("prod", false),
+            ("oracle", true),
+            ("deeper", true),
+            ("used", false),
+        ];
+        assert_eq!(test, want);
+        assert!(m.files[1].is_test_file && m.files[2].in_test.iter().all(|&t| t));
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! self-test suite exercises codes owned elsewhere, yet a code whose
 //! only production emitter is that suite is not dead.
 
-use crate::finding::{key_of, Finding};
+use crate::finding::Finding;
 use crate::lex::Tok;
 use crate::parse::Model;
 use mmio_analyze::codes;
@@ -139,7 +139,7 @@ pub fn run(model: &Model, docs: &[DocFile]) -> Vec<Finding> {
 
     // 2. Walk every token of every file, collecting sightings.
     let mut life: BTreeMap<String, Lifecycle> = BTreeMap::new();
-    for file in &model.files {
+    for file in model.files.iter().filter(|f| !f.root_only) {
         let in_codes_file = file.rel_path.ends_with("codes.rs");
         let in_expectation_file = crate::config::is_expectation_file(&file.rel_path);
         for (i, st) in file.toks.iter().enumerate() {
@@ -210,9 +210,7 @@ pub fn run(model: &Model, docs: &[DocFile]) -> Vec<Finding> {
                     codes::AUDIT_CODE_UNREGISTERED,
                     Severity::Error,
                     e,
-                    code,
                     format!("`{code}` is emitted but registered in no codes.rs table"),
-                    "unregistered",
                 ));
             }
             if !lc.documented {
@@ -220,9 +218,7 @@ pub fn run(model: &Model, docs: &[DocFile]) -> Vec<Finding> {
                     codes::AUDIT_CODE_UNDOCUMENTED,
                     Severity::Error,
                     e,
-                    code,
                     format!("`{code}` is emitted but not documented in DESIGN.md"),
-                    "undocumented",
                 ));
             }
             if !lc.tested {
@@ -230,9 +226,7 @@ pub fn run(model: &Model, docs: &[DocFile]) -> Vec<Finding> {
                     codes::AUDIT_CODE_UNTESTED,
                     Severity::Warning,
                     e,
-                    code,
                     format!("`{code}` is emitted but no test or corpus asserts it"),
-                    "untested",
                 ));
             }
             let mut crates: Vec<&str> = lc
@@ -254,13 +248,11 @@ pub fn run(model: &Model, docs: &[DocFile]) -> Vec<Finding> {
                     codes::AUDIT_CODE_DUPLICATE_EMITTER,
                     Severity::Error,
                     second,
-                    code,
                     format!(
                         "`{code}` is emitted by multiple crates ({}) — each code \
                          family has exactly one emitter",
                         crates.join(", ")
                     ),
-                    "duplicate-emitter",
                 ));
             }
         } else if let Some(r) = lc.registrations.first() {
@@ -268,23 +260,14 @@ pub fn run(model: &Model, docs: &[DocFile]) -> Vec<Finding> {
                 codes::AUDIT_CODE_DEAD,
                 Severity::Warning,
                 r,
-                code,
                 format!("`{code}` is registered but never emitted — dead code id"),
-                "dead",
             ));
         }
     }
     findings
 }
 
-fn mk(
-    fcode: &'static str,
-    severity: Severity,
-    occ: &Occurrence,
-    code: &str,
-    message: String,
-    detail: &str,
-) -> Finding {
+fn mk(fcode: &'static str, severity: Severity, occ: &Occurrence, message: String) -> Finding {
     Finding {
         code: fcode,
         severity,
@@ -292,7 +275,6 @@ fn mk(
         line: occ.line,
         message,
         chain: Vec::new(),
-        key: key_of(fcode, &occ.file, code, detail),
     }
 }
 

@@ -1,30 +1,23 @@
 //! The audit driver: discovers the workspace, builds the model and call
-//! graph, runs all three pass families, discharges findings against
-//! `// audit: safe —` justifications, applies an optional baseline, and
-//! renders the outcome (human text or JSON).
+//! graph, runs all four pass families, discharges findings against
+//! `// audit: safe —` justifications, and renders the outcome (human
+//! text or JSON).
 
-use crate::baseline::Baseline;
 use crate::config;
-use crate::finding::{key_of, Finding};
+use crate::finding::Finding;
 use crate::graph::{self, CallGraph};
 use crate::parse::Model;
 use crate::registry::DocFile;
-use crate::{hygiene, panics, registry};
-use mmio_analyze::{codes, Report, Severity};
+use crate::{dead, hygiene, panics, registry};
+use mmio_analyze::{codes, Severity};
 use serde::{Serialize, Value};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Options for one audit run.
-#[derive(Debug, Default)]
-pub struct AuditOptions {
-    /// Baseline file to diff against (suppresses known findings).
-    pub baseline: Option<PathBuf>,
-}
-
-/// Model/graph size statistics (snapshot-tested against the real
-/// workspace so silent model regressions are caught).
+/// Model/graph size statistics over the audited files (root-only files
+/// excluded), snapshot-tested against the real workspace so silent
+/// model regressions are caught.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Stats {
     pub files: usize,
@@ -36,30 +29,15 @@ pub struct Stats {
 /// The result of an audit run.
 #[derive(Debug)]
 pub struct AuditOutcome {
-    /// Findings that gate CI (not suppressed by the baseline).
+    /// Every finding left after discharge; each one gates CI.
     pub findings: Vec<Finding>,
-    /// Findings silenced by a baseline key.
-    pub suppressed: Vec<Finding>,
-    /// Baseline keys that no longer match — fixed, prune them.
-    pub fixed_baseline: Vec<String>,
     pub stats: Stats,
 }
 
 impl AuditOutcome {
-    /// Whether the run should fail (any non-suppressed error).
+    /// Whether the run should fail (any error).
     pub fn has_errors(&self) -> bool {
         self.findings.iter().any(|f| f.severity == Severity::Error)
-    }
-
-    /// The findings as a [`mmio_analyze::Report`] — the shared
-    /// diagnostics currency.
-    pub fn report(&self) -> Report {
-        let mut r = Report::new();
-        for f in &self.findings {
-            let d = f.to_diagnostic();
-            r.diagnostics.push(d);
-        }
-        r
     }
 
     /// Renders human-readable text, one line per finding plus witness
@@ -82,16 +60,8 @@ impl AuditOutcome {
             .count();
         let warnings = self.findings.len() - errors;
         out.push_str(&format!(
-            "audit: {} error(s), {} warning(s), {} suppressed, {} fixed baseline key(s); \
-             {} files, {} fns, {} edges, {} sites\n",
-            errors,
-            warnings,
-            self.suppressed.len(),
-            self.fixed_baseline.len(),
-            self.stats.files,
-            self.stats.fns,
-            self.stats.edges,
-            self.stats.sites
+            "audit: {} error(s), {} warning(s); {} files, {} fns, {} edges, {} sites\n",
+            errors, warnings, self.stats.files, self.stats.fns, self.stats.edges, self.stats.sites
         ));
         out
     }
@@ -113,10 +83,6 @@ impl Serialize for AuditOutcome {
                         "warnings".to_string(),
                         Value::UInt((self.findings.len() - errors) as u64),
                     ),
-                    (
-                        "suppressed".to_string(),
-                        Value::UInt(self.suppressed.len() as u64),
-                    ),
                     ("files".to_string(), Value::UInt(self.stats.files as u64)),
                     ("fns".to_string(), Value::UInt(self.stats.fns as u64)),
                     ("edges".to_string(), Value::UInt(self.stats.edges as u64)),
@@ -124,36 +90,16 @@ impl Serialize for AuditOutcome {
                 ]),
             ),
             ("findings".to_string(), self.findings.to_value()),
-            ("suppressed".to_string(), self.suppressed.to_value()),
-            (
-                "fixed_baseline".to_string(),
-                Value::Array(
-                    self.fixed_baseline
-                        .iter()
-                        .map(|k| Value::Str(k.clone()))
-                        .collect(),
-                ),
-            ),
         ])
     }
 }
 
 /// Audits the workspace rooted at `root` (the directory holding the
 /// workspace `Cargo.toml`).
-pub fn audit_workspace(root: &Path, opts: &AuditOptions) -> io::Result<AuditOutcome> {
+pub fn audit_workspace(root: &Path) -> io::Result<AuditOutcome> {
     let (model, docs) = load_workspace(root)?;
     let graph = graph::build(&model);
-    let mut outcome = audit_model(&model, &graph, &docs, config::TRUST_ROOTS);
-    if let Some(path) = &opts.baseline {
-        let text = fs::read_to_string(path)?;
-        let baseline =
-            Baseline::parse(&text).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        let applied = baseline.apply(std::mem::take(&mut outcome.findings));
-        outcome.findings = applied.new;
-        outcome.suppressed = applied.suppressed;
-        outcome.fixed_baseline = applied.fixed;
-    }
-    Ok(outcome)
+    Ok(audit_model(&model, &graph, &docs, config::TRUST_ROOTS))
 }
 
 /// Runs all passes over an already-built model (fixture tests enter
@@ -168,20 +114,20 @@ pub fn audit_model(
     findings.extend(panics::run(model, graph, roots));
     findings.extend(registry::run(model, docs));
     findings.extend(hygiene::run(model, graph));
+    findings.extend(dead::run(model, graph, roots));
     // Conservative resolution can derive the same fact along several
     // edges (e.g. two trait impls of one method); report each once.
     let mut seen = std::collections::HashSet::new();
     findings.retain(|f| seen.insert((f.code, f.file.clone(), f.line, f.message.clone())));
     let findings = discharge(model, graph, findings);
+    let audited = |fn_id: u32| !model.files[model.fns[fn_id as usize].file as usize].root_only;
     AuditOutcome {
         findings,
-        suppressed: Vec::new(),
-        fixed_baseline: Vec::new(),
         stats: Stats {
-            files: model.files.len(),
-            fns: model.fns.len(),
-            edges: graph.edges.len(),
-            sites: graph.sites.len(),
+            files: model.files.iter().filter(|f| !f.root_only).count(),
+            fns: model.fns.iter().filter(|f| audited(f.id)).count(),
+            edges: graph.edges.iter().filter(|e| audited(e.from)).count(),
+            sites: graph.sites.iter().filter(|s| audited(s.fn_id)).count(),
         },
     }
 }
@@ -199,7 +145,10 @@ fn discharge(model: &Model, graph: &CallGraph, findings: Vec<Finding>) -> Vec<Fi
     let justs: Vec<_> = model
         .justifications
         .iter()
-        .filter(|j| !model.files[j.file as usize].is_test_file)
+        .filter(|j| {
+            let file = &model.files[j.file as usize];
+            !file.is_test_file && !file.root_only
+        })
         .collect();
     let mut used = vec![false; justs.len()];
     let mut out = Vec::new();
@@ -252,7 +201,6 @@ fn discharge(model: &Model, graph: &CallGraph, findings: Vec<Finding>) -> Vec<Fi
             line: j.line,
             message: format!("`// audit: safe — {}` {}", j.reason, what),
             chain: Vec::new(),
-            key: key_of(code, &file.rel_path, &j.reason, "justification"),
         });
     }
     out
@@ -274,13 +222,14 @@ pub fn load_workspace(root: &Path) -> io::Result<(Model, Vec<DocFile>)> {
             });
         }
     }
-    let crates_dir = root.join("crates");
-    let mut crate_dirs: Vec<PathBuf> = fs::read_dir(&crates_dir)?
+    let mut crate_dirs: Vec<PathBuf> = fs::read_dir(root.join("crates"))?
         .filter_map(|e| e.ok())
         .map(|e| e.path())
-        .filter(|p| p.is_dir() && p.join("Cargo.toml").is_file())
         .collect();
     crate_dirs.sort();
+    // The benchmark links the crates it measures: its files are roots only.
+    crate_dirs.push(root.join("mmio_benchmark"));
+    crate_dirs.retain(|p| p.join("Cargo.toml").is_file());
     for dir in crate_dirs {
         let manifest = fs::read_to_string(dir.join("Cargo.toml"))?;
         let crate_name = package_name(&manifest).unwrap_or_else(|| {
@@ -291,7 +240,13 @@ pub fn load_workspace(root: &Path) -> io::Result<(Model, Vec<DocFile>)> {
         model.add_crate_deps(&crate_name, declared_deps(&manifest));
         let mut paths = Vec::new();
         collect_files(&dir, &mut paths)?;
-        paths.sort();
+        // A module's file after the file declaring it (see `parse`): by
+        // depth, then crate roots and `mod.rs` first in their directory.
+        paths.sort_by_key(|p| {
+            let root = ["lib.rs", "main.rs", "mod.rs"].map(Some);
+            let name = p.file_name().and_then(|n| n.to_str());
+            (p.components().count(), !root.contains(&name), p.clone())
+        });
         for p in paths {
             let rel = p
                 .strip_prefix(root)
@@ -361,9 +316,9 @@ fn package_name(manifest: &str) -> Option<String> {
 }
 
 /// Recursively collects `.rs` sources and test corpus files under the
-/// crate's `src/`, `tests/`, and `benches/` directories.
+/// crate's `src/`, `tests/`, `benches/` and `examples/` directories.
 fn collect_files(crate_dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
-    for sub in ["src", "tests", "benches"] {
+    for sub in ["src", "tests", "benches", "examples"] {
         let d = crate_dir.join(sub);
         if d.is_dir() {
             walk(&d, out)?;
@@ -419,6 +374,7 @@ mod tests {
             "crates/demo/src/lib.rs",
             r#"
 pub fn root(x: Option<u32>) -> u32 {
+    clean();
     // audit: safe — input validated by caller
     x.unwrap()
 }

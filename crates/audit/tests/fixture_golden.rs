@@ -50,6 +50,7 @@ fn every_code_fires_exactly_once() {
             "MMIO-L021",
             "MMIO-L022",
             "MMIO-L023",
+            "MMIO-L024",
         ],
         "fixture findings drifted: {:#?}",
         out.findings
@@ -91,6 +92,33 @@ fn findings_land_at_the_planted_sites() {
     assert_eq!(file_of("MMIO-L012"), "crates/extra/src/lib.rs");
     assert_eq!(file_of("MMIO-L013"), "crates/extra/src/lib.rs");
     assert_eq!(file_of("MMIO-L022"), "crates/extra/src/lib.rs");
+    assert_eq!(file_of("MMIO-L024"), "crates/cert/src/lib.rs");
+}
+
+#[test]
+fn dead_code_fires_only_at_the_planted_fn() {
+    // `forgotten` is the one unreached fn. Silent: `shown_in_example`
+    // (reached only from the root-only example, whose own unused fn is no
+    // finding either), `oracle` (its file is a `#[cfg(test)] mod`), the
+    // extra crate's emitters (reached from a trait-impl `fmt`),
+    // `kept_on_purpose` (kept with a reason) and `kept_helper`, which only
+    // the kept fn calls.
+    let out = fixture_outcome();
+    let dead: Vec<_> = out
+        .findings
+        .iter()
+        .filter(|f| f.code == "MMIO-L024")
+        .map(|f| {
+            (
+                f.file.as_str(),
+                f.line,
+                f.message.contains("mmio-cert::forgotten"),
+            )
+        })
+        .collect();
+    assert_eq!(dead, vec![("crates/cert/src/lib.rs", 59, true)]);
+    // Six files load; the root-only example is not counted.
+    assert_eq!(out.stats.files, 5);
 }
 
 #[test]

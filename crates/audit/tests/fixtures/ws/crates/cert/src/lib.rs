@@ -48,3 +48,23 @@ fn stamp() -> String {
     let _t = SystemTime::now();
     String::new()
 }
+
+// Dead-code fixtures (MMIO-L024): one planted unreached fn, and four that
+// must stay silent — reached only from the root-only example, a test
+// module's file, a trait-impl method (crates/extra), and a kept fn with
+// the helper only it calls.
+#[cfg(test)]
+mod fixtures;
+
+pub fn forgotten() -> u32 {
+    7
+}
+
+pub fn shown_in_example() {}
+
+// audit: safe — kept as an extension point no caller uses yet
+pub fn kept_on_purpose() {
+    kept_helper();
+}
+
+fn kept_helper() {}

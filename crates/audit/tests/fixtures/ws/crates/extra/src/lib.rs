@@ -22,3 +22,20 @@ pub fn emit_untested() -> &'static str {
 pub fn emit_shared() -> &'static str {
     codes::SHARED
 }
+
+/// Renders every emitter: std calls `fmt` through the trait, so the impl
+/// method is a root and what it calls is reached.
+pub struct Emitters;
+
+impl std::fmt::Display for Emitters {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let all = [
+            emit_good(),
+            emit_unregistered(),
+            emit_undocumented(),
+            emit_untested(),
+            emit_shared(),
+        ];
+        write!(f, "{}", all.join(" "))
+    }
+}

@@ -1,8 +1,7 @@
 //! Materialization of the recursive CDAG `G_r` from its closed form.
 
 use crate::base::BaseGraph;
-use crate::graph::{Cdag, Layer, VertexId};
-use crate::index;
+use crate::graph::{Cdag, VertexId};
 use crate::view::IndexView;
 
 /// Builds the CDAG `G_r` of `base` applied recursively `r` times
@@ -72,30 +71,12 @@ impl CdagBuild {
     }
 }
 
-/// Convenience: builds `G_r` and sanity-checks segment sizes against the
-/// closed-form counts. Intended for tests and examples.
-pub fn build_checked(base: &BaseGraph, r: u32) -> Cdag {
-    let g = build_cdag(base, r);
-    let (a, b) = (base.a(), base.b());
-    for t in 0..=r {
-        assert_eq!(
-            g.segment_len(Layer::EncA, t),
-            index::pow(b, t) * index::pow(a, r - t)
-        );
-        assert_eq!(
-            g.segment_len(Layer::Dec, t),
-            index::pow(b, r - t) * index::pow(a, t)
-        );
-    }
-    g
-}
-
 /// The per-vertex build the block rules replaced: predecessors vertex by
 /// vertex through [`IndexView::preds_of`], successors by a counting-sort
 /// inversion of the predecessor CSR. The test oracle of [`build_cdag`].
 #[cfg(test)]
 pub(crate) fn build_per_vertex(base: &BaseGraph, r: u32) -> Cdag {
-    use crate::graph::VertexRef;
+    use crate::graph::{Layer, VertexRef};
     let view = IndexView::of_base(base, r).expect("test graphs fit u32 ids");
     let n = view.n_vertices() as usize;
     let mut pred_off = vec![0u32];
@@ -170,7 +151,7 @@ mod tests {
 
     #[test]
     fn g1_shape() {
-        let g = build_checked(&classical2(), 1);
+        let g = build_cdag(&classical2(), 1);
         // EncA: 4 inputs + 8 combos; EncB same; Dec: 8 products + 4 outputs.
         assert_eq!(g.n_vertices(), 4 + 8 + 4 + 8 + 8 + 4);
         assert_eq!(g.products().count(), 8);

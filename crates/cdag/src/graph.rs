@@ -1,6 +1,6 @@
 //! The ranked recursive CDAG `G_r` and its vertex addressing scheme.
 
-use crate::base::{BaseGraph, Side};
+use crate::base::BaseGraph;
 use crate::index;
 use crate::view::{CdagView, IndexView};
 use mmio_matrix::Rational;
@@ -35,16 +35,7 @@ pub enum Layer {
     Dec,
 }
 
-impl Layer {
-    /// The encoding side, if this is an encoding layer.
-    pub fn side(self) -> Option<Side> {
-        match self {
-            Layer::EncA => Some(Side::A),
-            Layer::EncB => Some(Side::B),
-            Layer::Dec => None,
-        }
-    }
-}
+impl Layer {}
 
 /// Structured address of a `G_r` vertex.
 ///
@@ -218,9 +209,11 @@ impl Cdag {
         (0..self.n_vertices() as u32).map(VertexId)
     }
 
-    /// Whether `v` is an input of the whole CDAG.
+    /// Whether `v` is an input of the whole CDAG (encoding level 0 of
+    /// either side), as the closed form defines it: the combination vertex
+    /// of an all-zero encoding row has no predecessors but is computed.
     pub fn is_input(&self, v: VertexId) -> bool {
-        self.preds(v).is_empty()
+        self.view.is_input(v.0)
     }
 
     /// Whether `v` is an output of the whole CDAG.

@@ -130,11 +130,6 @@ impl HitCounter {
         }
     }
 
-    /// Whether this counter tracks group hits.
-    pub fn tracks_groups(&self) -> bool {
-        self.groups.is_some()
-    }
-
     /// Records one path of dense vertex ids. Vertex hits count per
     /// occurrence; each touched group counts once per path.
     pub fn add_path(&mut self, path: impl IntoIterator<Item = u32>) {
@@ -271,7 +266,6 @@ mod tests {
         let mut uf = UnionFind::new(4);
         uf.union(0, 1); // {0,1} one group
         let mut c = HitCounter::with_groups(uf.roots());
-        assert!(c.tracks_groups());
         // A path through both members of the group: each vertex hit once,
         // the group hit once.
         c.add_path([0u32, 1, 2]);

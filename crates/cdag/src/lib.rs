@@ -59,7 +59,8 @@ mod fixtures;
 pub mod graph;
 pub mod hits;
 pub mod index;
-pub mod iso;
+#[cfg(test)]
+mod iso;
 pub mod meta;
 pub mod serialize;
 pub mod stats;

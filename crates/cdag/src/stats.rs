@@ -71,6 +71,7 @@ pub fn profile(g: &Cdag) -> CdagProfile {
 /// Closed-form rank size: encoding ranks `t ≤ r` hold `2·b^t·a^{r-t}`
 /// vertices (both sides), decoding rank `k` (global rank `r+1+k`) holds
 /// `b^{r-k}·a^k`.
+#[cfg(test)]
 pub fn expected_rank_size(g: &Cdag, rank: u32) -> u64 {
     let (a, b, r) = (g.base().a(), g.base().b(), g.r());
     if rank <= r {

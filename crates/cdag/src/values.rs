@@ -122,6 +122,7 @@ impl ValueClasses {
     /// Whether any class has more members than its meta-vertex would —
     /// i.e. the graph computes some value in two places that are *not*
     /// copies (a single-use violation's footprint).
+    #[cfg(test)]
     pub fn has_non_copy_duplicates(&self, g: &Cdag) -> bool {
         let meta = MetaVertices::compute(g);
         g.vertices()

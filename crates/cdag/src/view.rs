@@ -159,6 +159,7 @@ pub trait CdagView {
 
     /// The copy grouping as a flat root table (`roots[v]` = representative
     /// of `v`'s meta-vertex). `O(n_vertices)` memory by nature.
+    // audit: safe — the per-vertex union-find oracle of MetaVertices, run by the integration crate's proptest_views.rs on both views of every registry base
     fn copy_roots_table(&self) -> Vec<u32> {
         let n = self.n_vertices();
         let mut uf = UnionFind::new(n);
@@ -203,6 +204,7 @@ pub trait CdagView {
         if local.a() != self.a() || local.b() != self.b() || k > r {
             return None;
         }
+        // audit: safe — k ≤ r was checked above
         let copies = checked_pow(self.b() as u64, r - k)?;
         if prefix >= copies {
             return None;
@@ -212,6 +214,7 @@ pub trait CdagView {
             // prefix prepended to the t'-digit multiplication index.
             Layer::EncA | Layer::EncB => VertexRef {
                 layer: vr.layer,
+                // audit: safe — k ≤ r was checked above
                 level: (r - k).checked_add(vr.level)?,
                 mul: prefix
                     .checked_mul(checked_pow(self.b() as u64, vr.level)?)?
@@ -687,6 +690,7 @@ impl IndexView {
 
     /// The view of the standalone `G_k` over the same base, sharing no
     /// state with `self`. `k` must be in `1..=r`.
+    #[cfg(test)]
     pub fn subview(&self, k: u32) -> IndexView {
         assert!(
             k >= 1 && k <= self.r,
@@ -958,16 +962,6 @@ impl IndexView {
         true
     }
 
-    /// Appends the successors of `id` (dense ids) to `out`. Returns `false`
-    /// if `id` is out of range. Outputs have no successors.
-    pub fn succs_into(&self, id: u32, out: &mut Vec<u32>) -> bool {
-        let Some(at) = self.locate(id) else {
-            return false;
-        };
-        out.extend(self.neighbours(at, SUCC));
-        true
-    }
-
     /// Closed-form edge count of `G_r`: a segment's blocks cycle through
     /// the `q` lists of its predecessor rule, and a block contributes its
     /// list's length `run` times.
@@ -1082,6 +1076,7 @@ impl IndexView {
 
     /// Number of inputs, `2a^r`.
     pub fn inputs_count(&self) -> u64 {
+        // audit: safe — the 2a^r inputs have u32 ids in a built view, so the u64 count cannot wrap
         2 * self.entry_width(Layer::EncA, 0)
     }
 
@@ -1096,6 +1091,7 @@ impl IndexView {
         let b_side = self.segment(Layer::EncB, 0);
         b_side
             .contains(&idu)
+            // audit: safe — idu ≥ b_side.start by `contains`, and every sum stays below 2^32
             .then(|| a_side.end + (idu - b_side.start))
     }
 
@@ -1104,6 +1100,7 @@ impl IndexView {
     pub fn output_ord(&self, id: u32) -> Option<u64> {
         let outputs = self.segment(Layer::Dec, self.r);
         let idu = id as u64;
+        // audit: safe — `contains` guarantees idu ≥ outputs.start
         outputs.contains(&idu).then(|| idu - outputs.start)
     }
 
@@ -1116,6 +1113,7 @@ impl IndexView {
     /// per side. Every such input must be loaded by any complete schedule.
     pub fn used_inputs(&self) -> u64 {
         let per_entry = self.entry_width(Layer::EncA, 1);
+        // audit: safe — at most the 2a^r inputs, whose ids are below 2^32 in a built view
         (self.enc_a.used_cols() + self.enc_b.used_cols()) * per_entry
     }
 
@@ -1293,9 +1291,8 @@ pub fn check_tensor(
                 for j in 0..n0 {
                     for i2 in 0..n0 {
                         for j2 in 0..n0 {
-                            let x = i * n0 + k;
-                            let z = k2 * n0 + j;
-                            let y = i2 * n0 + j2;
+                            // audit: safe — each index is below n0² = a, which a built view bounds
+                            let (x, z, y) = (i * n0 + k, k2 * n0 + j, i2 * n0 + j2);
                             let got: Rational = (0..b)
                                 // audit: safe — indices range over the documented shape precondition
                                 .map(|m| dec[(y, m)] * enc_a[(m, x)] * enc_b[(m, z)])
@@ -1359,9 +1356,9 @@ mod tests {
             preds.clear();
             succs.clear();
             assert!(view.preds_into(v.0, &mut preds));
-            assert!(view.succs_into(v.0, &mut succs));
+            assert!(CdagView::succs_into(&view, v, &mut succs));
             assert_eq!(preds, ids(oracle.preds(v)), "preds of {at}");
-            assert_eq!(succs, ids(oracle.succs(v)), "succs of {at}");
+            assert_eq!(succs, oracle.succs(v), "succs of {at}");
             let both = [oracle.preds(v), oracle.succs(v)].concat();
             let want = (both, oracle.preds(v).len());
             assert_eq!(fused(&view, v), want, "view adjacency of {at}");
@@ -1494,7 +1491,7 @@ mod tests {
         assert!(view.vref(u32::MAX).is_none());
         let mut preds = Vec::new();
         assert!(!view.preds_into(n, &mut preds));
-        assert!(!view.succs_into(n, &mut preds));
+        assert!(!CdagView::succs_into(&view, VertexId(n), &mut Vec::new()));
         assert!(preds.is_empty());
         let cdag = build_cdag(&g, 2);
         for id in [n, u32::MAX] {

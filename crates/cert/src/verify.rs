@@ -212,7 +212,8 @@ pub fn verify(cert: &Certificate) -> Verdict {
 }
 
 /// Builds the view, mapping construction failures to reject codes. Also
-/// enforces the per-vertex walk ceiling when `walk` is set.
+/// enforces the per-vertex walk ceiling when `walk` is set. The base's
+/// tensor identity is left to [`tensor_holds`], once per certificate.
 fn build_view(cert: &Certificate, r: u32, walk: bool, ctx: &mut Ctx) -> Option<IndexView> {
     let view = match crate::view::view_of(&cert.base, r) {
         Ok(v) => v,
@@ -235,11 +236,20 @@ fn build_view(cert: &Certificate, r: u32, walk: bool, ctx: &mut Ctx) -> Option<I
         );
         return None;
     }
-    if let Err(e) = crate::view::check_tensor(&cert.base) {
-        ctx.reject(codes::V_BASE_INVALID, e);
-        return None;
-    }
     Some(view)
+}
+
+/// Checks the embedded base's tensor identity, rejecting on failure. It
+/// needs the consistent shapes a built view has checked, so each payload
+/// runs it once, after its first [`build_view`].
+fn tensor_holds(cert: &Certificate, ctx: &mut Ctx) -> bool {
+    match crate::view::check_tensor(&cert.base) {
+        Ok(()) => true,
+        Err(e) => {
+            ctx.reject(codes::V_BASE_INVALID, e);
+            false
+        }
+    }
 }
 
 fn verify_routing(cert: &Certificate, p: &RoutingPayload, ctx: &mut Ctx) {
@@ -255,6 +265,9 @@ fn verify_routing(cert: &Certificate, p: &RoutingPayload, ctx: &mut Ctx) {
     let Some(kview) = build_view(cert, p.k, true, ctx) else {
         return;
     };
+    if !tensor_holds(cert, ctx) {
+        return;
+    }
     let Some(rview) = build_view(cert, p.r, false, ctx) else {
         return;
     };
@@ -574,6 +587,9 @@ fn verify_schedule(cert: &Certificate, p: &SchedulePayload, ctx: &mut Ctx) {
     let Some(view) = build_view(cert, p.r, true, ctx) else {
         return;
     };
+    if !tensor_holds(cert, ctx) {
+        return;
+    }
     let n = view.n_vertices();
     if let Some(&bad) = p.vertices.iter().find(|&&v| v >= n) {
         ctx.reject(
@@ -796,6 +812,9 @@ fn verify_sweep(cert: &Certificate, p: &SweepPayload, ctx: &mut Ctx) {
     let Some(view) = build_view(cert, p.r, false, ctx) else {
         return;
     };
+    if !tensor_holds(cert, ctx) {
+        return;
+    }
     // audit: safe — an in-degree is below the view's u32 vertex count
     let need = view.max_indegree() as u64 + 1;
     let used_inputs = view.used_inputs();

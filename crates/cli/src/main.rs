@@ -59,7 +59,7 @@ fn print_usage() {
          cert     verify <files|DIR...> [--json]\n  \
          serve    --socket PATH [--cache DIR] [--workers N] \
          [--queue-cap N] [--deadline-ms N]\n  \
-         audit    [--json] [--baseline FILE]\n  \
+         audit    [--json]\n  \
          distsim  <algo> <k> [--procs P] [--mem M] \
          [--assign cyclic|block|subtree|one] [--topo full|ring|torus] [--json]\n  \
          codes"
@@ -775,14 +775,12 @@ fn run() -> Result<ExitCode, CliError> {
             server.run().map_err(|e| CliError::io(&socket, e))?;
         }
         "audit" => {
-            let baseline = extract_value(&mut args, "--baseline")?.map(std::path::PathBuf::from);
             reject_unread(&args, 0, &given, &["--json"])?;
             let cwd = std::env::current_dir().map_err(|e| CliError::io(".", e))?;
             let root = mmio_audit::find_workspace_root(&cwd)
                 .ok_or_else(|| CliError::io(cwd.display(), "no workspace Cargo.toml above"))?;
-            let opts = mmio_audit::AuditOptions { baseline };
-            let outcome = mmio_audit::audit_workspace(&root, &opts)
-                .map_err(|e| CliError::io(root.display(), e))?;
+            let outcome =
+                mmio_audit::audit_workspace(&root).map_err(|e| CliError::io(root.display(), e))?;
             if json {
                 print_json(&outcome);
             } else {

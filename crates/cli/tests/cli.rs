@@ -172,7 +172,6 @@ fn flag_without_value_is_a_usage_error() {
         &["serve", "--socket", socket, "--deadline-ms"],
         &["serve", "--socket", socket, "--cache"],
         &["serve", "--socket"],
-        &["audit", "--baseline"],
     ] {
         let out = mmio(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
@@ -419,6 +418,7 @@ fn stray_arguments_are_usage_errors() {
         &["simulate", "strassen", "3", "64", "--out", "unused-dir"],
         &["certify", "strassen", "3", "64", "5"],
         &["routing", "strassen", "1", "2", "9"],
+        &["audit", "--baseline", "AUDIT_BASELINE.json"],
     ] {
         let out = mmio(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");

@@ -11,6 +11,7 @@
 use mmio_cdag::{Cdag, VertexId};
 
 /// `R(S)`: vertices outside `S` with an edge into `S`.
+#[cfg(test)]
 pub fn read_set(g: &Cdag, in_set: &[bool]) -> Vec<VertexId> {
     let mut out = Vec::new();
     let mut seen = vec![false; g.n_vertices()];
@@ -29,6 +30,7 @@ pub fn read_set(g: &Cdag, in_set: &[bool]) -> Vec<VertexId> {
 }
 
 /// `W(S)`: vertices inside `S` with an edge out of `S`.
+#[cfg(test)]
 pub fn write_set(g: &Cdag, in_set: &[bool]) -> Vec<VertexId> {
     g.vertices()
         .filter(|&v| in_set[v.idx()] && g.succs(v).iter().any(|&s| !in_set[s.idx()]))
@@ -36,6 +38,7 @@ pub fn write_set(g: &Cdag, in_set: &[bool]) -> Vec<VertexId> {
 }
 
 /// `|δ(S)| = |R(S)| + |W(S)|` (the two sets are disjoint by definition).
+#[cfg(test)]
 pub fn boundary_size(g: &Cdag, in_set: &[bool]) -> usize {
     read_set(g, in_set).len() + write_set(g, in_set).len()
 }

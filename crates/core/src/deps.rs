@@ -7,6 +7,7 @@
 //! indices are digit vectors and the conditions hold digitwise.
 
 use mmio_cdag::index;
+#[cfg(test)]
 use mmio_cdag::{Cdag, Layer, VertexId, VertexRef};
 
 /// Which input matrix a dependence starts from.
@@ -69,6 +70,7 @@ impl Dependence {
 
 /// Packs per-level `(row, col)` digit pairs into the single `[a]`-digit
 /// entry index used by `mmio-cdag` (entry digit = `row·n₀ + col`).
+#[cfg(test)]
 pub fn pack_entry(row: u64, col: u64, n0: usize, k: u32) -> u64 {
     let rd = index::unpack(row, n0, k as usize);
     let cd = index::unpack(col, n0, k as usize);
@@ -86,6 +88,7 @@ pub fn unpack_entry(entry: u64, n0: usize, k: u32) -> (u64, u64) {
 }
 
 /// The input vertex of `g` corresponding to a dependence's input entry.
+#[cfg(test)]
 pub fn input_vertex(g: &Cdag, dep: &Dependence) -> VertexId {
     let n0 = g.base().n0();
     let layer = match dep.side {
@@ -101,6 +104,7 @@ pub fn input_vertex(g: &Cdag, dep: &Dependence) -> VertexId {
 }
 
 /// The output vertex of `g` corresponding to a dependence's output entry.
+#[cfg(test)]
 pub fn output_vertex(g: &Cdag, dep: &Dependence) -> VertexId {
     let n0 = g.base().n0();
     g.id(VertexRef {
@@ -130,6 +134,7 @@ pub fn all_dependencies(n0: usize, k: u32) -> Vec<Dependence> {
 /// Checks a dependence against the CDAG: directed reachability from the
 /// input vertex to the output vertex. Ground truth for the "guaranteed"
 /// definition (correct algorithms must realize every guaranteed dependence).
+#[cfg(test)]
 pub fn dependence_realized(g: &Cdag, dep: &Dependence) -> bool {
     let src = input_vertex(g, dep);
     let dst = output_vertex(g, dep);

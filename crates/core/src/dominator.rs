@@ -132,6 +132,7 @@ impl MaxFlow {
 /// set of `T` consecutively computed vertices has a dominator of size at
 /// most `|R(T)| + M` — the values read plus those already in cache.
 /// Returns the worst `(dominator, reads)` pair seen.
+#[cfg(test)]
 pub fn verify_dominator_bound(
     g: &Cdag,
     order: &[VertexId],

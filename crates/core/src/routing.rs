@@ -139,6 +139,7 @@ impl RoutingStats {
 /// Checks that a path is a *chain*: consecutive vertices connected by
 /// directed edges all pointing forward (a monotone path from input toward
 /// output).
+#[cfg(test)]
 pub fn is_chain(g: &Cdag, path: &[VertexId]) -> bool {
     path.windows(2).all(|w| g.preds(w[1]).contains(&w[0]))
 }
@@ -156,14 +157,6 @@ pub struct PathArena {
 }
 
 impl PathArena {
-    /// An empty arena.
-    pub fn new() -> PathArena {
-        PathArena {
-            offsets: vec![0],
-            verts: Vec::new(),
-        }
-    }
-
     /// An empty arena pre-sized for `paths` paths of about `avg_len`
     /// vertices each.
     pub fn with_capacity(paths: usize, avg_len: usize) -> PathArena {
@@ -190,11 +183,6 @@ impl PathArena {
     /// Whether the arena holds no paths.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Total number of stored vertices (path lengths summed).
-    pub fn total_vertices(&self) -> usize {
-        self.verts.len()
     }
 
     /// The `i`-th path.
@@ -309,7 +297,6 @@ mod tests {
         arena.push(&[input, combo]);
         arena.push(&[combo]);
         assert_eq!(arena.len(), 2);
-        assert_eq!(arena.total_vertices(), 3);
         assert_eq!(arena.path(0), &[input, combo]);
         assert_eq!(arena.path(1), &[combo]);
         let collected: Vec<&[VertexId]> = arena.iter().collect();

@@ -12,7 +12,9 @@
 //! I/Os.
 
 use mmio_cdag::meta::MetaId;
-use mmio_cdag::{index, Cdag, CdagView, Layer, MetaClosure, MetaVertices, VertexId, VertexRef};
+#[cfg(test)]
+use mmio_cdag::Cdag;
+use mmio_cdag::{index, CdagView, Layer, MetaClosure, MetaVertices, VertexId, VertexRef};
 use mmio_parallel::Pool;
 use serde::Serialize;
 use std::sync::{Mutex, PoisonError};
@@ -349,6 +351,7 @@ pub fn analyze_with<V: CdagView + Sync>(
 
 /// Convenience: the number of counted-rank vertices available in total
 /// (`3·a^k·b^{r-k}` before restriction, less after).
+#[cfg(test)]
 pub fn counted_total(counted: &[bool]) -> u64 {
     counted.iter().filter(|&&c| c).count() as u64
 }
@@ -361,6 +364,7 @@ pub fn counted_total(counted: &[bool]) -> u64 {
 /// constants; the 1/22 comes from the `11·7^k` routing).
 ///
 /// Returns per-segment `(counted, |δ(S)|)` pairs for complete segments.
+#[cfg(test)]
 pub fn analyze_section5(g: &Cdag, order: &[VertexId], k: u32, threshold: u64) -> Vec<(u64, u64)> {
     // Counted mask: decoding rank k.
     let mut counted = vec![false; g.n_vertices()];
@@ -388,6 +392,7 @@ pub fn analyze_section5(g: &Cdag, order: &[VertexId], k: u32, threshold: u64) ->
 
 /// Section 5's choice of `k` for Strassen-like graphs: smallest `k` with
 /// `a^k ≥ multiplier·m` (the paper uses 132 = 2·66).
+#[cfg(test)]
 pub fn choose_k_section5(g: &Cdag, m: u64, multiplier: u64) -> u32 {
     let target = multiplier.saturating_mul(m);
     let a = g.base().a() as u64;
@@ -399,6 +404,7 @@ pub fn choose_k_section5(g: &Cdag, m: u64, multiplier: u64) -> u32 {
 }
 
 /// Sanity helper: all counted vertices must lie on the three counted ranks.
+#[cfg(test)]
 pub fn counted_ranks_only<V: CdagView>(g: &V, k: u32, counted: &[bool]) -> bool {
     (0..g.n_vertices() as u32).all(|i| {
         if !counted[i as usize] {

@@ -215,7 +215,7 @@ impl Prepared {
             pool,
         );
         let lemma1_target = if k + 2 <= g.r() {
-            index::pow(base.b(), g.r() - k - 2)
+            lemma1::lemma1_target(g, k)
         } else {
             0
         };

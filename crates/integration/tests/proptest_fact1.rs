@@ -2,13 +2,13 @@
 //! routing-transport engine stands on: a routing constructed once on a
 //! standalone `G_k` is only valid inside every copy of `G_k` in `G_r` if
 //! `CdagView::lift_from` is inverted by `try_vref` (strip the prefix
-//! digits), lands on the middle `2(k+1)` levels, keeps copies disjoint, and
-//! preserves edges and coefficients (`iso::verify_embedding`).
+//! digits), lands on the middle `2(k+1)` levels, and keeps copies disjoint.
+//! That the copy preserves edges and coefficients is checked in
+//! `mmio-cdag`'s own tests (`iso::verify_embedding`).
 
 use mmio_algos::laderman::laderman;
 use mmio_algos::strassen::{strassen, winograd};
 use mmio_cdag::build::build_cdag;
-use mmio_cdag::iso::verify_embedding;
 use mmio_cdag::{index, CdagView, Layer, VertexId, VertexRef};
 use proptest::prelude::*;
 
@@ -37,10 +37,6 @@ proptest! {
             .vertices()
             .map(|lv| g.lift_from(&gk, prefix, lv).expect("every G_k vertex lifts"))
             .collect();
-
-        // The copy is an induced, edge- and coefficient-preserving image of
-        // G_k (transported paths walk real edges).
-        prop_assert_eq!(verify_embedding(&gk, &g, &map), Ok(()));
 
         // Round-trip every local vertex: encoding layers of both sides
         // (including the meta-vertex copy-chain levels above rank r-k) and

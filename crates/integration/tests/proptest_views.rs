@@ -387,3 +387,52 @@ fn successors_are_the_inverted_predecessors() {
         }
     }
 }
+
+/// Strassen with an eighth product whose `A` combination is the all-zero
+/// row: still correct (its decoding column is zero), and its rank-1
+/// combination vertex has no predecessors although it is computed.
+fn strassen_with_zero_row() -> BaseGraph {
+    let s = strassen();
+    let zero = Rational::integer(0);
+    let (ea, eb, dec) = (s.enc(Side::A), s.enc(Side::B), s.dec());
+    BaseGraph::new(
+        "strassen+zero-row",
+        2,
+        Matrix::from_fn(8, 4, |m, x| if m < 7 { ea[(m, x)] } else { zero }),
+        Matrix::from_fn(8, 4, |m, x| match m {
+            7 => Rational::integer(i64::from(x == 0)),
+            _ => eb[(m, x)],
+        }),
+        Matrix::from_fn(4, 8, |y, m| if m < 7 { dec[(y, m)] } else { zero }),
+    )
+}
+
+/// `Cdag::is_input` is the closed form's definition (encoding level 0 of
+/// either side) on every vertex of every registry base at `r ≤ 3`, and on
+/// a base with an all-zero encoding row, whose predecessor-less
+/// combination vertex the scheduler must compute: it covers every
+/// non-input, so it runs there too.
+#[test]
+fn is_input_is_the_closed_forms() {
+    use mmio_pebble::orders::recursive_order;
+    use mmio_pebble::policy::Lru;
+    use mmio_pebble::AutoScheduler;
+    let zero_row = strassen_with_zero_row();
+    assert_eq!(zero_row.verify_correctness(), Ok(()));
+    for base in all_base_graphs().into_iter().chain([zero_row.clone()]) {
+        for r in 0..=3 {
+            let g = build_cdag(&base, r);
+            let view = CdagView::closed_form(&g);
+            for v in g.vertices() {
+                let at = format!("{} r={r} vertex {}", base.name(), v.0);
+                assert_eq!(g.is_input(v), view.is_input(v.0), "{at}");
+            }
+        }
+    }
+    let g = build_cdag(&zero_row, 2);
+    assert!(g
+        .vertices()
+        .any(|v| g.preds(v).is_empty() && !g.is_input(v)));
+    let stats = AutoScheduler::new(&g, 16).run(&recursive_order(&g), &Lru);
+    assert!(stats.loads > 0 && stats.stores > 0, "{stats:?}");
+}

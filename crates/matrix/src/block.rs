@@ -69,6 +69,7 @@ pub fn entry_to_digits(row: usize, col: usize, n0: usize, r: usize) -> Vec<usize
 }
 
 /// Inverse of [`entry_to_digits`].
+#[cfg(test)]
 pub fn digits_to_entry(digits: &[usize], n0: usize) -> (usize, usize) {
     let mut row = 0;
     let mut col = 0;
@@ -77,11 +78,6 @@ pub fn digits_to_entry(digits: &[usize], n0: usize) -> (usize, usize) {
         col = col * n0 + x % n0;
     }
     (row, col)
-}
-
-/// `n₀^r`, the matrix side after `r` recursion levels.
-pub fn side(n0: usize, r: usize) -> usize {
-    n0.pow(r as u32)
 }
 
 #[cfg(test)]
@@ -115,8 +111,8 @@ mod tests {
 
     #[test]
     fn digit_roundtrip() {
-        let (n0, r) = (2, 3);
-        let n = side(n0, r);
+        let (n0, r) = (2usize, 3usize);
+        let n = n0.pow(r as u32);
         for row in 0..n {
             for col in 0..n {
                 let d = entry_to_digits(row, col, n0, r);
@@ -136,8 +132,8 @@ mod tests {
 
     #[test]
     fn digit_roundtrip_n0_3() {
-        let (n0, r) = (3, 2);
-        let n = side(n0, r);
+        let (n0, r) = (3usize, 2usize);
+        let n = n0.pow(r as u32);
         for row in 0..n {
             for col in 0..n {
                 let d = entry_to_digits(row, col, n0, r);

@@ -25,6 +25,7 @@ pub fn multiply_naive<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
 }
 
 /// i-k-j loop order: streams rows of `b`, much better spatial locality.
+#[cfg(test)]
 pub fn multiply_ikj<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
     assert_eq!(a.cols(), b.rows(), "inner dimension mismatch");
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
@@ -51,6 +52,7 @@ pub fn multiply_ikj<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
 ///
 /// # Panics
 /// Panics if `bs == 0` or on inner-dimension mismatch.
+#[cfg(test)]
 pub fn multiply_blocked<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>, bs: usize) -> Matrix<T> {
     assert!(bs > 0, "block size must be positive");
     assert_eq!(a.cols(), b.rows(), "inner dimension mismatch");
@@ -78,6 +80,7 @@ pub fn multiply_blocked<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>, bs: usize) -> M
 
 /// Number of scalar multiplications the classical algorithm performs on
 /// `n×n` inputs: exactly `n³`.
+#[cfg(test)]
 pub fn multiplication_count(n: u64) -> u64 {
     n * n * n
 }

@@ -23,6 +23,7 @@ impl<T: Scalar> Matrix<T> {
     }
 
     /// Creates the `n × n` identity matrix.
+    #[cfg(test)]
     pub fn identity(n: usize) -> Matrix<T> {
         let mut m = Matrix::zeros(n, n);
         for i in 0..n {
@@ -72,6 +73,7 @@ impl<T: Scalar> Matrix<T> {
     }
 
     /// Borrow the underlying row-major data.
+    #[cfg(test)]
     pub fn as_slice(&self) -> &[T] {
         &self.data
     }
@@ -89,11 +91,6 @@ impl<T: Scalar> Matrix<T> {
                 (v != T::zero()).then_some((i, j, v))
             })
         })
-    }
-
-    /// Number of nonzero entries.
-    pub fn nnz(&self) -> usize {
-        self.nonzeros().count()
     }
 
     /// The transpose.
@@ -179,6 +176,7 @@ impl<T: Scalar> Matrix<T> {
 
 impl Matrix<f64> {
     /// Maximum absolute entrywise difference, for float comparisons.
+    #[cfg(test)]
     pub fn max_abs_diff(&self, other: &Matrix<f64>) -> f64 {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols));
         self.data
@@ -266,8 +264,8 @@ mod tests {
     fn identity_and_zeros() {
         let id: Matrix<i64> = Matrix::identity(3);
         let z: Matrix<i64> = Matrix::zeros(3, 3);
-        assert_eq!(id.nnz(), 3);
-        assert_eq!(z.nnz(), 0);
+        assert_eq!(id.nonzeros().count(), 3);
+        assert_eq!(z.nonzeros().count(), 0);
         assert!((&id + &z).exactly_equals(&id));
     }
 

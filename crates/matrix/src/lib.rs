@@ -12,12 +12,9 @@
 //!   coefficients and symbolic correctness checks. Strassen-like coefficient
 //!   matrices are tiny, so exactness matters far more than speed here.
 //! - [`Matrix`]: a dense, row-major matrix generic over a [`Scalar`] type.
-//! - [`classical`]: reference `Θ(n³)` multiplications (naive, ikj-reordered,
-//!   and cache-blocked), used as ground truth and as the classical baseline
-//!   the paper's introduction compares against.
-//! - [`strassen`]: a direct, hand-written Strassen implementation (independent
-//!   of the generic bilinear executor in `mmio-algos`) used as a cross-check
-//!   and as the performance baseline for the crossover benchmark (E10).
+//! - [`classical`]: the reference `Θ(n³)` multiplication, used as ground
+//!   truth and as the classical baseline the paper's introduction compares
+//!   against.
 //! - [`block`]: block partitioning helpers used by recursive algorithms.
 //! - [`linform`]: formal linear forms over named variables, used by the
 //!   Lemma 5/6 machinery in `mmio-core` to decide whether a coefficient of
@@ -27,11 +24,10 @@
 //! ```
 //! use mmio_matrix::{Matrix, Rational};
 //! use mmio_matrix::classical::multiply_naive;
-//! use mmio_matrix::strassen;
 //!
 //! let a = Matrix::from_fn(4, 4, |i, j| (i + 2 * j) as i64);
-//! let b = Matrix::identity(4);
-//! assert!(strassen::multiply(&a, &b, 1).exactly_equals(&multiply_naive(&a, &b)));
+//! let b = Matrix::from_fn(4, 4, |i, j| i64::from(i == j));
+//! assert!(multiply_naive(&a, &b).exactly_equals(&a));
 //! assert_eq!(Rational::new(2, 4) + Rational::new(1, 2), Rational::ONE);
 //! ```
 
@@ -45,7 +41,8 @@ pub mod random;
 pub mod rational;
 pub mod scalar;
 pub mod solve;
-pub mod strassen;
+#[cfg(test)]
+mod strassen;
 
 pub use dense::Matrix;
 pub use linform::LinForm;

@@ -29,6 +29,7 @@ impl LinForm {
     ///
     /// # Panics
     /// Panics if `v >= nvars`.
+    #[cfg(test)]
     pub fn variable(nvars: usize, v: usize) -> LinForm {
         assert!(v < nvars, "variable index out of range");
         let mut f = LinForm::zero(nvars);
@@ -42,6 +43,7 @@ impl LinForm {
     }
 
     /// The coefficient of variable `v`.
+    #[cfg(test)]
     pub fn coeff(&self, v: usize) -> Rational {
         self.coeffs[v]
     }
@@ -63,6 +65,7 @@ impl LinForm {
     ///
     /// # Panics
     /// Panics if `values.len() != nvars`.
+    #[cfg(test)]
     pub fn eval(&self, values: &[Rational]) -> Rational {
         assert_eq!(values.len(), self.nvars(), "assignment length mismatch");
         self.coeffs.iter().zip(values).map(|(&c, &v)| c * v).sum()

@@ -12,6 +12,7 @@ pub fn random_i64_matrix<R: Rng>(rows: usize, cols: usize, rng: &mut R) -> Matri
 }
 
 /// Random `rows × cols` matrix with `f64` entries in `[-1, 1)`.
+#[cfg(test)]
 pub fn random_f64_matrix<R: Rng>(rows: usize, cols: usize, rng: &mut R) -> Matrix<f64> {
     Matrix::from_fn(rows, cols, |_, _| rng.gen_range(-1.0..1.0))
 }

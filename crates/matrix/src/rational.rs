@@ -77,11 +77,6 @@ impl Rational {
         self.num
     }
 
-    /// The denominator (always positive).
-    pub fn denom(self) -> i64 {
-        self.den
-    }
-
     /// Whether this is exactly zero.
     pub fn is_zero(self) -> bool {
         self.num == 0
@@ -104,14 +99,6 @@ impl Rational {
     pub fn recip(self) -> Rational {
         assert!(self.num != 0, "reciprocal of zero");
         Rational::new(self.den, self.num)
-    }
-
-    /// Absolute value.
-    pub fn abs(self) -> Rational {
-        Rational {
-            num: self.num.abs(),
-            den: self.den,
-        }
     }
 
     /// Converts to the nearest `f64` (exact whenever representable).
@@ -273,7 +260,7 @@ mod tests {
         assert_eq!(Rational::new(-2, -4), Rational::new(1, 2));
         assert_eq!(Rational::new(2, -4), Rational::new(-1, 2));
         assert_eq!(Rational::new(0, 7), Rational::ZERO);
-        assert_eq!(Rational::new(0, -7).denom(), 1);
+        assert_eq!(Rational::new(0, -7), Rational::ZERO);
     }
 
     #[test]

@@ -71,6 +71,7 @@ pub fn rref(m: &Matrix<Rational>) -> Echelon {
 }
 
 /// Rank of `m` over the rationals.
+#[cfg(test)]
 pub fn rank(m: &Matrix<Rational>) -> usize {
     rref(m).rank
 }

@@ -1,9 +1,8 @@
 //! Hand-written Strassen multiplication (the 1969 seven-multiplication
 //! scheme), independent of the generic bilinear executor in `mmio-algos`.
 //!
-//! Used as a cross-check (two independent implementations of the same base
-//! graph must agree) and as the fast side of the classical-vs-fast crossover
-//! benchmark (experiment E10).
+//! Compiled into test builds only, as a cross-check: two independent
+//! implementations of the same base graph must agree.
 
 use crate::block::{join_blocks, split_blocks};
 use crate::classical::multiply_naive;

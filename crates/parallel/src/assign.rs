@@ -16,6 +16,7 @@
 //! checked against.
 
 use mmio_cdag::{CdagView, Layer, VertexId};
+#[cfg(test)]
 use rand::Rng;
 
 /// An assignment of every vertex to a processor in `[p]`.
@@ -153,6 +154,7 @@ pub fn all_on_one<V: CdagView>(g: &V, p: u32) -> Assignment {
 }
 
 /// Uniformly random assignment.
+#[cfg(test)]
 pub fn random<V: CdagView, R: Rng>(g: &V, p: u32, rng: &mut R) -> Assignment {
     Assignment {
         proc_of: (0..g.n_vertices()).map(|_| rng.gen_range(0..p)).collect(),

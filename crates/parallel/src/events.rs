@@ -76,11 +76,6 @@ impl SyncTrace {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
-
-    /// Number of distinct threads that emitted events.
-    pub fn n_threads(&self) -> usize {
-        self.events.iter().map(|e| e.thread + 1).max().unwrap_or(0) as usize
-    }
 }
 
 #[cfg(feature = "trace")]
@@ -201,7 +196,6 @@ mod tests {
                 SyncEvent::WorkerJoin { worker: 0 }
             ]
         );
-        assert_eq!(trace.n_threads(), 1);
     }
 
     #[test]

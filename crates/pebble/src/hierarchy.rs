@@ -47,11 +47,6 @@ impl Hierarchy {
         Hierarchy { levels }
     }
 
-    /// The level capacities.
-    pub fn levels(&self) -> &[usize] {
-        &self.levels
-    }
-
     /// Measures per-boundary traffic for `order` under `policy`, running
     /// the boundaries as a pooled [`sweep`] over the level
     /// sizes. Every boundary starts a fresh run of the same spec, so the
@@ -115,10 +110,10 @@ mod tests {
     fn pooled_measure_matches_serial() {
         let g = build_cdag(&classical2_base(), 3);
         let order = recursive_order(&g);
-        let h = Hierarchy::new(vec![8, 32, 128, 512]);
+        let levels = vec![8, 32, 128, 512];
+        let h = Hierarchy::new(levels.clone());
         for policy in [Belady, PolicySpec::Random { seed: 11 }] {
-            let direct: Vec<u64> = h
-                .levels()
+            let direct: Vec<u64> = levels
                 .iter()
                 .map(|&m| AutoScheduler::new(&g, m).run(&order, &policy).io())
                 .collect();

@@ -121,6 +121,7 @@ pub fn random_topo_order<R: Rng>(g: &Cdag, rng: &mut R) -> Vec<VertexId> {
 
 /// Checks that `order` covers every non-input vertex once, in an order
 /// consistent with the dependencies.
+#[cfg(test)]
 pub fn is_valid_compute_order<G: PebbleGraph>(g: &G, order: &[VertexId]) -> bool {
     let n = g.n_vertices();
     let noninput = (0..n as u32).filter(|&i| !g.is_input(VertexId(i))).count();

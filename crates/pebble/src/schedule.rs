@@ -29,11 +29,13 @@ pub struct Schedule {
 
 impl Schedule {
     /// An empty schedule.
+    #[cfg(test)]
     pub fn new() -> Schedule {
         Schedule::default()
     }
 
     /// The compute actions' vertices, in order.
+    #[cfg(test)]
     pub fn compute_order(&self) -> Vec<VertexId> {
         self.actions
             .iter()
@@ -45,6 +47,7 @@ impl Schedule {
     }
 
     /// Number of I/O actions (loads + stores).
+    #[cfg(test)]
     pub fn io_actions(&self) -> usize {
         self.actions
             .iter()

@@ -190,11 +190,6 @@ impl DiskCache {
         Ok((cache, report))
     }
 
-    /// The cache root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
     /// Drains the diagnostics accumulated since the last call.
     pub fn take_diags(&self) -> Vec<ServeDiag> {
         std::mem::take(

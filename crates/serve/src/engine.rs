@@ -52,6 +52,7 @@ pub struct EngineConfig {
 impl EngineConfig {
     /// Conservative defaults: 2 workers, queue of 32, serial compute pool,
     /// 30 s deadline, memo-less.
+    // audit: safe — the small engine the crate's tests/ start, which cannot see #[cfg(test)] items
     pub fn small() -> EngineConfig {
         EngineConfig {
             workers: 2,
@@ -320,16 +321,19 @@ impl Engine {
     }
 
     /// Engine counters (tests and the harness read these directly).
+    // audit: safe — observation seam: the crate's tests/ (fault_suite.rs) read the counters and cannot see #[cfg(test)] items
     pub fn counters(&self) -> &EngineCounters {
         &self.shared.counters
     }
 
     /// The memo tier, if one is configured.
+    // audit: safe — observation seam: the crate's tests/ (fault_suite.rs, crash_restart.rs) drain the cache's diagnostics and cannot see #[cfg(test)] items
     pub fn cache(&self) -> Option<&DiskCache> {
         self.shared.cache.as_ref()
     }
 
     /// Wedge replacements performed so far.
+    // audit: safe — observation seam: the crate's tests/fault_suite.rs counts worker replacements and cannot see #[cfg(test)] items
     pub fn worker_replacements(&self) -> u64 {
         self.workers.replacements.load(Ordering::Relaxed)
     }

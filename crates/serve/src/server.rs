@@ -127,6 +127,7 @@ impl Client {
 
     /// Connects, retrying until the server binds (a just-spawned server
     /// process needs a beat) or `timeout` elapses.
+    // audit: safe — the crate's tests/fault_suite.rs connects while the server starts and cannot see #[cfg(test)] items
     pub fn connect_retry(path: impl AsRef<Path>, timeout: Duration) -> std::io::Result<Client> {
         let deadline = std::time::Instant::now() + timeout;
         loop {
